@@ -8,6 +8,23 @@
 //! scheduled output transitions from a private agenda instead of the
 //! simulator's event queue.
 //!
+//! A wake costs work proportional to what changed, not to the region's
+//! size:
+//!
+//! * **Boundary scan.** Only a boundary net whose `last_change` is the
+//!   current instant is read. Every resolved change of a watched net
+//!   queues a wake at that instant (or coalesces into one already
+//!   queued), and that wake reads the net, so a net that did not change
+//!   this instant still equals its slot. Debug builds assert this.
+//! * **Worklists.** Marking a node dirty also appends it to its table's
+//!   worklist; a sweep sorts the list and evaluates only those nodes.
+//!   Evaluation never marks a node dirty, so ascending index order is
+//!   exactly the rank (comb) or elaboration (flop) order.
+//! * **Agenda.** Landings are bucketed by instant and a bucket commits in
+//!   ascending node order — the order of a `(time, node)` priority queue.
+//!   Entries are lazily deleted: re-evaluating a gate only adds an entry
+//!   when its landing time moves, since one for the old time is queued.
+//!
 //! The engine is written to be *observationally identical* to the
 //! per-cell components it replaces:
 //!
@@ -20,10 +37,8 @@
 //!   replicate [`crate::Dff`] / [`crate::RegisterWord`] literally;
 //! * internal nets are read from the engine's own slots and boundary nets
 //!   through watched [`Ctx::get`] calls, so the delta-race sanitizer sees
-//!   no reads it would not have seen from the original components.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!   no reads it would not have seen from the original components (reads
+//!   of watched nets never reach it, so skipping them hides nothing).
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
 
@@ -92,6 +107,112 @@ pub(crate) enum Flop {
     Word(WordFlop),
 }
 
+/// Dirty flags over one node table, plus the list of flags that are set,
+/// so a sweep visits only the marked nodes instead of every flag.
+struct Worklist {
+    flag: Vec<bool>,
+    list: Vec<u32>,
+}
+
+impl Worklist {
+    fn new(len: usize) -> Self {
+        Worklist {
+            flag: vec![false; len],
+            list: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        if !self.flag[i] {
+            self.flag[i] = true;
+            self.list.push(i as u32);
+        }
+    }
+
+    /// Takes the marked indices in ascending order and clears their
+    /// flags. Callers hand the buffer back with [`Worklist::restore`] so
+    /// its allocation is reused.
+    fn take_sorted(&mut self) -> Vec<u32> {
+        let mut list = std::mem::take(&mut self.list);
+        list.sort_unstable();
+        for &i in &list {
+            self.flag[i as usize] = false;
+        }
+        list
+    }
+
+    fn restore(&mut self, mut list: Vec<u32>) {
+        debug_assert!(self.list.is_empty(), "a sweep marked a node dirty");
+        list.clear();
+        self.list = list;
+    }
+}
+
+/// The dirty sets of both node tables, addressed by node ref.
+struct Dirty {
+    ncomb: usize,
+    comb: Worklist,
+    flops: Worklist,
+}
+
+impl Dirty {
+    fn mark_fanout(&mut self, refs: &[u32]) {
+        for &r in refs {
+            let r = r as usize;
+            if r < self.ncomb {
+                self.comb.mark(r);
+            } else {
+                self.flops.mark(r - self.ncomb);
+            }
+        }
+    }
+}
+
+/// Pending output landings bucketed by instant. Entries are node refs,
+/// lazily deleted: a bucket may hold stale or repeated refs, which
+/// `commit` skips. A region's gates have a handful of distinct delays,
+/// so few buckets are live and a sorted `Vec` beats a heap of entries.
+#[derive(Default)]
+struct Agenda {
+    /// Sorted by time, latest first, so the earliest bucket pops off the
+    /// end.
+    buckets: Vec<(Time, Vec<u32>)>,
+    /// Emptied bucket buffers, reused to avoid an allocation per bucket.
+    spare: Vec<Vec<u32>>,
+}
+
+impl Agenda {
+    fn push(&mut self, t: Time, node: u32) {
+        match self.buckets.binary_search_by(|&(bt, _)| t.cmp(&bt)) {
+            Ok(i) => self.buckets[i].1.push(node),
+            Err(i) => {
+                let mut v = self.spare.pop().unwrap_or_default();
+                v.push(node);
+                self.buckets.insert(i, (t, v));
+            }
+        }
+    }
+
+    fn next_time(&self) -> Option<Time> {
+        self.buckets.last().map(|&(t, _)| t)
+    }
+
+    /// The earliest bucket if it is due by `now`, its refs ascending.
+    fn pop_due(&mut self, now: Time) -> Option<(Time, Vec<u32>)> {
+        if self.next_time()? > now {
+            return None;
+        }
+        let (t, mut nodes) = self.buckets.pop()?;
+        nodes.sort_unstable();
+        Some((t, nodes))
+    }
+
+    fn recycle(&mut self, mut nodes: Vec<u32>) {
+        nodes.clear();
+        self.spare.push(nodes);
+    }
+}
+
 /// One component standing in for a whole compiled region.
 pub struct CompiledEngine {
     name: String,
@@ -99,22 +220,22 @@ pub struct CompiledEngine {
     slots: Vec<NetId>,
     /// Cached resolved value per slot.
     values: Vec<Logic>,
-    /// Slots of nets the region reads but does not drive; rescanned (and
-    /// diffed) on every wake. These are exactly the nets the engine
-    /// watches.
+    /// Slots of nets the region reads but does not drive. These are
+    /// exactly the nets the engine watches; a wake reads only those whose
+    /// `last_change` is the current instant.
     boundary: Vec<u32>,
     /// slot -> dependent node refs (`r < comb.len()` is a comb index,
     /// otherwise `r - comb.len()` is a flop index).
     fanout: Vec<Vec<u32>>,
     /// Combinational nodes in topological (rank) order.
     comb: Vec<CombNode>,
-    comb_dirty: Vec<bool>,
     /// Sequential nodes in elaboration order.
     flops: Vec<Flop>,
-    flop_dirty: Vec<bool>,
+    /// Nodes awaiting evaluation in the current pass.
+    dirty: Dirty,
     delays: DelayTable,
-    /// Pending output landings: (time, node ref), lazily deleted.
-    agenda: BinaryHeap<Reverse<(Time, u32)>>,
+    /// Pending output landings.
+    agenda: Agenda,
     established: bool,
 }
 
@@ -142,8 +263,11 @@ impl CompiledEngine {
         flops: Vec<Flop>,
         delays: DelayTable,
     ) -> Self {
-        let comb_dirty = vec![false; comb.len()];
-        let flop_dirty = vec![false; flops.len()];
+        let dirty = Dirty {
+            ncomb: comb.len(),
+            comb: Worklist::new(comb.len()),
+            flops: Worklist::new(flops.len()),
+        };
         CompiledEngine {
             name,
             slots,
@@ -151,11 +275,10 @@ impl CompiledEngine {
             boundary,
             fanout,
             comb,
-            comb_dirty,
             flops,
-            flop_dirty,
+            dirty,
             delays,
-            agenda: BinaryHeap::new(),
+            agenda: Agenda::default(),
             established: false,
         }
     }
@@ -166,23 +289,6 @@ impl CompiledEngine {
             .iter()
             .map(|&s| self.slots[s as usize])
             .collect()
-    }
-
-    fn mark_fanout(
-        fanout: &[Vec<u32>],
-        ncomb: usize,
-        comb_dirty: &mut [bool],
-        flop_dirty: &mut [bool],
-        slot: u32,
-    ) {
-        for &r in &fanout[slot as usize] {
-            let r = r as usize;
-            if r < ncomb {
-                comb_dirty[r] = true;
-            } else {
-                flop_dirty[r - ncomb] = true;
-            }
-        }
     }
 
     /// Lands a due pending transition. Equal-value commits are skipped at
@@ -203,13 +309,7 @@ impl CompiledEngine {
             ctx.commit_drive(self.comb[i].driver, v);
             if self.values[slot as usize] != v {
                 self.values[slot as usize] = v;
-                Self::mark_fanout(
-                    &self.fanout,
-                    ncomb as usize,
-                    &mut self.comb_dirty,
-                    &mut self.flop_dirty,
-                    slot,
-                );
+                self.dirty.mark_fanout(&self.fanout[slot as usize]);
             }
             return;
         }
@@ -224,13 +324,7 @@ impl CompiledEngine {
                 ctx.commit_drive(f.q_driver, v);
                 if self.values[slot as usize] != v {
                     self.values[slot as usize] = v;
-                    Self::mark_fanout(
-                        &self.fanout,
-                        ncomb as usize,
-                        &mut self.comb_dirty,
-                        &mut self.flop_dirty,
-                        slot,
-                    );
+                    self.dirty.mark_fanout(&self.fanout[slot as usize]);
                 }
             }
             Flop::Word(f) => {
@@ -246,13 +340,7 @@ impl CompiledEngine {
                     ctx.commit_drive(drv, v);
                     if self.values[slot as usize] != v {
                         self.values[slot as usize] = v;
-                        Self::mark_fanout(
-                            &self.fanout,
-                            ncomb as usize,
-                            &mut self.comb_dirty,
-                            &mut self.flop_dirty,
-                            slot,
-                        );
+                        self.dirty.mark_fanout(&self.fanout[slot as usize]);
                     }
                 }
             }
@@ -271,9 +359,13 @@ impl CompiledEngine {
         };
         // Always replace the pending transition, even on an equal value:
         // the event-driven gate re-drives on every evaluation and the new
-        // drive cancels the old one (inertial behaviour).
-        self.comb[i].pending = Some((at, v));
-        self.agenda.push(Reverse((at, i as u32)));
+        // drive cancels the old one (inertial behaviour). An agenda entry
+        // for the previous landing time is still queued, so a new one is
+        // needed only when the landing time moves.
+        let prev = self.comb[i].pending.replace((at, v));
+        if prev.map(|(t, _)| t) != Some(at) {
+            self.agenda.push(at, i as u32);
+        }
     }
 
     fn eval_flop(&mut self, j: usize, now: Time, ctx: &mut Ctx<'_>) {
@@ -297,7 +389,7 @@ impl CompiledEngine {
 
                 if first_eval {
                     f.pending = Some((now, f.state));
-                    self.agenda.push(Reverse((now, node_ref)));
+                    self.agenda.push(now, node_ref);
                 }
 
                 if rising {
@@ -330,7 +422,7 @@ impl CompiledEngine {
                             let d = self.values[f.d_slot as usize];
                             f.state = if d == Logic::Z { Logic::X } else { d };
                             f.pending = Some((now + cq, f.state));
-                            self.agenda.push(Reverse((now + cq, node_ref)));
+                            self.agenda.push(now + cq, node_ref);
                         }
                         Logic::L => {
                             f.last_captured = false;
@@ -339,7 +431,7 @@ impl CompiledEngine {
                             f.last_captured = true;
                             f.state = Logic::X;
                             f.pending = Some((now + cq, Logic::X));
-                            self.agenda.push(Reverse((now + cq, node_ref)));
+                            self.agenda.push(now + cq, node_ref);
                         }
                     }
                     return;
@@ -374,7 +466,7 @@ impl CompiledEngine {
                     f.initialised = true;
                     let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
                     f.pending = Some((now + cq, bits));
-                    self.agenda.push(Reverse((now + cq, node_ref)));
+                    self.agenda.push(now + cq, node_ref);
                 }
                 if !rising {
                     return;
@@ -409,13 +501,13 @@ impl CompiledEngine {
                         }
                         let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
                         f.pending = Some((now + cq, bits));
-                        self.agenda.push(Reverse((now + cq, node_ref)));
+                        self.agenda.push(now + cq, node_ref);
                     }
                     _ => {
                         f.state = LogicVec::unknown(f.state.width());
                         let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
                         f.pending = Some((now + cq, bits));
-                        self.agenda.push(Reverse((now + cq, node_ref)));
+                        self.agenda.push(now + cq, node_ref);
                     }
                 }
             }
@@ -432,34 +524,37 @@ impl Component for CompiledEngine {
         let now = ctx.now();
         let mut gate_evals: u64 = 0;
 
+        // First wake: every node evaluates once, exactly as every per-cell
+        // component receives an initial wake on registration.
         if !self.established {
-            // First wake: every node evaluates once, exactly as every
-            // per-cell component receives an initial wake on registration.
             self.established = true;
-            self.comb_dirty.iter_mut().for_each(|d| *d = true);
-            self.flop_dirty.iter_mut().for_each(|d| *d = true);
+            (0..self.comb.len()).for_each(|i| self.dirty.comb.mark(i));
+            (0..self.flops.len()).for_each(|j| self.dirty.flops.mark(j));
         }
 
         // Boundary scan: pick up external net changes. Boundary nets are
         // never driven by compiled nodes, so one scan per wake suffices.
-        // A net whose `last_change` is *now* is re-evaluated even when its
-        // sampled value equals the stored one: a multi-driver net (e.g. a
-        // tri-state bus) can transiently resolve away and back within one
-        // instant, and the event kernel wakes watchers on each of those
-        // changes — the re-evaluation inertially reschedules the watcher's
-        // pending output, which is observable as a later landing.
-        for bi in 0..self.boundary.len() {
-            let s = self.boundary[bi];
+        // Only a net whose `last_change` is *now* can differ from its slot:
+        // slots start as the net values at install, and every later
+        // resolved change of a watched net queues a wake at that instant
+        // (or coalesces into one already queued), and that wake read it. Such a net is re-evaluated even when its value
+        // equals the slot: a multi-driver net (e.g. a tri-state bus) can
+        // transiently resolve away and back within one instant, and the
+        // event kernel wakes watchers on each of those changes — the
+        // re-evaluation inertially reschedules the watcher's pending
+        // output, which is observable as a later landing. Reads of watched
+        // nets are invisible to the race sanitizer, so skipping the others
+        // hides nothing from it.
+        for &s in &self.boundary {
             let net = self.slots[s as usize];
-            let v = ctx.get(net);
-            if v != self.values[s as usize] || ctx.last_change(net) == now {
-                self.values[s as usize] = v;
-                Self::mark_fanout(
-                    &self.fanout,
-                    self.comb.len(),
-                    &mut self.comb_dirty,
-                    &mut self.flop_dirty,
-                    s,
+            if ctx.last_change(net) == now {
+                self.values[s as usize] = ctx.get(net);
+                self.dirty.mark_fanout(&self.fanout[s as usize]);
+            } else {
+                debug_assert_eq!(
+                    ctx.get(net),
+                    self.values[s as usize],
+                    "boundary net {net:?} changed without a wake"
                 );
             }
         }
@@ -467,35 +562,35 @@ impl Component for CompiledEngine {
         loop {
             // Land transitions due at this instant (lazy agenda deletion:
             // entries whose pending was superseded are skipped).
-            while let Some(&Reverse((t, node))) = self.agenda.peek() {
-                if t > now {
-                    break;
+            while let Some((t, nodes)) = self.agenda.pop_due(now) {
+                for &node in &nodes {
+                    self.commit(node, t, ctx);
                 }
-                self.agenda.pop();
-                self.commit(node, t, ctx);
+                self.agenda.recycle(nodes);
             }
-            for i in 0..self.comb.len() {
-                if self.comb_dirty[i] {
-                    self.comb_dirty[i] = false;
-                    gate_evals += 1;
-                    self.eval_comb(i, now);
-                }
+            // Evaluation never marks a node dirty, so each worklist, taken
+            // in ascending index order, is exactly the rank (comb) or
+            // elaboration (flop) order a full sweep would visit.
+            let combs = self.dirty.comb.take_sorted();
+            gate_evals += combs.len() as u64;
+            for &i in &combs {
+                self.eval_comb(i as usize, now);
             }
-            for j in 0..self.flops.len() {
-                if self.flop_dirty[j] {
-                    self.flop_dirty[j] = false;
-                    gate_evals += 1;
-                    self.eval_flop(j, now, ctx);
-                }
+            self.dirty.comb.restore(combs);
+            let flops = self.dirty.flops.take_sorted();
+            gate_evals += flops.len() as u64;
+            for &j in &flops {
+                self.eval_flop(j as usize, now, ctx);
             }
-            let due_now = matches!(self.agenda.peek(), Some(&Reverse((t, _))) if t <= now);
+            self.dirty.flops.restore(flops);
+            let due_now = self.agenda.next_time().is_some_and(|t| t <= now);
             if !due_now {
                 break;
             }
         }
 
         ctx.note_compiled_pass(gate_evals);
-        if let Some(&Reverse((t, _))) = self.agenda.peek() {
+        if let Some(t) = self.agenda.next_time() {
             ctx.wake_in(t - now);
         }
     }

@@ -1,9 +1,11 @@
 //! Miniature hand-built netlists for the compiled-netlist backend, in
-//! the style of the lint suite's minis: each isolates one structural
-//! hazard of region compilation — reconvergent fanout, regions spanning
-//! several clock domains, and the pin ordering of event-resident
-//! boundary cells — and holds the compiled run to net-for-net identical
-//! values and toggle counts against an event-driven twin.
+//! the style of the lint suite's minis: each isolates one structural or
+//! scheduling hazard of region compilation — reconvergent fanout, regions
+//! spanning several clock domains, the pin ordering of event-resident
+//! boundary cells, same-instant boundary glitches, self-timed wakes and
+//! agenda re-scheduling — and holds the compiled run to net-for-net
+//! identical values, toggle counts, waveforms and violations
+//! against an event-driven twin.
 
 use mtf_gates::{install_compiled, Builder, CompileReport};
 use mtf_sim::{Logic, NetId, Simulator, Time};
@@ -12,14 +14,24 @@ use mtf_sim::{Logic, NetId, Simulator, Time};
 /// list, value, time in ps).
 type Drive = (usize, Logic, u64);
 
+/// A delay annotation: (net index into the build closure's return list,
+/// time `at` in ps, delay in ps). After the instant `at`, the gate
+/// driving that net takes the new delay.
+/// Event gates and the compiled engine both read the shared delay table
+/// at evaluation time, so an annotation applies to later evaluations.
+type Retime = (usize, u64, u64);
+
 /// Builds the same netlist in two simulators, compiles one, applies the
-/// same external drive schedule to both, runs both to `horizon_ps`, and
-/// asserts every net agrees in final value *and* toggle count (so glitch
-/// trains must match, not just settled values). Returns the compile
-/// report and the compiled simulator for extra assertions.
+/// same external drive schedule and delay annotations (`retimes`, sorted
+/// by time) to both, runs both to `horizon_ps`, and asserts every net
+/// agrees in final value, toggle count and waveform (so glitch trains
+/// and landing instants must match, not just settled values), and that
+/// both report the same violations. Returns the compile report and the
+/// compiled simulator for extra assertions.
 fn differential(
     build: impl Fn(&mut Builder<'_>) -> Vec<NetId>,
     drives: &[Drive],
+    retimes: &[Retime],
     horizon_ps: u64,
 ) -> (CompileReport, Simulator) {
     let mut report = None;
@@ -32,9 +44,20 @@ fn differential(
         if compile {
             report = Some(install_compiled(&mut sim, &netlist, "mini"));
         }
+        for i in 0..sim.net_count() {
+            sim.trace(NetId::from_index(i));
+        }
         let drivers: Vec<_> = nets.iter().map(|&n| sim.driver(n)).collect();
         for &(i, v, at) in drives {
             sim.drive_at(drivers[i], nets[i], v, Time::from_ps(at));
+        }
+        for &(i, at, delay) in retimes {
+            sim.run_until(Time::from_ps(at)).expect("runs");
+            let (gate, _) = netlist
+                .drivers_of(nets[i])
+                .next()
+                .expect("net has a driver");
+            netlist.delay_table().borrow_mut()[gate.index()] = Time::from_ps(delay);
         }
         sim.run_until(Time::from_ps(horizon_ps)).expect("runs");
         sims.push(sim);
@@ -55,7 +78,18 @@ fn differential(
             "net {} toggle count diverged (glitch trains must match)",
             ev.net_name(n)
         );
+        assert_eq!(
+            ev.waveform(n).map(|w| w.points()),
+            co.waveform(n).map(|w| w.points()),
+            "net {} changed at different instants",
+            ev.net_name(n)
+        );
     }
+    assert_eq!(
+        format!("{:?}", ev.violations()),
+        format!("{:?}", co.violations()),
+        "violation logs diverged"
+    );
     assert_eq!(ev.stats().compiled_gate_evals, 0);
     (
         report.expect("compiled twin ran"),
@@ -99,6 +133,7 @@ fn reconvergent_fanout_glitches_identically() {
             vec![x]
         },
         &drives,
+        &[],
         horizon,
     );
     assert_eq!(report.compiled_gates, 4, "all four gates are acyclic");
@@ -133,6 +168,7 @@ fn multi_clock_regions_split_and_agree() {
             vec![clk_a, clk_b, da]
         },
         &drives,
+        &[],
         horizon,
     );
     assert_eq!(report.compiled_flops, 3, "flops compile in both domains");
@@ -172,6 +208,7 @@ fn boundary_cell_pin_ordering_is_preserved() {
             vec![en, d, c]
         },
         &drives,
+        &[],
         horizon,
     );
     assert_eq!(report.compiled_gates, 2, "both ANDNOTs compile");
@@ -180,5 +217,139 @@ fn boundary_cell_pin_ordering_is_preserved() {
         "tri-state and C-element stay event-resident"
     );
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert!(co.stats().compiled_gate_evals > 0);
+}
+
+#[test]
+fn boundary_glitch_within_one_instant_reschedules() {
+    // A boundary net that leaves its value and returns within one
+    // instant: the kernel wakes the engine once, after both drives, so
+    // the sampled value equals the cached one. The event-driven buffer
+    // still re-drives on that wake, which inertially moves its pending
+    // landing from 1,200 ps to 1,300 ps; the engine must re-evaluate the
+    // net's fanout too. The later glitches hit a settled net (a re-drive
+    // of an equal value), the flop's data pin just after a clock edge
+    // (a hold violation with no net change, reported by both flops in
+    // elaboration order), and the clock itself (L→H→L is no edge).
+    let horizon = 12_000;
+    let drives = vec![
+        (1, Logic::L, 0),
+        (0, Logic::L, 0),
+        (0, Logic::H, 1_000),
+        (0, Logic::L, 1_100), // glitch while y's rise is pending
+        (0, Logic::H, 1_100),
+        (0, Logic::L, 3_000), // glitch on a settled net
+        (0, Logic::H, 3_000),
+        (1, Logic::H, 5_000), // clock edge, then a data glitch in hold
+        (0, Logic::L, 5_050),
+        (0, Logic::H, 5_050),
+        (1, Logic::L, 7_000),
+        (1, Logic::H, 8_000), // clock glitch: no rising edge
+        (1, Logic::L, 8_000),
+    ];
+    let (report, co) = differential(
+        |b| {
+            let x = b.input("x");
+            let clk = b.input("clk");
+            let y = b.buf(x);
+            let q = b.dff(clk, x, Logic::L);
+            let q2 = b.dff(clk, x, Logic::H);
+            let _ = (y, q, q2);
+            vec![x, clk, y]
+        },
+        &drives,
+        &[],
+        horizon,
+    );
+    assert_eq!(report.compiled_gates, 1);
+    assert_eq!(report.compiled_flops, 2);
+    assert_eq!(
+        co.last_change(NetId::from_index(2)),
+        Time::from_ps(1_300),
+        "the glitch moved the buffer's landing"
+    );
+    assert_eq!(
+        co.violations().len(),
+        2,
+        "one hold violation per flop, in elaboration order"
+    );
+}
+
+#[test]
+fn self_landings_wake_the_engine_without_boundary_change() {
+    // One input edge launches a wave down an eight-inverter chain that
+    // reconverges on an XOR with the chain head: every later engine wake
+    // is for one of its own landings, with no boundary net changed at
+    // that instant, so the boundary scan must read nothing and still
+    // leave the region consistent.
+    let horizon = 20_000;
+    let drives = vec![(0, Logic::L, 0), (0, Logic::H, 1_000), (0, Logic::L, 9_000)];
+    let (report, co) = differential(
+        |b| {
+            let x = b.input("x");
+            let mut n = b.buf(x);
+            for _ in 0..8 {
+                n = b.inv(n);
+            }
+            let p = b.xor2(x, n);
+            let _ = p;
+            vec![x]
+        },
+        &drives,
+        &[],
+        horizon,
+    );
+    assert_eq!(report.compiled_gates, 10);
+    // Three waves (the settling from X at t = 0, then edges at 1,000
+    // and 9,000 ps), each running down nine chain cells and the XOR at
+    // distinct instants: most passes are self wakes.
+    assert!(
+        co.stats().compiled_edge_evals >= 3 * 10,
+        "self landings ran as their own passes: {}",
+        co.stats().compiled_edge_evals
+    );
+}
+
+#[test]
+fn reevaluation_to_same_or_moved_landing_time_agrees() {
+    // `s = x AND buf0(x)` where the buffer has zero delay: every x edge
+    // evaluates `s` twice in one instant (once for x, once when the
+    // buffer lands at the same instant), both times to the same landing
+    // time, and the second value must win. `g = x XOR y` is re-evaluated
+    // while its change is pending to a later landing time (cancelling
+    // the first), then — after its delay is annotated down — back to the
+    // first landing time: only the last drive may land, at 2,450 ps.
+    let horizon = 10_000;
+    let drives = vec![
+        (0, Logic::L, 0),
+        (1, Logic::L, 0),
+        (0, Logic::H, 2_000), // g pending H at 2,450; s twice at 2,320
+        (1, Logic::H, 2_100), // g pending L at 2,550
+        (1, Logic::L, 2_200), // g (delay 250) pending H at 2,450 again
+        (0, Logic::L, 5_000),
+    ];
+    let retimes = vec![(2, 0, 0), (3, 2_150, 250)];
+    let (report, co) = differential(
+        |b| {
+            let x = b.input("x");
+            let y = b.input("y");
+            let x0 = b.buf(x);
+            let g = b.xor2(x, y);
+            let s = b.and2(x, x0);
+            let _ = s;
+            vec![x, y, x0, g]
+        },
+        &drives,
+        &retimes,
+        horizon,
+    );
+    assert_eq!(report.compiled_gates, 3);
+    let g = co.waveform(NetId::from_index(3)).expect("traced");
+    assert_eq!(g.value_at(Time::from_ps(2_449)), Logic::L);
+    assert_eq!(
+        g.value_at(Time::from_ps(2_450)),
+        Logic::H,
+        "the last drive landed"
+    );
     assert!(co.stats().compiled_gate_evals > 0);
 }
