@@ -1,6 +1,6 @@
 //! Shared command-line parsing for the experiment binaries.
 //!
-//! All six binaries accept the same core flags (`--json`, `--jobs N`,
+//! All thirteen binaries accept the same core flags (`--json`, `--jobs N`,
 //! `--stats`, `--quick`, `--latency-steps N`, …); this module parses them
 //! once so each `main` only reads typed accessors instead of re-scanning
 //! `std::env::args()` by hand.

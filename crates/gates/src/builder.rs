@@ -6,7 +6,7 @@ use mtf_sim::{Logic, MetaModel, NetId, Simulator, Time};
 use crate::celement::{AsymCElement, CElement};
 use crate::comb::{CombGate, GateFunc};
 use crate::kind::CellKind;
-use crate::netlist::{CellDelays, ElabInfo, FlopElab, Instance, Netlist};
+use crate::netlist::{CellDelays, ElabInfo, FlopElab, FlopTiming, Instance, Netlist};
 use crate::seq::{DLatch, Dff, DffConfig, SrLatch};
 use crate::tristate::TriBuf;
 use crate::word::{LatchWord, RegisterWord, TriWord};
@@ -393,6 +393,11 @@ impl<'a> Builder<'a> {
         });
         let delays = self.netlist.delay_table();
         let cds = *self.netlist.cell_delays();
+        let timing = FlopTiming {
+            setup: cds.setup,
+            hold: cds.hold,
+            check_timing,
+        };
         let ff = Dff::new(DffConfig {
             name,
             clk,
@@ -401,9 +406,7 @@ impl<'a> Builder<'a> {
             q: drv,
             init,
             meta,
-            setup: cds.setup,
-            hold: cds.hold,
-            check_timing,
+            timing,
             delays,
             inst: id.index(),
         });
@@ -419,9 +422,7 @@ impl<'a> Builder<'a> {
                 component: Some(comp),
                 flop: Some(FlopElab {
                     meta_ideal: meta.window == Time::ZERO,
-                    check_timing,
-                    setup: cds.setup,
-                    hold: cds.hold,
+                    timing,
                 }),
                 func: None,
             },
@@ -650,7 +651,6 @@ impl<'a> Builder<'a> {
             d.to_vec(),
             drvs.clone(),
             cds.setup,
-            true,
             self.netlist.delay_table(),
             id.index(),
         );
@@ -667,9 +667,11 @@ impl<'a> Builder<'a> {
                 component: Some(comp),
                 flop: Some(FlopElab {
                     meta_ideal: true,
-                    check_timing: true,
-                    setup: cds.setup,
-                    hold: Time::ZERO,
+                    timing: FlopTiming {
+                        setup: cds.setup,
+                        hold: Time::ZERO,
+                        check_timing: true,
+                    },
                 }),
                 func: None,
             },

@@ -35,9 +35,11 @@ use std::collections::{HashMap, VecDeque};
 
 use mtf_sim::{Logic, NetId, Simulator};
 
-use crate::engine::{BitFlop, CombNode, CompiledEngine, Flop, WordFlop};
+use crate::engine::{CombNode, CompiledEngine, Flop, FlopCore};
 use crate::kind::CellKind;
 use crate::netlist::Netlist;
+use crate::seq::BitFlopCore;
+use crate::word::WordFlopCore;
 use crate::InstanceId;
 
 /// What [`install_compiled`] did to a netlist.
@@ -289,72 +291,50 @@ pub fn install_compiled(sim: &mut Simulator, netlist: &Netlist, name: &str) -> C
         let inst = &netlist.instances()[idx];
         let el = netlist.elab(InstanceId::from_index(idx));
         let fl = el.flop.expect("eligibility checked flop");
-        let clk = inst.clock.expect("eligibility checked clock");
-        let clk_slot = slot(&mut slot_of, &mut slots, clk);
-        let flop = match inst.kind {
+        let clk = slot(
+            &mut slot_of,
+            &mut slots,
+            inst.clock.expect("eligibility checked clock"),
+        );
+        // An enable, when present, is the first data-side pin.
+        let (en_net, d_nets) = if inst.data_in.len() > inst.outputs.len() {
+            (Some(inst.data_in[0]), &inst.data_in[1..])
+        } else {
+            (None, &inst.data_in[..])
+        };
+        let en = en_net.map(|n| slot(&mut slot_of, &mut slots, n));
+        let d = d_nets
+            .iter()
+            .map(|&n| slot(&mut slot_of, &mut slots, n))
+            .collect();
+        let q = inst
+            .outputs
+            .iter()
+            .zip(&el.drivers)
+            .map(|(&q, &drv)| (drv, slot(&mut slot_of, &mut slots, q)))
+            .collect();
+        let name = inst.name.clone();
+        let core = match inst.kind {
             CellKind::Dff | CellKind::Etdff => {
-                let (en, d_net) = if inst.kind == CellKind::Etdff {
-                    let en_net = inst.data_in[0];
-                    (
-                        Some((slot(&mut slot_of, &mut slots, en_net), en_net)),
-                        inst.data_in[1],
-                    )
-                } else {
-                    (None, inst.data_in[0])
-                };
-                Flop::Bit(BitFlop {
-                    name: inst.name.clone(),
-                    clk_slot,
-                    d_slot: slot(&mut slot_of, &mut slots, d_net),
-                    d_net,
-                    en,
-                    q_driver: el.drivers[0],
-                    q_slot: slot(&mut slot_of, &mut slots, inst.outputs[0]),
-                    inst: idx,
-                    setup: fl.setup,
-                    hold: fl.hold,
-                    check_timing: fl.check_timing,
-                    state: inst.init.unwrap_or(Logic::X),
-                    prev_clk: Logic::X,
-                    last_edge: None,
-                    last_captured: false,
-                    pending: None,
-                })
+                let init = inst.init.unwrap_or(Logic::X);
+                FlopCore::Bit(BitFlopCore::new(name, d_nets[0], en_net, init, fl.timing))
             }
-            CellKind::Register => {
-                let w = inst.outputs.len();
-                let (en, d_nets) = if inst.data_in.len() == w + 1 {
-                    (
-                        Some(slot(&mut slot_of, &mut slots, inst.data_in[0])),
-                        &inst.data_in[1..],
-                    )
-                } else {
-                    (None, &inst.data_in[..])
-                };
-                Flop::Word(WordFlop {
-                    name: inst.name.clone(),
-                    clk_slot,
-                    en,
-                    d: d_nets
-                        .iter()
-                        .map(|&dn| (slot(&mut slot_of, &mut slots, dn), dn))
-                        .collect(),
-                    q: inst
-                        .outputs
-                        .iter()
-                        .zip(&el.drivers)
-                        .map(|(&q, &drv)| (drv, slot(&mut slot_of, &mut slots, q)))
-                        .collect(),
-                    inst: idx,
-                    setup: fl.setup,
-                    check_timing: fl.check_timing,
-                    state: mtf_sim::LogicVec::unknown(w),
-                    prev_clk: Logic::X,
-                    initialised: false,
-                    pending: None,
-                })
-            }
+            CellKind::Register => FlopCore::Word(WordFlopCore::new(
+                name,
+                en_net,
+                d_nets.to_vec(),
+                fl.timing.setup,
+            )),
             _ => unreachable!("eligibility restricted flop kinds"),
+        };
+        let flop = Flop {
+            core,
+            clk,
+            en,
+            d,
+            q,
+            inst: idx,
+            pending: None,
         };
         flops.push(flop);
         compiled_instances.push(idx);
@@ -380,27 +360,14 @@ pub fn install_compiled(sim: &mut Simulator, netlist: &Netlist, name: &str) -> C
     }
     for (j, flop) in flops.iter().enumerate() {
         let r = (ncomb + j) as u32;
-        match flop {
-            Flop::Bit(f) => {
-                internal[f.q_slot as usize] = true;
-                fanout[f.clk_slot as usize].push(r);
-                fanout[f.d_slot as usize].push(r);
-                if let Some((s, _)) = f.en {
-                    fanout[s as usize].push(r);
-                }
-            }
-            Flop::Word(f) => {
-                for &(_, s) in &f.q {
-                    internal[s as usize] = true;
-                }
-                fanout[f.clk_slot as usize].push(r);
-                if let Some(s) = f.en {
-                    fanout[s as usize].push(r);
-                }
-                for &(s, _) in &f.d {
-                    fanout[s as usize].push(r);
-                }
-            }
+        for &(_, s) in &flop.q {
+            internal[s as usize] = true;
+        }
+        for s in std::iter::once(flop.clk)
+            .chain(flop.en)
+            .chain(flop.d.iter().copied())
+        {
+            fanout[s as usize].push(r);
         }
     }
     let boundary: Vec<u32> = (0..slots.len() as u32)

@@ -8,8 +8,14 @@
 //! scheduled output transitions from a private agenda instead of the
 //! simulator's event queue.
 //!
-//! A wake costs work proportional to what changed, not to the region's
-//! size:
+//! The engine is a second scheduler, not a second cell model. A compiled
+//! gate applies the [`GateFunc`] its event-driven gate would, and a
+//! compiled flop steps the same clocking core as its event-driven
+//! component (`BitFlopCore` for DFFs and ETDFFs, `WordFlopCore` for word
+//! registers): edge detection, the enable match, `Z`→`X` capture and the
+//! setup/hold checks with their messages have one definition. The engine
+//! only decides when cells evaluate and when their outputs land, and a
+//! wake costs work proportional to what changed, not to the region's size:
 //!
 //! * **Boundary scan.** Only a boundary net whose `last_change` is the
 //!   current instant is read. Every resolved change of a watched net
@@ -25,25 +31,24 @@
 //!   Entries are lazily deleted: re-evaluating a gate only adds an entry
 //!   when its landing time moves, since one for the old time is queued.
 //!
-//! The engine is written to be *observationally identical* to the
-//! per-cell components it replaces:
+//! The schedule is *observationally identical* to the event kernel's:
 //!
 //! * every output transition lands at the exact instant the event-driven
 //!   cell would have scheduled it (delays are read from the shared
 //!   [`DelayTable`] at evaluation time, so timing annotation still works);
 //! * re-evaluating a cell always overwrites its pending transition, which
 //!   reproduces the kernel's inertial drive-cancellation semantics;
-//! * flip-flop captures, setup/hold checks and their violation messages
-//!   replicate [`crate::Dff`] / [`crate::RegisterWord`] literally;
 //! * internal nets are read from the engine's own slots and boundary nets
 //!   through watched [`Ctx::get`] calls, so the delta-race sanitizer sees
 //!   no reads it would not have seen from the original components (reads
 //!   of watched nets never reach it, so skipping them hides nothing).
 
-use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
+use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time};
 
 use crate::comb::GateFunc;
 use crate::netlist::DelayTable;
+use crate::seq::{BitFlopCore, Drive};
+use crate::word::WordFlopCore;
 
 /// A compiled combinational gate: rank-ordered straight-line evaluation
 /// over value slots.
@@ -58,53 +63,36 @@ pub(crate) struct CombNode {
     pub(crate) pending: Option<(Time, Logic)>,
 }
 
-/// A compiled single-bit edge-triggered flop (DFF or ETDFF with an ideal
-/// metastability window — cells that consult the RNG are never compiled).
-pub(crate) struct BitFlop {
-    pub(crate) name: String,
-    pub(crate) clk_slot: u32,
-    pub(crate) d_slot: u32,
-    pub(crate) d_net: NetId,
-    /// Synchronous enable: (slot, net).
-    pub(crate) en: Option<(u32, NetId)>,
-    pub(crate) q_driver: DriverId,
-    pub(crate) q_slot: u32,
-    pub(crate) inst: usize,
-    pub(crate) setup: Time,
-    pub(crate) hold: Time,
-    pub(crate) check_timing: bool,
-    pub(crate) state: Logic,
-    pub(crate) prev_clk: Logic,
-    pub(crate) last_edge: Option<Time>,
-    pub(crate) last_captured: bool,
-    pub(crate) pending: Option<(Time, Logic)>,
+/// The shared clocking rules a compiled flop runs.
+pub(crate) enum FlopCore {
+    Bit(BitFlopCore),
+    Word(WordFlopCore),
 }
 
-/// A compiled word register ([`crate::RegisterWord`] semantics).
-pub(crate) struct WordFlop {
-    pub(crate) name: String,
-    pub(crate) clk_slot: u32,
-    /// Synchronous enable slot (no setup check on the enable — the word
-    /// register only checks its data pins, matching `RegisterWord`).
+/// A compiled edge-triggered cell: a DFF or ETDFF with an ideal
+/// metastability window (cells that consult the RNG are never compiled)
+/// or a word register, plus the slots its pins map to.
+pub(crate) struct Flop {
+    pub(crate) core: FlopCore,
+    pub(crate) clk: u32,
     pub(crate) en: Option<u32>,
-    /// Data pins: (slot, net), LSB first.
-    pub(crate) d: Vec<(u32, NetId)>,
+    /// Data input slots, LSB first.
+    pub(crate) d: Vec<u32>,
     /// Output pins: (driver, slot), LSB first.
     pub(crate) q: Vec<(DriverId, u32)>,
     pub(crate) inst: usize,
-    pub(crate) setup: Time,
-    pub(crate) check_timing: bool,
-    pub(crate) state: LogicVec,
-    pub(crate) prev_clk: Logic,
-    pub(crate) initialised: bool,
-    pub(crate) pending: Option<(Time, Vec<Logic>)>,
+    /// Landing time of the scheduled output. The value is the core's
+    /// state: the state changes only in a step that schedules it.
+    pub(crate) pending: Option<Time>,
 }
 
-/// A compiled sequential cell, stored in elaboration order so multi-flop
-/// evaluation within an instant matches the event kernel's watcher order.
-pub(crate) enum Flop {
-    Bit(BitFlop),
-    Word(WordFlop),
+impl Flop {
+    fn q_value(&self, k: usize) -> Logic {
+        match &self.core {
+            FlopCore::Bit(c) => c.state,
+            FlopCore::Word(c) => c.state.bit(k),
+        }
+    }
 }
 
 /// Dirty flags over one node table, plus the list of flags that are set,
@@ -297,53 +285,37 @@ impl CompiledEngine {
     fn commit(&mut self, node: u32, t: Time, ctx: &mut Ctx<'_>) {
         let ncomb = self.comb.len() as u32;
         if node < ncomb {
-            let i = node as usize;
-            let Some((at, v)) = self.comb[i].pending else {
+            let c = &mut self.comb[node as usize];
+            let Some((at, v)) = c.pending else {
                 return;
             };
             if at != t {
                 return; // superseded entry; the live one is queued too
             }
-            self.comb[i].pending = None;
-            let slot = self.comb[i].out_slot;
-            ctx.commit_drive(self.comb[i].driver, v);
-            if self.values[slot as usize] != v {
-                self.values[slot as usize] = v;
-                self.dirty.mark_fanout(&self.fanout[slot as usize]);
-            }
+            c.pending = None;
+            let (driver, slot) = (c.driver, c.out_slot);
+            self.land(driver, slot, v, ctx);
             return;
         }
-        match &mut self.flops[(node - ncomb) as usize] {
-            Flop::Bit(f) => {
-                let Some((at, v)) = f.pending else { return };
-                if at != t {
-                    return;
-                }
-                f.pending = None;
-                let slot = f.q_slot;
-                ctx.commit_drive(f.q_driver, v);
-                if self.values[slot as usize] != v {
-                    self.values[slot as usize] = v;
-                    self.dirty.mark_fanout(&self.fanout[slot as usize]);
-                }
-            }
-            Flop::Word(f) => {
-                let due = matches!(&f.pending, Some((at, _)) if *at == t);
-                if !due {
-                    return;
-                }
-                let Some((_, bits)) = f.pending.take() else {
-                    return;
-                };
-                for (k, &(drv, slot)) in f.q.iter().enumerate() {
-                    let v = bits[k];
-                    ctx.commit_drive(drv, v);
-                    if self.values[slot as usize] != v {
-                        self.values[slot as usize] = v;
-                        self.dirty.mark_fanout(&self.fanout[slot as usize]);
-                    }
-                }
-            }
+        let j = (node - ncomb) as usize;
+        if self.flops[j].pending != Some(t) {
+            return;
+        }
+        self.flops[j].pending = None;
+        for k in 0..self.flops[j].q.len() {
+            let (driver, slot) = self.flops[j].q[k];
+            let v = self.flops[j].q_value(k);
+            self.land(driver, slot, v, ctx);
+        }
+    }
+
+    /// Commits `v` on `driver` and, if the slot's value changes, marks its
+    /// fanout dirty.
+    fn land(&mut self, driver: DriverId, slot: u32, v: Logic, ctx: &mut Ctx<'_>) {
+        ctx.commit_drive(driver, v);
+        if self.values[slot as usize] != v {
+            self.values[slot as usize] = v;
+            self.dirty.mark_fanout(&self.fanout[slot as usize]);
         }
     }
 
@@ -368,150 +340,32 @@ impl CompiledEngine {
         }
     }
 
+    /// Steps flop `j`'s core on its slot values and schedules what it
+    /// asks to drive.
     fn eval_flop(&mut self, j: usize, now: Time, ctx: &mut Ctx<'_>) {
-        let ncomb = self.comb.len() as u32;
-        let node_ref = ncomb + j as u32;
-        let cq = {
-            let inst = match &self.flops[j] {
-                Flop::Bit(f) => f.inst,
-                Flop::Word(f) => f.inst,
-            };
-            self.delays.borrow()[inst]
+        let f = &mut self.flops[j];
+        let values = &self.values;
+        let read = |s: u32| values[s as usize];
+        let clk = read(f.clk);
+        let en = |_: &Ctx<'_>, _| f.en.map_or(Logic::H, read);
+        let cq = self.delays.borrow()[f.inst];
+        let delay = match &mut f.core {
+            FlopCore::Bit(core) => {
+                match core.step(ctx, clk, &MetaModel::ideal(), en, |_, _| read(f.d[0])) {
+                    None => return,
+                    Some(Drive::Init) => Time::ZERO,
+                    Some(_) => cq,
+                }
+            }
+            FlopCore::Word(core) => {
+                if !core.step(ctx, clk, en, |_, i, _| read(f.d[i])) {
+                    return;
+                }
+                cq
+            }
         };
-        match &mut self.flops[j] {
-            Flop::Bit(f) => {
-                // Mirrors `Dff::eval` with an ideal metastability window
-                // (the settle / vulnerable branches can never be taken).
-                let clk = self.values[f.clk_slot as usize];
-                let rising = f.prev_clk == Logic::L && clk == Logic::H;
-                let first_eval = f.prev_clk == Logic::X && f.last_edge.is_none();
-                f.prev_clk = clk;
-
-                if first_eval {
-                    f.pending = Some((now, f.state));
-                    self.agenda.push(now, node_ref);
-                }
-
-                if rising {
-                    f.last_edge = Some(now);
-                    let enabled = match f.en {
-                        None => Logic::H,
-                        Some((s, _)) => self.values[s as usize],
-                    };
-                    if f.check_timing {
-                        let mut nets = [Some(f.d_net), f.en.map(|(_, n)| n)];
-                        for net in nets.iter_mut().flatten() {
-                            let ch = ctx.last_change(*net);
-                            if ch < now && now - ch < f.setup {
-                                ctx.report(Violation {
-                                    kind: ViolationKind::Setup,
-                                    time: now,
-                                    source: f.name.clone(),
-                                    message: format!(
-                                        "data changed {} before edge (setup {})",
-                                        now - ch,
-                                        f.setup
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    match enabled {
-                        Logic::H => {
-                            f.last_captured = true;
-                            let d = self.values[f.d_slot as usize];
-                            f.state = if d == Logic::Z { Logic::X } else { d };
-                            f.pending = Some((now + cq, f.state));
-                            self.agenda.push(now + cq, node_ref);
-                        }
-                        Logic::L => {
-                            f.last_captured = false;
-                        }
-                        _ => {
-                            f.last_captured = true;
-                            f.state = Logic::X;
-                            f.pending = Some((now + cq, Logic::X));
-                            self.agenda.push(now + cq, node_ref);
-                        }
-                    }
-                    return;
-                }
-
-                if f.check_timing && f.last_captured {
-                    if let Some(edge) = f.last_edge {
-                        let moved_now = ctx.last_change(f.d_net) == now
-                            || f.en.is_some_and(|(_, en)| ctx.last_change(en) == now);
-                        if moved_now && now > edge && now - edge < f.hold {
-                            ctx.report(Violation {
-                                kind: ViolationKind::Hold,
-                                time: now,
-                                source: f.name.clone(),
-                                message: format!(
-                                    "data changed {} after edge (hold {})",
-                                    now - edge,
-                                    f.hold
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-            Flop::Word(f) => {
-                // Mirrors `RegisterWord::eval`.
-                let clk = self.values[f.clk_slot as usize];
-                let rising = f.prev_clk == Logic::L && clk == Logic::H;
-                f.prev_clk = clk;
-
-                if !f.initialised {
-                    f.initialised = true;
-                    let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
-                    f.pending = Some((now + cq, bits));
-                    self.agenda.push(now + cq, node_ref);
-                }
-                if !rising {
-                    return;
-                }
-                let enabled = match f.en {
-                    None => Logic::H,
-                    Some(s) => self.values[s as usize],
-                };
-                match enabled {
-                    Logic::L => {}
-                    Logic::H => {
-                        if f.check_timing {
-                            for &(_, dn) in &f.d {
-                                let ch = ctx.last_change(dn);
-                                if ch < now && now - ch < f.setup {
-                                    ctx.report(Violation {
-                                        kind: ViolationKind::Setup,
-                                        time: now,
-                                        source: f.name.clone(),
-                                        message: format!(
-                                            "data bit changed {} before edge",
-                                            now - ch
-                                        ),
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        for (i, &(slot, _)) in f.d.iter().enumerate() {
-                            let v = self.values[slot as usize];
-                            f.state.set_bit(i, if v == Logic::Z { Logic::X } else { v });
-                        }
-                        let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
-                        f.pending = Some((now + cq, bits));
-                        self.agenda.push(now + cq, node_ref);
-                    }
-                    _ => {
-                        f.state = LogicVec::unknown(f.state.width());
-                        let bits = (0..f.d.len()).map(|i| f.state.bit(i)).collect();
-                        f.pending = Some((now + cq, bits));
-                        self.agenda.push(now + cq, node_ref);
-                    }
-                }
-            }
-        }
+        f.pending = Some(now + delay);
+        self.agenda.push(now + delay, (self.comb.len() + j) as u32);
     }
 }
 
@@ -534,17 +388,19 @@ impl Component for CompiledEngine {
 
         // Boundary scan: pick up external net changes. Boundary nets are
         // never driven by compiled nodes, so one scan per wake suffices.
-        // Only a net whose `last_change` is *now* can differ from its slot:
-        // slots start as the net values at install, and every later
+        // Only a net whose `last_change` is *now* can differ from its
+        // slot: slots start as the net values at install, and every later
         // resolved change of a watched net queues a wake at that instant
-        // (or coalesces into one already queued), and that wake read it. Such a net is re-evaluated even when its value
-        // equals the slot: a multi-driver net (e.g. a tri-state bus) can
-        // transiently resolve away and back within one instant, and the
-        // event kernel wakes watchers on each of those changes — the
-        // re-evaluation inertially reschedules the watcher's pending
-        // output, which is observable as a later landing. Reads of watched
-        // nets are invisible to the race sanitizer, so skipping the others
-        // hides nothing from it.
+        // (or coalesces into one already queued), and that wake read it.
+        //
+        // Such a net is re-evaluated even when its value equals the slot:
+        // a multi-driver net (e.g. a tri-state bus) can transiently
+        // resolve away and back within one instant, and the event kernel
+        // wakes watchers on each of those changes. The re-evaluation
+        // inertially reschedules the watcher's pending output, which is
+        // observable as a later landing. Reads of watched nets are
+        // invisible to the race sanitizer, so skipping the others hides
+        // nothing from it.
         for &s in &self.boundary {
             let net = self.slots[s as usize];
             if ctx.last_change(net) == now {

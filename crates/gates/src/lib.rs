@@ -80,7 +80,9 @@ pub use compile::{install_compiled, CompileReport};
 pub use domains::{CrossDomainNet, Domain, DomainGraph, DomainIndex, PartitionReport};
 pub use engine::CompiledEngine;
 pub use kind::CellKind;
-pub use netlist::{CellDelays, DelayTable, ElabInfo, FlopElab, Instance, InstanceId, Netlist};
+pub use netlist::{
+    CellDelays, DelayTable, ElabInfo, FlopElab, FlopTiming, Instance, InstanceId, Netlist,
+};
 pub use seq::{DLatch, Dff, SrLatch};
 pub use tristate::TriBuf;
 pub use verilog::{to_verilog, Port, PortDir};

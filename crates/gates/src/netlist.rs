@@ -50,20 +50,27 @@ pub struct Instance {
     pub init: Option<Logic>,
 }
 
-/// Timing parameters an edge-triggered cell was elaborated with, recorded
-/// so the compiled backend can re-create its exact behaviour (including
-/// violation messages) without access to the simulation component.
+/// The setup/hold rules an edge-triggered cell enforces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlopTiming {
+    /// Setup time the cell enforces.
+    pub setup: Time,
+    /// Hold time the cell enforces.
+    pub hold: Time,
+    /// Whether setup/hold checks are enabled.
+    pub check_timing: bool,
+}
+
+/// Parameters an edge-triggered cell was elaborated with, recorded so the
+/// compiled backend can build the same flip-flop core the simulation
+/// component runs, without access to that component.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlopElab {
     /// Whether the cell's metastability window is zero — the compiled
     /// backend only takes over flops that never consult the shared RNG.
     pub meta_ideal: bool,
-    /// Whether setup/hold checks are enabled.
-    pub check_timing: bool,
-    /// Setup time the cell enforces.
-    pub setup: Time,
-    /// Hold time the cell enforces.
-    pub hold: Time,
+    /// The cell's setup/hold rules.
+    pub timing: FlopTiming,
 }
 
 /// Elaboration-time bookkeeping for one [`Instance`]: the simulator

@@ -3,7 +3,175 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind};
 
-use crate::netlist::DelayTable;
+use crate::netlist::{DelayTable, FlopTiming};
+
+/// What an edge-triggered core asks its scheduler to drive on Q. The
+/// value is the core's `state` after the step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Drive {
+    /// First evaluation: the power-on state, with no delay.
+    Init,
+    /// An enabled edge captured the data pin; drive after clock-to-Q.
+    Data,
+    /// An edge with an unknown enable captured `X`; drive after
+    /// clock-to-Q.
+    Unknown,
+    /// An input moved inside the metastability window: `X` after
+    /// clock-to-Q, and the caller settles it.
+    Metastable,
+}
+
+/// Records `clk` and reports whether it rose (L→H) since the last step.
+pub(crate) fn clock_rose(prev_clk: &mut Logic, clk: Logic) -> bool {
+    let rose = *prev_clk == Logic::L && clk == Logic::H;
+    *prev_clk = clk;
+    rose
+}
+
+/// The value a flop stores when it samples `v`: an undriven (`Z`) input
+/// is captured as `X`.
+pub(crate) fn captured(v: Logic) -> Logic {
+    if v == Logic::Z {
+        Logic::X
+    } else {
+        v
+    }
+}
+
+/// How long before the edge at `now` the input `net` last changed, if
+/// that is inside the `setup` window.
+pub(crate) fn setup_violation(ctx: &Ctx<'_>, net: NetId, now: Time, setup: Time) -> Option<Time> {
+    let ch = ctx.last_change(net);
+    (ch < now && now - ch < setup).then(|| now - ch)
+}
+
+/// The clocking rules of a single-bit edge-triggered cell — edge
+/// detection, the enable match, `Z`→`X` capture and the setup/hold
+/// checks — shared by [`Dff`] and the compiled engine. The caller reads
+/// the pins and drives Q.
+pub(crate) struct BitFlopCore {
+    name: String,
+    d: NetId,
+    en: Option<NetId>,
+    timing: FlopTiming,
+    pub(crate) state: Logic,
+    prev_clk: Logic,
+    last_edge: Option<Time>,
+    last_captured: bool,
+}
+
+impl BitFlopCore {
+    pub(crate) fn new(
+        name: String,
+        d: NetId,
+        en: Option<NetId>,
+        init: Logic,
+        timing: FlopTiming,
+    ) -> Self {
+        BitFlopCore {
+            name,
+            d,
+            en,
+            timing,
+            state: init,
+            prev_clk: Logic::X,
+            last_edge: None,
+            last_captured: false,
+        }
+    }
+
+    /// Runs one evaluation on the sampled clock `clk`. `en` and `d` read
+    /// the enable and data pins; each is called only when a rising edge
+    /// needs it (`en` only if the cell has an enable). Setup and hold
+    /// reports go to `ctx`; `meta` decides which input changes make the
+    /// sample metastable.
+    pub(crate) fn step(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        clk: Logic,
+        meta: &MetaModel,
+        en: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
+        d: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
+    ) -> Option<Drive> {
+        let now = ctx.now();
+        let first_eval = self.prev_clk == Logic::X && self.last_edge.is_none();
+        let rising = clock_rose(&mut self.prev_clk, clk);
+        if first_eval {
+            // Establish the power-on output immediately: the state has
+            // been on the output since t = 0 (see CElement::eval for why a
+            // delayed initial drive is hazardous).
+            return Some(Drive::Init);
+        }
+        let inputs = [Some(self.d), self.en];
+        if !rising {
+            // Hold check: a sampled input moved just after a capturing
+            // edge.
+            let edge = self.last_edge?;
+            if self.timing.check_timing
+                && self.last_captured
+                && now > edge
+                && now - edge < self.timing.hold
+                && inputs.iter().flatten().any(|&n| ctx.last_change(n) == now)
+            {
+                ctx.report(Violation {
+                    kind: ViolationKind::Hold,
+                    time: now,
+                    source: self.name.clone(),
+                    message: format!(
+                        "data changed {} after edge (hold {})",
+                        now - edge,
+                        self.timing.hold
+                    ),
+                });
+            }
+            return None;
+        }
+        self.last_edge = Some(now);
+        let enabled = self.en.map_or(Logic::H, |n| en(ctx, n));
+        let vulnerable = inputs.iter().flatten().any(|&n| {
+            let ch = ctx.last_change(n);
+            meta.is_vulnerable(ch, now) && ch != Time::ZERO
+        });
+        if vulnerable {
+            self.state = Logic::X;
+            self.last_captured = true;
+            return Some(Drive::Metastable);
+        }
+        // Plain setup report (data changed close to, but outside, the
+        // metastability window).
+        if self.timing.check_timing {
+            for &net in inputs.iter().flatten() {
+                if let Some(gap) = setup_violation(ctx, net, now, self.timing.setup) {
+                    ctx.report(Violation {
+                        kind: ViolationKind::Setup,
+                        time: now,
+                        source: self.name.clone(),
+                        message: format!(
+                            "data changed {gap} before edge (setup {})",
+                            self.timing.setup
+                        ),
+                    });
+                }
+            }
+        }
+        match enabled {
+            Logic::H => {
+                self.last_captured = true;
+                self.state = captured(d(ctx, self.d));
+                Some(Drive::Data)
+            }
+            Logic::L => {
+                self.last_captured = false;
+                None
+            }
+            _ => {
+                self.last_captured = true;
+                self.state = Logic::X;
+                Some(Drive::Unknown)
+            }
+        }
+    }
+}
 
 /// A positive-edge D flip-flop, optionally with a synchronous enable (the
 /// paper's ETDFF — the token-passing registers of the FIFO cells).
@@ -22,19 +190,11 @@ use crate::netlist::DelayTable;
 ///   from these flops exhibit the failures the paper's design guards
 ///   against.
 pub struct Dff {
-    name: String,
+    core: BitFlopCore,
     clk: NetId,
-    d: NetId,
-    en: Option<NetId>,
     q: DriverId,
-    state: Logic,
-    prev_clk: Logic,
-    last_edge: Option<Time>,
-    last_captured: bool,
     meta: MetaModel,
-    setup: Time,
-    hold: Time,
-    check_timing: bool,
+    /// A metastable output's settle: (instant, resolved value).
     pending: Option<(Time, Logic)>,
     delays: DelayTable,
     inst: usize,
@@ -43,8 +203,8 @@ pub struct Dff {
 impl std::fmt::Debug for Dff {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dff")
-            .field("name", &self.name)
-            .field("state", &self.state)
+            .field("name", &self.core.name)
+            .field("state", &self.core.state)
             .finish()
     }
 }
@@ -67,12 +227,8 @@ pub struct DffConfig {
     pub init: Logic,
     /// Metastability model ([`MetaModel::ideal`] disables it).
     pub meta: MetaModel,
-    /// Setup window for violation reports.
-    pub setup: Time,
-    /// Hold window for violation reports.
-    pub hold: Time,
-    /// Whether to record setup/hold reports at all.
-    pub check_timing: bool,
+    /// Setup/hold rules.
+    pub timing: FlopTiming,
     /// Shared delay table.
     pub delays: DelayTable,
     /// This instance's index in the delay table.
@@ -83,33 +239,20 @@ impl Dff {
     /// Creates the behavioural half of a flip-flop instance.
     pub fn new(cfg: DffConfig) -> Self {
         Dff {
-            name: cfg.name,
+            core: BitFlopCore::new(cfg.name, cfg.d, cfg.en, cfg.init, cfg.timing),
             clk: cfg.clk,
-            d: cfg.d,
-            en: cfg.en,
             q: cfg.q,
-            state: cfg.init,
-            prev_clk: Logic::X,
-            last_edge: None,
-            last_captured: false,
             meta: cfg.meta,
-            setup: cfg.setup,
-            hold: cfg.hold,
-            check_timing: cfg.check_timing,
             pending: None,
             delays: cfg.delays,
             inst: cfg.inst,
         }
     }
-
-    fn cq(&self) -> Time {
-        self.delays.borrow()[self.inst]
-    }
 }
 
 impl Component for Dff {
     fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
@@ -119,124 +262,42 @@ impl Component for Dff {
         if let Some((at, v)) = self.pending {
             if now >= at {
                 self.pending = None;
-                self.state = v;
+                self.core.state = v;
                 ctx.drive(self.q, v, Time::ZERO);
             }
         }
 
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
-        let first_eval = self.prev_clk == Logic::X && self.last_edge.is_none();
-        self.prev_clk = clk;
-
-        if first_eval {
-            // Establish the power-on output immediately: the state has
-            // been on the output since t = 0 (see CElement::eval for why a
-            // delayed initial drive is hazardous).
-            ctx.drive(self.q, self.state, Time::ZERO);
-        }
-
-        if rising {
-            self.last_edge = Some(now);
-            let enabled = match self.en {
-                None => Logic::H,
-                Some(en) => ctx.get(en),
-            };
-            // Did any sampled input move inside the metastability window?
-            let mut vulnerable = self.meta.is_vulnerable(ctx.last_change(self.d), now)
-                && ctx.last_change(self.d) != Time::ZERO;
-            if let Some(en) = self.en {
-                vulnerable |= self.meta.is_vulnerable(ctx.last_change(en), now)
-                    && ctx.last_change(en) != Time::ZERO;
-            }
-            if vulnerable {
-                ctx.report(Violation {
-                    kind: ViolationKind::Metastability,
-                    time: now,
-                    source: self.name.clone(),
-                    message: "input moved inside the metastability window".into(),
-                });
-                let settle = self.meta.draw_settle(ctx.rng());
-                let resolved = self.meta.draw_resolution(ctx.rng());
-                self.state = Logic::X;
-                self.last_captured = true;
-                ctx.drive(self.q, Logic::X, self.cq());
-                self.pending = Some((now + self.cq() + settle, resolved));
-                ctx.wake_in(self.cq() + settle);
-                return;
-            }
-            // Plain setup report (data changed close to, but outside, the
-            // metastability window).
-            if self.check_timing {
-                let check_setup = |net: NetId, ctx: &mut Ctx<'_>, name: &str| {
-                    let ch = ctx.last_change(net);
-                    if ch < now && now - ch < self.setup {
-                        ctx.report(Violation {
-                            kind: ViolationKind::Setup,
-                            time: now,
-                            source: name.to_string(),
-                            message: format!(
-                                "data changed {} before edge (setup {})",
-                                now - ch,
-                                self.setup
-                            ),
-                        });
-                    }
-                };
-                check_setup(self.d, ctx, &self.name);
-                if let Some(en) = self.en {
-                    check_setup(en, ctx, &self.name);
-                }
-            }
-            match enabled {
-                Logic::H => {
-                    self.last_captured = true;
-                    let d = ctx.get(self.d);
-                    self.state = if d == Logic::Z { Logic::X } else { d };
-                    self.pending = None;
-                    ctx.drive(self.q, self.state, self.cq());
-                    // A synchronizer stage that captures a still-metastable
-                    // (X) input goes metastable itself and resolves per its
-                    // own settling model — this is what makes deeper
-                    // synchronizer chains exponentially safer (E8).
-                    if self.state == Logic::X && self.meta.window > mtf_sim::Time::ZERO {
-                        let settle = self.meta.draw_settle(ctx.rng());
-                        let resolved = self.meta.draw_resolution(ctx.rng());
-                        self.pending = Some((now + self.cq() + settle, resolved));
-                        ctx.wake_in(self.cq() + settle);
-                    }
-                }
-                Logic::L => {
-                    self.last_captured = false;
-                }
-                _ => {
-                    self.last_captured = true;
-                    self.state = Logic::X;
-                    self.pending = None;
-                    ctx.drive(self.q, Logic::X, self.cq());
-                }
-            }
+        let read = |ctx: &Ctx<'_>, net| ctx.get(net);
+        let Some(drive) = self.core.step(ctx, clk, &self.meta, read, read) else {
+            return;
+        };
+        if drive == Drive::Init {
+            ctx.drive(self.q, self.core.state, Time::ZERO);
             return;
         }
-
-        // Hold check: a sampled input moved just after a capturing edge.
-        if self.check_timing && self.last_captured {
-            if let Some(edge) = self.last_edge {
-                let moved_now = ctx.last_change(self.d) == now
-                    || self.en.is_some_and(|en| ctx.last_change(en) == now);
-                if moved_now && now > edge && now - edge < self.hold {
-                    ctx.report(Violation {
-                        kind: ViolationKind::Hold,
-                        time: now,
-                        source: self.name.clone(),
-                        message: format!(
-                            "data changed {} after edge (hold {})",
-                            now - edge,
-                            self.hold
-                        ),
-                    });
-                }
-            }
+        if drive == Drive::Metastable {
+            ctx.report(Violation {
+                kind: ViolationKind::Metastability,
+                time: now,
+                source: self.core.name.clone(),
+                message: "input moved inside the metastability window".into(),
+            });
+        }
+        let cq = self.delays.borrow()[self.inst];
+        self.pending = None;
+        ctx.drive(self.q, self.core.state, cq);
+        // A synchronizer stage that captures a still-metastable (X) input
+        // goes metastable itself and resolves per its own settling model —
+        // this is what makes deeper synchronizer chains exponentially
+        // safer (E8).
+        let captured_x =
+            drive == Drive::Data && self.core.state == Logic::X && self.meta.window > Time::ZERO;
+        if drive == Drive::Metastable || captured_x {
+            let settle = self.meta.draw_settle(ctx.rng());
+            let resolved = self.meta.draw_resolution(ctx.rng());
+            self.pending = Some((now + cq + settle, resolved));
+            ctx.wake_in(cq + settle);
         }
     }
 }

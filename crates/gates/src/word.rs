@@ -13,23 +13,91 @@
 use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
 
 use crate::netlist::DelayTable;
+use crate::seq::{captured, clock_rose, setup_violation};
 use crate::tristate::TriBuf;
+
+/// The clocking rules of a word register — edge detection, the enable
+/// match, `Z`→`X` capture and the setup check on the data pins — shared
+/// by [`RegisterWord`] and the compiled engine. The caller reads the pins
+/// and drives Q. There is no hold check and no check on the enable; the
+/// setup check is always on.
+pub(crate) struct WordFlopCore {
+    name: String,
+    en: Option<NetId>,
+    d: Vec<NetId>,
+    setup: Time,
+    pub(crate) state: LogicVec,
+    prev_clk: Logic,
+    initialised: bool,
+}
+
+impl WordFlopCore {
+    pub(crate) fn new(name: String, en: Option<NetId>, d: Vec<NetId>, setup: Time) -> Self {
+        WordFlopCore {
+            name,
+            en,
+            state: LogicVec::unknown(d.len()),
+            d,
+            setup,
+            prev_clk: Logic::X,
+            initialised: false,
+        }
+    }
+
+    /// Runs one evaluation on the sampled clock `clk` and returns whether
+    /// Q must be driven with `state` after clock-to-Q: on the first
+    /// evaluation and on every capturing edge. `en` reads the enable (only
+    /// if the cell has one) and `d` data bit `i`; each is called only when
+    /// an edge needs it.
+    pub(crate) fn step(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        clk: Logic,
+        en: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
+        mut d: impl FnMut(&Ctx<'_>, usize, NetId) -> Logic,
+    ) -> bool {
+        let now = ctx.now();
+        let rising = clock_rose(&mut self.prev_clk, clk);
+        if !self.initialised {
+            self.initialised = true;
+            return true;
+        }
+        if !rising {
+            return false;
+        }
+        match self.en.map_or(Logic::H, |n| en(ctx, n)) {
+            Logic::L => false,
+            Logic::H => {
+                // Only the first offending bit is reported.
+                let mut late = self.d.iter();
+                if let Some(gap) = late.find_map(|&n| setup_violation(ctx, n, now, self.setup)) {
+                    ctx.report(Violation {
+                        kind: ViolationKind::Setup,
+                        time: now,
+                        source: self.name.clone(),
+                        message: format!("data bit changed {gap} before edge"),
+                    });
+                }
+                for (i, &n) in self.d.iter().enumerate() {
+                    self.state.set_bit(i, captured(d(ctx, i, n)));
+                }
+                true
+            }
+            _ => {
+                self.state = LogicVec::unknown(self.d.len());
+                true
+            }
+        }
+    }
+}
 
 /// A W-bit positive-edge register with a shared synchronous enable — the
 /// `REG` block of the paper's FIFO cell (Fig. 5), which latches
 /// `data_put` plus the validity bit when the cell holds the put token.
 pub struct RegisterWord {
-    name: String,
+    core: WordFlopCore,
     clk: NetId,
-    en: Option<NetId>,
-    d: Vec<NetId>,
     q: Vec<DriverId>,
-    state: LogicVec,
-    prev_clk: Logic,
-    initialised: bool,
-    setup: Time,
-    check_timing: bool,
-    last_edge: Option<Time>,
     delays: DelayTable,
     inst: usize,
 }
@@ -37,8 +105,8 @@ pub struct RegisterWord {
 impl std::fmt::Debug for RegisterWord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegisterWord")
-            .field("name", &self.name)
-            .field("width", &self.d.len())
+            .field("name", &self.core.name)
+            .field("width", &self.q.len())
             .finish()
     }
 }
@@ -53,87 +121,34 @@ impl RegisterWord {
         d: Vec<NetId>,
         q: Vec<DriverId>,
         setup: Time,
-        check_timing: bool,
         delays: DelayTable,
         inst: usize,
     ) -> Self {
-        let width = d.len();
-        assert_eq!(width, q.len(), "d/q width mismatch");
+        assert_eq!(d.len(), q.len(), "d/q width mismatch");
         RegisterWord {
-            name: name.into(),
+            core: WordFlopCore::new(name.into(), en, d, setup),
             clk,
-            en,
-            d,
             q,
-            state: LogicVec::unknown(width),
-            prev_clk: Logic::X,
-            initialised: false,
-            setup,
-            check_timing,
-            last_edge: None,
             delays,
             inst,
-        }
-    }
-
-    fn drive_state(&self, ctx: &mut Ctx<'_>, delay: Time) {
-        for (i, &drv) in self.q.iter().enumerate() {
-            ctx.drive(drv, self.state.bit(i), delay);
         }
     }
 }
 
 impl Component for RegisterWord {
     fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
-        self.prev_clk = clk;
-        let cq = self.delays.borrow()[self.inst];
-
-        if !self.initialised {
-            self.initialised = true;
-            self.drive_state(ctx, cq);
-        }
-        if !rising {
-            return;
-        }
-        self.last_edge = Some(now);
-        let enabled = match self.en {
-            None => Logic::H,
-            Some(en) => ctx.get(en),
-        };
-        match enabled {
-            Logic::L => {}
-            Logic::H => {
-                if self.check_timing {
-                    for &dn in &self.d {
-                        let ch = ctx.last_change(dn);
-                        if ch < now && now - ch < self.setup {
-                            ctx.report(Violation {
-                                kind: ViolationKind::Setup,
-                                time: now,
-                                source: self.name.clone(),
-                                message: format!("data bit changed {} before edge", now - ch),
-                            });
-                            break;
-                        }
-                    }
-                }
-                for (i, &dn) in self.d.iter().enumerate() {
-                    let v = ctx.get(dn);
-                    self.state
-                        .set_bit(i, if v == Logic::Z { Logic::X } else { v });
-                }
-                self.drive_state(ctx, cq);
-            }
-            _ => {
-                self.state = LogicVec::unknown(self.state.width());
-                self.drive_state(ctx, cq);
+        if self
+            .core
+            .step(ctx, clk, |ctx, n| ctx.get(n), |ctx, _, n| ctx.get(n))
+        {
+            let cq = self.delays.borrow()[self.inst];
+            for (i, &drv) in self.q.iter().enumerate() {
+                ctx.drive(drv, self.core.state.bit(i), cq);
             }
         }
     }

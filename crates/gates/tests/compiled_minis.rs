@@ -2,10 +2,10 @@
 //! the style of the lint suite's minis: each isolates one structural or
 //! scheduling hazard of region compilation — reconvergent fanout, regions
 //! spanning several clock domains, the pin ordering of event-resident
-//! boundary cells, same-instant boundary glitches, self-timed wakes and
-//! agenda re-scheduling — and holds the compiled run to net-for-net
-//! identical values, toggle counts, waveforms and violations
-//! against an event-driven twin.
+//! boundary cells, same-instant boundary glitches, self-timed wakes,
+//! agenda re-scheduling and the flop capture corners — and holds the
+//! compiled run to net-for-net identical values, toggle counts, waveforms
+//! and violations against an event-driven twin.
 
 use mtf_gates::{install_compiled, Builder, CompileReport};
 use mtf_sim::{Logic, NetId, Simulator, Time};
@@ -352,4 +352,91 @@ fn reevaluation_to_same_or_moved_landing_time_agrees() {
         "the last drive landed"
     );
     assert!(co.stats().compiled_gate_evals > 0);
+}
+
+#[test]
+fn flop_capture_corners_agree() {
+    // The capture rules both schedulers share, one corner per clock
+    // edge (edges every 2,000 ps from 1,000 ps). The ETDFF sees an
+    // undriven (Z) enable, then H, a released (Z) data pin, L, an X
+    // enable, and finally an enable that drops 50 ps after a capturing
+    // edge — a hold violation raised by the enable pin, not the data.
+    // The word register captures, sees an X enable, recaptures, then
+    // takes a setup violation on two bits (reported once, for the
+    // middle bit, the first offender in LSB order) and a released
+    // enable.
+    use Logic::{H, L, X, Z};
+    let horizon = 14_000;
+    let mut drives = clock_edges(0, 2_000, horizon);
+    drives.extend([
+        (1, H, 1_500),
+        (2, H, 1_500),
+        (2, Z, 3_500),
+        (2, L, 5_500),
+        (1, X, 7_500),
+        (1, H, 9_500),
+        (2, H, 9_500),
+        (1, L, 11_050),
+        (3, H, 0),
+        (4, H, 0),
+        (5, L, 0),
+        (6, H, 0),
+        (3, X, 1_500),
+        (3, H, 3_500),
+        (6, L, 6_850),
+        (5, H, 6_900),
+        (3, Z, 7_500),
+    ]);
+    let (report, co) = differential(
+        |b| {
+            let clk = b.input("clk");
+            let en = b.input("en");
+            let d = b.input("d");
+            let wen = b.input("wen");
+            let w = [b.input("w0"), b.input("w1"), b.input("w2")];
+            let q = b.etdff(clk, en, d, L);
+            let r = b.register(clk, Some(wen), &w);
+            let _ = (q, r);
+            vec![clk, en, d, wen, w[0], w[1], w[2]]
+        },
+        &drives,
+        &[],
+        horizon,
+    );
+    assert_eq!(report.compiled_flops, 2, "both flops compile");
+    let q = co.waveform(NetId::from_index(7)).expect("traced");
+    let at = |ps: u64| q.value_at(Time::from_ps(ps));
+    assert_eq!(
+        [
+            at(2_000),
+            at(4_000),
+            at(6_000),
+            at(8_000),
+            at(10_000),
+            at(12_000)
+        ],
+        [X, H, X, L, X, H],
+        "Z enable, capture, Z data, capture, X enable, capture"
+    );
+    let word = |ps: u64| -> Vec<Logic> {
+        (8..11)
+            .map(|i| {
+                let w = co.waveform(NetId::from_index(i)).expect("traced");
+                w.value_at(Time::from_ps(ps))
+            })
+            .collect()
+    };
+    assert_eq!(word(2_000), [H, L, H]);
+    assert_eq!(word(4_000), [X, X, X], "X enable");
+    assert_eq!(word(6_000), [H, L, H]);
+    assert_eq!(word(8_000), [H, H, L]);
+    assert_eq!(word(10_000), [X, X, X], "Z enable");
+    let log: Vec<String> = co.violations().iter().map(|v| v.message.clone()).collect();
+    assert_eq!(
+        log,
+        [
+            "data bit changed 0.100ns before edge",
+            "data changed 0.050ns after edge (hold 0.100ns)",
+        ]
+    );
 }
