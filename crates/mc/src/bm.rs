@@ -16,7 +16,7 @@
 
 use mtf_async::BmSpec;
 
-use crate::space::{Counterexample, Property, StateSpace, TransitionSystem, Verdict};
+use crate::space::{Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict};
 
 /// One explored burst-mode state.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,19 +70,23 @@ impl BmSystem<'_> {
     }
 
     /// The input edges the safe environment may issue at `s`: any burst
-    /// member not yet arrived (relative to entry).
-    fn env_edges(&self, s: BmState) -> Vec<(usize, bool)> {
-        let mut edges = Vec::new();
-        for t in &self.spec.states[s.state] {
-            for &(i, lvl) in &t.inputs {
-                let cur = s.inputs & (1 << i) != 0;
-                if cur != lvl && !edges.contains(&(i, lvl)) {
-                    edges.push((i, lvl));
-                }
-            }
-        }
-        edges
+    /// member not yet arrived (relative to entry), each once, in order of
+    /// first mention.
+    fn env_edges(&self, s: BmState) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let bursts = &self.spec.states[s.state];
+        let members = move || bursts.iter().flat_map(|t| t.inputs.iter().copied());
+        members()
+            .enumerate()
+            .filter(move |&(k, (i, lvl))| {
+                (s.inputs & (1 << i) != 0) != lvl && !members().take(k).any(|e| e == (i, lvl))
+            })
+            .map(|(_, e)| e)
     }
+}
+
+/// The label of input `i`'s edge to `lvl`: `a+` / `a−`.
+fn edge_label(spec: &BmSpec, i: usize, lvl: bool) -> String {
+    format!("{}{}", spec.input_names[i], if lvl { "+" } else { "−" })
 }
 
 impl TransitionSystem for BmSystem<'_> {
@@ -106,26 +110,26 @@ impl TransitionSystem for BmSystem<'_> {
         }
     }
 
-    fn successors(&self, s: &BmState) -> Vec<(String, BmState)> {
-        self.env_edges(*s)
-            .into_iter()
-            .filter_map(|(i, lvl)| {
-                let mut n = *s;
-                n.inputs = if lvl {
-                    n.inputs | (1 << i)
-                } else {
-                    n.inputs & !(1 << i)
-                };
-                let label = format!(
-                    "{}{}",
-                    self.spec.input_names[i],
-                    if lvl { "+" } else { "−" }
-                );
-                // Inconsistent output bursts surface in the property pass;
-                // the successor relation stops at them.
-                self.settle(n).ok().map(|settled| (label, settled))
-            })
-            .collect()
+    /// Move code `2i + lvl` is input `i`'s edge to `lvl`.
+    fn successors(&self, s: &BmState, out: &mut Vec<(Move, BmState)>) {
+        for (i, lvl) in self.env_edges(*s) {
+            let mut n = *s;
+            n.inputs = if lvl {
+                n.inputs | (1 << i)
+            } else {
+                n.inputs & !(1 << i)
+            };
+            // Inconsistent output bursts surface in the property pass;
+            // the successor relation stops at them.
+            if let Ok(settled) = self.settle(n) {
+                out.push((Move::new(2 * i as u32 + u32::from(lvl), false), settled));
+            }
+        }
+    }
+
+    fn label(&self, m: Move) -> String {
+        let code = m.code() as usize;
+        edge_label(self.spec, code / 2, code % 2 == 1)
     }
 }
 
@@ -173,7 +177,7 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
     let mut convergence: Option<Counterexample> = None;
 
     for (i, &s) in space.states.iter().enumerate() {
-        let edges = sys.env_edges(s);
+        let edges: Vec<(usize, bool)> = sys.env_edges(s).collect();
         if edges.is_empty() && deadlock.is_none() {
             deadlock = Some(Counterexample {
                 property: Property::DeadlockFree,
@@ -193,11 +197,7 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
                 Err((bad, o)) => {
                     if consistency.is_none() {
                         let mut trace = space.trace_to(i);
-                        trace.push(format!(
-                            "{}{}",
-                            spec.input_names[a],
-                            if la { "+" } else { "−" }
-                        ));
+                        trace.push(edge_label(spec, a, la));
                         consistency = Some(Counterexample {
                             property: Property::Consistent,
                             trace,
@@ -229,13 +229,13 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
                         // state wants it.
                         let ab = sys
                             .env_edges(after_a)
-                            .contains(&(b, lb))
+                            .any(|e| e == (b, lb))
                             .then(|| sys.settle(apply(after_a, b, lb)).ok())
                             .flatten();
                         let ba = sys
                             .settle(apply(s, b, lb))
                             .ok()
-                            .filter(|st| sys.env_edges(*st).contains(&(a, la)))
+                            .filter(|st| sys.env_edges(*st).any(|e| e == (a, la)))
                             .and_then(|st| sys.settle(apply(st, a, la)).ok());
                         if let (Some(x), Some(y)) = (ab, ba) {
                             if x != y {
@@ -256,16 +256,12 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
         }
     }
 
-    let to_verdict = |cx: Option<Counterexample>| match cx {
-        None => Verdict::Proven,
-        Some(cx) => Verdict::Disproven(cx),
-    };
     Ok(BmCheck {
         name: spec.name.clone(),
         verdicts: vec![
-            (Property::DeadlockFree, to_verdict(deadlock)),
-            (Property::Convergent, to_verdict(convergence)),
-            (Property::Consistent, to_verdict(consistency)),
+            (Property::DeadlockFree, deadlock.into()),
+            (Property::Convergent, convergence.into()),
+            (Property::Consistent, consistency.into()),
         ],
         space,
     })

@@ -39,5 +39,5 @@ pub use chain::{check_chain, ChainCheck, ChainModel};
 pub use designs::{check_all, check_controllers, check_design, DesignCheck};
 pub use fifo::{check_fifo, Fault, FifoCheck, FifoModel, FifoState};
 pub use replay::{replay_fifo_hazard, replay_stg, FifoReplayOutcome, StgReplayOutcome};
-pub use space::{Counterexample, Property, StateSpace, TransitionSystem, Verdict};
+pub use space::{Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict};
 pub use stg::{check_stg, StgCheck, StgState};

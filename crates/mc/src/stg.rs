@@ -13,7 +13,7 @@
 
 use mtf_async::StgSpec;
 
-use crate::space::{Counterexample, Property, StateSpace, TransitionSystem, Verdict};
+use crate::space::{Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict};
 
 /// One explored state: the 1-safe marking and the signal levels, packed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -110,11 +110,20 @@ impl TransitionSystem for StgSystem<'_> {
         self.initial_state()
     }
 
-    fn successors(&self, s: &StgState) -> Vec<(String, StgState)> {
-        (0..self.spec.transitions.len())
-            .filter(|&t| self.enabled(*s, t))
-            .filter_map(|t| Some((self.spec.transition_label(t), self.fire(*s, t)?)))
-            .collect()
+    /// Move code `t` is transition `t`.
+    fn successors(&self, s: &StgState, out: &mut Vec<(Move, StgState)>) {
+        for t in 0..self.spec.transitions.len() {
+            if !self.enabled(*s, t) {
+                continue;
+            }
+            if let Some(n) = self.fire(*s, t) {
+                out.push((Move::new(t as u32, false), n));
+            }
+        }
+    }
+
+    fn label(&self, m: Move) -> String {
+        self.spec.transition_label(m.code() as usize)
     }
 }
 
@@ -292,18 +301,14 @@ pub fn check_stg(spec: &StgSpec) -> Result<StgCheck, String> {
         }
     }
 
-    let to_verdict = |cx: Option<Counterexample>| match cx {
-        None => Verdict::Proven,
-        Some(cx) => Verdict::Disproven(cx),
-    };
     Ok(StgCheck {
         name: spec.name.clone(),
         verdicts: vec![
-            (Property::OneSafe, to_verdict(one_safe)),
-            (Property::DeadlockFree, to_verdict(deadlock)),
-            (Property::OutputPersistent, to_verdict(persistence)),
-            (Property::Convergent, to_verdict(convergence)),
-            (Property::Consistent, to_verdict(consistency)),
+            (Property::OneSafe, one_safe.into()),
+            (Property::DeadlockFree, deadlock.into()),
+            (Property::OutputPersistent, persistence.into()),
+            (Property::Convergent, convergence.into()),
+            (Property::Consistent, consistency.into()),
         ],
         dead_transitions: fired
             .iter()

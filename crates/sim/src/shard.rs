@@ -247,7 +247,9 @@ struct Msg {
     grant: Time,
 }
 
-/// A bounded single-producer single-consumer mailbox for one link.
+/// A single-producer single-consumer mailbox for one link. The queue is
+/// unbounded: nothing applies back-pressure, so a sender may post any
+/// number of messages ahead of its receiver.
 #[derive(Debug, Default)]
 struct Mailbox {
     q: Mutex<VecDeque<Msg>>,

@@ -75,16 +75,19 @@ proptest! {
         prop_assert!(check.is_clean(), "{}", model.name);
         let mut s = model.initial();
         prop_assert!(check.space.contains(&s));
+        let mut succ = Vec::new();
         for &c in &choices {
-            let succ = model.successors(&s);
+            succ.clear();
+            model.successors(&s, &mut succ);
             if succ.is_empty() {
                 break; // stream complete (pure-direct models terminate)
             }
-            let (label, next) = succ[c % succ.len()].clone();
+            let (m, next) = succ[c % succ.len()];
             prop_assert!(
                 check.space.contains(&next),
-                "{}: walk left the checked space after {label}",
-                model.name
+                "{}: walk left the checked space after {}",
+                model.name,
+                model.label(m)
             );
             s = next;
         }
