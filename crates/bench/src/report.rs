@@ -125,6 +125,7 @@ impl ExperimentReport {
                 ("peak_delta_depth", Json::Num(k.peak_delta_depth as f64)),
                 ("wheel_cascades", Json::Num(k.wheel_cascades as f64)),
                 ("overflow_events", Json::Num(k.overflow_events as f64)),
+                ("elided_drives", Json::Num(k.elided_drives as f64)),
             ];
             // Compiled-backend counters are zero on the default event
             // backend; omit them there so pre-existing golden reports
@@ -219,7 +220,7 @@ impl ExperimentReport {
                 };
                 // The compiled counters are optional: reports written on
                 // the event backend (and all pre-backend reports) omit
-                // them.
+                // them. So do reports from before drive elision.
                 let opt =
                     |key: &str| -> u64 { k.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
                 Some(SimStats {
@@ -232,6 +233,7 @@ impl ExperimentReport {
                     overflow_events: n("overflow_events")? as u64,
                     compiled_edge_evals: opt("compiled_edge_evals"),
                     compiled_gate_evals: opt("compiled_gate_evals"),
+                    elided_drives: opt("elided_drives"),
                 })
             }
         };
@@ -277,6 +279,7 @@ mod tests {
             overflow_events: 0,
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
+            elided_drives: 5,
         });
         r.note("artifact", Json::str("out.vcd"));
         let text = r.to_json().render();

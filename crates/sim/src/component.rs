@@ -82,7 +82,14 @@ impl<'a> Ctx<'a> {
     ///
     /// A later call for the same driver cancels any still-pending earlier
     /// one (inertial behaviour): a pulse shorter than a gate's delay does
-    /// not propagate through it.
+    /// not propagate through it. A call that repeats the driver's current
+    /// contribution only cancels; it queues nothing, since the event could
+    /// never change the net (counted in
+    /// [`SimStats::elided_drives`](crate::SimStats::elided_drives)).
+    ///
+    /// A driver scheduled here must not also be scheduled through
+    /// [`Simulator::drive_at`] or [`Ctx::commit_drive`]; the elision is
+    /// exact only because this call owns the driver (debug builds check).
     pub fn drive(&mut self, driver: DriverId, value: Logic, delay: Time) {
         self.sim.drive_in(driver, value, delay);
     }
@@ -98,7 +105,10 @@ impl<'a> Ctx<'a> {
     /// watcher wakes) is identical to a drive event landing at the
     /// current instant. Reserved for compiled-region engines, which have
     /// already accounted for the gate's delay in their own pending set;
-    /// ordinary components should keep using [`Ctx::drive`].
+    /// ordinary components should keep using [`Ctx::drive`]. The driver
+    /// must be one the engine owns outright: never also scheduled through
+    /// [`Ctx::drive`] or [`Simulator::drive_at`] (see the ownership rule
+    /// there; debug builds check).
     pub fn commit_drive(&mut self, driver: DriverId, value: Logic) {
         self.sim.commit_drive(driver, value);
     }

@@ -85,7 +85,8 @@ pub(crate) struct Driver {
     pub net: NetId,
     pub value: Logic,
     /// Sequence number of the most recently scheduled drive event for this
-    /// driver; an event whose stamp does not match is stale (cancelled by a
-    /// later schedule — inertial-delay behaviour).
+    /// driver, or `u64::MAX` once an elided drive has cancelled it; an
+    /// event whose stamp does not match is stale (cancelled by a later
+    /// schedule — inertial-delay behaviour).
     pub pending_seq: u64,
 }

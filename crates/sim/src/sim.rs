@@ -120,6 +120,11 @@ pub struct SimStats {
     /// regions — work that the event backend would have paid a queue
     /// entry and a dynamic dispatch for. Zero under the event backend.
     pub compiled_gate_evals: u64,
+    /// Component drives ([`Ctx::drive`](crate::Ctx::drive) /
+    /// [`Ctx::drive_now`](crate::Ctx::drive_now)) that requested the
+    /// driver's current contribution and so were never queued: each one is
+    /// an event that would have been pushed, popped and discarded.
+    pub elided_drives: u64,
 }
 
 /// Which execution strategy elaboration should install for purely
@@ -171,6 +176,29 @@ impl std::str::FromStr for Backend {
     }
 }
 
+/// The three ways a driver's contribution can be scheduled; a driver uses
+/// exactly one (see [`Simulator::drive_at`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DriveMode {
+    /// [`Simulator::drive_at`]: transport-delay stimulus.
+    External,
+    /// [`Ctx::drive`] / [`Ctx::drive_now`]: inertial component drives.
+    Inertial,
+    /// [`Ctx::commit_drive`]: compiled-engine landings.
+    Committed,
+}
+
+impl DriveMode {
+    #[cfg(debug_assertions)]
+    fn call(self) -> &'static str {
+        match self {
+            DriveMode::External => "Simulator::drive_at",
+            DriveMode::Inertial => "Ctx::drive",
+            DriveMode::Committed => "Ctx::commit_drive",
+        }
+    }
+}
+
 /// The discrete-event simulator. See the [crate docs](crate) for the model.
 pub struct Simulator {
     nets: Vec<Net>,
@@ -195,6 +223,11 @@ pub struct Simulator {
     coalesced_wakes: u64,
     compiled_edge_evals: u64,
     compiled_gate_evals: u64,
+    elided_drives: u64,
+    /// Which scheduling call each driver took first (indexed by driver);
+    /// debug builds hold every later call to the same one.
+    #[cfg(debug_assertions)]
+    drive_modes: Vec<Option<DriveMode>>,
     /// Delta-race sanitizer state; `None` (the default) costs one branch
     /// per read/drive. `RefCell` because reads are recorded from
     /// [`Ctx::get`], which takes `&self`.
@@ -236,6 +269,9 @@ impl Simulator {
             coalesced_wakes: 0,
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
+            elided_drives: 0,
+            #[cfg(debug_assertions)]
+            drive_modes: Vec::new(),
             race: None,
         }
     }
@@ -280,6 +316,8 @@ impl Simulator {
             value: Logic::Z,
             pending_seq: u64::MAX,
         });
+        #[cfg(debug_assertions)]
+        self.drive_modes.push(None);
         self.nets[net.0 as usize].drivers.push(id);
         id
     }
@@ -435,6 +473,7 @@ impl Simulator {
             overflow_events: q.overflow_pushes,
             compiled_edge_evals: self.compiled_edge_evals,
             compiled_gate_evals: self.compiled_gate_evals,
+            elided_drives: self.elided_drives,
         }
     }
 
@@ -504,7 +543,22 @@ impl Simulator {
     /// Schedules `driver` to contribute `value` after `delay`, cancelling
     /// any still-pending earlier schedule on the same driver (inertial
     /// behaviour).
+    ///
+    /// A drive of the value the driver already contributes is elided: the
+    /// earlier schedule is cancelled and nothing is queued. The queued
+    /// event could only have been a no-op. Until it landed, any later
+    /// `drive_in` would cancel it, and nothing else changes the driver's
+    /// contribution (drivers are owned by one scheduling call, see
+    /// [`Simulator::drive_at`]); so when it landed it would find its own
+    /// value in place, change nothing and wake nobody.
     pub(crate) fn drive_in(&mut self, driver: DriverId, value: Logic, delay: Time) {
+        self.claim(driver, DriveMode::Inertial);
+        let d = &mut self.drivers[driver.0 as usize];
+        if d.value == value {
+            d.pending_seq = u64::MAX;
+            self.elided_drives += 1;
+            return;
+        }
         let t = self.time + delay;
         let stamp = self.queue.next_seq();
         let seq = self.queue.push(
@@ -524,11 +578,21 @@ impl Simulator {
     /// drives these are *transport*-delay events — they are never cancelled
     /// by later schedules, so a testbench can pre-program a whole stimulus
     /// sequence up front.
+    ///
+    /// **Driver ownership.** Every driver is scheduled through exactly one
+    /// of three calls: this one (testbench stimulus, shard imports),
+    /// [`Ctx::drive`]/[`Ctx::drive_now`] (components) or
+    /// [`Ctx::commit_drive`] (compiled-region engines). The kernel's drive
+    /// elision relies on it: a component drive is skipped when it repeats
+    /// the driver's contribution, which is only exact if no other call can
+    /// change that contribution before the skipped event would have
+    /// landed. Debug builds panic on a driver used through two of them.
     pub fn drive_at(&mut self, driver: DriverId, net: NetId, value: Logic, at: Time) {
         debug_assert_eq!(
             self.drivers[driver.0 as usize].net, net,
             "drive_at: driver {driver:?} is attached to a different net than {net:?}"
         );
+        self.claim(driver, DriveMode::External);
         let t = at.max(self.time);
         self.queue.push(
             t,
@@ -552,6 +616,7 @@ impl Simulator {
         // An engine-managed driver never has kernel-queued drive events,
         // so there is no pending_seq to consult: mirror the external
         // (`stamp == u64::MAX`) path of `apply_drive`.
+        self.claim(driver, DriveMode::Committed);
         let d = &mut self.drivers[driver.0 as usize];
         if d.value == value {
             return;
@@ -575,6 +640,30 @@ impl Simulator {
             }
         }
         self.recompute_net(net);
+    }
+
+    /// Records (debug builds) which scheduling call owns `driver` and
+    /// panics if it was already driven through a different one.
+    #[inline]
+    fn claim(&mut self, driver: DriverId, mode: DriveMode) {
+        #[cfg(debug_assertions)]
+        {
+            let slot = &mut self.drive_modes[driver.0 as usize];
+            match *slot {
+                None => *slot = Some(mode),
+                Some(owner) => assert!(
+                    owner == mode,
+                    "driver #{} on net '{}' is scheduled through both {} and {}; \
+                     a driver must use only one (see Simulator::drive_at)",
+                    driver.0,
+                    self.nets[self.drivers[driver.0 as usize].net.0 as usize].name(),
+                    owner.call(),
+                    mode.call(),
+                ),
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (driver, mode);
     }
 
     pub(crate) fn schedule_wake(&mut self, comp: ComponentId, at: Time) {
@@ -790,5 +879,79 @@ impl Simulator {
     pub(crate) fn note_compiled_pass(&mut self, gate_evals: u64) {
         self.compiled_edge_evals += 1;
         self.compiled_gate_evals += gate_evals;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_driver() -> (Simulator, NetId, DriverId) {
+        let mut sim = Simulator::new(0);
+        let n = sim.net("n");
+        let d = sim.driver(n);
+        sim.trace(n);
+        sim.drive_in(d, Logic::L, Time::ZERO);
+        sim.run_until(Time::from_ns(1)).unwrap();
+        assert_eq!((sim.value(n), sim.toggles(n)), (Logic::L, 1));
+        (sim, n, d)
+    }
+
+    #[test]
+    fn same_value_drive_cancels_a_pending_opposite_drive() {
+        let (mut sim, n, d) = one_driver();
+        sim.drive_in(d, Logic::H, Time::from_ps(500));
+        sim.run_until(Time::from_ps(1_200)).unwrap();
+        // The glitch back to L inside the gate delay filters the H pulse.
+        sim.drive_in(d, Logic::L, Time::from_ps(500));
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert_eq!((sim.value(n), sim.toggles(n)), (Logic::L, 1));
+        assert_eq!(sim.waveform(n).unwrap().transition_count(), 0);
+        assert_eq!(sim.stats().elided_drives, 1);
+    }
+
+    #[test]
+    fn same_value_drive_with_nothing_pending_queues_nothing() {
+        let (mut sim, n, d) = one_driver();
+        let before = sim.stats();
+        sim.drive_in(d, Logic::L, Time::from_ps(300));
+        assert_eq!(sim.queue.len(), 0);
+        sim.run_until(Time::from_ns(2)).unwrap();
+        let after = sim.stats();
+        assert_eq!(after.events_processed, before.events_processed);
+        assert_eq!(after.elided_drives, before.elided_drives + 1);
+        assert_eq!(sim.toggles(n), 1);
+    }
+
+    #[test]
+    fn drives_after_a_landed_drive_are_handled_normally() {
+        let (mut sim, n, d) = one_driver();
+        sim.drive_in(d, Logic::H, Time::from_ps(200));
+        sim.run_until(Time::from_ns(2)).unwrap();
+        assert_eq!((sim.value(n), sim.toggles(n)), (Logic::H, 2));
+        // Repeating the landed value is elided ...
+        sim.drive_in(d, Logic::H, Time::from_ps(200));
+        assert_eq!(sim.stats().elided_drives, 1);
+        // ... and a new value is queued and lands after its delay.
+        let events = sim.events_processed();
+        sim.drive_in(d, Logic::L, Time::from_ps(200));
+        sim.run_until(Time::from_ps(2_199)).unwrap();
+        assert_eq!(sim.value(n), Logic::H);
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert_eq!((sim.value(n), sim.toggles(n)), (Logic::L, 3));
+        assert_eq!(sim.last_change(n), Time::from_ps(2_200));
+        assert_eq!(sim.events_processed(), events + 1);
+        assert_eq!(sim.stats().elided_drives, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "scheduled through both Simulator::drive_at and Ctx::drive")]
+    fn a_driver_takes_one_scheduling_call() {
+        let mut sim = Simulator::new(0);
+        let n = sim.net("n");
+        let d = sim.driver(n);
+        sim.drive_at(d, n, Logic::L, Time::ZERO);
+        sim.drive_in(d, Logic::H, Time::from_ps(100));
     }
 }
