@@ -93,7 +93,7 @@ pub use detectors::{
 };
 pub use domains::partition_design;
 pub use mixed_clock::MixedClockFifo;
-pub use params::FifoParams;
+pub use params::{FifoParams, ParamError};
 pub use relay::{AsyncSyncRelayStation, MixedClockRelayStation};
 pub use sync_async::SyncAsyncFifo;
 pub use sync_relay::{RelayPort, SyncRelayStation, RS_CQ};

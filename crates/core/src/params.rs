@@ -38,20 +38,37 @@ impl FifoParams {
     ///
     /// As [`FifoParams::new`], plus `sync_stages == 0`.
     pub fn with_sync_stages(capacity: usize, width: usize, sync_stages: usize) -> Self {
-        assert!(
-            capacity >= 3,
-            "capacity must be at least 3 (got {capacity})"
-        );
-        assert!(
-            width > 0 && width <= 63,
-            "width must be in 1..=63 (got {width})"
-        );
-        assert!(sync_stages >= 1, "at least one synchronizer stage required");
-        FifoParams {
+        Self::try_with_sync_stages(capacity, width, sync_stages).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FifoParams::new`] for parameters that come from outside the
+    /// program (command lines, sweep specs): an unbuildable point is an
+    /// error, not a panic.
+    pub fn try_new(capacity: usize, width: usize) -> Result<Self, ParamError> {
+        Self::try_with_sync_stages(capacity, width, 2)
+    }
+
+    /// [`FifoParams::with_sync_stages`], returning the broken rule instead
+    /// of panicking. This is the one definition of a buildable point.
+    pub fn try_with_sync_stages(
+        capacity: usize,
+        width: usize,
+        sync_stages: usize,
+    ) -> Result<Self, ParamError> {
+        if capacity < 3 {
+            return Err(ParamError::Capacity(capacity));
+        }
+        if width == 0 || width > 63 {
+            return Err(ParamError::Width(width));
+        }
+        if sync_stages == 0 {
+            return Err(ParamError::SyncStages);
+        }
+        Ok(FifoParams {
             capacity,
             width,
             sync_stages,
-        }
+        })
     }
 
     /// The six (capacity, width) points of the paper's Table 1, with the
@@ -66,6 +83,29 @@ impl FifoParams {
         v
     }
 }
+
+/// Why a parameter point cannot be built ([`FifoParams::try_new`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ParamError {
+    /// Fewer than 3 cells.
+    Capacity(usize),
+    /// A data width outside `1..=63`.
+    Width(usize),
+    /// No synchronizer stage.
+    SyncStages,
+}
+
+impl fmt::Display for ParamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParamError::Capacity(c) => write!(f, "capacity must be at least 3 (got {c})"),
+            ParamError::Width(w) => write!(f, "width must be in 1..=63 (got {w})"),
+            ParamError::SyncStages => f.write_str("at least one synchronizer stage required"),
+        }
+    }
+}
+
+impl std::error::Error for ParamError {}
 
 impl fmt::Display for FifoParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -95,6 +135,21 @@ mod tests {
         assert_eq!(
             FifoParams::with_sync_stages(4, 8, 3).to_string(),
             "4-place/8-bit/3-sync"
+        );
+    }
+
+    #[test]
+    fn checked_constructor_names_the_broken_rule() {
+        assert_eq!(FifoParams::try_new(4, 8), Ok(FifoParams::new(4, 8)));
+        assert_eq!(FifoParams::try_new(0, 8), Err(ParamError::Capacity(0)));
+        assert_eq!(FifoParams::try_new(4, 64), Err(ParamError::Width(64)));
+        assert_eq!(
+            FifoParams::try_with_sync_stages(4, 8, 0),
+            Err(ParamError::SyncStages)
+        );
+        assert_eq!(
+            ParamError::Width(0).to_string(),
+            "width must be in 1..=63 (got 0)"
         );
     }
 

@@ -182,18 +182,8 @@ impl ChainSpec {
                 self.boundaries.len()
             ));
         }
-        if self.capacity < 3 {
-            return Err(format!(
-                "capacity must be at least 3 (got {})",
-                self.capacity
-            ));
-        }
-        if self.width == 0 || self.width > 63 {
-            return Err(format!("width must be in 1..=63 (got {})", self.width));
-        }
-        if self.sync_stages == 0 {
-            return Err("at least one synchronizer stage required".into());
-        }
+        FifoParams::try_with_sync_stages(self.capacity, self.width, self.sync_stages)
+            .map_err(|e| e.to_string())?;
         if self.async_head == Some(0) {
             return Err("async head needs at least one micropipeline stage".into());
         }
