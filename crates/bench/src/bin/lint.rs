@@ -34,13 +34,6 @@ use mtf_core::FifoParams;
 use mtf_lint::{infer_contract, lint_design, LintReport, PASSES};
 use mtf_lis::{audit_chain_lookahead, ChainSpec};
 
-/// Flags whose value the arg parser must skip over (see
-/// [`Args::positional`] — not used here, but keeps `--capacity 8`
-/// from being misread as a positional).
-fn params_from(args: &Args) -> FifoParams {
-    FifoParams::new(args.usize_of("--capacity", 4), args.usize_of("--width", 8))
-}
-
 /// One design's row for the human-readable table.
 fn print_design(name: &str, report: &LintReport) {
     println!(
@@ -190,7 +183,7 @@ fn contracts_main(json: bool, params: FifoParams) {
 fn main() {
     let args = Args::parse();
     let json = args.json();
-    let params = params_from(&args);
+    let params = args.fifo_params();
     if args.flag("--contracts") {
         contracts_main(json, params);
         return;

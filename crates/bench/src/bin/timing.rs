@@ -50,7 +50,7 @@ fn async_get(design: &dyn MixedTimingDesign, params: FifoParams) -> bool {
 fn main() {
     let args = Args::parse();
     let json = args.json();
-    let params = FifoParams::new(args.usize_of("--capacity", 4), args.usize_of("--width", 8));
+    let params = args.fifo_params();
 
     if !json {
         println!("Static timing (max- and min-delay) over the design registry at {params}");
