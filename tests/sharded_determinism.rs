@@ -16,11 +16,16 @@
 //!   engine-level half lives in `mtf-sim`'s `shard` unit tests);
 //! * the registry's single-FIFO designs, which the domain partitioner
 //!   must refuse to split (their two clock domains are coupled through
-//!   the synchronized full/empty control plane).
+//!   the synchronized full/empty control plane);
+//! * constants for the single-shard fingerprints and event counts and for
+//!   the rendered plain `run_chain` results, so the sharded and plain
+//!   paths cannot drift together unnoticed.
 
 use mtf_core::design::DesignRegistry;
 use mtf_core::{partition_design, FifoParams};
-use mtf_lis::{plan_chain_shards, run_chain_sharded, verification_stalls, ChainDrive, ChainSpec};
+use mtf_lis::{
+    plan_chain_shards, run_chain, run_chain_sharded, verification_stalls, ChainDrive, ChainSpec,
+};
 
 /// Async head into three sync domains: one MCRS hop, then a same-domain
 /// `sync_rs` hop — every boundary design the composer knows in one spec.
@@ -154,4 +159,56 @@ fn registry_fifos_partition_to_one_effective_shard() {
             "{name}: a coupled FIFO must not be splittable"
         );
     }
+}
+
+/// FNV-1a over a rendered observable — the same hash
+/// [`ChainFingerprint::digest`](mtf_lis::ChainFingerprint::digest) uses.
+fn fnv(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in text.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Pins the chain elaborator's observables to constants, so a change to
+/// how chains are built (net, value or component creation order, the
+/// metastability model per path) cannot pass by moving the single-shard
+/// reference and the sharded runs together. Covers the sharded
+/// `MetaModel::ideal` path through fingerprints and the plain
+/// `run_chain` `MetaModel::hp06` path through its rendered `ChainRun`.
+#[test]
+fn chain_observables_are_pinned() {
+    let het = heterogeneous_spec();
+    let clean = ChainDrive::clean(11, 10, het.width);
+    let stalled = ChainDrive::with_stalls(23, 10, het.width, verification_stalls());
+    let ladder = ladder_spec(8);
+    let ladder_drive = ChainDrive::clean(5, 8, ladder.width);
+
+    // (fingerprint digest, single-shard kernel events) for heterogeneous
+    // clean, heterogeneous stalled and ladder(8).
+    let sharded = [(&het, &clean), (&het, &stalled), (&ladder, &ladder_drive)].map(|(s, d)| {
+        let run = run_chain_sharded(s, d, 1).expect("single shard runs");
+        (
+            run.fingerprint.digest(),
+            run.shard_stats[0].sim.events_processed,
+        )
+    });
+    assert_eq!(
+        sharded,
+        [
+            (0x30ae58a4eb4c75c2, 214_961),
+            (0xdf005cdb4046be87, 266_365),
+            (0xcaf666ef5f944c12, 1_815_437),
+        ],
+        "sharded observables moved"
+    );
+    // FNV of the rendered `run_chain` result, heterogeneous clean and stalled.
+    let plain = [&clean, &stalled].map(|d| fnv(&format!("{:?}", run_chain(&het, d))));
+    assert_eq!(
+        plain,
+        [0x91cbe30a4931ce0b, 0x30b7cec73bffb17b],
+        "run_chain observables moved"
+    );
 }
