@@ -118,19 +118,24 @@ impl Args {
         self.flag("--json")
     }
 
-    /// `--jobs N` (default: all cores, clamped to ≥ 1), via
-    /// [`sweep::parse_jobs`] so every binary shares one spelling.
+    /// `--jobs N` (default: all cores, [`sweep::default_jobs`]); `0`
+    /// clamps to 1. A malformed value exits the program
+    /// ([`ArgError::exit`]).
     pub fn jobs(&self) -> usize {
-        sweep::parse_jobs(&self.raw)
+        self.usize_of("--jobs", sweep::default_jobs()).max(1)
     }
 
     /// `--shards N` (default 1 = the plain single-simulator path): how
     /// many worker shards chain simulations may split across. Registry
     /// designs are gate-level-inseparable (see
     /// `mtf_core::partition_design`), so `table1`/`robustness` report
-    /// the partition verdict instead of pretending to parallelise.
+    /// the partition verdict instead of pretending to parallelise. A
+    /// malformed value or `0` exits the program ([`ArgError::exit`]).
     pub fn shards(&self) -> usize {
-        self.usize_of("--shards", 1).max(1)
+        match self.usize_of("--shards", 1) {
+            0 => ArgError("--shards wants at least 1, got 0".into()).exit(),
+            n => n,
+        }
     }
 
     /// `--backend {event,compiled}` (default `event`): which execution
@@ -200,5 +205,16 @@ mod tests {
         );
         assert_eq!(a.try_usize_of("--jobs", 1), Ok(3));
         assert_eq!(a.try_usize_of("--runs", 7), Ok(7));
+        assert_eq!(
+            Args::from(&["--jobs", "banana"]).try_usize_of("--jobs", 1),
+            Err(ArgError("--jobs wants a number, got \"banana\"".into()))
+        );
+    }
+
+    #[test]
+    fn jobs_clamps_zero_to_one() {
+        assert_eq!(Args::from(&["--jobs", "3"]).jobs(), 3);
+        assert_eq!(Args::from(&["--jobs", "0"]).jobs(), 1);
+        assert!(Args::from(&[]).jobs() >= 1);
     }
 }

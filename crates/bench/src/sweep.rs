@@ -38,17 +38,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses a `--jobs N` argument pair out of `args`, defaulting to
-/// [`default_jobs`]; values are clamped to ≥ 1.
-pub fn parse_jobs(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(default_jobs)
-        .max(1)
-}
-
 /// A fixed-width pool for embarrassingly parallel sweeps with
 /// deterministic, input-ordered results. See the module docs for the
 /// design contract.
@@ -155,7 +144,5 @@ mod tests {
     #[test]
     fn jobs_clamped_to_one() {
         assert_eq!(SweepRunner::new(0).jobs(), 1);
-        assert_eq!(parse_jobs(&["--jobs".into(), "3".into()]), 3);
-        assert_eq!(parse_jobs(&["--jobs".into(), "0".into()]), 1);
     }
 }

@@ -24,6 +24,18 @@ fn sharded_rejects_a_non_numeric_shard_count() {
 }
 
 #[test]
+fn chains_rejects_a_zero_shard_count() {
+    let e = usage_error(env!("CARGO_BIN_EXE_chains"), &["--shards", "0"]);
+    assert!(e.contains("--shards wants at least 1, got 0"), "{e}");
+}
+
+#[test]
+fn table1_rejects_a_non_numeric_job_count() {
+    let e = usage_error(env!("CARGO_BIN_EXE_table1"), &["--jobs", "banana"]);
+    assert!(e.contains("--jobs wants a number, got \"banana\""), "{e}");
+}
+
+#[test]
 fn chains_rejects_an_unknown_backend() {
     let e = usage_error(env!("CARGO_BIN_EXE_chains"), &["--backend", "nosuch"]);
     assert!(e.contains("unknown backend 'nosuch'"), "{e}");

@@ -28,16 +28,20 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use mtf_async::{micropipeline, FourPhaseProducer, OpJournal};
 use mtf_core::design::DesignRegistry;
 use mtf_core::env::{PacketSink, PacketSource};
 use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, InterfaceSpec, MixedTimingDesign};
-use mtf_gates::{install_compiled, Builder};
-use mtf_sim::{Backend, ClockGen, Component, Ctx, Logic, NetId, Simulator, Time};
+use mtf_gates::{install_compiled, Builder, CellDelays};
+use mtf_sim::{
+    Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time,
+};
 
-use crate::{connect, connect_bus, splice_stream_design_with_backend, RelayChain, RelayPort};
+use crate::lookahead::stop_launch_delay;
+use crate::{build_stream_design_with_backend, connect, connect_bus, RelayChain, RelayPort};
 
 /// One synchronous clock domain: a free-running clock with the given
 /// period and phase offset. Two [`DomainSpec`]s are *the same domain* iff
@@ -346,13 +350,13 @@ impl Component for BoundaryProbe {
 
 /// A handle onto one boundary's probe counters, kept by [`BuiltChain`].
 #[derive(Clone, Debug)]
-pub(crate) struct ProbeHandle {
+struct ProbeHandle {
     design: String,
     counters: Rc<RefCell<Counters>>,
 }
 
 impl ProbeHandle {
-    pub(crate) fn report(&self) -> BoundaryReport {
+    fn report(&self) -> BoundaryReport {
         let c = *self.counters.borrow();
         BoundaryReport {
             design: self.design.clone(),
@@ -365,36 +369,30 @@ impl ProbeHandle {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_stream_probe(
+/// Attaches a [`BoundaryProbe`] observing `put` and the get side of one
+/// boundary; it wakes on the put-side clock (or `ack`) and `get_clk`.
+fn spawn_probe(
     sim: &mut Simulator,
     design: &str,
-    clk_put: NetId,
-    valid_in: NetId,
-    stop_out: NetId,
-    clk_get: NetId,
+    put: ProbePut,
+    get_clk: NetId,
     valid_get: NetId,
     stop_in: NetId,
 ) -> ProbeHandle {
+    let watch = match put {
+        ProbePut::Stream { clk, .. } if clk == get_clk => vec![clk],
+        ProbePut::Stream { clk, .. } => vec![clk, get_clk],
+        ProbePut::Async { ack, .. } => vec![ack, get_clk],
+    };
     let counters = Rc::new(RefCell::new(Counters::default()));
     let probe = BoundaryProbe {
         name: format!("probe.{design}"),
-        put: ProbePut::Stream {
-            clk: clk_put,
-            valid: valid_in,
-            stop: stop_out,
-            prev_clk: Logic::X,
-        },
-        get_clk: clk_get,
+        put,
+        get_clk,
         valid_get,
         stop_in,
         prev_get_clk: Logic::X,
         counters: counters.clone(),
-    };
-    let watch = if clk_put == clk_get {
-        vec![clk_put]
-    } else {
-        vec![clk_put, clk_get]
     };
     sim.add_component(Box::new(probe), &watch);
     ProbeHandle {
@@ -403,32 +401,18 @@ pub(crate) fn spawn_stream_probe(
     }
 }
 
-pub(crate) fn spawn_async_probe(
-    sim: &mut Simulator,
-    design: &str,
-    put_ack: NetId,
-    clk_get: NetId,
-    valid_get: NetId,
-    stop_in: NetId,
-) -> ProbeHandle {
-    let counters = Rc::new(RefCell::new(Counters::default()));
-    let probe = BoundaryProbe {
-        name: format!("probe.{design}"),
-        put: ProbePut::Async {
-            ack: put_ack,
-            prev_ack: Logic::X,
-        },
-        get_clk: clk_get,
-        valid_get,
-        stop_in,
-        prev_get_clk: Logic::X,
-        counters: counters.clone(),
-    };
-    sim.add_component(Box::new(probe), &[put_ack, clk_get]);
-    ProbeHandle {
-        design: design.to_string(),
-        counters,
-    }
+/// The put side of a boundary whose upstream segment lies outside the
+/// elaborated range: `xlink.b{bd}.*` mirror nets for the upstream tail's
+/// `valid`/`data`, and the design's `stop_out` with the launch delay the
+/// backward cut claims for it.
+#[derive(Debug)]
+pub(crate) struct CutIn {
+    /// `(driver, net)` of the mirrored `valid`, then each `data` bit.
+    pub(crate) pins: Vec<(DriverId, NetId)>,
+    /// The design's `stop_out`, registered on the upstream clock.
+    pub(crate) stop: NetId,
+    /// See [`stop_launch_delay`].
+    pub(crate) stop_delay: Time,
 }
 
 /// Elaborates a [`ChainSpec`] into one simulation.
@@ -436,6 +420,11 @@ pub(crate) fn spawn_async_probe(
 /// A unit struct: [`ChainBuilder::build`] is the whole API. Identical
 /// [`DomainSpec`]s share a single clock net (so a "same domain" spec means
 /// the *same clock*, not two coincidentally aligned generators).
+///
+/// It is the crate's only chain elaborator: the sharded runner builds
+/// each shard with the same code on the shard's segment range, so a shard
+/// creates its nets, values and components in the order the whole-chain
+/// build does.
 #[derive(Debug)]
 pub struct ChainBuilder;
 
@@ -455,36 +444,57 @@ impl ChainBuilder {
         spec: &ChainSpec,
         backend: Backend,
     ) -> Result<BuiltChain, String> {
+        Self::elaborate(
+            sim,
+            spec,
+            0..spec.segments.len(),
+            MetaModel::hp06(),
+            backend,
+        )
+    }
+
+    /// Elaborates segments `range` of `spec` with metastability model
+    /// `meta`: their clocks and relay segments, the async head when the
+    /// range starts the chain, and every boundary design feeding a segment
+    /// in the range, each with its probe.
+    ///
+    /// A domain's clock net is `chain.clk{f}`, `f` its first segment; when
+    /// `f` lies before the range the net is an `xlink.clk{f}` replica. The
+    /// boundary into `range.start > 0` takes its put side from
+    /// `xlink.b{bd}.*` mirror nets ([`BuiltChain::cut_in`]). The outgoing
+    /// boundary is left to the caller.
+    pub(crate) fn elaborate(
+        sim: &mut Simulator,
+        spec: &ChainSpec,
+        range: Range<usize>,
+        meta: MetaModel,
+        backend: Backend,
+    ) -> Result<BuiltChain, String> {
         spec.validate()?;
         let params = spec.params();
+        let delays = CellDelays::hp06();
 
-        // One clock net per distinct domain.
         let mut domain_clk: HashMap<DomainSpec, NetId> = HashMap::new();
-        let mut seg_clks = Vec::with_capacity(spec.segments.len());
-        for (i, seg) in spec.segments.iter().enumerate() {
-            let clk = *domain_clk.entry(seg.domain).or_insert_with(|| {
-                let n = sim.net(format!("chain.clk{i}"));
-                ClockGen::builder(seg.domain.period)
-                    .phase(seg.domain.phase)
-                    .spawn(sim, n);
+        let mut clock = |sim: &mut Simulator, seg: usize| {
+            let dom = spec.segments[seg].domain;
+            *domain_clk.entry(dom).or_insert_with(|| {
+                let f = spec.segments.iter().position(|s| s.domain == dom);
+                let f = f.expect("own segment");
+                let prefix = if range.contains(&f) { "chain" } else { "xlink" };
+                let n = sim.net(format!("{prefix}.clk{f}"));
+                ClockGen::builder(dom.period).phase(dom.phase).spawn(sim, n);
                 n
-            });
-            seg_clks.push(clk);
-        }
+            })
+        };
+        let seg_clks: Vec<NetId> = range.clone().map(|i| clock(sim, i)).collect();
 
-        let chains: Vec<RelayChain> = spec
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(i, seg)| {
-                RelayChain::spawn(
-                    sim,
-                    &format!("chain.seg{i}"),
-                    seg_clks[i],
-                    spec.width,
-                    seg.stations,
-                    seg.wire_delay,
-                )
+        let chains: Vec<RelayChain> = range
+            .clone()
+            .zip(&seg_clks)
+            .map(|(i, &clk)| {
+                let seg = &spec.segments[i];
+                let name = format!("chain.seg{i}");
+                RelayChain::spawn(sim, &name, clk, spec.width, seg.stations, seg.wire_delay)
             })
             .collect();
 
@@ -493,8 +503,8 @@ impl ChainBuilder {
         // Optional async head: micropipeline → ASRS → first segment
         // (Fig. 14 of the paper).
         let mut async_in = None;
-        if let Some(stages) = spec.async_head {
-            let mut b = Builder::new(sim);
+        if let (0, Some(stages)) = (range.start, spec.async_head) {
+            let mut b = Builder::with_delays(sim, delays, meta);
             let ars = micropipeline(&mut b, stages, spec.width);
             let asrs = AsyncSyncRelayStation::build(&mut b, params, seg_clks[0]);
             let head_netlist = b.finish();
@@ -507,10 +517,14 @@ impl ChainBuilder {
             connect(sim, asrs.valid_get, chains[0].port.in_valid);
             connect_bus(sim, &asrs.data_get, &chains[0].port.in_data);
             connect(sim, chains[0].port.stop_out, asrs.stop_in);
-            probes.push(spawn_async_probe(
+            let put = ProbePut::Async {
+                ack: asrs.put_ack,
+                prev_ack: Logic::X,
+            };
+            probes.push(spawn_probe(
                 sim,
                 "async_sync_rs",
-                asrs.put_ack,
+                put,
                 seg_clks[0],
                 asrs.valid_get,
                 asrs.stop_in,
@@ -522,29 +536,53 @@ impl ChainBuilder {
             });
         }
 
-        for (i, name) in spec.boundaries.iter().enumerate() {
+        // Every boundary design whose get side is in the range, spliced
+        // with 1 ps repeaters.
+        let mut cut_in = None;
+        for bd in range.start.saturating_sub(1)..range.end - 1 {
+            let name = &spec.boundaries[bd];
             let design: &'static dyn MixedTimingDesign =
                 DesignRegistry::get(name).expect("validated");
-            let ports = splice_stream_design_with_backend(
-                sim,
-                design,
-                params,
-                seg_clks[i],
-                seg_clks[i + 1],
-                &chains[i].port,
-                &chains[i + 1].port,
-                backend,
+            let (clk_put, clk_get) = (clock(sim, bd), clock(sim, bd + 1));
+            let (ports, netlist) = build_stream_design_with_backend(
+                sim, design, params, clk_put, clk_get, delays, meta, backend,
             )?;
-            probes.push(spawn_stream_probe(
-                sim,
-                name,
-                seg_clks[i],
-                ports.valid_in.expect("stream put"),
-                ports.stop_out.expect("stream put"),
-                seg_clks[i + 1],
-                ports.valid_get.expect("stream get"),
-                ports.stop_in.expect("stream get"),
-            ));
+            let valid_in = ports.valid_in.expect("stream put");
+            let stop_out = ports.stop_out.expect("stream put");
+            let valid_get = ports.valid_get.expect("stream get");
+            let stop_in = ports.stop_in.expect("stream get");
+            let upstream = bd.checked_sub(range.start).map(|li| &chains[li].port);
+            let (valid_src, data_src) = match upstream {
+                Some(up) => (up.out_valid, up.out_data.clone()),
+                None => {
+                    let mv = sim.net(format!("xlink.b{bd}.valid"));
+                    let md = sim.bus(&format!("xlink.b{bd}.data"), spec.width);
+                    let mut pins = vec![(sim.driver(mv), mv)];
+                    pins.extend(md.iter().map(|&n| (sim.driver(n), n)));
+                    cut_in = Some(CutIn {
+                        pins,
+                        stop: stop_out,
+                        stop_delay: stop_launch_delay(&netlist, stop_out),
+                    });
+                    (mv, md)
+                }
+            };
+            connect(sim, valid_src, valid_in);
+            connect_bus(sim, &data_src, &ports.data_put);
+            if let Some(up) = upstream {
+                connect(sim, stop_out, up.stop_in);
+            }
+            let down = &chains[bd + 1 - range.start].port;
+            connect(sim, valid_get, down.in_valid);
+            connect_bus(sim, &ports.data_get, &down.in_data);
+            connect(sim, down.stop_out, stop_in);
+            let put = ProbePut::Stream {
+                clk: clk_put,
+                valid: valid_in,
+                stop: stop_out,
+                prev_clk: Logic::X,
+            };
+            probes.push(spawn_probe(sim, name, put, clk_get, valid_get, stop_in));
         }
 
         let first = &chains[0].port;
@@ -562,6 +600,9 @@ impl ChainBuilder {
             src_clk: seg_clks[0],
             sink_clk: seg_clks[seg_clks.len() - 1],
             probes,
+            cut_in,
+            has_source: range.start == 0,
+            has_sink: range.end == spec.segments.len(),
         })
     }
 }
@@ -585,6 +626,12 @@ pub struct BuiltChain {
     /// Clock of the last (sink-side) segment.
     pub sink_clk: NetId,
     probes: Vec<ProbeHandle>,
+    /// The mirrored put side of the boundary into the range's first
+    /// segment, when the range does not start the chain.
+    pub(crate) cut_in: Option<CutIn>,
+    /// Whether the range holds the chain's first / last segment.
+    has_source: bool,
+    has_sink: bool,
 }
 
 impl BuiltChain {
@@ -738,29 +785,45 @@ fn run_chain_impl(
     sanitize: bool,
     backend: Backend,
 ) -> Result<(ChainRun, Vec<mtf_sim::RaceHazard>), String> {
-    spec.validate()?;
     let mut sim = Simulator::new(drive.seed);
     if sanitize {
         sim.enable_race_sanitizer();
     }
     let built = ChainBuilder::build_with_backend(&mut sim, spec, backend)?;
+    let (src, sink) = spawn_endpoints(&mut sim, &built, drive);
+    sim.run_until(chain_horizon(spec, drive))
+        .map_err(|e| format!("{e:?}"))?;
+    let run = assemble_run(
+        &journal_pairs(src.as_ref()),
+        &journal_pairs(sink.as_ref()),
+        built.boundary_reports(),
+    );
+    Ok((run, sim.race_hazards()))
+}
 
-    let src_journal: OpJournal = match &built.async_in {
-        Some(a) => {
-            let ph = FourPhaseProducer::spawn(
-                &mut sim,
-                "chain.src",
-                a.req,
-                a.ack,
-                &a.data,
-                drive.items.clone(),
-                Time::from_ps(400),
-                Time::ZERO,
-            );
-            ph.journal().clone()
-        }
+/// Spawns the golden-queue source (a 4-phase producer on an async head)
+/// and sink per `drive` on whichever chain ends `built` holds, returning
+/// their journals.
+pub(crate) fn spawn_endpoints(
+    sim: &mut Simulator,
+    built: &BuiltChain,
+    drive: &ChainDrive,
+) -> (Option<OpJournal>, Option<OpJournal>) {
+    let src = built.has_source.then(|| match &built.async_in {
+        Some(a) => FourPhaseProducer::spawn(
+            sim,
+            "chain.src",
+            a.req,
+            a.ack,
+            &a.data,
+            drive.items.clone(),
+            Time::from_ps(400),
+            Time::ZERO,
+        )
+        .journal()
+        .clone(),
         None => PacketSource::spawn(
-            &mut sim,
+            sim,
             "chain.src",
             built.src_clk,
             built.port.in_valid,
@@ -768,52 +831,62 @@ fn run_chain_impl(
             built.port.stop_out,
             drive.items.iter().map(|&v| Some(v)).collect(),
         ),
-    };
-    let sink_journal = PacketSink::spawn(
-        &mut sim,
-        "chain.sink",
-        built.sink_clk,
-        &built.port.out_data,
-        built.port.out_valid,
-        built.port.stop_in,
-        drive.stalls.clone(),
-    );
+    });
+    let sink = built.has_sink.then(|| {
+        PacketSink::spawn(
+            sim,
+            "chain.sink",
+            built.sink_clk,
+            &built.port.out_data,
+            built.port.out_valid,
+            built.port.stop_in,
+            drive.stalls.clone(),
+        )
+    });
+    (src, sink)
+}
 
-    let horizon = chain_horizon(spec, drive);
-    sim.run_until(horizon).map_err(|e| format!("{e:?}"))?;
+/// A journal as `(value, time in ps)` pairs; empty when absent.
+pub(crate) fn journal_pairs(journal: Option<&OpJournal>) -> Vec<(u64, u64)> {
+    journal.map_or_else(Vec::new, |j| {
+        j.values()
+            .into_iter()
+            .zip(j.times())
+            .map(|(v, t)| (v, t.as_ps()))
+            .collect()
+    })
+}
 
-    let sent = src_journal.values();
-    let delivered = sink_journal.values();
-    let pairs = sent.len().min(delivered.len());
-    let mut min_latency = Time::ZERO;
-    let mut max_latency = Time::ZERO;
-    for i in 0..pairs {
-        let dt = sink_journal.time_of(i).expect("paired") - src_journal.time_of(i).expect("paired");
-        if i == 0 || dt < min_latency {
-            min_latency = dt;
-        }
-        if dt > max_latency {
-            max_latency = dt;
-        }
+/// Measures a run from its source and sink `(value, time in ps)` pairs:
+/// per-item latency pairs the i-th accept with the i-th delivery, and
+/// throughput discards the first quarter of deliveries as warm-up.
+pub(crate) fn assemble_run(
+    sent: &[(u64, u64)],
+    delivered: &[(u64, u64)],
+    boundaries: Vec<BoundaryReport>,
+) -> ChainRun {
+    let latencies: Vec<Time> = sent
+        .iter()
+        .zip(delivered)
+        .map(|(&(_, s), &(_, d))| Time::from_ps(d) - Time::from_ps(s))
+        .collect();
+    let sink = OpJournal::new();
+    for &(v, t) in delivered {
+        sink.push(Time::from_ps(t), v);
     }
-    let throughput_hz = sink_journal.ops_per_second(delivered.len() / 4);
     let report = ChainReport {
         sent: sent.len() as u64,
         delivered: delivered.len() as u64,
-        min_latency,
-        max_latency,
-        throughput_hz,
-        boundaries: built.boundary_reports(),
+        min_latency: latencies.iter().copied().min().unwrap_or(Time::ZERO),
+        max_latency: latencies.iter().copied().max().unwrap_or(Time::ZERO),
+        throughput_hz: sink.ops_per_second(delivered.len() / 4),
+        boundaries,
     };
-    let hazards = sim.race_hazards();
-    Ok((
-        ChainRun {
-            sent,
-            delivered,
-            report,
-        },
-        hazards,
-    ))
+    ChainRun {
+        sent: sent.iter().map(|&(v, _)| v).collect(),
+        delivered: delivered.iter().map(|&(v, _)| v).collect(),
+        report,
+    }
 }
 
 /// The analytically predicted end-to-end latency band for an uncontended

@@ -15,10 +15,12 @@
 //!
 //! This module closes that gap statically. [`audit_chain_lookahead`]
 //! re-plans the same cuts as the sharded runner, elaborates each
-//! boundary design exactly as `build_shard` does (same builder, same
-//! delays, same ideal metastability model — nothing runs), and proves
-//! with the min-delay analysis of [`mtf_timing::Sta`] that every
-//! claimed launch delay equals the netlist's true launch window:
+//! boundary design as a shard's [`ChainBuilder`](crate::ChainBuilder)
+//! does (same builder, same delays, same ideal metastability model —
+//! nothing runs), reads the claim through the runner's own
+//! `stop_launch_delay`, and proves with the min-delay analysis of
+//! [`mtf_timing::Sta`] that every claimed launch delay equals the
+//! netlist's true launch window:
 //!
 //! * **backward cuts** (gate-level designs): `stop_out` must have a
 //!   single edge-triggered driver clocked directly by the upstream
@@ -65,7 +67,7 @@ pub struct CutAudit {
     /// upstream).
     pub direction: &'static str,
     /// The launch delay the sharded runner would claim for this cut, in
-    /// picoseconds (what `build_shard` puts in its `LinkLaunch`).
+    /// picoseconds (what the runner puts in the cut's `LinkLaunch`).
     pub claimed_ps: u64,
     /// The netlist's true launch window `(earliest, latest)` in
     /// picoseconds — `None` for behavioural contracts with no gates to
@@ -188,10 +190,10 @@ pub fn registered_launch_exact(
     Ok(())
 }
 
-/// One boundary design, elaborated standalone exactly as `build_shard`
-/// would (same builder, [`CellDelays::hp06`], [`MetaModel::ideal`],
-/// nothing runs), with its claimed backward-cut delay read off the same
-/// way.
+/// One boundary design, elaborated standalone as a shard's
+/// [`ChainBuilder`](crate::ChainBuilder) would (same builder,
+/// [`CellDelays::hp06`], [`MetaModel::ideal`], nothing runs), with its
+/// claimed backward-cut delay from [`stop_launch_delay`].
 struct BoundaryElab {
     netlist: Netlist,
     clk_put: NetId,
@@ -216,19 +218,25 @@ fn elaborate_boundary(design: &'static dyn MixedTimingDesign, spec: &ChainSpec) 
     )
     .expect("validated stream design");
     let stop_out = ports.stop_out.expect("stream put");
-    // The exact expression build_shard uses for its LinkLaunch delay.
-    let claimed = netlist
-        .drivers_of(stop_out)
-        .next()
-        .map(|(id, _)| netlist.delay_of(id))
-        .unwrap_or(RS_CQ);
     BoundaryElab {
+        claimed: stop_launch_delay(&netlist, stop_out),
         netlist,
         clk_put,
         clk_get,
         stop_out,
-        claimed,
     }
+}
+
+/// The launch delay a backward cut claims for a boundary design's
+/// `stop_out`, registered on the upstream clock: the clock-to-Q of its
+/// netlist driver (the synchronizer flop of a gate-level design), else
+/// [`RS_CQ`] — the behavioural `sync_rs` has no netlist driver and
+/// launches `RS_CQ` after its edge.
+pub(crate) fn stop_launch_delay(netlist: &Netlist, stop_out: NetId) -> Time {
+    netlist
+        .drivers_of(stop_out)
+        .next()
+        .map_or(RS_CQ, |(id, _)| netlist.delay_of(id))
 }
 
 /// Statically audits every cut the sharded runner would make when asked
@@ -260,8 +268,8 @@ pub fn audit_chain_lookahead(spec: &ChainSpec, requested: usize) -> Result<Looka
 
         // Forward cut: the upstream tail relay station's valid/data.
         // Relay stations are behavioural; their contract drives outputs
-        // exactly RS_CQ after each rising edge, and build_shard claims
-        // exactly RS_CQ.
+        // exactly RS_CQ after each rising edge, and the sharded runner
+        // claims exactly RS_CQ.
         cuts.push(CutAudit {
             boundary: bd,
             design: name.clone(),

@@ -36,7 +36,7 @@
 //! ## Determinism
 //!
 //! The sharded run must reproduce the single-shard run exactly, for any
-//! shard count. Three mechanisms make that hold:
+//! shard count. Four mechanisms make that hold:
 //!
 //! * **Lockstep rounds** — each shard consumes exactly one message per
 //!   in-link per round, so the sequence of targets, the batches of
@@ -44,12 +44,19 @@
 //!   are pure functions of the shard graph — wall-clock arrival order
 //!   never matters.
 //! * **Replicated clocks** — a shard that needs a remote domain's clock
-//!   instantiates its own [`ClockGen`] copy (deterministic schedule,
-//!   identical edges) instead of importing edges as events.
+//!   instantiates its own [`ClockGen`](mtf_sim::ClockGen) copy
+//!   (deterministic schedule, identical edges) instead of importing edges
+//!   as events.
 //! * **RNG-free elaboration** — gate-level boundary designs are built
 //!   with [`MetaModel::ideal`] at *every* shard count (including one),
 //!   so no shard ever consults its seeded RNG and per-shard RNG state
 //!   cannot diverge from the single-simulator state.
+//! * **One elaborator** — each shard is built by [`ChainBuilder`] on its
+//!   segment range, the code that builds whole chains for
+//!   [`run_chain`](crate::run_chain), so a shard creates its nets,
+//!   values and components in the whole-chain order restricted to its
+//!   range. This module adds only the cut I/O, the outgoing `stop`
+//!   mirror and the merge.
 //!
 //! The merged observable state is captured as a [`ChainFingerprint`]:
 //! per-net toggle counts (cut-mirror nets and replicated clocks
@@ -58,26 +65,19 @@
 //! per-boundary probe reports. `tests/sharded_determinism.rs` gates that
 //! fingerprints at `--shards {2,4,8}` equal `--shards 1` byte for byte.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
-use mtf_async::{micropipeline, FourPhaseProducer, OpJournal};
-use mtf_core::design::DesignRegistry;
-use mtf_core::env::{PacketSink, PacketSource};
-use mtf_core::{AsyncSyncRelayStation, FifoParams, MixedTimingDesign, RS_CQ};
-use mtf_gates::{install_compiled, CellDelays};
+use mtf_core::RS_CQ;
 use mtf_sim::{
-    run_sharded, Backend, ClockGen, ClockSchedule, ExportSpec, ImportSpec, LinkDef, LinkLaunch,
-    MetaModel, NetId, ShardIo, ShardPlan, ShardSpec, ShardStats, Simulator, Time,
+    run_sharded, Backend, ClockSchedule, ExportSpec, ImportSpec, LinkDef, LinkLaunch, MetaModel,
+    NetId, ShardIo, ShardPlan, ShardSpec, ShardStats, Simulator,
 };
 
 use crate::chain::{
-    chain_horizon, spawn_async_probe, spawn_stream_probe, BoundaryReport, ChainDrive, ChainReport,
-    ChainRun, ChainSpec, DomainSpec, ProbeHandle,
+    assemble_run, chain_horizon, journal_pairs, spawn_endpoints, BoundaryReport, ChainBuilder,
+    ChainDrive, ChainRun, ChainSpec, DomainSpec,
 };
-use mtf_gates::Builder;
-
-use crate::{build_stream_design_with_backend, connect, connect_bus, RelayChain};
+use crate::connect;
 
 /// Everything observable about a chain run, in canonical order, for
 /// byte-for-byte comparison across shard counts.
@@ -164,18 +164,6 @@ pub fn plan_chain_shards(spec: &ChainSpec, requested: usize) -> Vec<Range<usize>
         .collect()
 }
 
-/// What one shard reports back from its worker thread.
-struct Outcome {
-    toggles: Vec<(String, u64)>,
-    violations: Vec<String>,
-    /// `(value, time in ps)` pairs, present on the shard owning the source.
-    sent: Option<Vec<(u64, u64)>>,
-    /// Same, for the shard owning the sink.
-    delivered: Option<Vec<(u64, u64)>>,
-    /// `(flow-order key, report)` — async head is key 0, boundary `i` is `i + 1`.
-    boundaries: Vec<(usize, BoundaryReport)>,
-}
-
 fn schedule_of(dom: DomainSpec) -> ClockSchedule {
     ClockSchedule {
         phase: dom.phase,
@@ -183,253 +171,54 @@ fn schedule_of(dom: DomainSpec) -> ClockSchedule {
     }
 }
 
-/// Creates (or returns) this shard's net for `dom`'s clock. The shard
-/// containing the domain's first *global* segment owns the canonical
-/// `chain.clk{i}` net; every other shard runs an `xlink.clk{i}` replica
-/// with the identical schedule, excluded from the fingerprint.
-fn clock_for(
-    sim: &mut Simulator,
-    clks: &mut HashMap<DomainSpec, NetId>,
-    first_seg: &HashMap<DomainSpec, usize>,
-    range: &Range<usize>,
-    dom: DomainSpec,
-) -> NetId {
-    if let Some(&n) = clks.get(&dom) {
-        return n;
-    }
-    let f = first_seg[&dom];
-    let name = if range.contains(&f) {
-        format!("chain.clk{f}")
-    } else {
-        format!("xlink.clk{f}")
-    };
-    let n = sim.net(name);
-    ClockGen::builder(dom.period).phase(dom.phase).spawn(sim, n);
-    clks.insert(dom, n);
-    n
-}
-
-/// Elaborates shard `g` (segments `range`) of `spec` into `sim` and
-/// describes its cut I/O. Mirrors `ChainBuilder::build`'s naming and
-/// ordering exactly, except that gate-level boundary designs use
-/// [`MetaModel::ideal`] (see module docs) and cut boundaries exchange
-/// their stream nets through the shard engine instead of local wires.
-#[allow(clippy::too_many_arguments)]
+/// Elaborates shard `g` (segments `range`) of `spec` into `sim` through
+/// [`ChainBuilder`] under [`MetaModel::ideal`] (see module docs), then adds
+/// what is specific to a shard: the cut I/O of the incoming boundary the
+/// builder mirrored, the outgoing boundary's `stop` mirror, and the
+/// finisher that reports this shard's share of the [`ChainFingerprint`].
 fn build_shard(
     sim: &mut Simulator,
     spec: &ChainSpec,
     drive: &ChainDrive,
     g: usize,
     range: Range<usize>,
-    is_last: bool,
     backend: Backend,
-) -> ShardPlan<Outcome> {
-    let params: FifoParams = spec.params();
-    let delays = CellDelays::hp06();
-    let meta = MetaModel::ideal();
-
-    let mut first_seg: HashMap<DomainSpec, usize> = HashMap::new();
-    for (i, seg) in spec.segments.iter().enumerate() {
-        first_seg.entry(seg.domain).or_insert(i);
-    }
-    let mut clks: HashMap<DomainSpec, NetId> = HashMap::new();
-
-    // Clocks first, then segments — same order as ChainBuilder::build.
-    let seg_clks: Vec<NetId> = range
-        .clone()
-        .map(|i| clock_for(sim, &mut clks, &first_seg, &range, spec.segments[i].domain))
-        .collect();
-    let chains: Vec<RelayChain> = range
-        .clone()
-        .map(|i| {
-            let seg = &spec.segments[i];
-            RelayChain::spawn(
-                sim,
-                &format!("chain.seg{i}"),
-                seg_clks[i - range.start],
-                spec.width,
-                seg.stations,
-                seg.wire_delay,
-            )
-        })
-        .collect();
-
-    let mut probes: Vec<(usize, ProbeHandle)> = Vec::new();
+) -> ShardPlan<ChainFingerprint> {
+    let built = ChainBuilder::elaborate(sim, spec, range.clone(), MetaModel::ideal(), backend)
+        .expect("validated");
     let mut io = ShardIo::default();
 
-    // Optional async head, only ever in shard 0.
-    let mut async_in = None;
-    if g == 0 {
-        if let Some(stages) = spec.async_head {
-            let mut b = Builder::with_delays(sim, delays, meta);
-            let ars = micropipeline(&mut b, stages, spec.width);
-            let asrs = AsyncSyncRelayStation::build(&mut b, params, seg_clks[0]);
-            let head_netlist = b.finish();
-            if backend == Backend::Compiled {
-                install_compiled(sim, &head_netlist, "compiled.async_head");
-            }
-            connect(sim, ars.req_out, asrs.put_req);
-            connect_bus(sim, &ars.data_out, &asrs.put_data);
-            connect(sim, asrs.put_ack, ars.ack_out);
-            connect(sim, asrs.valid_get, chains[0].port.in_valid);
-            connect_bus(sim, &asrs.data_get, &chains[0].port.in_data);
-            connect(sim, chains[0].port.stop_out, asrs.stop_in);
-            probes.push((
-                0,
-                spawn_async_probe(
-                    sim,
-                    "async_sync_rs",
-                    asrs.put_ack,
-                    seg_clks[0],
-                    asrs.valid_get,
-                    asrs.stop_in,
-                ),
-            ));
-            async_in = Some((ars.req_in, ars.ack_in, ars.data_in.clone()));
-        }
-    }
-
-    // Incoming cut boundary: design `range.start - 1` lives here, fed by
-    // mirror nets that replay the upstream tail station's outputs.
-    if range.start > 0 {
-        let bd = range.start - 1;
-        let up_dom = spec.segments[bd].domain;
-        let clk_put = clock_for(sim, &mut clks, &first_seg, &range, up_dom);
-        let clk_get = seg_clks[0];
-        let name = &spec.boundaries[bd];
-        let design: &'static dyn MixedTimingDesign = DesignRegistry::get(name).expect("validated");
-        let (ports, netlist) = build_stream_design_with_backend(
-            sim, design, params, clk_put, clk_get, delays, meta, backend,
-        )
-        .expect("validated");
-
-        let mv = sim.net(format!("xlink.b{bd}.valid"));
-        let md = sim.bus(&format!("xlink.b{bd}.data"), spec.width);
-        let mv_drv = sim.driver(mv);
-        let md_drvs: Vec<_> = md.iter().map(|&n| sim.driver(n)).collect();
-        connect(sim, mv, ports.valid_in.expect("stream put"));
-        connect_bus(sim, &md, &ports.data_put);
-        connect(
-            sim,
-            ports.valid_get.expect("stream get"),
-            chains[0].port.in_valid,
-        );
-        connect_bus(sim, &ports.data_get, &chains[0].port.in_data);
-        connect(
-            sim,
-            chains[0].port.stop_out,
-            ports.stop_in.expect("stream get"),
-        );
-        probes.push((
-            bd + 1,
-            spawn_stream_probe(
-                sim,
-                name,
-                clk_put,
-                ports.valid_in.expect("stream put"),
-                ports.stop_out.expect("stream put"),
-                clk_get,
-                ports.valid_get.expect("stream get"),
-                ports.stop_in.expect("stream get"),
-            ),
-        ));
-
-        // Backward cut: the design's stop_out, registered on the upstream
-        // clock. Gate-level designs put a synchronizer flop there — read
-        // its exact clock-to-Q from the netlist; the behavioural sync_rs
-        // has no netlist driver and launches RS_CQ after its edge.
-        let stop = ports.stop_out.expect("stream put");
-        let stop_delay = netlist
-            .drivers_of(stop)
-            .next()
-            .map(|(id, _)| netlist.delay_of(id))
-            .unwrap_or(RS_CQ);
+    // Incoming cut: export the boundary design's stop_out upstream,
+    // import the upstream tail's valid/data onto the mirror nets.
+    if let Some(cut) = &built.cut_in {
         io.exports.push(ExportSpec {
             link: 2 * (g - 1) + 1,
-            nets: vec![stop],
+            nets: vec![cut.stop],
             launches: vec![LinkLaunch {
-                schedule: schedule_of(up_dom),
-                delay: stop_delay,
+                schedule: schedule_of(spec.segments[range.start - 1].domain),
+                delay: cut.stop_delay,
             }],
         });
-        let mut pins = vec![(mv_drv, mv)];
-        pins.extend(md_drvs.iter().copied().zip(md.iter().copied()));
         io.imports.push(ImportSpec {
             link: 2 * (g - 1),
-            pins,
+            pins: cut.pins.clone(),
         });
-    }
-
-    // Boundaries wholly inside this shard: the ordinary splice, with the
-    // ideal metastability model.
-    for bd in range.start..range.end.saturating_sub(1) {
-        let li = bd - range.start;
-        let name = &spec.boundaries[bd];
-        let design: &'static dyn MixedTimingDesign = DesignRegistry::get(name).expect("validated");
-        let (ports, _netlist) = build_stream_design_with_backend(
-            sim,
-            design,
-            params,
-            seg_clks[li],
-            seg_clks[li + 1],
-            delays,
-            meta,
-            backend,
-        )
-        .expect("validated");
-        connect(
-            sim,
-            chains[li].port.out_valid,
-            ports.valid_in.expect("stream put"),
-        );
-        connect_bus(sim, &chains[li].port.out_data, &ports.data_put);
-        connect(
-            sim,
-            ports.stop_out.expect("stream put"),
-            chains[li].port.stop_in,
-        );
-        connect(
-            sim,
-            ports.valid_get.expect("stream get"),
-            chains[li + 1].port.in_valid,
-        );
-        connect_bus(sim, &ports.data_get, &chains[li + 1].port.in_data);
-        connect(
-            sim,
-            chains[li + 1].port.stop_out,
-            ports.stop_in.expect("stream get"),
-        );
-        probes.push((
-            bd + 1,
-            spawn_stream_probe(
-                sim,
-                name,
-                seg_clks[li],
-                ports.valid_in.expect("stream put"),
-                ports.stop_out.expect("stream put"),
-                seg_clks[li + 1],
-                ports.valid_get.expect("stream get"),
-                ports.stop_in.expect("stream get"),
-            ),
-        ));
     }
 
     // Outgoing cut: export the tail station's stream outputs, import the
     // next shard's stop through a mirror net.
-    if !is_last {
+    if range.end < spec.segments.len() {
         let bd = range.end - 1;
-        let tail = chains.last().expect("non-empty").port.clone();
         let ms = sim.net(format!("xlink.b{bd}.stop"));
         let ms_drv = sim.driver(ms);
-        connect(sim, ms, tail.stop_in);
-        let mut nets = vec![tail.out_valid];
-        nets.extend(tail.out_data.iter().copied());
-        let dom = spec.segments[range.end - 1].domain;
+        connect(sim, ms, built.port.stop_in);
+        let mut nets = vec![built.port.out_valid];
+        nets.extend(built.port.out_data.iter().copied());
         io.exports.push(ExportSpec {
             link: 2 * g,
             nets,
             launches: vec![LinkLaunch {
-                schedule: schedule_of(dom),
+                schedule: schedule_of(spec.segments[bd].domain),
                 delay: RS_CQ,
             }],
         });
@@ -439,76 +228,19 @@ fn build_shard(
         });
     }
 
-    // Source on the first shard, sink on the last — same spawns as
-    // run_chain.
-    let src_journal: Option<OpJournal> = if g == 0 {
-        Some(match &async_in {
-            Some((req, ack, data)) => FourPhaseProducer::spawn(
-                sim,
-                "chain.src",
-                *req,
-                *ack,
-                data,
-                drive.items.clone(),
-                Time::from_ps(400),
-                Time::ZERO,
-            )
-            .journal()
-            .clone(),
-            None => PacketSource::spawn(
-                sim,
-                "chain.src",
-                seg_clks[0],
-                chains[0].port.in_valid,
-                &chains[0].port.in_data,
-                chains[0].port.stop_out,
-                drive.items.iter().map(|&v| Some(v)).collect(),
-            ),
-        })
-    } else {
-        None
-    };
-    let sink_journal: Option<OpJournal> = if is_last {
-        let tail = &chains.last().expect("non-empty").port;
-        Some(PacketSink::spawn(
-            sim,
-            "chain.sink",
-            *seg_clks.last().expect("non-empty"),
-            &tail.out_data,
-            tail.out_valid,
-            tail.stop_in,
-            drive.stalls.clone(),
-        ))
-    } else {
-        None
-    };
-
+    let (src, sink) = spawn_endpoints(sim, &built, drive);
     ShardPlan {
         io,
-        finish: Box::new(move |sim| {
-            let journal_pairs = |j: &OpJournal| -> Vec<(u64, u64)> {
-                j.values()
-                    .into_iter()
-                    .zip(j.times())
-                    .map(|(v, t)| (v, t.as_ps()))
-                    .collect()
-            };
-            let mut toggles = Vec::with_capacity(sim.net_count());
-            for i in 0..sim.net_count() {
-                let net = NetId::from_index(i);
-                let name = sim.net_name(net);
-                if name.starts_with("xlink.") {
-                    continue;
-                }
-                toggles.push((name.to_string(), sim.toggles(net)));
-            }
-            Outcome {
-                toggles,
-                violations: sim.violations().iter().map(|v| v.to_string()).collect(),
-                sent: src_journal.as_ref().map(&journal_pairs),
-                delivered: sink_journal.as_ref().map(&journal_pairs),
-                boundaries: probes.iter().map(|(k, p)| (*k, p.report())).collect(),
-            }
+        finish: Box::new(move |sim| ChainFingerprint {
+            toggles: (0..sim.net_count())
+                .map(NetId::from_index)
+                .filter(|&net| !sim.net_name(net).starts_with("xlink."))
+                .map(|net| (sim.net_name(net).to_string(), sim.toggles(net)))
+                .collect(),
+            violations: sim.violations().iter().map(|v| v.to_string()).collect(),
+            sent: journal_pairs(src.as_ref()),
+            delivered: journal_pairs(sink.as_ref()),
+            boundaries: built.boundary_reports(),
         }),
     }
 }
@@ -556,87 +288,47 @@ pub fn run_chain_sharded_with_backend(
         links.push(LinkDef { from: g, to: g - 1 });
     }
 
-    let horizon = chain_horizon(spec, drive);
-    let mut shard_specs = Vec::with_capacity(e);
-    for (g, range) in groups.iter().enumerate() {
-        let spec = spec.clone();
-        let drive = drive.clone();
-        let range = range.clone();
-        let is_last = g == e - 1;
-        shard_specs.push(ShardSpec {
-            seed: drive.seed,
-            setup: Box::new(move |sim| build_shard(sim, &spec, &drive, g, range, is_last, backend)),
-        });
-    }
+    let shard_specs = groups
+        .iter()
+        .enumerate()
+        .map(|(g, range)| {
+            let (spec, drive, range) = (spec.clone(), drive.clone(), range.clone());
+            ShardSpec {
+                seed: drive.seed,
+                setup: Box::new(move |sim| build_shard(sim, &spec, &drive, g, range, backend)),
+            }
+        })
+        .collect();
+    let results = run_sharded(shard_specs, &links, chain_horizon(spec, drive))
+        .map_err(|err| format!("{err:?}"))?;
 
-    let results = run_sharded(shard_specs, &links, horizon).map_err(|err| format!("{err:?}"))?;
-
-    let mut toggles = Vec::new();
-    let mut violations = Vec::new();
-    let mut sent_pairs = Vec::new();
-    let mut delivered_pairs = Vec::new();
-    let mut keyed_boundaries = Vec::new();
+    // Shards hold contiguous segment ranges in flow order, and exactly one
+    // holds the source (sink), so concatenation merges every part.
+    let mut fingerprint = ChainFingerprint {
+        toggles: Vec::new(),
+        violations: Vec::new(),
+        sent: Vec::new(),
+        delivered: Vec::new(),
+        boundaries: Vec::new(),
+    };
     let mut shard_stats = Vec::with_capacity(e);
-    for (outcome, stats) in results {
-        toggles.extend(outcome.toggles);
-        violations.extend(outcome.violations);
-        if let Some(s) = outcome.sent {
-            sent_pairs = s;
-        }
-        if let Some(d) = outcome.delivered {
-            delivered_pairs = d;
-        }
-        keyed_boundaries.extend(outcome.boundaries);
+    for (part, stats) in results {
+        fingerprint.toggles.extend(part.toggles);
+        fingerprint.violations.extend(part.violations);
+        fingerprint.sent.extend(part.sent);
+        fingerprint.delivered.extend(part.delivered);
+        fingerprint.boundaries.extend(part.boundaries);
         shard_stats.push(stats);
     }
-    toggles.sort();
-    violations.sort();
-    keyed_boundaries.sort_by_key(|&(k, _)| k);
-    let boundaries: Vec<BoundaryReport> = keyed_boundaries.into_iter().map(|(_, b)| b).collect();
-
-    let sent: Vec<u64> = sent_pairs.iter().map(|&(v, _)| v).collect();
-    let delivered: Vec<u64> = delivered_pairs.iter().map(|&(v, _)| v).collect();
-    let pairs = sent.len().min(delivered.len());
-    let mut min_latency = Time::ZERO;
-    let mut max_latency = Time::ZERO;
-    for i in 0..pairs {
-        let dt = Time::from_ps(delivered_pairs[i].1) - Time::from_ps(sent_pairs[i].1);
-        if i == 0 || dt < min_latency {
-            min_latency = dt;
-        }
-        if dt > max_latency {
-            max_latency = dt;
-        }
-    }
-    // Rebuild the sink journal so throughput uses the same estimator as
-    // run_chain.
-    let sink_journal = OpJournal::new();
-    for &(v, t) in &delivered_pairs {
-        sink_journal.push(Time::from_ps(t), v);
-    }
-    let throughput_hz = sink_journal.ops_per_second(delivered.len() / 4);
-
-    let report = ChainReport {
-        sent: sent.len() as u64,
-        delivered: delivered.len() as u64,
-        min_latency,
-        max_latency,
-        throughput_hz,
-        boundaries: boundaries.clone(),
-    };
+    fingerprint.toggles.sort();
+    fingerprint.violations.sort();
     Ok(ShardedChainRun {
-        run: ChainRun {
-            sent,
-            delivered,
-            report,
-        },
-        fingerprint: ChainFingerprint {
-            toggles,
-            violations,
-            sent: sent_pairs,
-            delivered: delivered_pairs,
-            boundaries,
-        },
+        run: assemble_run(
+            &fingerprint.sent,
+            &fingerprint.delivered,
+            fingerprint.boundaries.clone(),
+        ),
+        fingerprint,
         shard_stats,
         shards: e,
     })
