@@ -5,13 +5,16 @@
 //! cargo run -p mtf-bench --bin export_verilog --release [-- <capacity> <width>]
 //! ```
 //!
+//! Both positionals default to 8. A non-numeric or unbuildable point
+//! prints one line on stderr and exits 2 without writing a file.
+//!
 //! The export loop iterates the design registry: any design registered in
 //! [`DesignRegistry::paper`] is exported with a port list derived from its
 //! interface specs — clocks first, then the put side, then the get side.
 //! `--json` emits one structured [`ExperimentReport`] (files are still
 //! written).
 
-use mtf_bench::args::Args;
+use mtf_bench::args::{ArgError, Args};
 use mtf_bench::harness::Harness;
 use mtf_bench::json::Json;
 use mtf_bench::report::{DesignEntry, ExperimentReport};
@@ -91,12 +94,25 @@ fn port_list(ports: &DesignPorts) -> Vec<Port> {
     v
 }
 
+/// The `i`-th positional as a number, `default` when absent. A malformed
+/// value exits the program ([`ArgError::exit`]) before anything is
+/// written.
+fn positional_usize(args: &Args, i: usize, what: &str, default: usize) -> usize {
+    match args.positional(i) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| ArgError(format!("{what} wants a number, got {v:?}")).exit()),
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let json = args.json();
-    let capacity: usize = args.positional(0).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let width: usize = args.positional(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let params = FifoParams::new(capacity, width);
+    let capacity = positional_usize(&args, 0, "capacity", 8);
+    let width = positional_usize(&args, 1, "width", 8);
+    let params =
+        FifoParams::try_new(capacity, width).unwrap_or_else(|e| ArgError(e.to_string()).exit());
     if !json {
         println!("exporting {params} designs as structural Verilog:");
     }

@@ -1,13 +1,20 @@
 //! Bad command-line values end in one line on stderr and exit status 2
 //! (bad usage), never in a panic (status 101) or a half-written report.
 
+use std::path::Path;
 use std::process::Command;
 
 /// Runs `bin` with `args` and returns its stderr, asserting exit status 2,
 /// an empty stdout and a single stderr line.
 fn usage_error(bin: &str, args: &[&str]) -> String {
+    usage_error_in(bin, args, Path::new("."))
+}
+
+/// [`usage_error`], run in the working directory `dir`.
+fn usage_error_in(bin: &str, args: &[&str], dir: &Path) -> String {
     let out = Command::new(bin)
         .args(args)
+        .current_dir(dir)
         .output()
         .unwrap_or_else(|e| panic!("{bin} runs: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -63,4 +70,21 @@ fn lint_and_timing_reject_unbuildable_points() {
     assert!(e.contains("capacity must be at least 3 (got 2)"), "{e}");
     let e = usage_error(env!("CARGO_BIN_EXE_timing"), &["--width", "0"]);
     assert!(e.contains("width must be in 1..=63 (got 0)"), "{e}");
+}
+
+#[test]
+fn export_verilog_rejects_bad_positionals_without_writing() {
+    for (args, expect) in [
+        (["2", "8"], "capacity must be at least 3 (got 2)"),
+        (["8", "0"], "width must be in 1..=63 (got 0)"),
+        (["abc", "8"], "capacity wants a number, got \"abc\""),
+    ] {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("export_{}", args.join("_")));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let e = usage_error_in(env!("CARGO_BIN_EXE_export_verilog"), &args, &dir);
+        assert!(e.contains(expect), "{args:?}: {e}");
+        let written = std::fs::read_dir(&dir).expect("list scratch dir").count();
+        assert_eq!(written, 0, "{args:?} wrote files");
+        std::fs::remove_dir(&dir).expect("remove scratch dir");
+    }
 }

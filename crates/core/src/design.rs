@@ -5,26 +5,29 @@
 //! put/get interfaces; this module makes that interchangeability a type.
 //! Each design (the six paper designs, the four related-work baselines
 //! in [`baseline`](crate::baseline), and Carloni's single-clock relay
-//! station) implements [`MixedTimingDesign`]:
+//! station) is one [`Design`] row implementing [`MixedTimingDesign`]:
 //! a constructor that takes whatever clocks the design declares it needs
 //! ([`Clocking`]) and returns a [`DesignPorts`] naming every external net
 //! under one scheme, plus metadata describing each interface's protocol
 //! ([`InterfaceSpec`]).
 //!
-//! On top of the trait sits the [`DesignRegistry`] — a string/enum →
+//! On top of the rows sits the [`DesignRegistry`] — a string/enum →
 //! design table that experiment harnesses iterate instead of hand-wiring
 //! concrete types, so a new design is measured, conformance-tested and
-//! exported the moment it is registered.
+//! exported the moment it is registered. Static analyses elaborate a
+//! design through [`elaborate`], the one place that builds a design with
+//! no clocks running.
 //!
 //! The nine gate-level designs build through [`Builder`]; the Seizovic
 //! baseline and the Carloni relay station are behavioural (they spawn
 //! simulator components) and reach the simulator through
 //! [`Builder::sim`], so the trait covers them too.
 
-use mtf_gates::Builder;
-use mtf_sim::NetId;
+use mtf_gates::{Builder, Netlist};
+use mtf_sim::{NetId, Simulator};
 
 use crate::baseline::{GrayPointerFifo, PerCellSyncFifo, SeizovicFifo, ShiftRegisterFifo};
+use crate::waivers::{LintWaiver, ASYNC_SYNC_WAIVERS, MIXED_CLOCK_WAIVERS, PER_CELL_SYNC_WAIVERS};
 use crate::{
     AsyncAsyncFifo, AsyncSyncFifo, AsyncSyncRelayStation, FifoParams, MixedClockFifo,
     MixedClockRelayStation, SyncAsyncFifo, SyncRelayStation,
@@ -61,11 +64,6 @@ impl InterfaceSpec {
             | InterfaceSpec::SyncStream { width }
             | InterfaceSpec::Async4Phase { width } => width,
         }
-    }
-
-    /// True for the two clocked protocols.
-    pub fn is_clocked(self) -> bool {
-        !matches!(self, InterfaceSpec::Async4Phase { .. })
     }
 
     /// A short human label ("sync-fifo", "stream", "async-4ph").
@@ -118,43 +116,15 @@ pub struct ClockInputs {
 }
 
 impl ClockInputs {
-    /// Both clocks.
-    pub fn both(clk_put: NetId, clk_get: NetId) -> Self {
-        ClockInputs {
-            clk_put: Some(clk_put),
-            clk_get: Some(clk_get),
-        }
+    /// The put-slot clock. [`Design`]'s `build` has already checked it
+    /// against the row's [`Clocking`].
+    fn put_net(self) -> NetId {
+        self.clk_put.expect("put-side clock net")
     }
 
-    /// Only the put-side clock.
-    pub fn put(clk_put: NetId) -> Self {
-        ClockInputs {
-            clk_put: Some(clk_put),
-            clk_get: None,
-        }
-    }
-
-    /// Only the get-side clock.
-    pub fn get(clk_get: NetId) -> Self {
-        ClockInputs {
-            clk_put: None,
-            clk_get: Some(clk_get),
-        }
-    }
-
-    /// No clocks.
-    pub fn none() -> Self {
-        ClockInputs::default()
-    }
-
-    fn require_put(&self, who: &str) -> NetId {
-        self.clk_put
-            .unwrap_or_else(|| panic!("{who} requires a put-side clock net"))
-    }
-
-    fn require_get(&self, who: &str) -> NetId {
-        self.clk_get
-            .unwrap_or_else(|| panic!("{who} requires a get-side clock net"))
+    /// The get-slot clock, checked likewise.
+    fn get_net(self) -> NetId {
+        self.clk_get.expect("get-side clock net")
     }
 }
 
@@ -188,80 +158,32 @@ pub enum DesignKind {
 }
 
 impl DesignKind {
+    /// This kind's registry row.
+    pub(crate) fn row(self) -> &'static Design {
+        ALL_DESIGNS
+            .iter()
+            .find(|d| d.kind == self)
+            .expect("every kind is registered")
+    }
+
     /// The registry key (also the `--design` spelling on the binaries).
     pub fn name(self) -> &'static str {
-        match self {
-            DesignKind::MixedClock => "mixed_clock",
-            DesignKind::AsyncSync => "async_sync",
-            DesignKind::SyncAsync => "sync_async",
-            DesignKind::AsyncAsync => "async_async",
-            DesignKind::MixedClockRs => "mixed_clock_rs",
-            DesignKind::AsyncSyncRs => "async_sync_rs",
-            DesignKind::GrayPointer => "gray_pointer",
-            DesignKind::PerCellSync => "per_cell_sync",
-            DesignKind::ShiftRegister => "shift_register",
-            DesignKind::Seizovic => "seizovic",
-            DesignKind::SyncRs => "sync_rs",
-        }
+        self.row().name
     }
 
     /// The row label used in the paper's tables (and this repo's reports).
     pub fn label(self) -> &'static str {
-        match self {
-            DesignKind::MixedClock => "Mixed-Clock",
-            DesignKind::AsyncSync => "Async-Sync",
-            DesignKind::SyncAsync => "Sync-Async",
-            DesignKind::AsyncAsync => "Async-Async",
-            DesignKind::MixedClockRs => "Mixed-Clock RS",
-            DesignKind::AsyncSyncRs => "Async-Sync RS",
-            DesignKind::GrayPointer => "Gray-pointer",
-            DesignKind::PerCellSync => "Per-cell sync",
-            DesignKind::ShiftRegister => "Shift-register",
-            DesignKind::Seizovic => "Seizovic",
-            DesignKind::SyncRs => "Sync RS (Carloni)",
-        }
-    }
-
-    /// True for the four related-work baselines.
-    pub fn is_baseline(self) -> bool {
-        matches!(
-            self,
-            DesignKind::GrayPointer
-                | DesignKind::PerCellSync
-                | DesignKind::ShiftRegister
-                | DesignKind::Seizovic
-                | DesignKind::SyncRs
-        )
+        self.row().label
     }
 
     /// How the put interface learns it may proceed (its view of *full*).
     pub fn put_discipline(self) -> FlagDiscipline {
-        match self {
-            DesignKind::MixedClock | DesignKind::MixedClockRs | DesignKind::SyncAsync => {
-                FlagDiscipline::Anticipating
-            }
-            DesignKind::AsyncSync
-            | DesignKind::AsyncSyncRs
-            | DesignKind::AsyncAsync
-            | DesignKind::Seizovic => FlagDiscipline::Direct,
-            DesignKind::GrayPointer | DesignKind::PerCellSync => FlagDiscipline::Exact,
-            DesignKind::ShiftRegister | DesignKind::SyncRs => FlagDiscipline::SameCycle,
-        }
+        self.row().put_discipline
     }
 
     /// How the get interface learns it may proceed (its view of *empty*).
     pub fn get_discipline(self) -> FlagDiscipline {
-        match self {
-            DesignKind::MixedClock
-            | DesignKind::MixedClockRs
-            | DesignKind::AsyncSync
-            | DesignKind::AsyncSyncRs => FlagDiscipline::Bimodal,
-            DesignKind::SyncAsync | DesignKind::AsyncAsync => FlagDiscipline::Direct,
-            DesignKind::GrayPointer | DesignKind::PerCellSync | DesignKind::Seizovic => {
-                FlagDiscipline::Exact
-            }
-            DesignKind::ShiftRegister | DesignKind::SyncRs => FlagDiscipline::SameCycle,
-        }
+        self.row().get_discipline
     }
 }
 
@@ -401,6 +323,41 @@ impl DesignPorts {
         }
     }
 
+    /// Every external input net: the clock slots, the request/stop
+    /// inputs of whichever protocols exist, then the put data bus.
+    pub fn input_nets(&self) -> impl Iterator<Item = NetId> + '_ {
+        [
+            self.clk_put,
+            self.clk_get,
+            self.req_put,
+            self.put_req,
+            self.valid_in,
+            self.req_get,
+            self.stop_in,
+            self.get_req,
+        ]
+        .into_iter()
+        .flatten()
+        .chain(self.data_put.iter().copied())
+    }
+
+    /// Every external output net: the flags and acknowledges of whichever
+    /// protocols exist, the inverted get clock, then the get data bus.
+    pub fn output_nets(&self) -> impl Iterator<Item = NetId> + '_ {
+        [
+            self.full,
+            self.put_ack,
+            self.stop_out,
+            self.valid_get,
+            self.empty,
+            self.get_ack,
+            self.nclk_get,
+        ]
+        .into_iter()
+        .flatten()
+        .chain(self.data_get.iter().copied())
+    }
+
     /// The clock a synchronous *put* environment should use: the put slot,
     /// falling back to the get slot for single-clock designs.
     pub fn put_clock(&self) -> Option<NetId> {
@@ -417,9 +374,10 @@ impl DesignPorts {
 /// The uniform contract every design implements: interface metadata plus
 /// a constructor from clocks to [`DesignPorts`].
 ///
-/// Implementations are stateless unit structs (e.g. [`MixedClockDesign`]),
-/// so `&'static dyn MixedTimingDesign` is the working currency — that is
-/// what the [`DesignRegistry`] hands out and what harnesses accept.
+/// The one implementation is the registry row [`Design`] (e.g.
+/// [`MIXED_CLOCK`]), so `&'static dyn MixedTimingDesign` is the working
+/// currency — that is what the [`DesignRegistry`] hands out and what
+/// harnesses accept.
 pub trait MixedTimingDesign: Sync {
     /// Which design this is.
     fn kind(&self) -> DesignKind;
@@ -450,395 +408,290 @@ pub trait MixedTimingDesign: Sync {
     fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts;
 }
 
-macro_rules! unit_design {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug, Default)]
-        pub struct $name;
-    };
+/// An interface protocol without its width (a [`Design`] row's put or
+/// get side; the width always comes from [`FifoParams`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Protocol {
+    SyncFifo,
+    SyncStream,
+    Async4Phase,
 }
 
-unit_design!(
-    /// [`MixedClockFifo`] as a [`MixedTimingDesign`].
-    MixedClockDesign
-);
-unit_design!(
-    /// [`AsyncSyncFifo`] as a [`MixedTimingDesign`].
-    AsyncSyncDesign
-);
-unit_design!(
-    /// [`SyncAsyncFifo`] as a [`MixedTimingDesign`].
-    SyncAsyncDesign
-);
-unit_design!(
-    /// [`AsyncAsyncFifo`] as a [`MixedTimingDesign`].
-    AsyncAsyncDesign
-);
-unit_design!(
-    /// [`MixedClockRelayStation`] as a [`MixedTimingDesign`].
-    MixedClockRsDesign
-);
-unit_design!(
-    /// [`AsyncSyncRelayStation`] as a [`MixedTimingDesign`].
-    AsyncSyncRsDesign
-);
-unit_design!(
-    /// [`GrayPointerFifo`] as a [`MixedTimingDesign`].
-    GrayPointerDesign
-);
-unit_design!(
-    /// [`PerCellSyncFifo`] as a [`MixedTimingDesign`].
-    PerCellSyncDesign
-);
-unit_design!(
-    /// [`ShiftRegisterFifo`] as a [`MixedTimingDesign`]. Both interfaces
-    /// run on the put-slot clock.
-    ShiftRegisterDesign
-);
-unit_design!(
-    /// [`SeizovicFifo`] as a [`MixedTimingDesign`]. Behavioural; pipeline
-    /// depth is taken from `params.capacity`, and the clocked (get) side
-    /// runs on the get-slot clock.
-    SeizovicDesign
-);
-unit_design!(
-    /// [`SyncRelayStation`] as a [`MixedTimingDesign`]. Behavioural and
-    /// *single-clock*: both stream interfaces run on the get-slot clock,
-    /// and the station is always 2-place (Carloni's definition) —
-    /// `params.capacity` is accepted but not used. It is the baseline a
-    /// mixed-timing chain composer splices when **no** clock boundary is
-    /// being crossed; across genuinely different domains it is unsafe,
-    /// which is exactly the paper's argument for the MCRS/ASRS.
-    SyncRsDesign
-);
-
-impl MixedTimingDesign for MixedClockDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::MixedClock
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::PutAndGet
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
+impl Protocol {
+    fn at(self, width: usize) -> InterfaceSpec {
+        match self {
+            Protocol::SyncFifo => InterfaceSpec::SyncFifo { width },
+            Protocol::SyncStream => InterfaceSpec::SyncStream { width },
+            Protocol::Async4Phase => InterfaceSpec::Async4Phase { width },
         }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = MixedClockFifo::build(
-            b,
-            params,
-            clocks.require_put("mixed_clock"),
-            clocks.require_get("mixed_clock"),
-        );
-        f.ports()
     }
 }
 
-impl MixedTimingDesign for AsyncSyncDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::AsyncSync
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::GetOnly
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = AsyncSyncFifo::build(b, params, clocks.require_get("async_sync"));
-        f.ports()
-    }
+/// One registered design: every per-design fact in one row.
+///
+/// A row names the design, its clocking, both interface protocols and
+/// flag disciplines, its lint waivers ([`crate::waivers`]), an optional
+/// parameter gate and the constructor that elaborates it. The rows are
+/// the statics below ([`MIXED_CLOCK`] … [`SYNC_RS`]); [`DesignKind`]'s
+/// accessors and [`waivers_for`](crate::waivers_for) read them, so adding
+/// a design means one `DesignKind` variant plus one row.
+#[derive(Debug)]
+pub struct Design {
+    kind: DesignKind,
+    name: &'static str,
+    label: &'static str,
+    clocking: Clocking,
+    put: Protocol,
+    get: Protocol,
+    put_discipline: FlagDiscipline,
+    get_discipline: FlagDiscipline,
+    pub(crate) waivers: &'static [LintWaiver],
+    supports: fn(FifoParams) -> Result<(), String>,
+    build: fn(&mut Builder<'_>, FifoParams, ClockInputs) -> DesignPorts,
 }
 
-impl MixedTimingDesign for SyncAsyncDesign {
+impl MixedTimingDesign for Design {
     fn kind(&self) -> DesignKind {
-        DesignKind::SyncAsync
+        self.kind
     }
     fn clocking(&self) -> Clocking {
-        Clocking::PutOnly
+        self.clocking
     }
     fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
+        self.put.at(params.width)
     }
     fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = SyncAsyncFifo::build(b, params, clocks.require_put("sync_async"));
-        f.ports()
-    }
-}
-
-impl MixedTimingDesign for AsyncAsyncDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::AsyncAsync
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::Unclocked
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, _clocks: ClockInputs) -> DesignPorts {
-        let f = AsyncAsyncFifo::build(b, params);
-        f.ports()
-    }
-}
-
-impl MixedTimingDesign for MixedClockRsDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::MixedClockRs
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::PutAndGet
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncStream {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncStream {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = MixedClockRelayStation::build(
-            b,
-            params,
-            clocks.require_put("mixed_clock_rs"),
-            clocks.require_get("mixed_clock_rs"),
-        );
-        f.ports()
-    }
-}
-
-impl MixedTimingDesign for AsyncSyncRsDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::AsyncSyncRs
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::GetOnly
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncStream {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = AsyncSyncRelayStation::build(b, params, clocks.require_get("async_sync_rs"));
-        f.ports()
-    }
-}
-
-impl MixedTimingDesign for GrayPointerDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::GrayPointer
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::PutAndGet
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
+        self.get.at(params.width)
     }
     fn supports(&self, params: FifoParams) -> Result<(), String> {
-        if params.capacity.is_power_of_two() && params.capacity >= 4 {
-            Ok(())
-        } else {
-            Err(format!(
-                "gray_pointer needs a power-of-two capacity of at least 4 (got {})",
-                params.capacity
-            ))
-        }
+        (self.supports)(params)
     }
     fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = GrayPointerFifo::build(
-            b,
-            params,
-            clocks.require_put("gray_pointer"),
-            clocks.require_get("gray_pointer"),
-        );
-        f.ports()
+        let name = self.name;
+        let put_missing = self.clocking.needs_put() && clocks.clk_put.is_none();
+        assert!(!put_missing, "{name} requires a put-side clock net");
+        let get_missing = self.clocking.needs_get() && clocks.clk_get.is_none();
+        assert!(!get_missing, "{name} requires a get-side clock net");
+        (self.build)(b, params, clocks)
     }
 }
 
-impl MixedTimingDesign for PerCellSyncDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::PerCellSync
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::PutAndGet
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = PerCellSyncFifo::build(
-            b,
-            params,
-            clocks.require_put("per_cell_sync"),
-            clocks.require_get("per_cell_sync"),
-        );
-        f.ports()
+fn any_params(_: FifoParams) -> Result<(), String> {
+    Ok(())
+}
+
+fn power_of_two_from_4(params: FifoParams) -> Result<(), String> {
+    if params.capacity.is_power_of_two() && params.capacity >= 4 {
+        Ok(())
+    } else {
+        Err(format!(
+            "gray_pointer needs a power-of-two capacity of at least 4 (got {})",
+            params.capacity
+        ))
     }
 }
 
-impl MixedTimingDesign for ShiftRegisterDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::ShiftRegister
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::PutOnly
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let f = ShiftRegisterFifo::build(b, params, clocks.require_put("shift_register"));
-        f.ports()
-    }
-}
+/// Section 3: [`MixedClockFifo`].
+pub static MIXED_CLOCK: Design = Design {
+    kind: DesignKind::MixedClock,
+    name: "mixed_clock",
+    label: "Mixed-Clock",
+    clocking: Clocking::PutAndGet,
+    put: Protocol::SyncFifo,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::Anticipating,
+    get_discipline: FlagDiscipline::Bimodal,
+    waivers: MIXED_CLOCK_WAIVERS,
+    supports: any_params,
+    build: |b, p, c| MixedClockFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+};
 
-impl MixedTimingDesign for SeizovicDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::Seizovic
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::GetOnly
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::Async4Phase {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncFifo {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let clk = clocks.require_get("seizovic");
-        let port = SeizovicFifo::spawn(b.sim(), "szv", clk, params.width, params.capacity);
-        let mut p = DesignPorts::new(DesignKind::Seizovic, params);
-        p.clk_get = Some(clk);
-        p.put_req = Some(port.put_req);
-        p.put_ack = Some(port.put_ack);
-        p.data_put = port.put_data;
-        p.req_get = Some(port.req_get);
-        p.data_get = port.data_get;
-        p.valid_get = Some(port.valid_get);
-        p
-    }
-}
+/// Section 4: [`AsyncSyncFifo`].
+pub static ASYNC_SYNC: Design = Design {
+    kind: DesignKind::AsyncSync,
+    name: "async_sync",
+    label: "Async-Sync",
+    clocking: Clocking::GetOnly,
+    put: Protocol::Async4Phase,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::Direct,
+    get_discipline: FlagDiscipline::Bimodal,
+    waivers: ASYNC_SYNC_WAIVERS,
+    supports: any_params,
+    build: |b, p, c| AsyncSyncFifo::build(b, p, c.get_net()).ports(),
+};
 
-impl MixedTimingDesign for SyncRsDesign {
-    fn kind(&self) -> DesignKind {
-        DesignKind::SyncRs
-    }
-    fn clocking(&self) -> Clocking {
-        Clocking::GetOnly
-    }
-    fn put_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncStream {
-            width: params.width,
-        }
-    }
-    fn get_interface(&self, params: FifoParams) -> InterfaceSpec {
-        InterfaceSpec::SyncStream {
-            width: params.width,
-        }
-    }
-    fn build(&self, b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
-        let clk = clocks.require_get("sync_rs");
-        let port = SyncRelayStation::spawn(b.sim(), "srs", clk, params.width);
-        let mut p = DesignPorts::new(DesignKind::SyncRs, params);
-        p.clk_get = Some(clk);
-        p.valid_in = Some(port.in_valid);
-        p.stop_out = Some(port.stop_out);
-        p.data_put = port.in_data;
-        p.valid_get = Some(port.out_valid);
-        p.stop_in = Some(port.stop_in);
-        p.data_get = port.out_data;
-        p
-    }
-}
+/// The sync-async extension: [`SyncAsyncFifo`].
+pub static SYNC_ASYNC: Design = Design {
+    kind: DesignKind::SyncAsync,
+    name: "sync_async",
+    label: "Sync-Async",
+    clocking: Clocking::PutOnly,
+    put: Protocol::SyncFifo,
+    get: Protocol::Async4Phase,
+    put_discipline: FlagDiscipline::Anticipating,
+    get_discipline: FlagDiscipline::Direct,
+    waivers: &[],
+    supports: any_params,
+    build: |b, p, c| SyncAsyncFifo::build(b, p, c.put_net()).ports(),
+};
 
-/// The canonical instance behind [`MixedClockDesign`].
-pub static MIXED_CLOCK: MixedClockDesign = MixedClockDesign;
-/// The canonical instance behind [`AsyncSyncDesign`].
-pub static ASYNC_SYNC: AsyncSyncDesign = AsyncSyncDesign;
-/// The canonical instance behind [`SyncAsyncDesign`].
-pub static SYNC_ASYNC: SyncAsyncDesign = SyncAsyncDesign;
-/// The canonical instance behind [`AsyncAsyncDesign`].
-pub static ASYNC_ASYNC: AsyncAsyncDesign = AsyncAsyncDesign;
-/// The canonical instance behind [`MixedClockRsDesign`].
-pub static MIXED_CLOCK_RS: MixedClockRsDesign = MixedClockRsDesign;
-/// The canonical instance behind [`AsyncSyncRsDesign`].
-pub static ASYNC_SYNC_RS: AsyncSyncRsDesign = AsyncSyncRsDesign;
-/// The canonical instance behind [`GrayPointerDesign`].
-pub static GRAY_POINTER: GrayPointerDesign = GrayPointerDesign;
-/// The canonical instance behind [`PerCellSyncDesign`].
-pub static PER_CELL_SYNC: PerCellSyncDesign = PerCellSyncDesign;
-/// The canonical instance behind [`ShiftRegisterDesign`].
-pub static SHIFT_REGISTER: ShiftRegisterDesign = ShiftRegisterDesign;
-/// The canonical instance behind [`SeizovicDesign`].
-pub static SEIZOVIC: SeizovicDesign = SeizovicDesign;
-/// The canonical instance behind [`SyncRsDesign`].
-pub static SYNC_RS: SyncRsDesign = SyncRsDesign;
+/// The async-async token ring: [`AsyncAsyncFifo`].
+pub static ASYNC_ASYNC: Design = Design {
+    kind: DesignKind::AsyncAsync,
+    name: "async_async",
+    label: "Async-Async",
+    clocking: Clocking::Unclocked,
+    put: Protocol::Async4Phase,
+    get: Protocol::Async4Phase,
+    put_discipline: FlagDiscipline::Direct,
+    get_discipline: FlagDiscipline::Direct,
+    waivers: &[],
+    supports: any_params,
+    build: |b, p, _| AsyncAsyncFifo::build(b, p).ports(),
+};
+
+/// Section 5.2: [`MixedClockRelayStation`].
+pub static MIXED_CLOCK_RS: Design = Design {
+    kind: DesignKind::MixedClockRs,
+    name: "mixed_clock_rs",
+    label: "Mixed-Clock RS",
+    clocking: Clocking::PutAndGet,
+    put: Protocol::SyncStream,
+    get: Protocol::SyncStream,
+    put_discipline: FlagDiscipline::Anticipating,
+    get_discipline: FlagDiscipline::Bimodal,
+    waivers: MIXED_CLOCK_WAIVERS,
+    supports: any_params,
+    build: |b, p, c| MixedClockRelayStation::build(b, p, c.put_net(), c.get_net()).ports(),
+};
+
+/// Section 5.3: [`AsyncSyncRelayStation`].
+pub static ASYNC_SYNC_RS: Design = Design {
+    kind: DesignKind::AsyncSyncRs,
+    name: "async_sync_rs",
+    label: "Async-Sync RS",
+    clocking: Clocking::GetOnly,
+    put: Protocol::Async4Phase,
+    get: Protocol::SyncStream,
+    put_discipline: FlagDiscipline::Direct,
+    get_discipline: FlagDiscipline::Bimodal,
+    waivers: ASYNC_SYNC_WAIVERS,
+    supports: any_params,
+    build: |b, p, c| AsyncSyncRelayStation::build(b, p, c.get_net()).ports(),
+};
+
+/// Baseline [`GrayPointerFifo`]: power-of-two capacities of at least 4.
+pub static GRAY_POINTER: Design = Design {
+    kind: DesignKind::GrayPointer,
+    name: "gray_pointer",
+    label: "Gray-pointer",
+    clocking: Clocking::PutAndGet,
+    put: Protocol::SyncFifo,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::Exact,
+    get_discipline: FlagDiscipline::Exact,
+    waivers: &[],
+    supports: power_of_two_from_4,
+    build: |b, p, c| GrayPointerFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+};
+
+/// Baseline [`PerCellSyncFifo`].
+pub static PER_CELL_SYNC: Design = Design {
+    kind: DesignKind::PerCellSync,
+    name: "per_cell_sync",
+    label: "Per-cell sync",
+    clocking: Clocking::PutAndGet,
+    put: Protocol::SyncFifo,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::Exact,
+    get_discipline: FlagDiscipline::Exact,
+    waivers: PER_CELL_SYNC_WAIVERS,
+    supports: any_params,
+    build: |b, p, c| PerCellSyncFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+};
+
+/// Baseline [`ShiftRegisterFifo`]. Both interfaces run on the put-slot
+/// clock.
+pub static SHIFT_REGISTER: Design = Design {
+    kind: DesignKind::ShiftRegister,
+    name: "shift_register",
+    label: "Shift-register",
+    clocking: Clocking::PutOnly,
+    put: Protocol::SyncFifo,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::SameCycle,
+    get_discipline: FlagDiscipline::SameCycle,
+    waivers: &[],
+    supports: any_params,
+    build: |b, p, c| ShiftRegisterFifo::build(b, p, c.put_net()).ports(),
+};
+
+/// Baseline [`SeizovicFifo`]. Behavioural; pipeline depth is taken from
+/// `params.capacity`, and the clocked (get) side runs on the get-slot
+/// clock.
+pub static SEIZOVIC: Design = Design {
+    kind: DesignKind::Seizovic,
+    name: "seizovic",
+    label: "Seizovic",
+    clocking: Clocking::GetOnly,
+    put: Protocol::Async4Phase,
+    get: Protocol::SyncFifo,
+    put_discipline: FlagDiscipline::Direct,
+    get_discipline: FlagDiscipline::Exact,
+    waivers: &[],
+    supports: any_params,
+    build: |b, params, c| {
+        let port = SeizovicFifo::spawn(b.sim(), "szv", c.get_net(), params.width, params.capacity);
+        DesignPorts {
+            clk_get: c.clk_get,
+            put_req: Some(port.put_req),
+            put_ack: Some(port.put_ack),
+            data_put: port.put_data,
+            req_get: Some(port.req_get),
+            data_get: port.data_get,
+            valid_get: Some(port.valid_get),
+            ..DesignPorts::new(DesignKind::Seizovic, params)
+        }
+    },
+};
+
+/// Baseline [`SyncRelayStation`]. Behavioural and *single-clock*: both
+/// stream interfaces run on the get-slot clock, and the station is always
+/// 2-place (Carloni's definition) — `params.capacity` is accepted but not
+/// used. It is the baseline a mixed-timing chain composer splices when
+/// **no** clock boundary is being crossed; across genuinely different
+/// domains it is unsafe, which is exactly the paper's argument for the
+/// MCRS/ASRS.
+pub static SYNC_RS: Design = Design {
+    kind: DesignKind::SyncRs,
+    name: "sync_rs",
+    label: "Sync RS (Carloni)",
+    clocking: Clocking::GetOnly,
+    put: Protocol::SyncStream,
+    get: Protocol::SyncStream,
+    put_discipline: FlagDiscipline::SameCycle,
+    get_discipline: FlagDiscipline::SameCycle,
+    waivers: &[],
+    supports: any_params,
+    build: |b, params, c| {
+        let port = SyncRelayStation::spawn(b.sim(), "srs", c.get_net(), params.width);
+        DesignPorts {
+            clk_get: c.clk_get,
+            valid_in: Some(port.in_valid),
+            stop_out: Some(port.stop_out),
+            data_put: port.in_data,
+            valid_get: Some(port.out_valid),
+            stop_in: Some(port.stop_in),
+            data_get: port.out_data,
+            ..DesignPorts::new(DesignKind::SyncRs, params)
+        }
+    },
+};
 
 /// All eleven designs: paper order (Table 1 rows, then the two
 /// extensions), then the baselines (the Carloni relay station last).
-static ALL_DESIGNS: [&dyn MixedTimingDesign; 11] = [
+static ALL_DESIGNS: [&Design; 11] = [
     &MIXED_CLOCK,
     &ASYNC_SYNC,
     &MIXED_CLOCK_RS,
@@ -851,6 +704,26 @@ static ALL_DESIGNS: [&dyn MixedTimingDesign; 11] = [
     &SEIZOVIC,
     &SYNC_RS,
 ];
+
+/// Elaborates `design` at `params` for static analysis: a fresh
+/// `Simulator::new(0)`, the clock nets its [`Clocking`] names (no clock
+/// generators, no environments) and one [`Builder`] pass — nothing is
+/// scheduled or run. The netlist lint, contract inference, state census
+/// and domain partitioner all start here. `Err` if the design does not
+/// support `params`.
+pub fn elaborate(
+    design: &dyn MixedTimingDesign,
+    params: FifoParams,
+) -> Result<(Simulator, Netlist, DesignPorts), String> {
+    design.supports(params)?;
+    let mut sim = Simulator::new(0);
+    let clk_put = design.clocking().needs_put().then(|| sim.net("clk_put"));
+    let clk_get = design.clocking().needs_get().then(|| sim.net("clk_get"));
+    let mut b = Builder::new(&mut sim);
+    let ports = design.build(&mut b, params, ClockInputs { clk_put, clk_get });
+    let netlist = b.finish();
+    Ok((sim, netlist, ports))
+}
 
 /// A selection of registered designs, iterated in a fixed order.
 ///
@@ -873,25 +746,25 @@ impl std::fmt::Debug for dyn MixedTimingDesign {
 }
 
 impl DesignRegistry {
-    /// Every design: the six paper designs then the four baselines.
-    pub fn standard() -> Self {
+    fn of_rows<'a>(rows: impl IntoIterator<Item = &'a &'static Design>) -> Self {
         DesignRegistry {
-            entries: ALL_DESIGNS.to_vec(),
+            entries: rows.into_iter().map(|&d| d as _).collect(),
         }
+    }
+
+    /// Every design: the six paper designs then the baselines.
+    pub fn standard() -> Self {
+        Self::of_rows(&ALL_DESIGNS)
     }
 
     /// The six paper designs (Table 1 rows, then the two extensions).
     pub fn paper() -> Self {
-        DesignRegistry {
-            entries: ALL_DESIGNS[..6].to_vec(),
-        }
+        Self::of_rows(&ALL_DESIGNS[..6])
     }
 
     /// The four designs of Table 1, in the paper's row order.
     pub fn table1() -> Self {
-        DesignRegistry {
-            entries: ALL_DESIGNS[..4].to_vec(),
-        }
+        Self::of_rows(&ALL_DESIGNS[..4])
     }
 
     /// The four related-work FIFO baselines (the behavioural Carloni
@@ -899,9 +772,7 @@ impl DesignRegistry {
     /// substrate, not a FIFO alternative, and the related-work tables
     /// predate it).
     pub fn baselines() -> Self {
-        DesignRegistry {
-            entries: ALL_DESIGNS[6..10].to_vec(),
-        }
+        Self::of_rows(&ALL_DESIGNS[6..10])
     }
 
     /// The stream-protocol designs: every registered design whose put
@@ -910,34 +781,21 @@ impl DesignRegistry {
     /// between two single-clock relay chains. Today: `mixed_clock_rs`
     /// and `sync_rs`.
     pub fn streams() -> Self {
-        let probe = FifoParams::new(4, 8);
-        DesignRegistry {
-            entries: ALL_DESIGNS
+        Self::of_rows(
+            ALL_DESIGNS
                 .iter()
-                .copied()
-                .filter(|d| {
-                    matches!(d.put_interface(probe), InterfaceSpec::SyncStream { .. })
-                        && matches!(d.get_interface(probe), InterfaceSpec::SyncStream { .. })
-                })
-                .collect(),
-        }
+                .filter(|d| d.put == Protocol::SyncStream && d.get == Protocol::SyncStream),
+        )
     }
 
     /// Looks a design up by its registry name (see [`DesignKind::name`]).
     pub fn get(name: &str) -> Option<&'static dyn MixedTimingDesign> {
-        ALL_DESIGNS
-            .iter()
-            .copied()
-            .find(|d| d.kind().name() == name)
+        ALL_DESIGNS.iter().find(|d| d.name == name).map(|&d| d as _)
     }
 
     /// The design behind a [`DesignKind`].
     pub fn of(kind: DesignKind) -> &'static dyn MixedTimingDesign {
-        ALL_DESIGNS
-            .iter()
-            .copied()
-            .find(|d| d.kind() == kind)
-            .expect("every kind is registered")
+        kind.row()
     }
 
     /// Iterates the selection in its fixed order.
@@ -976,12 +834,14 @@ mod tests {
             DesignRegistry::streams().names(),
             vec!["mixed_clock_rs", "sync_rs"]
         );
+        // Same static row: compare addresses only, since `dyn` vtable
+        // pointers may differ between coercion sites of one row.
         for d in DesignRegistry::standard().iter() {
             assert!(
-                std::ptr::eq(DesignRegistry::get(d.kind().name()).unwrap(), d),
+                std::ptr::addr_eq(DesignRegistry::get(d.kind().name()).unwrap(), d),
                 "name lookup must round-trip"
             );
-            assert!(std::ptr::eq(DesignRegistry::of(d.kind()), d));
+            assert!(std::ptr::addr_eq(DesignRegistry::of(d.kind()), d));
         }
         assert!(DesignRegistry::get("no_such_design").is_none());
     }

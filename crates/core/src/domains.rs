@@ -2,10 +2,10 @@
 //!
 //! A thin front-end over the shared [`mtf_gates::domains`] pass (the same
 //! inference `mtf-lint`'s CDC pass runs): elaborate a registry design
-//! exactly the way the lint and bench harnesses do — same builder, no
-//! clock generators, no environments, nothing simulated — and ask the
-//! pass how many independent shards the resulting gate-level netlist
-//! honestly supports.
+//! with the one static elaboration the lint also uses ([`elaborate`]: no
+//! clock generators, no environments, nothing simulated) and ask the pass
+//! how many independent shards the resulting gate-level netlist honestly
+//! supports.
 //!
 //! For the paper's FIFO designs the answer is always **one**: the entire
 //! point of a mixed-timing FIFO is a dense weave of synchronized
@@ -15,47 +15,21 @@
 //! designs shard at their latency-insensitive stream boundaries instead
 //! (see `mtf-lis`).
 
-use mtf_gates::{Builder, DomainIndex, PartitionReport};
-use mtf_sim::Simulator;
+use mtf_gates::{DomainIndex, PartitionReport};
 
-use crate::design::{ClockInputs, MixedTimingDesign};
+use crate::design::{elaborate, MixedTimingDesign};
 use crate::FifoParams;
 
-/// Elaborates `design` at `params` (no clocks running, nothing
-/// simulated) and partitions the netlist by inferred clock domain.
-/// `Err` if the design does not support `params`.
+/// Elaborates `design` at `params` ([`elaborate`]: no clocks running,
+/// nothing simulated) and partitions the netlist by inferred clock
+/// domain. `Err` if the design does not support `params`.
 pub fn partition_design(
     design: &dyn MixedTimingDesign,
     params: FifoParams,
 ) -> Result<PartitionReport, String> {
-    design.supports(params)?;
-    let mut sim = Simulator::new(0);
-    let clocking = design.clocking();
-    let clk_put = clocking.needs_put().then(|| sim.net("clk_put"));
-    let clk_get = clocking.needs_get().then(|| sim.net("clk_get"));
-    let clocks = ClockInputs { clk_put, clk_get };
-    let mut b = Builder::new(&mut sim);
-    let ports = design.build(&mut b, params, clocks);
-    let netlist = b.finish();
-
+    let (sim, netlist, ports) = elaborate(design, params)?;
     let mut index = DomainIndex::new(&netlist, &sim);
-    for clk in [clk_put, clk_get].into_iter().flatten() {
-        index.declare_input(clk);
-    }
-    for net in [
-        ports.req_put,
-        ports.put_req,
-        ports.valid_in,
-        ports.req_get,
-        ports.stop_in,
-        ports.get_req,
-    ]
-    .into_iter()
-    .flatten()
-    {
-        index.declare_input(net);
-    }
-    for &net in &ports.data_put {
+    for net in ports.input_nets() {
         index.declare_input(net);
     }
     Ok(index.graph().partition())

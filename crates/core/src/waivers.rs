@@ -3,7 +3,8 @@
 //! The static netlist lint (`mtf-lint`) runs over every registry design
 //! and reports findings. A finding that reflects a *deliberate* property
 //! of a design — most importantly the single-flop synchronizers in the
-//! related-work baselines the paper measures against — is waived here,
+//! related-work baselines the paper measures against — is waived by a
+//! table defined here and listed in that design's registry row,
 //! with the paper section that makes it deliberate. Waived findings are
 //! still reported (count and location) by the `lint` binary; they are
 //! annotated, not silenced, so a waiver can never hide a regression in a
@@ -83,11 +84,15 @@ const DV_PULSE_WAIVER: LintWaiver = LintWaiver::new(
      claim (Sec. 3.2) covers the detector cones, which pass unwaived.",
 );
 
-const MIXED_CLOCK_WAIVERS: &[LintWaiver] = &[OE_PATH_WAIVER, AT_OPEN_WAIVER, DV_PULSE_WAIVER];
+/// The mixed-clock FIFO's and relay station's waivers.
+pub(crate) const MIXED_CLOCK_WAIVERS: &[LintWaiver] =
+    &[OE_PATH_WAIVER, AT_OPEN_WAIVER, DV_PULSE_WAIVER];
 
-const ASYNC_SYNC_WAIVERS: &[LintWaiver] = &[OE_PATH_WAIVER];
+/// The async-sync FIFO's and relay station's waivers.
+pub(crate) const ASYNC_SYNC_WAIVERS: &[LintWaiver] = &[OE_PATH_WAIVER];
 
-const PER_CELL_SYNC_WAIVERS: &[LintWaiver] = &[LintWaiver::new(
+/// The per-cell-synchronizer baseline's waiver.
+pub(crate) const PER_CELL_SYNC_WAIVERS: &[LintWaiver] = &[LintWaiver::new(
     "glitch",
     "/dv/SRLATCH",
     "per-cell synchronizer baseline (paper Sec. 6, refs [5]/[9]): the token \
@@ -97,15 +102,12 @@ const PER_CELL_SYNC_WAIVERS: &[LintWaiver] = &[LintWaiver::new(
      measures against.",
 )];
 
-/// The waivers for one design. Designs absent from the match arms have
-/// none: every finding on them is a hard failure for the `lint` binary.
+/// The waivers for one design, read from its registry row
+/// ([`Design`](crate::design::Design)). A design whose row lists none
+/// has none: every finding on it is a hard failure for the `lint`
+/// binary.
 pub fn waivers_for(kind: DesignKind) -> &'static [LintWaiver] {
-    match kind {
-        DesignKind::MixedClock | DesignKind::MixedClockRs => MIXED_CLOCK_WAIVERS,
-        DesignKind::AsyncSync | DesignKind::AsyncSyncRs => ASYNC_SYNC_WAIVERS,
-        DesignKind::PerCellSync => PER_CELL_SYNC_WAIVERS,
-        _ => &[],
-    }
+    kind.row().waivers
 }
 
 #[cfg(test)]

@@ -61,17 +61,6 @@ impl<'a> Builder<'a> {
         self.sim
     }
 
-    /// The metastability model handed to synchronizer flops.
-    pub fn meta_model(&self) -> MetaModel {
-        self.meta
-    }
-
-    /// Replaces the metastability model used by *subsequently built*
-    /// synchronizer flops.
-    pub fn set_meta_model(&mut self, meta: MetaModel) {
-        self.meta = meta;
-    }
-
     /// Enters a hierarchical naming scope.
     pub fn push_scope(&mut self, name: impl Into<String>) {
         self.scopes.push(name.into());
@@ -240,12 +229,6 @@ impl<'a> Builder<'a> {
         assert!(!inputs.is_empty(), "OR needs at least one input");
         let out = self.out_net("or_out");
         self.comb(CellKind::Or, GateFunc::Or, inputs.to_vec(), out)
-    }
-
-    /// N-input OR driving an existing net.
-    pub fn or_onto(&mut self, inputs: &[NetId], out: NetId) {
-        assert!(!inputs.is_empty(), "OR needs at least one input");
-        self.comb(CellKind::Or, GateFunc::Or, inputs.to_vec(), out);
     }
 
     /// N-input NAND.

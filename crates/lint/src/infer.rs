@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
-use mtf_core::design::{ClockInputs, MixedTimingDesign};
+use mtf_core::design::{elaborate, MixedTimingDesign};
 use mtf_core::{DesignPorts, FifoParams};
 use mtf_gates::{CellKind, InstanceId};
 use mtf_sim::NetId;
@@ -45,26 +45,14 @@ use crate::model::{Domain, LintModel};
 const VISIT_LIMIT: usize = 20_000;
 
 /// Derives the interface contract of one registry design at `params`:
-/// elaborates it exactly as [`crate::lint_design`] would (same builder,
-/// nothing runs) and classifies both sides. `Err` if the design does not
-/// support `params`.
+/// elaborates it with [`elaborate`] (nothing runs) and classifies both
+/// sides. `Err` if the design does not support `params`.
 pub fn infer_contract(
     design: &dyn MixedTimingDesign,
     params: FifoParams,
 ) -> Result<InterfaceContract, String> {
-    design.supports(params)?;
-    let mut sim = mtf_sim::Simulator::new(0);
-    let clocking = design.clocking();
-    let clk_put = clocking.needs_put().then(|| sim.net("clk_put"));
-    let clk_get = clocking.needs_get().then(|| sim.net("clk_get"));
-    let clocks = ClockInputs { clk_put, clk_get };
-    let mut b = mtf_gates::Builder::new(&mut sim);
-    let ports = design.build(&mut b, params, clocks);
-    let netlist = b.finish();
+    let (sim, netlist, ports) = elaborate(design, params)?;
     let mut model = LintModel::new(&netlist, &sim);
-    for clk in [clk_put, clk_get].into_iter().flatten() {
-        model.declare_input(clk);
-    }
     crate::declare_ports(&mut model, &ports);
     Ok(infer_from_model(&model, &ports))
 }

@@ -25,8 +25,8 @@
 //! [`mtf_core::waivers`]: waived, never silenced.
 //!
 //! The usual entry point is [`lint_design`], which elaborates a registry
-//! design exactly as the bench harness would (same builder, no clock
-//! generators, no environments) and runs all four passes:
+//! design with [`mtf_core::design::elaborate`] (no clock generators, no
+//! environments) and runs all four passes:
 //!
 //! ```
 //! use mtf_core::design::DesignRegistry;
@@ -61,11 +61,9 @@ pub use infer::{infer_contract, infer_from_model};
 pub use model::{Domain, LintModel};
 pub use state::{state_elements, StateElements};
 
-use mtf_core::design::{ClockInputs, MixedTimingDesign};
+use mtf_core::design::{elaborate, MixedTimingDesign};
 use mtf_core::waivers::waivers_for;
 use mtf_core::{DesignPorts, FifoParams};
-use mtf_gates::Builder;
-use mtf_sim::Simulator;
 
 /// Runs all four passes over a prepared model, in pass order. Returns
 /// the raw findings plus the number of inferred clock domains.
@@ -80,62 +78,25 @@ pub fn run_passes(model: &LintModel<'_>) -> (Vec<Finding>, usize) {
 /// Declares every external net of `ports` on the model, so port nets are
 /// neither floating inputs nor unconnected outputs.
 pub fn declare_ports(model: &mut LintModel<'_>, ports: &DesignPorts) {
-    let inputs = [
-        ports.clk_put,
-        ports.clk_get,
-        ports.req_put,
-        ports.put_req,
-        ports.valid_in,
-        ports.req_get,
-        ports.stop_in,
-        ports.get_req,
-    ];
-    for net in inputs.into_iter().flatten() {
+    for net in ports.input_nets() {
         model.declare_input(net);
     }
-    for &net in &ports.data_put {
-        model.declare_input(net);
-    }
-    let outputs = [
-        ports.full,
-        ports.put_ack,
-        ports.stop_out,
-        ports.valid_get,
-        ports.empty,
-        ports.get_ack,
-        ports.nclk_get,
-    ];
-    for net in outputs.into_iter().flatten() {
-        model.declare_output(net);
-    }
-    for &net in &ports.data_get {
+    for net in ports.output_nets() {
         model.declare_output(net);
     }
 }
 
-/// Statically lints one registry design at `params`: elaborates it the
-/// way the bench harness would (same builder; *no* clock generators or
-/// test environments — nothing runs), then applies all four passes and
-/// the design's waiver table. `Err` if the design does not support
-/// `params` (see [`MixedTimingDesign::supports`]).
+/// Statically lints one registry design at `params`: elaborates it with
+/// [`elaborate`] (*no* clock generators or test environments — nothing
+/// runs), then applies all four passes and the design's waiver table.
+/// `Err` if the design does not support `params` (see
+/// [`MixedTimingDesign::supports`]).
 pub fn lint_design(
     design: &dyn MixedTimingDesign,
     params: FifoParams,
 ) -> Result<LintReport, String> {
-    design.supports(params)?;
-    let mut sim = Simulator::new(0);
-    let clocking = design.clocking();
-    let clk_put = clocking.needs_put().then(|| sim.net("clk_put"));
-    let clk_get = clocking.needs_get().then(|| sim.net("clk_get"));
-    let clocks = ClockInputs { clk_put, clk_get };
-    let mut b = Builder::new(&mut sim);
-    let ports = design.build(&mut b, params, clocks);
-    let netlist = b.finish();
-
+    let (sim, netlist, ports) = elaborate(design, params)?;
     let mut model = LintModel::new(&netlist, &sim);
-    for clk in [clk_put, clk_get].into_iter().flatten() {
-        model.declare_input(clk);
-    }
     declare_ports(&mut model, &ports);
     let (findings, domains) = run_passes(&model);
     Ok(LintReport::annotate(
@@ -147,24 +108,15 @@ pub fn lint_design(
     ))
 }
 
-/// Elaborates one registry design at `params` (exactly as [`lint_design`]
-/// would — nothing runs) and returns its sequential-cell census. The
-/// `formal` binary uses this to cross-check the model checker's abstract
-/// FIFO dimensions against the concrete netlist. `Err` if the design does
-/// not support `params`.
+/// Elaborates one registry design at `params` with [`elaborate`] (nothing
+/// runs) and returns its sequential-cell census. The `formal` binary uses
+/// this to cross-check the model checker's abstract FIFO dimensions
+/// against the concrete netlist. `Err` if the design does not support
+/// `params`.
 pub fn extract_state_elements(
     design: &dyn MixedTimingDesign,
     params: FifoParams,
 ) -> Result<StateElements, String> {
-    design.supports(params)?;
-    let mut sim = Simulator::new(0);
-    let clocking = design.clocking();
-    let clk_put = clocking.needs_put().then(|| sim.net("clk_put"));
-    let clk_get = clocking.needs_get().then(|| sim.net("clk_get"));
-    let clocks = ClockInputs { clk_put, clk_get };
-    let mut b = Builder::new(&mut sim);
-    let _ports = design.build(&mut b, params, clocks);
-    let netlist = b.finish();
-    let model = LintModel::new(&netlist, &sim);
-    Ok(state_elements(&model))
+    let (sim, netlist, _) = elaborate(design, params)?;
+    Ok(state_elements(&LintModel::new(&netlist, &sim)))
 }

@@ -56,18 +56,6 @@ impl Logic {
         matches!(self, Logic::L | Logic::H)
     }
 
-    /// True if the value is `H`.
-    #[inline]
-    pub fn is_high(self) -> bool {
-        self == Logic::H
-    }
-
-    /// True if the value is `L`.
-    #[inline]
-    pub fn is_low(self) -> bool {
-        self == Logic::L
-    }
-
     /// Resolves two simultaneous driver contributions on one net.
     ///
     /// `Z` yields to anything; agreeing drivers keep their value; any other

@@ -442,12 +442,6 @@ impl Simulator {
         self.violations.iter().filter(move |v| v.kind == kind)
     }
 
-    /// Discards recorded violations (e.g. those produced while a testbench
-    /// initialises).
-    pub fn clear_violations(&mut self) {
-        self.violations.clear();
-    }
-
     /// True once a component has called [`Ctx::request_stop`].
     pub fn stopped(&self) -> bool {
         self.stop_requested
@@ -740,11 +734,6 @@ impl Simulator {
     pub fn run_for(&mut self, span: Time) -> Result<(), SimError> {
         let horizon = self.time + span;
         self.run_until(horizon)
-    }
-
-    /// Re-arms a previously requested stop so the simulation can continue.
-    pub fn clear_stop(&mut self) {
-        self.stop_requested = false;
     }
 
     fn apply_drive(&mut self, driver: DriverId, value: Logic, stamp: u64, _seq: u64) {

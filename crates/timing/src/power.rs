@@ -32,15 +32,6 @@ pub struct EnergyReport {
     pub switched_cap_ff: f64,
 }
 
-impl EnergyReport {
-    /// Energy per transferred item, given how many items the measured
-    /// window moved.
-    pub fn per_item_fj(&self, items: u64) -> f64 {
-        assert!(items > 0, "no items transferred");
-        self.total_fj / items as f64
-    }
-}
-
 /// Estimates the dynamic energy switched by `netlist`'s nets during the
 /// simulation so far (or since the last
 /// [`Simulator::reset_toggles`]).
