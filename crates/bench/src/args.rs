@@ -1,12 +1,14 @@
 //! Shared command-line parsing for the experiment binaries.
 //!
-//! All thirteen binaries accept the same core flags (`--json`, `--jobs N`,
-//! `--stats`, `--quick`, `--latency-steps N`, …); this module parses them
-//! once so each `main` only reads typed accessors instead of re-scanning
-//! `std::env::args()` by hand.
+//! The binaries share flag spellings (`--json`, `--jobs N`, `--quick`,
+//! `--items N`, …) and each declares the subset it reads
+//! ([`Args::check_flags`], via [`Run::start`](crate::report::Run::start));
+//! this module parses them once so each `main` only reads typed accessors
+//! instead of re-scanning `std::env::args()` by hand.
 //!
-//! A value the binary cannot use (`--shards abc`, `--backend nosuch`) is an
-//! [`ArgError`]: one line on stderr and exit status 2, never a panic.
+//! A flag the binary does not declare (`--josn`), or a value it cannot use
+//! (`--shards abc`, `--items 0`, `--backend nosuch`), is an [`ArgError`]:
+//! one line on stderr and exit status 2, never a panic.
 
 use std::fmt;
 
@@ -105,6 +107,31 @@ impl Args {
         }
     }
 
+    /// [`Args::usize_of`] for a count that must be at least `min`: a
+    /// smaller value exits the program ([`ArgError::exit`]).
+    pub fn count(&self, name: &str, default: usize, min: usize) -> usize {
+        match self.usize_of(name, default) {
+            n if n < min => ArgError(format!("{name} wants at least {min}, got {n}")).exit(),
+            n => n,
+        }
+    }
+
+    /// Rejects any `--` argument not in `known`, the flags (bare and
+    /// valued) a binary reads.
+    pub fn check_flags(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self
+            .raw
+            .iter()
+            .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+        {
+            None => Ok(()),
+            Some(a) => Err(ArgError(format!(
+                "unknown flag {a} (expected one of {})",
+                known.join(", ")
+            ))),
+        }
+    }
+
     /// `--capacity N --width W` (default 4 and 8) as a buildable
     /// [`FifoParams`]. A malformed or unbuildable point exits the program
     /// ([`ArgError::exit`]).
@@ -123,19 +150,6 @@ impl Args {
     /// ([`ArgError::exit`]).
     pub fn jobs(&self) -> usize {
         self.usize_of("--jobs", sweep::default_jobs()).max(1)
-    }
-
-    /// `--shards N` (default 1 = the plain single-simulator path): how
-    /// many worker shards chain simulations may split across. Registry
-    /// designs are gate-level-inseparable (see
-    /// `mtf_core::partition_design`), so `table1`/`robustness` report
-    /// the partition verdict instead of pretending to parallelise. A
-    /// malformed value or `0` exits the program ([`ArgError::exit`]).
-    pub fn shards(&self) -> usize {
-        match self.usize_of("--shards", 1) {
-            0 => ArgError("--shards wants at least 1, got 0".into()).exit(),
-            n => n,
-        }
     }
 
     /// `--backend {event,compiled}` (default `event`): which execution
@@ -189,8 +203,8 @@ mod tests {
         assert_eq!(a.value_of("--jobs"), Some("3"));
         assert_eq!(a.usize_of("--jobs", 1), 3);
         assert_eq!(a.usize_of("--latency-steps", 10), 10);
-        assert_eq!(a.shards(), 4);
-        assert_eq!(Args::from(&[]).shards(), 1);
+        assert_eq!(a.count("--shards", 1, 1), 4);
+        assert_eq!(Args::from(&[]).count("--shards", 1, 1), 1);
         assert_eq!(a.positional(0), Some("8"));
         assert_eq!(a.positional(1), Some("16"));
         assert_eq!(a.positional(2), None);
@@ -208,6 +222,18 @@ mod tests {
         assert_eq!(
             Args::from(&["--jobs", "banana"]).try_usize_of("--jobs", 1),
             Err(ArgError("--jobs wants a number, got \"banana\"".into()))
+        );
+    }
+
+    #[test]
+    fn undeclared_flags_are_errors() {
+        let a = Args::from(&["--quick", "--josn", "3"]);
+        assert_eq!(a.check_flags(&["--quick", "--josn"]), Ok(()));
+        assert_eq!(
+            a.check_flags(&["--quick", "--json"]),
+            Err(ArgError(
+                "unknown flag --josn (expected one of --quick, --json)".into()
+            ))
         );
     }
 

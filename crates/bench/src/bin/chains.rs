@@ -30,9 +30,8 @@
 //! `--json` emits one structured `mtf-bench-report-v1` line; CI diffs it
 //! against the committed golden copy.
 
-use mtf_bench::args::Args;
 use mtf_bench::json::Json;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_core::design::{ASYNC_SYNC_RS, MIXED_CLOCK_RS, SYNC_RS};
 use mtf_core::MixedTimingDesign;
 use mtf_lis::{
@@ -124,16 +123,16 @@ fn entry_for(
 }
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
-    let items = args.usize_of("--items", 60);
-    let shards = args.shards();
+    let mut run = Run::start("chains", &["--json", "--items", "--shards", "--backend"]);
+    let json = !run.text();
+    let items = run.args().count("--items", 60, 1);
+    let shards = run.args().count("--shards", 1, 1);
     // `--backend compiled` runs every point on the compiled-netlist
     // backend. The report is intentionally NOT annotated with the
     // backend: CI diffs the compiled `--json` output against the same
     // golden copy as the event run, so any byte of difference is an
     // equivalence bug.
-    let backend = args.backend();
+    let backend = run.args().backend();
 
     if !json {
         println!("E9 — heterogeneous LIS chains vs. per-boundary predictions (paper Sec. 5)");
@@ -149,15 +148,16 @@ fn main() {
         println!();
     }
 
-    let mut report = ExperimentReport::new("chains");
     let mut verified = 0usize;
     for &capacity in CAPACITIES {
         for (name, design, spec) in scenarios(capacity) {
             let v = match verify_chain_with_backend(&spec, items, backend) {
                 Ok(v) => v,
                 Err(e) => {
-                    eprintln!("chains: {name} capacity {capacity} FAILED verification: {e}");
-                    std::process::exit(1);
+                    run.fail(format_args!(
+                        "{name} capacity {capacity} FAILED verification: {e}"
+                    ));
+                    continue;
                 }
             };
             verified += 1;
@@ -197,71 +197,76 @@ fn main() {
             // merged fingerprint to be byte-identical to one shard.
             if shards > 1 {
                 let drive = ChainDrive::clean(1, items, spec.width);
-                let (one, many) = match (
+                match (
                     run_chain_sharded_with_backend(&spec, &drive, 1, backend),
                     run_chain_sharded_with_backend(&spec, &drive, shards, backend),
                 ) {
-                    (Ok(a), Ok(b)) => (a, b),
                     (Err(e), _) | (_, Err(e)) => {
-                        eprintln!("chains: {name} capacity {capacity} sharded run failed: {e}");
-                        std::process::exit(1);
+                        run.fail(format_args!(
+                            "{name} capacity {capacity} sharded run failed: {e}"
+                        ));
                     }
-                };
-                if one.fingerprint != many.fingerprint {
-                    eprintln!(
-                        "chains: {name} capacity {capacity}: {} shard(s) diverged from 1 \
-                         (digest {:#x} vs {:#x})",
-                        many.shards,
-                        many.fingerprint.digest(),
-                        one.fingerprint.digest()
-                    );
-                    std::process::exit(1);
-                }
-                let nulls: u64 = many.shard_stats.iter().map(|s| s.null_messages).sum();
-                let xevents: u64 = many.shard_stats.iter().map(|s| s.events_sent).sum();
-                let rounds: u64 = many.shard_stats.iter().map(|s| s.rounds).max().unwrap_or(0);
-                e = e
-                    .with("shards", many.shards as f64)
-                    .with("xshard_events", xevents as f64)
-                    .with("null_messages", nulls as f64)
-                    .with("lockstep_rounds", rounds as f64);
-                if !json {
-                    println!(
-                        "            sharded x{}: fingerprint ok ({:#x}), {} cross-shard \
-                         events, {} null messages, {} rounds",
-                        many.shards,
-                        many.fingerprint.digest(),
-                        xevents,
-                        nulls,
-                        rounds
-                    );
+                    (Ok(one), Ok(many)) if one.fingerprint != many.fingerprint => {
+                        run.fail(format_args!(
+                            "{name} capacity {capacity}: {} shard(s) diverged from 1 \
+                             (digest {:#x} vs {:#x})",
+                            many.shards,
+                            many.fingerprint.digest(),
+                            one.fingerprint.digest()
+                        ));
+                    }
+                    (Ok(_), Ok(many)) => {
+                        let nulls: u64 = many.shard_stats.iter().map(|s| s.null_messages).sum();
+                        let xevents: u64 = many.shard_stats.iter().map(|s| s.events_sent).sum();
+                        let rounds: u64 =
+                            many.shard_stats.iter().map(|s| s.rounds).max().unwrap_or(0);
+                        e = e
+                            .with("shards", many.shards as f64)
+                            .with("xshard_events", xevents as f64)
+                            .with("null_messages", nulls as f64)
+                            .with("lockstep_rounds", rounds as f64);
+                        if !json {
+                            println!(
+                                "            sharded x{}: fingerprint ok ({:#x}), {} cross-shard \
+                                 events, {} null messages, {} rounds",
+                                many.shards,
+                                many.fingerprint.digest(),
+                                xevents,
+                                nulls,
+                                rounds
+                            );
+                        }
+                    }
                 }
             }
-            report.entries.push(e);
+            run.report.entries.push(e);
         }
     }
 
-    if json {
-        report.note("items_per_run", Json::Num(items as f64));
-        report.note("verified_points", Json::Num(verified as f64));
-        if shards > 1 {
-            report.note("requested_shards", Json::Num(shards as f64));
-        }
-        report.note(
-            "scenarios",
-            Json::Arr(
-                ["mcrs", "asrs", "mixed", "baseline"]
-                    .iter()
-                    .map(|s| Json::str(*s))
-                    .collect(),
-            ),
-        );
-        report.emit();
-    } else {
-        println!();
-        println!(
-            "All {verified} chain points passed end-to-end verification (lossless FIFO, \
-             latency in envelope, throughput in band, no wedge under stopIn)."
-        );
+    let r = &mut run.report;
+    r.note("items_per_run", Json::Num(items as f64));
+    r.note("verified_points", Json::Num(verified as f64));
+    if shards > 1 {
+        r.note("requested_shards", Json::Num(shards as f64));
     }
+    r.note(
+        "scenarios",
+        Json::Arr(
+            ["mcrs", "asrs", "mixed", "baseline"]
+                .iter()
+                .map(|s| Json::str(*s))
+                .collect(),
+        ),
+    );
+    if !json {
+        println!();
+        match run.failures() {
+            0 => println!(
+                "All {verified} chain points passed end-to-end verification (lossless FIFO, \
+                 latency in envelope, throughput in band, no wedge under stopIn)."
+            ),
+            n => println!("FAIL: {n} chain check(s) failed."),
+        }
+    }
+    run.finish()
 }

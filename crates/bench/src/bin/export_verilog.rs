@@ -17,7 +17,7 @@
 use mtf_bench::args::{ArgError, Args};
 use mtf_bench::harness::Harness;
 use mtf_bench::json::Json;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_core::design::DesignRegistry;
 use mtf_core::{DesignPorts, FifoParams, InterfaceSpec, MixedTimingDesign};
 use mtf_gates::{to_verilog, Port};
@@ -107,17 +107,15 @@ fn positional_usize(args: &Args, i: usize, what: &str, default: usize) -> usize 
 }
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
-    let capacity = positional_usize(&args, 0, "capacity", 8);
-    let width = positional_usize(&args, 1, "width", 8);
+    let mut run = Run::start("export_verilog", &["--json"]);
+    let capacity = positional_usize(run.args(), 0, "capacity", 8);
+    let width = positional_usize(run.args(), 1, "width", 8);
     let params =
         FifoParams::try_new(capacity, width).unwrap_or_else(|e| ArgError(e.to_string()).exit());
-    if !json {
+    if run.text() {
         println!("exporting {params} designs as structural Verilog:");
     }
 
-    let mut r = ExperimentReport::new("export_verilog");
     let mut files = Vec::new();
     for design in DesignRegistry::paper().iter() {
         let mut h = Harness::new(0);
@@ -126,20 +124,19 @@ fn main() {
         let name = module_name(design);
         let plist = port_list(&ports);
         let path = format!("{name}.v");
-        std::fs::write(&path, to_verilog(&name, h.netlist(), &h.sim, &plist))
-            .expect("write .v file");
-        if !json {
+        run.write(&path, to_verilog(&name, h.netlist(), &h.sim, &plist));
+        if run.text() {
             println!("  wrote {path}");
         }
-        r.entries
+        run.report
+            .entries
             .push(DesignEntry::new(design, params).with("ports", plist.len() as f64));
         files.push(Json::Str(path));
     }
-    if !json {
+    if run.text() {
         println!("note: behavioural controller macros (OPT/OGT/DV) are emitted as");
         println!("black boxes; their specifications live in mtf-async.");
-    } else {
-        r.note("files", Json::Arr(files));
-        r.emit();
     }
+    run.report.note("files", Json::Arr(files));
+    run.finish()
 }

@@ -11,15 +11,14 @@
 //! `--json` suppresses the diagrams (the VCD files are still written) and
 //! emits one structured [`ExperimentReport`] instead.
 
-use mtf_bench::args::Args;
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::json::Json;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_core::design::{ASYNC_SYNC, MIXED_CLOCK};
 use mtf_core::{FifoParams, MixedTimingDesign};
 use mtf_sim::{vcd, Probe, Time};
 
-fn sync_protocols(json: bool) -> DesignEntry {
+fn sync_protocols(run: &Run) -> DesignEntry {
     let mut h = Harness::new(1);
     h.clock_nets_both();
     h.gen_put(Time::from_ns(10));
@@ -60,7 +59,7 @@ fn sync_protocols(json: bool) -> DesignEntry {
     );
     h.sim.run_until(Time::from_ns(140)).expect("runs");
 
-    if !json {
+    if run.text() {
         println!("Fig. 3(a,b): synchronous put and get protocols (mixed-clock FIFO)");
         println!("  two items (0x3C, 0x55) enqueued and dequeued; '#'=high '_'=low 'z'=undriven\n");
         print!(
@@ -74,8 +73,8 @@ fn sync_protocols(json: bool) -> DesignEntry {
             )
         );
     }
-    std::fs::write("fig3_sync.vcd", vcd::render_vcd(&h.sim, &probes)).expect("write vcd");
-    if !json {
+    run.write("fig3_sync.vcd", vcd::render_vcd(&h.sim, &probes));
+    if run.text() {
         println!("\n  full waveform written to fig3_sync.vcd\n");
     }
     DesignEntry::new(
@@ -86,7 +85,7 @@ fn sync_protocols(json: bool) -> DesignEntry {
     .with("probes", probes.len() as f64)
 }
 
-fn async_protocol(json: bool) -> DesignEntry {
+fn async_protocol(run: &Run) -> DesignEntry {
     let mut h = Harness::new(2);
     h.clock_nets(ASYNC_SYNC.clocking());
     h.gen_get(Time::from_ns(10));
@@ -123,7 +122,7 @@ fn async_protocol(json: bool) -> DesignEntry {
     );
     h.sim.run_until(Time::from_ns(120)).expect("runs");
 
-    if !json {
+    if run.text() {
         println!("Fig. 3(c): asynchronous 4-phase bundled-data put protocol (async-sync FIFO)");
         println!("  req+ -> ack+ -> req- -> ack-; data bundled with req\n");
         print!(
@@ -137,8 +136,8 @@ fn async_protocol(json: bool) -> DesignEntry {
             )
         );
     }
-    std::fs::write("fig3_async.vcd", vcd::render_vcd(&h.sim, &probes)).expect("write vcd");
-    if !json {
+    run.write("fig3_async.vcd", vcd::render_vcd(&h.sim, &probes));
+    if run.text() {
         println!("\n  full waveform written to fig3_async.vcd");
     }
     DesignEntry::new(&ASYNC_SYNC as &dyn MixedTimingDesign, FifoParams::new(4, 8))
@@ -147,21 +146,16 @@ fn async_protocol(json: bool) -> DesignEntry {
 }
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
-    let sync_entry = sync_protocols(json);
-    let async_entry = async_protocol(json);
-    if json {
-        let mut r = ExperimentReport::new("fig3");
-        r.entries.push(sync_entry);
-        r.entries.push(async_entry);
-        r.note(
-            "vcd_files",
-            Json::Arr(vec![
-                Json::str("fig3_sync.vcd"),
-                Json::str("fig3_async.vcd"),
-            ]),
-        );
-        r.emit();
-    }
+    let mut run = Run::start("fig3", &["--json"]);
+    let sync_entry = sync_protocols(&run);
+    let async_entry = async_protocol(&run);
+    run.report.entries.extend([sync_entry, async_entry]);
+    run.report.note(
+        "vcd_files",
+        Json::Arr(vec![
+            Json::str("fig3_sync.vcd"),
+            Json::str("fig3_async.vcd"),
+        ]),
+    );
+    run.finish()
 }

@@ -17,9 +17,8 @@
 //! state space that blows past its budget ceiling (the counts are part
 //! of the contract: these models are supposed to stay tiny).
 
-use mtf_bench::args::Args;
 use mtf_bench::json::Json;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_core::design::DesignRegistry;
 use mtf_core::FifoParams;
 use mtf_lint::extract_state_elements;
@@ -34,8 +33,8 @@ const CTRL_STATE_CEILING: usize = 1 << 10;
 const CHAIN_STATE_CEILING: usize = 1 << 22;
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
+    let mut run = Run::start("formal", &["--json"]);
+    let json = !run.text();
 
     if !json {
         println!("Exhaustive model checking over the design registry");
@@ -43,14 +42,8 @@ fn main() {
         println!();
     }
 
-    let mut report = ExperimentReport::new("formal");
-    let mut disproven = 0usize;
-
     // Per-design FIFO protocol models.
-    let checks = check_all().unwrap_or_else(|e| {
-        eprintln!("formal: {e}");
-        std::process::exit(2);
-    });
+    let checks = check_all().unwrap_or_else(|e| run.abort(e));
     for dc in &checks {
         let design = DesignRegistry::of(dc.kind);
         // `FifoParams` floors netlist capacities at 3; the 2-place model
@@ -61,12 +54,11 @@ fn main() {
             .unwrap_or(0);
         let states = dc.check.space.len();
         if states > FIFO_STATE_CEILING {
-            eprintln!(
-                "formal: {} c{} exploded to {states} states (ceiling {FIFO_STATE_CEILING})",
+            run.abort(format_args!(
+                "{} c{} exploded to {states} states (ceiling {FIFO_STATE_CEILING})",
                 dc.kind.name(),
                 dc.capacity
-            );
-            std::process::exit(2);
+            ));
         }
         let mut e = DesignEntry::new(design, params)
             .with("model_capacity", dc.capacity as f64)
@@ -76,7 +68,7 @@ fn main() {
         for (p, v) in &dc.check.verdicts {
             e = e.with(p.name(), if v.holds() { 1.0 } else { 0.0 });
         }
-        report.entries.push(e);
+        run.report.entries.push(e);
         if !json {
             let verdicts: Vec<String> = dc
                 .check
@@ -101,16 +93,13 @@ fn main() {
             );
         }
         if let Some(cx) = dc.check.first_counterexample() {
-            disproven += 1;
-            eprintln!("  {} c{}: {cx}", dc.kind.name(), dc.capacity);
+            run.fail(format_args!("{} c{}: {cx}", dc.kind.name(), dc.capacity));
         }
     }
 
     // Controller specifications.
-    let (stg, bm) = check_controllers().unwrap_or_else(|e| {
-        eprintln!("formal: controllers: {e}");
-        std::process::exit(2);
-    });
+    let (stg, bm) =
+        check_controllers().unwrap_or_else(|e| run.abort(format_args!("controllers: {e}")));
     let mut ctrl_notes = Vec::new();
     if !json {
         println!();
@@ -143,11 +132,12 @@ fn main() {
         }))
     {
         if states > CTRL_STATE_CEILING {
-            eprintln!("formal: controller {name} exploded to {states} states");
-            std::process::exit(2);
+            run.abort(format_args!(
+                "controller {name} exploded to {states} states"
+            ));
         }
         if !clean {
-            disproven += 1;
+            run.fail(format_args!("controller {name} is not clean"));
         }
         if !json {
             println!(
@@ -172,13 +162,10 @@ fn main() {
 
     // The heterogeneous-chain twin.
     let chain_model = ChainModel::new(3, 4, SYNC_STAGES);
-    let chain = check_chain(&chain_model, CHAIN_STATE_CEILING).unwrap_or_else(|e| {
-        eprintln!("formal: chain: {e}");
-        std::process::exit(2);
-    });
+    let chain = check_chain(&chain_model, CHAIN_STATE_CEILING)
+        .unwrap_or_else(|e| run.abort(format_args!("chain: {e}")));
     if let Some(cx) = chain.first_counterexample() {
-        disproven += 1;
-        eprintln!("  {}: {cx}", chain.name);
+        run.fail(format_args!("{}: {cx}", chain.name));
     }
     if !json {
         println!();
@@ -214,12 +201,12 @@ fn main() {
         ));
     }
 
-    if json {
-        report.note("controllers", Json::Arr(ctrl_notes));
-        report.note("chain", Json::Obj(chain_pairs));
-        report.note("disproven_total", Json::Num(disproven as f64));
-        report.emit();
-    } else {
+    let disproven = run.failures();
+    let report = &mut run.report;
+    report.note("controllers", Json::Arr(ctrl_notes));
+    report.note("chain", Json::Obj(chain_pairs));
+    report.note("disproven_total", Json::Num(disproven as f64));
+    if !json {
         println!();
         if disproven == 0 {
             println!(
@@ -233,7 +220,5 @@ fn main() {
             );
         }
     }
-    if disproven > 0 {
-        std::process::exit(1);
-    }
+    run.finish()
 }

@@ -26,9 +26,8 @@
 //! derived-vs-declared mismatch or unsound cut exits non-zero; the JSON
 //! line is diffed against `golden/contracts.json`.
 
-use mtf_bench::args::Args;
 use mtf_bench::json::Json;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_core::design::DesignRegistry;
 use mtf_core::FifoParams;
 use mtf_lint::{infer_contract, lint_design, LintReport, PASSES};
@@ -56,41 +55,23 @@ fn print_design(name: &str, report: &LintReport) {
     }
 }
 
-/// The `sharded` bench's 64-domain plesiochronous ladder (same
-/// construction — keep in sync with `--bin sharded`), whose cut claims
-/// the audit proves.
-fn relay64(segments: usize) -> ChainSpec {
-    let mut spec = ChainSpec::new(8, 4);
-    for i in 0..segments as u64 {
-        if i > 0 {
-            spec = spec.boundary("mixed_clock_rs");
-        }
-        spec = spec.segment(9_973 + 37 * i, (257 * i) % 4_000, 1);
-    }
-    spec
-}
-
 /// The `--contracts` mode: derived interface contracts plus the
 /// lookahead soundness audit, one report line.
-fn contracts_main(json: bool, params: FifoParams) {
+fn contracts_main(mut run: Run, params: FifoParams) -> ! {
+    run.report.experiment = "contracts".into();
+    let json = !run.text();
     if !json {
         println!("Netlist-derived interface contracts at {params}");
         println!();
     }
-    let mut report = ExperimentReport::new("contracts");
     let mut disciplines = Vec::new();
     let mut mismatch_total = 0usize;
     for design in DesignRegistry::standard().iter() {
-        let contract = match infer_contract(design, params) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("contracts: {} rejected {params}: {e}", design.kind().name());
-                std::process::exit(2);
-            }
-        };
+        let name = design.kind().name();
+        let contract = infer_contract(design, params)
+            .unwrap_or_else(|e| run.abort(format_args!("{name} rejected {params}: {e}")));
         let mismatches = contract.diff(params.sync_stages);
         mismatch_total += mismatches.len();
-        let name = design.kind().name();
         if !json {
             println!(
                 "{name:>15}: put {} | get {} | capacity {:?}",
@@ -100,12 +81,15 @@ fn contracts_main(json: bool, params: FifoParams) {
                 println!("        MISMATCH {m}");
             }
         }
+        for m in &mismatches {
+            run.fail(format_args!("{name}: mismatch {m}"));
+        }
         disciplines.push(Json::obj([
             ("design", Json::str(name)),
             ("put", Json::str(contract.put.discipline.to_string())),
             ("get", Json::str(contract.get.discipline.to_string())),
         ]));
-        report.entries.push(
+        run.report.entries.push(
             DesignEntry::new(design, params)
                 .with(
                     "put_depth",
@@ -129,16 +113,20 @@ fn contracts_main(json: bool, params: FifoParams) {
                 .with("mismatches", mismatches.len() as f64),
         );
     }
-    report.note("disciplines", Json::Arr(disciplines));
-    report.note("mismatches_total", Json::Num(mismatch_total as f64));
+    run.report.note("disciplines", Json::Arr(disciplines));
+    run.report
+        .note("mismatches_total", Json::Num(mismatch_total as f64));
 
     // Static proof of the sharded kernel's lookahead claims, cut by cut.
-    let spec = relay64(64);
+    let spec = ChainSpec::relay_ladder(64);
     let mut lookahead = Vec::new();
     let mut unsound_total = 0usize;
     for shards in [2usize, 4, 8] {
-        let audit = audit_chain_lookahead(&spec, shards).expect("relay64 validates");
+        let audit = audit_chain_lookahead(&spec, shards).expect("the relay ladder validates");
         unsound_total += audit.failures().len();
+        for f in audit.failures() {
+            run.fail(format_args!("relay64 @ {shards} shards: unsound {f}"));
+        }
         if !json {
             println!(
                 "relay64 @ {shards:>2} shards: {} cuts audited, {} hold checks, {}",
@@ -160,11 +148,9 @@ fn contracts_main(json: bool, params: FifoParams) {
             ("sound", Json::Num(u64::from(audit.is_sound()) as f64)),
         ]));
     }
-    report.note("lookahead", Json::Arr(lookahead));
+    run.report.note("lookahead", Json::Arr(lookahead));
 
-    if json {
-        report.emit();
-    } else {
+    if !json {
         println!();
         if mismatch_total == 0 && unsound_total == 0 {
             println!(
@@ -175,19 +161,16 @@ fn contracts_main(json: bool, params: FifoParams) {
             println!("FAIL: {mismatch_total} mismatch(es), {unsound_total} unsound claim(s).");
         }
     }
-    if mismatch_total > 0 || unsound_total > 0 {
-        std::process::exit(1);
-    }
+    run.finish()
 }
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
-    let params = args.fifo_params();
-    if args.flag("--contracts") {
-        contracts_main(json, params);
-        return;
+    let mut run = Run::start("lint", &["--json", "--capacity", "--width", "--contracts"]);
+    let params = run.args().fifo_params();
+    if run.args().flag("--contracts") {
+        contracts_main(run, params);
     }
+    let json = !run.text();
 
     if !json {
         println!("Static netlist lint over the design registry at {params}");
@@ -195,23 +178,19 @@ fn main() {
         println!();
     }
 
-    let mut report = ExperimentReport::new("lint");
-    let mut unwaived_total = 0usize;
     let mut waived_total = 0usize;
     for design in DesignRegistry::standard().iter() {
-        let r = match lint_design(design, params) {
-            Ok(r) => r,
-            Err(e) => {
-                // A design that rejects the stock parameters is a harness
-                // bug, not a lint finding.
-                eprintln!("lint: {} rejected {params}: {e}", design.kind().name());
-                std::process::exit(2);
-            }
-        };
-        unwaived_total += r.unwaived().count();
+        let name = design.kind().name();
+        // A design that rejects the stock parameters is a harness bug,
+        // not a lint finding.
+        let r = lint_design(design, params)
+            .unwrap_or_else(|e| run.abort(format_args!("{name} rejected {params}: {e}")));
         waived_total += r.waived_count();
         if !json {
-            print_design(design.kind().name(), &r);
+            print_design(name, &r);
+        }
+        for a in r.unwaived() {
+            run.fail(format_args!("{name}: unwaived {a}"));
         }
 
         let mut e = DesignEntry::new(design, params)
@@ -224,18 +203,18 @@ fn main() {
         for pass in PASSES {
             e = e.with(pass, r.count_for(pass) as f64);
         }
-        report.entries.push(e);
+        run.report.entries.push(e);
     }
 
-    if json {
-        report.note(
-            "passes",
-            Json::Arr(PASSES.iter().map(|p| Json::str(*p)).collect()),
-        );
-        report.note("waived_total", Json::Num(waived_total as f64));
-        report.note("unwaived_total", Json::Num(unwaived_total as f64));
-        report.emit();
-    } else {
+    let unwaived_total = run.failures();
+    let report = &mut run.report;
+    report.note(
+        "passes",
+        Json::Arr(PASSES.iter().map(|p| Json::str(*p)).collect()),
+    );
+    report.note("waived_total", Json::Num(waived_total as f64));
+    report.note("unwaived_total", Json::Num(unwaived_total as f64));
+    if !json {
         println!();
         if unwaived_total == 0 {
             println!(
@@ -246,7 +225,5 @@ fn main() {
             println!("FAIL: {unwaived_total} unwaived finding(s).");
         }
     }
-    if unwaived_total > 0 {
-        std::process::exit(1);
-    }
+    run.finish()
 }

@@ -25,11 +25,10 @@
 //! count. `--json` emits one structured [`ExperimentReport`] instead of
 //! the text.
 
-use mtf_bench::args::Args;
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::json::Json;
 use mtf_bench::measure::throughput;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_bench::sweep::SweepRunner;
 use mtf_core::design::MIXED_CLOCK;
 use mtf_core::FifoParams;
@@ -38,12 +37,8 @@ use mtf_sim::{mtbf_seconds, MetaModel, Time};
 
 /// One FIFO transfer with plesiochronous clocks and an exaggerated
 /// metastability model; returns true when the stream arrived intact.
-fn one_run(seed: u64, stages: usize, meta: MetaModel, backend: mtf_sim::Backend) -> bool {
+fn one_run(seed: u64, stages: usize, meta: MetaModel) -> bool {
     let mut h = Harness::with_model(seed, CellDelays::hp06(), meta);
-    // Synchronizer flops stay event-resident under a stochastic model, so
-    // the compiled backend replays the same settling draws in the same
-    // order and the outcome grid is backend-invariant.
-    h.use_backend(backend);
     h.clock_nets_both();
     // Incommensurate periods sweep the data change across the get edge.
     h.gen_put(Time::from_ps(9_973));
@@ -72,28 +67,14 @@ fn one_run(seed: u64, stages: usize, meta: MetaModel, backend: mtf_sim::Backend)
 }
 
 fn main() {
-    let args = Args::parse();
-    let json = args.json();
-    let runs = args.usize_of("--runs", 30) as u64;
-    let shards = args.shards();
-    let backend = args.backend();
-    let runner = SweepRunner::new(args.jobs());
+    let mut run = Run::start("robustness", &["--runs", "--jobs", "--json"]);
+    let json = !run.text();
+    let runs = run.args().count("--runs", 30, 1) as u64;
+    let runner = SweepRunner::new(run.args().jobs());
 
     if !json {
         println!("E8 — synchronizer robustness (paper Secs. 1, 3.2: \"arbitrarily robust\")");
         println!();
-    }
-
-    // `--shards N`: the swept design is a single gate-level FIFO — report
-    // the partition verdict instead of pretending to split it.
-    let verdicts = (shards > 1).then(|| {
-        mtf_bench::shards::shard_verdicts(
-            &[&MIXED_CLOCK as &dyn mtf_core::MixedTimingDesign],
-            FifoParams::new(8, 8),
-        )
-    });
-    if let (Some(v), false) = (&verdicts, json) {
-        mtf_bench::shards::print_verdicts(shards, v);
     }
 
     // ---- analytical MTBF ---------------------------------------------------
@@ -138,7 +119,7 @@ fn main() {
         .flat_map(|stages| (0..runs).map(move |r| (stages, r)))
         .collect();
     let intact = runner.run(&cells, |_, &(stages, r)| {
-        one_run(1_000 + r * 77, stages, harsh, backend)
+        one_run(1_000 + r * 77, stages, harsh)
     });
     let mut corruption = Vec::new();
     for stages in 1..=4usize {
@@ -175,26 +156,21 @@ fn main() {
         println!();
         println!("Reading: each stage multiplies MTBF by e^(T/tau) ≈ 6e5 while costing a");
         println!("few percent of fmax and one more cell of anticipation margin.");
-    } else {
-        let mut r = ExperimentReport::new("robustness");
-        for (stages, fails) in &corruption {
-            let mut e = DesignEntry::new(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, *stages))
-                .with("runs", runs as f64)
-                .with("corrupted", *fails as f64)
-                .with("mtbf_seconds", mtbfs[*stages - 1].1);
-            if let Some(i) = depths.iter().position(|d| d == stages) {
-                e = e
-                    .with("put_mhz", costs[i].put)
-                    .with("get_mhz", costs[i].get);
-            }
-            r.entries.push(e);
-        }
-        r.note("harsh_window_ps", Json::Num(400.0));
-        r.note("harsh_tau_ps", Json::Num(2_500.0));
-        if let Some(v) = &verdicts {
-            r.note("requested_shards", Json::Num(shards as f64));
-            r.note("sharding", mtf_bench::shards::verdicts_json(v));
-        }
-        r.emit();
     }
+    let r = &mut run.report;
+    for (stages, fails) in &corruption {
+        let mut e = DesignEntry::new(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, *stages))
+            .with("runs", runs as f64)
+            .with("corrupted", *fails as f64)
+            .with("mtbf_seconds", mtbfs[*stages - 1].1);
+        if let Some(i) = depths.iter().position(|d| d == stages) {
+            e = e
+                .with("put_mhz", costs[i].put)
+                .with("get_mhz", costs[i].get);
+        }
+        r.entries.push(e);
+    }
+    r.note("harsh_window_ps", Json::Num(400.0));
+    r.note("harsh_tau_ps", Json::Num(2_500.0));
+    run.finish()
 }

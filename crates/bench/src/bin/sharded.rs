@@ -26,24 +26,9 @@
 
 use std::time::Instant;
 
-use mtf_bench::args::Args;
 use mtf_bench::json::Json;
-use mtf_lis::{run_chain_sharded_with_backend, ChainDrive, ChainSpec, ShardedChainRun};
-use mtf_sim::Backend;
-
-/// The 64-domain relay chain: every segment its own domain, every
-/// boundary a gate-level mixed-clock relay station.
-fn relay64(segments: usize) -> ChainSpec {
-    let mut spec = ChainSpec::new(8, 4);
-    for i in 0..segments as u64 {
-        if i > 0 {
-            spec = spec.boundary("mixed_clock_rs");
-        }
-        // Plesiochronous spread around ~100 MHz with scattered phases.
-        spec = spec.segment(9_973 + 37 * i, (257 * i) % 4_000, 1);
-    }
-    spec
-}
+use mtf_bench::report::Run;
+use mtf_lis::{run_chain_sharded, ChainDrive, ChainSpec, ShardedChainRun};
 
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -55,17 +40,11 @@ struct Point {
     run: ShardedChainRun,
 }
 
-fn measure(
-    spec: &ChainSpec,
-    drive: &ChainDrive,
-    shards: usize,
-    runs: usize,
-    backend: Backend,
-) -> Point {
+fn measure(spec: &ChainSpec, drive: &ChainDrive, shards: usize, runs: usize) -> Point {
     let mut best: Option<(f64, ShardedChainRun)> = None;
-    for _ in 0..runs.max(1) {
+    for _ in 0..runs {
         let t0 = Instant::now();
-        let run = run_chain_sharded_with_backend(spec, drive, shards, backend).expect("chain runs");
+        let run = run_chain_sharded(spec, drive, shards).expect("chain runs");
         let wall = ms(t0.elapsed());
         if best.as_ref().map(|(w, _)| wall < *w).unwrap_or(true) {
             best = Some((wall, run));
@@ -80,22 +59,23 @@ fn measure(
 }
 
 fn main() {
-    let args = Args::parse();
-    let quick = args.flag("--quick");
+    let mut run = Run::start(
+        "sharded",
+        &["--quick", "--items", "--runs", "--shards", "--write"],
+    );
+    let quick = run.args().flag("--quick");
     let segments = if quick { 16 } else { 64 };
-    let items = args.usize_of("--items", if quick { 16 } else { 40 });
-    let runs = args.usize_of("--runs", if quick { 1 } else { 2 });
-    let write = args.flag("--write");
-    let backend = args.backend();
+    let items = run.args().count("--items", if quick { 16 } else { 40 }, 1);
+    let runs = run.args().count("--runs", if quick { 1 } else { 2 }, 1);
 
     let mut ladder = vec![1usize, 2, 4, 8];
-    let extra = args.shards();
+    let extra = run.args().count("--shards", 1, 1);
     if extra > 1 && !ladder.contains(&extra) {
         ladder.push(extra);
         ladder.sort_unstable();
     }
 
-    let spec = relay64(segments);
+    let spec = ChainSpec::relay_ladder(segments);
     let drive = ChainDrive::clean(1, items, spec.width);
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -110,7 +90,7 @@ fn main() {
     let points: Vec<Point> = ladder
         .iter()
         .map(|&n| {
-            let p = measure(&spec, &drive, n, runs, backend);
+            let p = measure(&spec, &drive, n, runs);
             eprintln!(
                 "  {n:>2} shard(s): {:8.1} ms wall, digest {:#018x}",
                 p.wall_ms,
@@ -121,18 +101,20 @@ fn main() {
         .collect();
 
     let base = &points[0];
-    assert_eq!(base.run.shards, 1);
-    assert_eq!(
-        base.run.run.delivered.len(),
-        items,
-        "chain must deliver everything"
-    );
-    for p in &points[1..] {
-        assert_eq!(
-            p.run.fingerprint, base.run.fingerprint,
+    if base.run.run.delivered.len() != items {
+        run.fail(format_args!(
+            "the chain delivered {} of {items} items",
+            base.run.run.delivered.len()
+        ));
+    }
+    for p in points
+        .iter()
+        .filter(|p| p.run.fingerprint != base.run.fingerprint)
+    {
+        run.fail(format_args!(
             "{} shards diverged from the single-shard fingerprint",
             p.shards
-        );
+        ));
     }
 
     let point_json: Vec<Json> = points
@@ -165,7 +147,10 @@ fn main() {
                 ("xshard_events", Json::Num(xevents as f64)),
                 ("null_messages", Json::Num(nulls as f64)),
                 ("lockstep_rounds_max", Json::Num(rounds as f64)),
-                ("fingerprint_ok", Json::Bool(true)),
+                (
+                    "fingerprint_ok",
+                    Json::Bool(p.run.fingerprint == base.run.fingerprint),
+                ),
             ])
         })
         .collect();
@@ -205,11 +190,11 @@ fn main() {
     ]);
 
     let rendered = doc.render();
-    if write {
-        std::fs::write("BENCH_sharded_sim.json", format!("{rendered}\n"))
-            .expect("write BENCH_sharded_sim.json");
+    if run.args().flag("--write") {
+        run.write("BENCH_sharded_sim.json", format!("{rendered}\n"));
         eprintln!("sharded: wrote BENCH_sharded_sim.json");
     } else {
         println!("{rendered}");
     }
+    run.finish()
 }

@@ -18,11 +18,12 @@
 //! `--json --cell NAME[:CAPxWIDTH]` measures a single cell (the schema
 //! smoke test in CI uses this).
 
-use mtf_bench::args::{ArgError, Args};
+use mtf_bench::args::ArgError;
 use mtf_bench::harness::{Drain, Feed, Harness};
+use mtf_bench::json::Json;
 use mtf_bench::measure::{latency_with, throughput, LatencyRange, Throughput};
 use mtf_bench::paper;
-use mtf_bench::report::{DesignEntry, ExperimentReport};
+use mtf_bench::report::{DesignEntry, Run};
 use mtf_bench::sweep::SweepRunner;
 use mtf_core::design::{DesignRegistry, MIXED_CLOCK};
 use mtf_core::{FifoParams, MixedTimingDesign};
@@ -32,27 +33,25 @@ const WIDTHS: [usize; 2] = [8, 16];
 const CAPACITIES: [usize; 3] = [4, 8, 16];
 
 fn main() {
-    let args = Args::parse();
+    let mut run = Run::start(
+        "table1",
+        &[
+            "--quick",
+            "--stats",
+            "--json",
+            "--jobs",
+            "--latency-steps",
+            "--cell",
+        ],
+    );
+    let args = run.args();
     let quick = args.flag("--quick");
     let stats = args.flag("--stats");
     let json = args.json();
-    let steps = args.usize_of("--latency-steps", if quick { 4 } else { 10 });
-    let shards = args.shards();
-    // Throughput and latency cells are STA-dominated; `--backend` selects
-    // the execution backend of the representative kernel-stats transfer
-    // (`--stats` / the `--json` kernel block).
-    let backend = args.backend();
+    let steps = args.count("--latency-steps", if quick { 4 } else { 10 }, 2);
     let runner = SweepRunner::new(args.jobs());
     let registry = DesignRegistry::table1();
     let designs: Vec<&'static dyn MixedTimingDesign> = registry.iter().collect();
-
-    // `--shards N`: single FIFO designs are gate-level inseparable —
-    // report the partition pass's verdict instead of pretending to split.
-    let verdicts =
-        (shards > 1).then(|| mtf_bench::shards::shard_verdicts(&designs, FifoParams::new(4, 8)));
-    if let (Some(v), false) = (&verdicts, json) {
-        mtf_bench::shards::print_verdicts(shards, v);
-    }
 
     // `--json --cell NAME[:CAPxWIDTH]`: one cell only, for the schema
     // smoke test (fast enough for CI).
@@ -63,16 +62,14 @@ fn main() {
         let (design, params) = parse_cell(cell).unwrap_or_else(|e| e.exit());
         let t = throughput(design, params);
         let l = latency_with(design, FifoParams::new(params.capacity, 8), steps, &runner);
-        let mut r = ExperimentReport::new("table1");
-        r.entries.push(
+        run.report.entries.push(
             DesignEntry::new(design, params)
                 .with("put", t.put)
                 .with("get", t.get)
                 .with("latency_min_ns", l.min_ns)
                 .with("latency_max_ns", l.max_ns),
         );
-        r.emit();
-        return;
+        run.finish();
     }
 
     if !json {
@@ -222,10 +219,11 @@ fn main() {
         println!();
         println!("{pass} shape checks passed, {fail} failed");
         if stats {
-            print_kernel_stats(kernel_stats(backend));
+            print_kernel_stats(kernel_stats());
         }
     } else {
-        let mut r = ExperimentReport::new("table1").with_kernel(kernel_stats(backend));
+        let r = &mut run.report;
+        r.kernel = Some(kernel_stats());
         for (d, design) in designs.iter().enumerate() {
             for &width in &WIDTHS {
                 for &capacity in &CAPACITIES {
@@ -243,27 +241,13 @@ fn main() {
                 }
             }
         }
-        r.note(
-            "shape_checks_passed",
-            mtf_bench::json::Json::Num(pass as f64),
-        );
-        r.note(
-            "shape_checks_failed",
-            mtf_bench::json::Json::Num(fail as f64),
-        );
-        if let Some(v) = &verdicts {
-            r.note(
-                "requested_shards",
-                mtf_bench::json::Json::Num(shards as f64),
-            );
-            r.note("sharding", mtf_bench::shards::verdicts_json(v));
-        }
-        r.emit();
+        r.note("shape_checks_passed", Json::Num(pass as f64));
+        r.note("shape_checks_failed", Json::Num(fail as f64));
     }
-
-    if fail > 0 {
-        std::process::exit(1);
+    for (name, _) in checks.iter().filter(|(_, ok)| !ok) {
+        run.fail(format_args!("shape check failed: {name}"));
     }
+    run.finish()
 }
 
 /// `NAME[:CAPxWIDTH]`, e.g. `mixed_clock` or `async_sync:8x16` (`4x8`
@@ -289,9 +273,8 @@ fn parse_cell(cell: &str) -> Result<(&'static dyn MixedTimingDesign, FifoParams)
 /// internal counters ([`mtf_sim::Simulator::stats`]) — a quick check of
 /// how hard the event queue worked and how much the wake coalescing and
 /// delta ring are earning.
-fn kernel_stats(backend: mtf_sim::Backend) -> SimStats {
+fn kernel_stats() -> SimStats {
     let mut h = Harness::calibrated(7);
-    h.use_backend(backend);
     h.clock_nets_both();
     h.gen_put(Time::from_ps(4_000));
     h.gen_get_phased(Time::from_ps(5_300), Time::from_ps(700));
@@ -328,8 +311,4 @@ fn print_kernel_stats(s: SimStats) {
     println!("  wheel cascades        {}", s.wheel_cascades);
     println!("  overflow events       {}", s.overflow_events);
     println!("  elided drives         {}", s.elided_drives);
-    if s.compiled_edge_evals > 0 || s.compiled_gate_evals > 0 {
-        println!("  compiled edge evals   {}", s.compiled_edge_evals);
-        println!("  compiled gate evals   {}", s.compiled_gate_evals);
-    }
 }

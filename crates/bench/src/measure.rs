@@ -25,14 +25,14 @@
 use mtf_core::baseline::SeizovicFifo;
 use mtf_core::design::MIXED_CLOCK;
 use mtf_core::{FifoParams, InterfaceSpec, MixedTimingDesign};
-use mtf_sim::{ClockGen, Logic, Simulator, Time};
+use mtf_sim::{ClockGen, Logic, NetId, Simulator, Time};
 use mtf_timing::{Sta, Tech};
 
 use crate::harness::{Drain, Feed, Harness};
 use crate::sweep::SweepRunner;
 
 /// Environment reaction delay after a clock edge (request/data driving).
-const EXT: Time = Time::from_ps(100);
+pub const EXT: Time = Time::from_ps(100);
 /// Bundling margin used by the asynchronous producer environments.
 const BUNDLING: Time = Time::from_ps(150);
 
@@ -72,17 +72,24 @@ fn async_put(design: &dyn MixedTimingDesign, params: FifoParams) -> bool {
     )
 }
 
-/// Computes the STA periods for `design` at `params`.
-///
-/// # Panics
-///
-/// Panics for purely behavioural designs (Seizovic): they place no gates,
-/// so no timing paths exist.
-pub fn periods(design: &dyn MixedTimingDesign, params: FifoParams) -> Periods {
+/// The netlist every static timing measurement analyses: `design` at
+/// `params`, built with both harness clock nets (none running) and
+/// delay-annotated with the custom-circuit calibration.
+pub fn timed_build(design: &dyn MixedTimingDesign, params: FifoParams) -> Harness {
     let mut h = Harness::calibrated(1);
     h.clock_nets_both();
     h.build_annotated(design, params, &Tech::hp06_custom());
-    let ports = h.ports().clone();
+    h
+}
+
+/// The Table 1 max-delay set-up of `h` (a [`timed_build`]). Each clock
+/// is the design's own pin, or the harness net a single-clock design
+/// leaves unused. Clocked environment inputs launch [`EXT`] after their
+/// edge, and the mid-cycle dequeue commit launches [`EXT`] after the
+/// falling get edge (`nclk_get`). Returns the analysis with its put and
+/// get clocks.
+pub fn max_delay_sta(h: &Harness) -> (Sta<'_>, NetId, NetId) {
+    let ports = h.ports();
     let put_clock = ports
         .put_clock()
         .unwrap_or_else(|| h.clk_put.expect("harness created both clock nets"));
@@ -90,40 +97,42 @@ pub fn periods(design: &dyn MixedTimingDesign, params: FifoParams) -> Periods {
         .get_clock()
         .unwrap_or_else(|| h.clk_get.expect("harness created both clock nets"));
     let mut sta = Sta::new(h.netlist());
-    // The mid-cycle dequeue commit launches from the falling get edge.
     if let Some(nclk_get) = ports.nclk_get {
-        sta.external_launch_half(nclk_get, get_clock, Time::from_ps(100));
+        sta.external_launch_half(nclk_get, get_clock, EXT);
     }
-    if !async_put(design, params) {
+    if !matches!(ports.put_spec(), InterfaceSpec::Async4Phase { .. }) {
         let req_like = ports
             .req_put
             .or(ports.valid_in)
             .expect("clocked puts have a request-like input");
-        sta.external_launch(req_like, put_clock, EXT);
-        for &d in &ports.data_put {
-            sta.external_launch(d, put_clock, EXT);
+        for &net in std::iter::once(&req_like).chain(&ports.data_put) {
+            sta.external_launch(net, put_clock, EXT);
         }
     }
-    if let Some(rg) = ports.req_get {
-        sta.external_launch(rg, get_clock, EXT);
+    for net in [ports.req_get, ports.stop_in].into_iter().flatten() {
+        sta.external_launch(net, get_clock, EXT);
     }
-    if let Some(si) = ports.stop_in {
-        sta.external_launch(si, get_clock, EXT);
-    }
-    let get = sta
-        .min_period(get_clock)
-        .expect("get domain must have paths")
-        .period;
-    let put = if async_put(design, params) {
-        None
-    } else {
-        Some(
-            sta.min_period(put_clock)
-                .expect("put domain must have paths")
-                .period,
-        )
+    (sta, put_clock, get_clock)
+}
+
+/// Computes the STA periods for `design` at `params`.
+///
+/// # Panics
+///
+/// Panics for purely behavioural designs (Seizovic): they place no gates,
+/// so no timing paths exist.
+pub fn periods(design: &dyn MixedTimingDesign, params: FifoParams) -> Periods {
+    let h = timed_build(design, params);
+    let (sta, put_clock, get_clock) = max_delay_sta(&h);
+    let min_period = |clock| {
+        sta.min_period(clock)
+            .expect("clocked domains have paths")
+            .period
     };
-    Periods { put, get }
+    Periods {
+        put: (!async_put(design, params)).then(|| min_period(put_clock)),
+        get: min_period(get_clock),
+    }
 }
 
 /// Measures the Table 1 throughput cell for `design` at `params`.
@@ -250,11 +259,21 @@ pub fn latency_with(
     steps: usize,
     runner: &SweepRunner,
 ) -> LatencyRange {
+    latency_at(design, params, periods(design, params), steps, runner)
+}
+
+/// [`latency_with`] at the clock periods `p` instead of the design's own
+/// STA periods — e.g. a baseline measured at another design's fmax.
+pub fn latency_at(
+    design: &dyn MixedTimingDesign,
+    params: FifoParams,
+    p: Periods,
+    steps: usize,
+    runner: &SweepRunner,
+) -> LatencyRange {
     assert!(steps >= 2, "a sweep needs at least two points");
-    let p = periods(design, params);
-    let t_get = p.get;
     let offsets: Vec<Time> = (0..steps)
-        .map(|s| Time::from_ps(t_get.as_ps() * s as u64 / steps as u64))
+        .map(|s| Time::from_ps(p.get.as_ps() * s as u64 / steps as u64))
         .collect();
     let samples = runner.run(&offsets, |_, &offset| {
         latency_once(design, params, p, offset)

@@ -1,7 +1,10 @@
-//! Structured experiment output: the [`ExperimentReport`] every binary
-//! emits in `--json` mode.
+//! Structured experiment output and the run policy of every experiment
+//! binary.
 //!
-//! One schema covers all six experiments: a report is a list of
+//! [`Run`] decides, once for every binary, what a run prints and how it
+//! exits; [`ExperimentReport`] is what it emits in `--json` mode.
+//!
+//! One schema covers every experiment: a report is a list of
 //! per-design entries (registry name, paper label, [`FifoParams`], and a
 //! flat list of named measurements), optionally followed by the event
 //! kernel's counters ([`SimStats`]) from a representative run and
@@ -9,9 +12,12 @@
 //! [`ExperimentReport::to_json`], which is what the schema smoke test in
 //! `tests/json_roundtrip.rs` exercises end to end.
 
+use std::fmt::Display;
+
 use mtf_core::FifoParams;
 use mtf_sim::SimStats;
 
+use crate::args::Args;
 use crate::json::Json;
 
 /// The schema tag stamped into every report.
@@ -69,12 +75,6 @@ impl ExperimentReport {
             experiment: experiment.to_string(),
             ..Default::default()
         }
-    }
-
-    /// Records the kernel counters of `sim` as the report's kernel block.
-    pub fn with_kernel(mut self, stats: SimStats) -> Self {
-        self.kernel = Some(stats);
-        self
     }
 
     /// Appends a note.
@@ -146,11 +146,6 @@ impl ExperimentReport {
             pairs.push((name.clone(), value.clone()));
         }
         Json::Obj(pairs)
-    }
-
-    /// Prints the report as one compact JSON line (the `--json` output).
-    pub fn emit(&self) {
-        println!("{}", self.to_json().render());
     }
 
     /// Parses a `mtf-bench-report-v1` tree back into a report.
@@ -253,6 +248,84 @@ impl ExperimentReport {
             kernel,
             notes,
         })
+    }
+}
+
+/// One experiment binary's run: its command line, the text-or-`--json`
+/// choice, the [`ExperimentReport`] it fills and the count of failed
+/// checks. Every binary ends through it, so the exit status means the
+/// same everywhere:
+///
+/// * 0 — every check passed;
+/// * 1 — the run finished and at least one check failed ([`Run::fail`]);
+///   the full report is still printed;
+/// * 2 — the run could not happen: an undeclared flag or unusable value
+///   ([`ArgError`](crate::args::ArgError)), or [`Run::abort`] (an
+///   unbuildable point, a blown budget, an unwritable output).
+#[derive(Debug)]
+pub struct Run {
+    args: Args,
+    failures: usize,
+    /// The report `--json` prints at [`Run::finish`]. Its `experiment`
+    /// name also prefixes every stderr line the run writes.
+    pub report: ExperimentReport,
+}
+
+impl Run {
+    /// Parses the command line of `experiment`, whose binary reads the
+    /// flags `flags`; any other `--` argument exits with status 2.
+    pub fn start(experiment: &str, flags: &[&str]) -> Self {
+        let args = Args::parse();
+        args.check_flags(flags).unwrap_or_else(|e| e.exit());
+        Run {
+            args,
+            failures: 0,
+            report: ExperimentReport::new(experiment),
+        }
+    }
+
+    /// The parsed command line.
+    pub fn args(&self) -> &Args {
+        &self.args
+    }
+
+    /// True unless `--json` was given: the binary prints its text report.
+    pub fn text(&self) -> bool {
+        !self.args.json()
+    }
+
+    /// Records a failed check as one `<experiment>: <what>` line on stderr.
+    pub fn fail(&mut self, what: impl Display) {
+        eprintln!("{}: {what}", self.report.experiment);
+        self.failures += 1;
+    }
+
+    /// The number of failed checks so far.
+    pub fn failures(&self) -> usize {
+        self.failures
+    }
+
+    /// Ends a run that cannot happen: one `<experiment>: <what>` line on
+    /// stderr and exit status 2.
+    pub fn abort(&self, what: impl Display) -> ! {
+        eprintln!("{}: {what}", self.report.experiment);
+        std::process::exit(2)
+    }
+
+    /// Writes an output file; a file that cannot be written aborts the run.
+    pub fn write(&self, path: &str, contents: impl AsRef<[u8]>) {
+        if let Err(e) = std::fs::write(path, contents) {
+            self.abort(format_args!("cannot write {path}: {e}"));
+        }
+    }
+
+    /// Prints the report under `--json` as one compact JSON line, then
+    /// exits with 0, or with 1 if any check failed.
+    pub fn finish(self) -> ! {
+        if self.args.json() {
+            println!("{}", self.report.to_json().render());
+        }
+        std::process::exit(i32::from(self.failures > 0))
     }
 }
 

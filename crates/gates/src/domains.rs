@@ -277,25 +277,6 @@ pub struct PartitionReport {
     pub effective_shards: usize,
 }
 
-impl PartitionReport {
-    /// A one-line human summary for `--shards` reporting.
-    pub fn summary(&self) -> String {
-        if self.cross_nets.is_empty() {
-            format!(
-                "{} independent domain(s); shardable as-is",
-                self.domains.len().max(1)
-            )
-        } else {
-            format!(
-                "{} domain(s) coupled through {} cross-domain net(s); \
-                 gate-level netlist runs as 1 effective shard",
-                self.domains.len(),
-                self.cross_nets.len()
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

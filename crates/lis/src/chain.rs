@@ -142,6 +142,22 @@ impl ChainSpec {
         self
     }
 
+    /// The plesiochronous relay ladder: `segments` single-station
+    /// segments, each its own clock domain (periods spread upward from
+    /// 9.973 ns by 37 ps, scattered phases), joined by gate-level
+    /// `mixed_clock_rs` boundaries; width 8, capacity 4. The sharded
+    /// runner's scaling and lookahead workload.
+    pub fn relay_ladder(segments: usize) -> Self {
+        let mut spec = ChainSpec::new(8, 4);
+        for i in 0..segments as u64 {
+            if i > 0 {
+                spec = spec.boundary("mixed_clock_rs");
+            }
+            spec = spec.segment(9_973 + 37 * i, (257 * i) % 4_000, 1);
+        }
+        spec
+    }
+
     /// Adds an asynchronous head: a `stages`-deep micropipeline bridged by
     /// an ASRS into the first segment.
     pub fn with_async_head(mut self, stages: usize) -> Self {

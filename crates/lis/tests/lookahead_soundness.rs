@@ -13,22 +13,9 @@ use mtf_lis::{
 };
 use mtf_sim::{Backend, MetaModel, Simulator, Time};
 
-/// The bench's 64-domain ladder: plesiochronous spread around ~100 MHz
-/// with scattered phases, mixed-clock relay-station boundaries.
-fn relay64(segments: usize) -> ChainSpec {
-    let mut spec = ChainSpec::new(8, 4);
-    for i in 0..segments as u64 {
-        if i > 0 {
-            spec = spec.boundary("mixed_clock_rs");
-        }
-        spec = spec.segment(9_973 + 37 * i, (257 * i) % 4_000, 1);
-    }
-    spec
-}
-
 #[test]
 fn every_cut_of_the_64_domain_ladder_is_proven_sound() {
-    let spec = relay64(64);
+    let spec = ChainSpec::relay_ladder(64);
     for shards in [2, 4, 8, 16, 32, 64] {
         let audit = audit_chain_lookahead(&spec, shards).expect("valid spec");
         assert_eq!(audit.shards, shards);
@@ -55,7 +42,7 @@ fn every_cut_of_the_64_domain_ladder_is_proven_sound() {
 
 #[test]
 fn a_single_shard_has_no_cuts_to_audit() {
-    let audit = audit_chain_lookahead(&relay64(8), 1).expect("valid spec");
+    let audit = audit_chain_lookahead(&ChainSpec::relay_ladder(8), 1).expect("valid spec");
     assert_eq!(audit.shards, 1);
     assert!(audit.cuts.is_empty());
     assert!(audit.is_sound());

@@ -39,18 +39,6 @@ fn heterogeneous_spec() -> ChainSpec {
         .segment(12_000, 3_000, 1)
 }
 
-/// A small plesiochronous relay ladder: every segment its own domain.
-fn ladder_spec(segments: usize) -> ChainSpec {
-    let mut spec = ChainSpec::new(8, 4);
-    for i in 0..segments as u64 {
-        if i > 0 {
-            spec = spec.boundary("mixed_clock_rs");
-        }
-        spec = spec.segment(9_973 + 37 * i, (257 * i) % 4_000, 1);
-    }
-    spec
-}
-
 #[test]
 fn heterogeneous_chain_is_shard_count_invariant() {
     let spec = heterogeneous_spec();
@@ -82,7 +70,7 @@ fn stalled_heterogeneous_chain_is_shard_count_invariant() {
 
 #[test]
 fn relay_ladder_is_shard_count_invariant_up_to_eight() {
-    let spec = ladder_spec(8);
+    let spec = ChainSpec::relay_ladder(8);
     let drive = ChainDrive::clean(5, 8, spec.width);
     let base = run_chain_sharded(&spec, &drive, 1).expect("single shard runs");
     assert_eq!(base.run.delivered, base.run.sent, "ladder must be FIFO");
@@ -125,7 +113,7 @@ fn single_shard_bypasses_the_protocol_and_reports_stable_counters() {
 
 #[test]
 fn plan_degrades_gracefully_past_the_domain_count() {
-    let spec = ladder_spec(4);
+    let spec = ChainSpec::relay_ladder(4);
     // More shards than segments: the plan clamps, nothing is empty.
     let plan = plan_chain_shards(&spec, 16);
     assert!(plan.len() <= 4);
@@ -183,7 +171,7 @@ fn chain_observables_are_pinned() {
     let het = heterogeneous_spec();
     let clean = ChainDrive::clean(11, 10, het.width);
     let stalled = ChainDrive::with_stalls(23, 10, het.width, verification_stalls());
-    let ladder = ladder_spec(8);
+    let ladder = ChainSpec::relay_ladder(8);
     let ladder_drive = ChainDrive::clean(5, 8, ladder.width);
 
     // (fingerprint digest, single-shard kernel events) for heterogeneous
