@@ -70,18 +70,6 @@ impl FifoParams {
             sync_stages,
         })
     }
-
-    /// The six (capacity, width) points of the paper's Table 1, with the
-    /// default synchronizer depth.
-    pub fn table1_sweep() -> Vec<FifoParams> {
-        let mut v = Vec::new();
-        for &width in &[8usize, 16] {
-            for &capacity in &[4usize, 8, 16] {
-                v.push(FifoParams::new(capacity, width));
-            }
-        }
-        v
-    }
 }
 
 /// Why a parameter point cannot be built ([`FifoParams::try_new`]).
@@ -120,14 +108,6 @@ impl fmt::Display for FifoParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_covers_table1() {
-        let s = FifoParams::table1_sweep();
-        assert_eq!(s.len(), 6);
-        assert!(s.contains(&FifoParams::new(16, 8)));
-        assert!(s.contains(&FifoParams::new(4, 16)));
-    }
 
     #[test]
     fn display_mentions_shape() {

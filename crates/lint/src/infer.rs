@@ -360,8 +360,17 @@ fn through_bufs(model: &LintModel<'_>, mut net: usize) -> usize {
     net
 }
 
+/// `d` is a synchronizer stage in `domain`: a single-input `DFF` or
+/// `ETDFF` launching there.
+fn is_sync_stage(model: &LintModel<'_>, domain: Domain, d: InstanceId) -> bool {
+    let inst = model.inst(d);
+    matches!(inst.kind, CellKind::Dff | CellKind::Etdff)
+        && inst.data_in.len() == 1
+        && model.launch_domain(d) == Some(domain)
+}
+
 /// Rewinds a plain synchronizer chain backwards from `net`: sole-driver
-/// single-input flops in `domain`, output to data pin. Returns the stage
+/// synchronizer stages in `domain`, output to data pin. Returns the stage
 /// count and the net feeding the first stage.
 fn rewind_chain(model: &LintModel<'_>, domain: Domain, net: usize) -> (usize, usize) {
     let mut depth = 0;
@@ -370,15 +379,11 @@ fn rewind_chain(model: &LintModel<'_>, domain: Domain, net: usize) -> (usize, us
         let Some(d) = sole_driver(model, cur) else {
             break;
         };
-        let inst = model.inst(d);
-        let is_stage = matches!(inst.kind, CellKind::Dff | CellKind::Etdff)
-            && inst.data_in.len() == 1
-            && model.launch_domain(d) == Some(domain);
-        if !is_stage {
+        if !is_sync_stage(model, domain, d) {
             break;
         }
         depth += 1;
-        cur = inst.data_in[0].index();
+        cur = model.inst(d).data_in[0].index();
     }
     (depth, cur)
 }
@@ -482,10 +487,7 @@ fn oe_leg(model: &LintModel<'_>, domain: Domain, net: usize) -> Option<usize> {
     for _ in 0..128 {
         let d = sole_driver(model, cur)?;
         let inst = model.inst(d);
-        let is_stage = matches!(inst.kind, CellKind::Dff | CellKind::Etdff)
-            && inst.data_in.len() == 1
-            && model.launch_domain(d) == Some(domain);
-        if is_stage {
+        if is_sync_stage(model, domain, d) {
             depth += 1;
             cur = inst.data_in[0].index();
             continue;
@@ -496,12 +498,8 @@ fn oe_leg(model: &LintModel<'_>, domain: Domain, net: usize) -> Option<usize> {
             let mut next = None;
             for &pin in &inst.data_in {
                 let p = through_bufs(model, pin.index());
-                let flopish = sole_driver(model, p).is_some_and(|pd| {
-                    let pi = model.inst(pd);
-                    matches!(pi.kind, CellKind::Dff | CellKind::Etdff)
-                        && pi.data_in.len() == 1
-                        && model.launch_domain(pd) == Some(domain)
-                });
+                let flopish =
+                    sole_driver(model, p).is_some_and(|pd| is_sync_stage(model, domain, pd));
                 if flopish && next.replace(p).is_some() {
                     return None;
                 }

@@ -34,14 +34,16 @@ use std::rc::Rc;
 use mtf_async::{micropipeline, FourPhaseProducer, OpJournal};
 use mtf_core::design::DesignRegistry;
 use mtf_core::env::{PacketSink, PacketSource};
-use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, InterfaceSpec, MixedTimingDesign};
+use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, MixedTimingDesign};
 use mtf_gates::{install_compiled, Builder, CellDelays};
 use mtf_sim::{
     Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time,
 };
 
 use crate::lookahead::stop_launch_delay;
-use crate::{build_stream_design_with_backend, connect, connect_bus, RelayChain, RelayPort};
+use crate::{
+    build_stream_design, check_stream_design, connect, connect_bus, RelayChain, RelayPort,
+};
 
 /// One synchronous clock domain: a free-running clock with the given
 /// period and phase offset. Two [`DomainSpec`]s are *the same domain* iff
@@ -226,20 +228,7 @@ impl ChainSpec {
         for (i, name) in self.boundaries.iter().enumerate() {
             let design = DesignRegistry::get(name)
                 .ok_or_else(|| format!("boundary {i}: no design named \"{name}\""))?;
-            for (side, spec) in [
-                ("put", design.put_interface(params)),
-                ("get", design.get_interface(params)),
-            ] {
-                if !matches!(spec, InterfaceSpec::SyncStream { .. }) {
-                    return Err(format!(
-                        "boundary {i} ({name}): {side} side speaks {}, \
-                         not the relay stream protocol",
-                        spec.label()
-                    ));
-                }
-            }
-            design
-                .supports(params)
+            check_stream_design(design, params)
                 .map_err(|e| format!("boundary {i} ({name}): {e}"))?;
             let single_clock = matches!(design.clocking(), Clocking::GetOnly | Clocking::PutOnly);
             if single_clock && self.segments[i].domain != self.segments[i + 1].domain {
@@ -433,9 +422,10 @@ pub(crate) struct CutIn {
 
 /// Elaborates a [`ChainSpec`] into one simulation.
 ///
-/// A unit struct: [`ChainBuilder::build`] is the whole API. Identical
-/// [`DomainSpec`]s share a single clock net (so a "same domain" spec means
-/// the *same clock*, not two coincidentally aligned generators).
+/// A unit struct: [`ChainBuilder::build_with_backend`] is the whole API.
+/// Identical [`DomainSpec`]s share a single clock net (so a "same domain"
+/// spec means the *same clock*, not two coincidentally aligned
+/// generators).
 ///
 /// It is the crate's only chain elaborator: the sharded runner builds
 /// each shard with the same code on the shard's segment range, so a shard
@@ -446,14 +436,9 @@ pub struct ChainBuilder;
 
 impl ChainBuilder {
     /// Builds every segment, splices every boundary design, constructs the
-    /// optional async head, and attaches per-boundary probes.
-    pub fn build(sim: &mut Simulator, spec: &ChainSpec) -> Result<BuiltChain, String> {
-        Self::build_with_backend(sim, spec, Backend::Event)
-    }
-
-    /// [`ChainBuilder::build`] with an explicit execution [`Backend`] for
-    /// every gate-level netlist in the chain (the boundary designs and
-    /// the async head's micropipeline/ASRS). Relay segments are
+    /// optional async head, and attaches per-boundary probes. `backend`
+    /// runs every gate-level netlist in the chain (the boundary designs
+    /// and the async head's micropipeline/ASRS); relay segments are
     /// behavioural components and run on the event kernel either way.
     pub fn build_with_backend(
         sim: &mut Simulator,
@@ -560,9 +545,8 @@ impl ChainBuilder {
             let design: &'static dyn MixedTimingDesign =
                 DesignRegistry::get(name).expect("validated");
             let (clk_put, clk_get) = (clock(sim, bd), clock(sim, bd + 1));
-            let (ports, netlist) = build_stream_design_with_backend(
-                sim, design, params, clk_put, clk_get, delays, meta, backend,
-            )?;
+            let (ports, netlist) =
+                build_stream_design(sim, design, params, clk_put, clk_get, delays, meta, backend)?;
             let valid_in = ports.valid_in.expect("stream put");
             let stop_out = ports.stop_out.expect("stream put");
             let valid_get = ports.valid_get.expect("stream get");
@@ -756,19 +740,6 @@ pub fn chain_horizon(spec: &ChainSpec, drive: &ChainDrive) -> Time {
 /// `drive`, runs to a horizon sized from the spec, and reports.
 pub fn run_chain(spec: &ChainSpec, drive: &ChainDrive) -> Result<ChainRun, String> {
     run_chain_impl(spec, drive, false, Backend::Event).map(|(run, _)| run)
-}
-
-/// [`run_chain`] with an explicit execution [`Backend`]. The two backends
-/// are observationally equivalent — `tests/backend_equivalence.rs` holds
-/// them to byte-identical journals, toggle counts and waveforms — but the
-/// compiled backend evaluates the synchronous boundary-design regions as
-/// straight-line code instead of queue events.
-pub fn run_chain_with_backend(
-    spec: &ChainSpec,
-    drive: &ChainDrive,
-    backend: Backend,
-) -> Result<ChainRun, String> {
-    run_chain_impl(spec, drive, false, backend).map(|(run, _)| run)
 }
 
 /// [`run_chain`] with the kernel's delta-race sanitizer enabled: also
@@ -1065,7 +1036,8 @@ pub fn verify_chain_with_backend(
     let envelope = predict_latency(spec);
     let throughput = predict_throughput(spec);
 
-    let clean = run_chain_with_backend(spec, &ChainDrive::clean(11, n_items, spec.width), backend)?;
+    let clean_drive = ChainDrive::clean(11, n_items, spec.width);
+    let (clean, _) = run_chain_impl(spec, &clean_drive, false, backend)?;
     if clean.sent.len() != n_items {
         return Err(format!(
             "clean run: source only handed over {}/{n_items} items",
@@ -1101,11 +1073,8 @@ pub fn verify_chain_with_backend(
         }
     }
 
-    let stalled = run_chain_with_backend(
-        spec,
-        &ChainDrive::with_stalls(13, n_items, spec.width, verification_stalls()),
-        backend,
-    )?;
+    let stalled_drive = ChainDrive::with_stalls(13, n_items, spec.width, verification_stalls());
+    let (stalled, _) = run_chain_impl(spec, &stalled_drive, false, backend)?;
     if stalled.sent.len() != n_items || stalled.delivered != stalled.sent {
         return Err(format!(
             "stalled run: lost or reordered items under stopIn back-pressure \

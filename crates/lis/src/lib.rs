@@ -53,10 +53,9 @@ pub mod shard;
 
 pub use chain::{
     chain_horizon, predict_latency, predict_throughput, run_chain, run_chain_sanitized,
-    run_chain_sanitized_with_backend, run_chain_with_backend, verification_stalls, verify_chain,
-    verify_chain_with_backend, AsyncPort, BoundaryReport, BuiltChain, ChainBuilder, ChainDrive,
-    ChainReport, ChainRun, ChainSpec, ChainVerification, DomainSpec, LatencyEnvelope, SegmentSpec,
-    ThroughputPrediction,
+    run_chain_sanitized_with_backend, verification_stalls, verify_chain, verify_chain_with_backend,
+    AsyncPort, BoundaryReport, BuiltChain, ChainBuilder, ChainDrive, ChainReport, ChainRun,
+    ChainSpec, ChainVerification, DomainSpec, LatencyEnvelope, SegmentSpec, ThroughputPrediction,
 };
 pub use lookahead::{
     audit_chain_lookahead, registered_launch_exact, CutAudit, HoldAudit, LookaheadAudit,
@@ -207,34 +206,7 @@ pub fn splice_stream_design(
     upstream: &RelayPort,
     downstream: &RelayPort,
 ) -> Result<DesignPorts, String> {
-    splice_stream_design_with_backend(
-        sim,
-        design,
-        params,
-        clk_put,
-        clk_get,
-        upstream,
-        downstream,
-        Backend::Event,
-    )
-}
-
-/// [`splice_stream_design`] with an explicit execution [`Backend`] for the
-/// design's netlist. Under [`Backend::Compiled`] the design's synchronous
-/// region runs on the compiled engine; the surrounding relay chains and
-/// repeaters are behavioural components either way.
-#[allow(clippy::too_many_arguments)]
-pub fn splice_stream_design_with_backend(
-    sim: &mut Simulator,
-    design: &dyn MixedTimingDesign,
-    params: FifoParams,
-    clk_put: NetId,
-    clk_get: NetId,
-    upstream: &RelayPort,
-    downstream: &RelayPort,
-    backend: Backend,
-) -> Result<DesignPorts, String> {
-    let (ports, _netlist) = build_stream_design_with_backend(
+    let (ports, _netlist) = build_stream_design(
         sim,
         design,
         params,
@@ -242,7 +214,7 @@ pub fn splice_stream_design_with_backend(
         clk_get,
         CellDelays::hp06(),
         MetaModel::hp06(),
-        backend,
+        Backend::Event,
     )?;
     // Upstream chain output → design put interface.
     connect(sim, upstream.out_valid, ports.valid_in.expect("stream put"));
@@ -259,35 +231,35 @@ pub fn splice_stream_design_with_backend(
     Ok(ports)
 }
 
-/// Elaborates a stream-protocol registry design between two clock nets
-/// with an explicit delay calibration and metastability model, **without**
-/// wiring it to anything — the caller owns the connects. Returns the
-/// design's ports together with its gate-level [`Netlist`] (the sharded
-/// runner reads launch delays of boundary-crossing output registers from
-/// it). [`splice_stream_design`] is this plus the six standard 1 ps
-/// repeater connects, at the default `hp06` calibration.
-pub fn build_stream_design(
-    sim: &mut Simulator,
+/// Checks that `design` speaks the relay stream protocol on both sides
+/// and accepts `params`. The error names the offending side; callers
+/// prefix it with the design's name (and boundary index, if any).
+pub(crate) fn check_stream_design(
     design: &dyn MixedTimingDesign,
     params: FifoParams,
-    clk_put: NetId,
-    clk_get: NetId,
-    delays: CellDelays,
-    meta: MetaModel,
-) -> Result<(DesignPorts, Netlist), String> {
-    build_stream_design_with_backend(
-        sim,
-        design,
-        params,
-        clk_put,
-        clk_get,
-        delays,
-        meta,
-        Backend::Event,
-    )
+) -> Result<(), String> {
+    for (side, spec) in [
+        ("put", design.put_interface(params)),
+        ("get", design.get_interface(params)),
+    ] {
+        if !matches!(spec, InterfaceSpec::SyncStream { .. }) {
+            return Err(format!(
+                "{side} side speaks {}, not the relay stream protocol",
+                spec.label()
+            ));
+        }
+    }
+    design.supports(params)
 }
 
-/// [`build_stream_design`] with an explicit execution [`Backend`].
+/// Elaborates a stream-protocol registry design between two clock nets
+/// with an explicit delay calibration, metastability model and execution
+/// [`Backend`], **without** wiring it to anything — the caller owns the
+/// connects. Returns the design's ports together with its gate-level
+/// [`Netlist`] (the sharded runner reads launch delays of
+/// boundary-crossing output registers from it). [`splice_stream_design`]
+/// is this plus the six standard 1 ps repeater connects, at the default
+/// `hp06` calibration on the event kernel.
 ///
 /// Under [`Backend::Compiled`], [`mtf_gates::install_compiled`] runs on
 /// the finished netlist *before* any external wiring: eligible
@@ -297,7 +269,7 @@ pub fn build_stream_design(
 /// event kernel (so the RNG draw sequence and bus resolution are
 /// unchanged). A design with no eligible cells simply stays event-driven.
 #[allow(clippy::too_many_arguments)]
-pub fn build_stream_design_with_backend(
+pub fn build_stream_design(
     sim: &mut Simulator,
     design: &dyn MixedTimingDesign,
     params: FifoParams,
@@ -308,25 +280,7 @@ pub fn build_stream_design_with_backend(
     backend: Backend,
 ) -> Result<(DesignPorts, Netlist), String> {
     let name = design.kind().name();
-    match design.put_interface(params) {
-        InterfaceSpec::SyncStream { .. } => {}
-        other => {
-            return Err(format!(
-                "{name}: put side speaks {}, not the relay stream protocol",
-                other.label()
-            ))
-        }
-    }
-    match design.get_interface(params) {
-        InterfaceSpec::SyncStream { .. } => {}
-        other => {
-            return Err(format!(
-                "{name}: get side speaks {}, not the relay stream protocol",
-                other.label()
-            ))
-        }
-    }
-    design.supports(params)?;
+    check_stream_design(design, params).map_err(|e| format!("{name}: {e}"))?;
     let mut b = Builder::with_delays(sim, delays, meta);
     let ports = design.build(
         &mut b,

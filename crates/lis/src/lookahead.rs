@@ -52,7 +52,7 @@ use mtf_gates::{CellDelays, Netlist};
 use mtf_sim::{Backend, MetaModel, NetId, Simulator, Time};
 use mtf_timing::Sta;
 
-use crate::build_stream_design_with_backend;
+use crate::build_stream_design;
 use crate::chain::ChainSpec;
 use crate::shard::plan_chain_shards;
 
@@ -206,7 +206,7 @@ fn elaborate_boundary(design: &'static dyn MixedTimingDesign, spec: &ChainSpec) 
     let mut sim = Simulator::new(0);
     let clk_put = sim.net("clk_put");
     let clk_get = sim.net("clk_get");
-    let (ports, netlist) = build_stream_design_with_backend(
+    let (ports, netlist) = build_stream_design(
         &mut sim,
         design,
         spec.params(),

@@ -8,9 +8,7 @@
 
 use mtf_core::{DesignRegistry, FifoParams, MixedTimingDesign, RS_CQ};
 use mtf_gates::CellDelays;
-use mtf_lis::{
-    audit_chain_lookahead, build_stream_design_with_backend, registered_launch_exact, ChainSpec,
-};
+use mtf_lis::{audit_chain_lookahead, build_stream_design, registered_launch_exact, ChainSpec};
 use mtf_sim::{Backend, MetaModel, Simulator, Time};
 
 #[test]
@@ -79,7 +77,7 @@ fn an_inflated_claim_is_rejected() {
     let mut sim = Simulator::new(0);
     let clk_put = sim.net("clk_put");
     let clk_get = sim.net("clk_get");
-    let (ports, netlist) = build_stream_design_with_backend(
+    let (ports, netlist) = build_stream_design(
         &mut sim,
         design,
         FifoParams::new(4, 8),
