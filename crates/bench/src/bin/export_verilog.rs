@@ -11,8 +11,9 @@
 //! The export loop iterates the design registry: any design registered in
 //! [`DesignRegistry::paper`] is exported with a port list derived from its
 //! interface specs — clocks first, then the put side, then the get side.
-//! `--json` emits one structured [`ExperimentReport`] (files are still
-//! written).
+//! `--json` emits one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport)
+//! (files are still written).
 
 use mtf_bench::args::{ArgError, Args};
 use mtf_bench::harness::Harness;

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! `--json` suppresses the diagrams (the VCD files are still written) and
-//! emits one structured [`ExperimentReport`] instead.
+//! emits one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead.
 
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::json::Json;

@@ -12,7 +12,8 @@
 //! cargo run -p mtf-bench --bin power --release
 //! ```
 //!
-//! `--json` emits one structured [`ExperimentReport`] instead of the text.
+//! `--json` emits one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead of the text.
 
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::report::{DesignEntry, Run};

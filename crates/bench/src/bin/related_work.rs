@@ -11,7 +11,8 @@
 //! cargo run -p mtf-bench --bin related_work --release
 //! ```
 //!
-//! `--json` emits one structured [`ExperimentReport`] instead of the text.
+//! `--json` emits one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead of the text.
 
 use mtf_bench::harness::Harness;
 use mtf_bench::json::Json;

@@ -22,8 +22,8 @@
 //! The observed-failure grid (depths × seeded runs) and the fmax-cost
 //! sweep fan out over `--jobs` worker threads; every run builds its own
 //! seeded simulator, so the reported rates are independent of the thread
-//! count. `--json` emits one structured [`ExperimentReport`] instead of
-//! the text.
+//! count. `--json` emits one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead of the text.
 
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::json::Json;

@@ -14,7 +14,8 @@
 //! appends the simulation kernel's internal counters for one
 //! representative transfer run.
 //!
-//! `--json` emits the full grid as one structured [`ExperimentReport`];
+//! `--json` emits the full grid as one structured
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport);
 //! `--json --cell NAME[:CAPxWIDTH]` measures a single cell (the schema
 //! smoke test in CI uses this).
 

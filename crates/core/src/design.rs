@@ -708,9 +708,8 @@ static ALL_DESIGNS: [&Design; 11] = [
 /// Elaborates `design` at `params` for static analysis: a fresh
 /// `Simulator::new(0)`, the clock nets its [`Clocking`] names (no clock
 /// generators, no environments) and one [`Builder`] pass — nothing is
-/// scheduled or run. The netlist lint, contract inference, state census
-/// and domain partitioner all start here. `Err` if the design does not
-/// support `params`.
+/// scheduled or run. The netlist lint, contract inference and state
+/// census all start here. `Err` if the design does not support `params`.
 pub fn elaborate(
     design: &dyn MixedTimingDesign,
     params: FifoParams,

@@ -73,7 +73,6 @@ mod async_sync;
 pub mod baseline;
 pub mod design;
 mod detectors;
-pub mod domains;
 pub mod env;
 mod mixed_clock;
 mod params;
@@ -91,7 +90,6 @@ pub use design::{
 pub use detectors::{
     build_bimodal_empty, build_full_detector, build_ne_detector, build_oe_detector,
 };
-pub use domains::partition_design;
 pub use mixed_clock::MixedClockFifo;
 pub use params::{FifoParams, ParamError};
 pub use relay::{AsyncSyncRelayStation, MixedClockRelayStation};

@@ -64,7 +64,6 @@ mod builder;
 mod celement;
 mod comb;
 pub mod compile;
-pub mod domains;
 mod engine;
 mod kind;
 mod netlist;
@@ -77,7 +76,6 @@ pub use builder::Builder;
 pub use celement::{AsymCElement, CElement};
 pub use comb::{CombGate, GateFunc};
 pub use compile::{install_compiled, CompileReport};
-pub use domains::{CrossDomainNet, Domain, DomainGraph, DomainIndex, PartitionReport};
 pub use engine::CompiledEngine;
 pub use kind::CellKind;
 pub use netlist::{

@@ -455,15 +455,6 @@ impl Netlist {
             .map(|(idx, i)| (InstanceId(idx as u32), i))
     }
 
-    /// Instances reading the given net (through any input pin).
-    pub fn loads_of(&self, net: NetId) -> impl Iterator<Item = (InstanceId, &Instance)> {
-        self.instances
-            .iter()
-            .enumerate()
-            .filter(move |(_, i)| i.data_in.contains(&net) || i.clock == Some(net))
-            .map(|(idx, i)| (InstanceId(idx as u32), i))
-    }
-
     /// Merges another netlist into this one (used when a design is composed
     /// of separately built blocks). Returns the id offset applied to the
     /// other netlist's instances.
@@ -508,8 +499,7 @@ impl Netlist {
     }
 
     /// Per-net loading instances (any input pin, clock included), indexed
-    /// by [`NetId::index`]. The indexed counterpart of
-    /// [`Netlist::loads_of`]; see [`Netlist::driver_map`].
+    /// by [`NetId::index`]; see [`Netlist::driver_map`].
     pub fn load_map(&self, net_count: usize) -> Vec<Vec<InstanceId>> {
         let mut map = vec![Vec::new(); net_count];
         for (i, inst) in self.instances.iter().enumerate() {

@@ -87,12 +87,9 @@ pub fn run(model: &LintModel<'_>) -> (Vec<Finding>, usize) {
         let Some(dest) = model.launch_domain(id) else {
             continue;
         };
-        // The backward cone walk is the shared pass's: the same traversal
-        // the sharded-simulation partitioner runs, so lint's idea of "what
-        // launches into this flop" can never drift from the simulator's.
         let mut sources = Vec::new();
         for &pin in &inst.data_in {
-            model.graph().sequential_sources(pin.index(), &mut sources);
+            model.sequential_sources(pin.index(), &mut sources);
         }
         let mut crossing_domains: Vec<Domain> = Vec::new();
         let mut example: Vec<String> = Vec::new();

@@ -26,10 +26,10 @@
 //!   recognized structure is [`DerivedDiscipline::Unknown`] and always
 //!   fails the contract diff.
 //!
-//! The walk uses the same [`DomainGraph`](mtf_gates::DomainGraph)
-//! substrate as the CDC pass and the sharded-simulation partitioner, so
+//! The walk uses the same domain queries as the CDC pass
+//! ([`LintModel::launch_domain`], [`LintModel::sequential_sources`]), so
 //! "which domain does this launch from" can never disagree between the
-//! lint, the inference, and the simulator.
+//! lint and the inference.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -141,7 +141,7 @@ fn classify_async_side(model: &LintModel<'_>, ack: NetId, behavioural: bool) -> 
         };
     }
     let mut sources = Vec::new();
-    model.graph().sequential_sources(ack.index(), &mut sources);
+    model.sequential_sources(ack.index(), &mut sources);
     let clocked: Vec<_> = sources
         .iter()
         .filter(|&&(_, d)| d != Domain::Async)
@@ -521,7 +521,7 @@ fn oe_leg(model: &LintModel<'_>, domain: Domain, net: usize) -> Option<usize> {
 /// Any sequential source behind `net` launching outside `domain`?
 fn crosses(model: &LintModel<'_>, domain: Domain, net: usize) -> bool {
     let mut sources = Vec::new();
-    model.graph().sequential_sources(net, &mut sources);
+    model.sequential_sources(net, &mut sources);
     sources.iter().any(|&(_, d)| d != domain)
 }
 

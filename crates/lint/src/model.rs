@@ -7,14 +7,23 @@
 
 use std::collections::HashSet;
 
-use mtf_gates::{DomainGraph, Instance, InstanceId, Netlist};
+use mtf_gates::{CellKind, Instance, InstanceId, Netlist};
 use mtf_sim::{NetId, Simulator};
 
-// Clock-domain inference lives in the shared `mtf_gates::domains` pass
-// (the sharded simulation planner uses the same one, so lint and sim
-// cannot drift apart); re-exported here so lint's public API is
-// unchanged.
-pub use mtf_gates::Domain;
+/// The clock domain of a sequential element, as inferred structurally by
+/// [`LintModel::launch_domain`] (nothing is simulated). The CDC pass and
+/// contract inference are its only users.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Domain {
+    /// Rooted at a clock net (by raw net index): every element whose
+    /// clock pin traces back through buffers/inverters to this net.
+    Clock(usize),
+    /// No clock: level-sensitive latches, C-elements, SR latches and
+    /// behavioural macro controllers. Their outputs move whenever their
+    /// environment does, so for CDC purposes they are a domain of their
+    /// own that every synchronous consumer must synchronize against.
+    Async,
+}
 
 /// An indexed view of one elaborated design, shared by the lint passes.
 #[derive(Debug)]
@@ -90,30 +99,78 @@ impl<'n> LintModel<'n> {
         self.netlist.instance(id)
     }
 
-    /// The shared domain-inference view over this model's indexes. All
-    /// domain queries ([`LintModel::clock_root`],
-    /// [`LintModel::launch_domain`], the CDC pass's cone walk) go through
-    /// this graph — the same code the sharded simulation planner uses.
-    pub fn graph(&self) -> DomainGraph<'_> {
-        DomainGraph {
-            netlist: self.netlist,
-            drivers: &self.drivers,
-            sim_drivers: &self.sim_drivers,
-            inputs: &self.inputs,
+    /// Follows a clock pin backwards through single-input buffer and
+    /// inverter instances to the root net of its clock tree. Externally
+    /// driven nets (ports, behavioural clock generators) terminate the
+    /// walk, as does anything that is not a plain Buf/Inv.
+    pub fn clock_root(&self, net: NetId) -> usize {
+        let mut cur = net.index();
+        let mut hops = 0;
+        loop {
+            // A behavioural driver (clock generator / port) roots here even
+            // if an instance also drives the net (never the case today).
+            if self.sim_drivers[cur] > self.drivers[cur].len() || self.inputs.contains(&cur) {
+                return cur;
+            }
+            match self.drivers[cur].as_slice() {
+                [one] => {
+                    let i = self.netlist.instance(*one);
+                    let through =
+                        matches!(i.kind, CellKind::Buf | CellKind::Inv) && i.data_in.len() == 1;
+                    if !through || hops > 64 {
+                        return cur;
+                    }
+                    cur = i.data_in[0].index();
+                    hops += 1;
+                }
+                _ => return cur,
+            }
         }
     }
 
-    /// Follows a clock pin backwards through single-input buffer and
-    /// inverter instances to the root net of its clock tree. Delegates to
-    /// the shared [`DomainGraph::clock_root`].
-    pub fn clock_root(&self, net: NetId) -> usize {
-        self.graph().clock_root(net)
+    /// The clock domain an instance *launches* from: its clock root for
+    /// edge-triggered cells, [`Domain::Async`] for every other sequential
+    /// cell and for behavioural macros. `None` for combinational cells.
+    pub fn launch_domain(&self, id: InstanceId) -> Option<Domain> {
+        let i = self.netlist.instance(id);
+        if i.kind.is_edge_triggered() {
+            let clk = i.clock?;
+            Some(Domain::Clock(self.clock_root(clk)))
+        } else if i.kind.is_state_holding() || i.kind == CellKind::Macro {
+            Some(Domain::Async)
+        } else {
+            None
+        }
     }
 
-    /// The clock domain an instance *launches* from. Delegates to the
-    /// shared [`DomainGraph::launch_domain`].
-    pub fn launch_domain(&self, id: InstanceId) -> Option<Domain> {
-        self.graph().launch_domain(id)
+    /// Appends to `out` the sequential sources reachable backwards from
+    /// `net` through combinational cells only. State-holding cells,
+    /// macros and clocked cells terminate the walk (they launch; their
+    /// own inputs belong to *their* crossing analysis).
+    pub fn sequential_sources(&self, net: usize, out: &mut Vec<(InstanceId, Domain)>) {
+        let mut stack = vec![net];
+        let mut seen_nets = HashSet::new();
+        let mut seen_sources = HashSet::new();
+        while let Some(n) = stack.pop() {
+            if !seen_nets.insert(n) {
+                continue;
+            }
+            for &d in &self.drivers[n] {
+                match self.launch_domain(d) {
+                    Some(domain) => {
+                        if seen_sources.insert(d) {
+                            out.push((d, domain));
+                        }
+                    }
+                    None => {
+                        // Combinational: keep walking its inputs.
+                        for &i in &self.netlist.instance(d).data_in {
+                            stack.push(i.index());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Renders a domain for reports.
@@ -122,5 +179,31 @@ impl<'n> LintModel<'n> {
             Domain::Clock(net) => format!("clock '{}'", self.net_name(net)),
             Domain::Async => "asynchronous".to_string(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtf_gates::Builder;
+    use mtf_sim::Logic;
+
+    #[test]
+    fn clock_root_walks_through_buffers() {
+        let mut sim = Simulator::new(0);
+        let clk = sim.net("clk");
+        let mut b = Builder::new(&mut sim);
+        let buffered = b.buf(clk);
+        let d = b.input("d");
+        let _q = b.dff(buffered, d, Logic::L);
+        let nl = b.finish();
+        let mut model = LintModel::new(&nl, &sim);
+        model.declare_input(clk);
+        model.declare_input(d);
+        assert_eq!(model.clock_root(buffered), clk.index());
+        assert_eq!(
+            model.launch_domain(InstanceId::from_index(1)),
+            Some(Domain::Clock(clk.index()))
+        );
     }
 }

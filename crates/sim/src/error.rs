@@ -20,6 +20,15 @@ pub enum SimError {
         /// How many events had been processed at that instant.
         events: u64,
     },
+    /// A worker of [`run_sharded`](crate::run_sharded) panicked (in its
+    /// setup closure, a component or its finalizer). Its peers were
+    /// released with final sentinels, so the run still ended.
+    ShardPanicked {
+        /// Index of the panicking shard.
+        index: usize,
+        /// The panic message (empty if the payload was not a string).
+        msg: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -30,6 +39,7 @@ impl fmt::Display for SimError {
                 "delta overflow at {time}: {events} events at one instant \
                  (zero-delay loop?)"
             ),
+            SimError::ShardPanicked { index, msg } => write!(f, "shard {index} panicked: {msg}"),
         }
     }
 }

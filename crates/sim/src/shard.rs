@@ -62,6 +62,7 @@
 //! `tests/sharded_determinism.rs` is the gate.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -289,7 +290,8 @@ impl Mailbox {
 ///
 /// The first shard error (by shard index) is returned; all shards are
 /// still joined first (a failing shard posts its sentinels so peers
-/// never hang).
+/// never hang). A shard that panics reports
+/// [`SimError::ShardPanicked`] instead of unwinding through this call.
 pub fn run_sharded<R: Send>(
     shards: Vec<ShardSpec<R>>,
     links: &[LinkDef],
@@ -312,7 +314,27 @@ pub fn run_sharded<R: Send>(
             let mailboxes = &mailboxes;
             let slots = &slots;
             scope.spawn(move || {
-                let outcome = run_one_shard(index, spec, links, mailboxes, horizon);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_one_shard(index, spec, links, mailboxes, horizon)
+                }))
+                .unwrap_or_else(|payload| {
+                    // Release every peer waiting on this shard, even if the
+                    // panic came before setup declared its exports. A
+                    // duplicate sentinel is harmless: a receiver stops
+                    // reading a link once its grant is `Time::MAX`.
+                    for (link, _) in links.iter().enumerate().filter(|(_, l)| l.from == index) {
+                        mailboxes[link].post(Msg {
+                            events: Vec::new(),
+                            grant: Time::MAX,
+                        });
+                    }
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    Err(SimError::ShardPanicked { index, msg })
+                });
                 slots.lock().unwrap()[index] = Some(outcome);
             });
         }
@@ -355,8 +377,9 @@ fn run_one_shard<R>(
         assert_eq!(links[i.link].to, index, "import on a foreign link");
     }
 
-    // Run the protocol; post sentinels afterwards even on error, so a
-    // failing shard never leaves its peers blocked on the mailbox.
+    // Run the protocol, then post sentinels whether it succeeded or
+    // returned an error, so peers never block on this shard. A panic
+    // skips this; `run_sharded`'s unwind guard posts them instead.
     let result = lockstep(&mut sim, &exports, &imports, mailboxes, horizon, &mut stats);
     for e in &exports {
         stats.messages_sent += 1;
@@ -564,29 +587,104 @@ mod tests {
         );
     }
 
+    /// The ring shards' clocks; each register launches `RING_DELAY`
+    /// after its rising edge.
+    const RING_CLOCKS: [ClockSchedule; 2] = [
+        ClockSchedule {
+            phase: Time::ZERO,
+            period: Time::from_ps(1_000),
+        },
+        ClockSchedule {
+            phase: Time::from_ps(450),
+            period: Time::from_ps(1_300),
+        },
+    ];
+    const RING_DELAY: Time = Time::from_ps(400);
+    const RING: [LinkDef; 2] = [LinkDef { from: 0, to: 1 }, LinkDef { from: 1, to: 0 }];
+
+    /// Panics once the simulation reaches 5 ns.
+    struct PanicAt5ns;
+
+    impl Component for PanicAt5ns {
+        fn name(&self) -> &str {
+            "panic_at_5ns"
+        }
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            assert!(ctx.now() < Time::from_ns(5), "component fault");
+        }
+    }
+
+    /// Shard `i` of a two-shard ring: its register samples the peer's
+    /// output, mirrored over link `1 - i`, and exports its own on link
+    /// `i`. A `fault` of `"setup fault"` panics in the setup closure;
+    /// any other fault panics through a component at 5 ns.
+    fn ring_shard(i: usize, fault: Option<&'static str>) -> ShardSpec<Vec<(Time, Logic)>> {
+        let other = 1 - i;
+        ShardSpec {
+            seed: 7,
+            setup: Box::new(move |sim: &mut Simulator| {
+                assert!(fault != Some("setup fault"), "setup fault");
+                let schedule = RING_CLOCKS[i];
+                let clk = sim.net(format!("clk{i}"));
+                ClockGen::builder(schedule.period)
+                    .phase(schedule.phase)
+                    .spawn(sim, clk);
+                if fault.is_some() {
+                    sim.add_component(Box::new(PanicAt5ns), &[clk]);
+                }
+                let q = sim.net(format!("q{i}"));
+                let mirror = sim.net(format!("xlink.q{other}"));
+                let mirror_drv = sim.driver(mirror);
+                spawn_edge_reg(sim, clk, mirror, q, RING_DELAY);
+                if i == 1 {
+                    let kick = sim.driver(q);
+                    sim.drive_at(kick, q, Logic::H, Time::ZERO);
+                }
+                sim.trace(q);
+                ShardPlan {
+                    io: ShardIo {
+                        // Link i carries shard i's q to the peer.
+                        exports: vec![ExportSpec {
+                            link: i,
+                            nets: vec![q],
+                            launches: vec![LinkLaunch {
+                                schedule,
+                                delay: RING_DELAY,
+                            }],
+                        }],
+                        imports: vec![ImportSpec {
+                            link: other,
+                            pins: vec![(mirror_drv, mirror)],
+                        }],
+                    },
+                    finish: Box::new(move |sim: &mut Simulator| {
+                        sim.waveform(q).unwrap().points().to_vec()
+                    }),
+                }
+            }),
+        }
+    }
+
     /// Two shards in a ring: each re-registers the other's output onto
     /// its own toggling source. The sharded run must observe exactly the
     /// single-simulator waveforms.
     #[test]
     fn two_shard_ring_matches_single_simulator() {
-        let period = [Time::from_ps(1_000), Time::from_ps(1_300)];
-        let phase = [Time::from_ps(0), Time::from_ps(450)];
-        let delay = Time::from_ps(400);
         let horizon = Time::from_us(1);
 
         // Reference: both halves in one simulator.
         let reference: Vec<Vec<(Time, Logic)>> = {
             let mut sim = Simulator::new(7);
             let clk: Vec<NetId> = (0..2).map(|i| sim.net(format!("clk{i}"))).collect();
-            for i in 0..2 {
-                ClockGen::builder(period[i])
-                    .phase(phase[i])
+            for (i, s) in RING_CLOCKS.iter().enumerate() {
+                ClockGen::builder(s.period)
+                    .phase(s.phase)
                     .spawn(&mut sim, clk[i]);
             }
             let q: Vec<NetId> = (0..2).map(|i| sim.net(format!("q{i}"))).collect();
             // Shard i's register samples the *other* shard's output.
-            spawn_edge_reg(&mut sim, clk[0], q[1], q[0], delay);
-            spawn_edge_reg(&mut sim, clk[1], q[0], q[1], delay);
+            spawn_edge_reg(&mut sim, clk[0], q[1], q[0], RING_DELAY);
+            spawn_edge_reg(&mut sim, clk[1], q[0], q[1], RING_DELAY);
             // Kick: an initial H on q1's side via a one-shot driver.
             let kick = sim.driver(q[1]);
             sim.drive_at(kick, q[1], Logic::H, Time::ZERO);
@@ -600,52 +698,8 @@ mod tests {
         };
 
         // Sharded: one register per shard, the peer's output mirrored.
-        let specs: Vec<ShardSpec<Vec<(Time, Logic)>>> = (0..2)
-            .map(|i| {
-                let other = 1 - i;
-                ShardSpec {
-                    seed: 7,
-                    setup: Box::new(move |sim: &mut Simulator| {
-                        let clk = sim.net(format!("clk{i}"));
-                        ClockGen::builder(period[i]).phase(phase[i]).spawn(sim, clk);
-                        let q = sim.net(format!("q{i}"));
-                        let mirror = sim.net(format!("xlink.q{other}"));
-                        let mirror_drv = sim.driver(mirror);
-                        spawn_edge_reg(sim, clk, mirror, q, delay);
-                        if i == 1 {
-                            let kick = sim.driver(q);
-                            sim.drive_at(kick, q, Logic::H, Time::ZERO);
-                        }
-                        sim.trace(q);
-                        ShardPlan {
-                            io: ShardIo {
-                                // Link i carries shard i's q to the peer.
-                                exports: vec![ExportSpec {
-                                    link: i,
-                                    nets: vec![q],
-                                    launches: vec![LinkLaunch {
-                                        schedule: ClockSchedule {
-                                            phase: phase[i],
-                                            period: period[i],
-                                        },
-                                        delay,
-                                    }],
-                                }],
-                                imports: vec![ImportSpec {
-                                    link: other,
-                                    pins: vec![(mirror_drv, mirror)],
-                                }],
-                            },
-                            finish: Box::new(move |sim: &mut Simulator| {
-                                sim.waveform(q).unwrap().points().to_vec()
-                            }),
-                        }
-                    }),
-                }
-            })
-            .collect();
-        let links = [LinkDef { from: 0, to: 1 }, LinkDef { from: 1, to: 0 }];
-        let results = run_sharded(specs, &links, horizon).unwrap();
+        let specs = (0..2).map(|i| ring_shard(i, None)).collect();
+        let results = run_sharded(specs, &RING, horizon).unwrap();
 
         for (i, (points, st)) in results.iter().enumerate() {
             assert_eq!(
@@ -692,5 +746,26 @@ mod tests {
         assert_eq!(results[0].1.sim, plain.1, "kernel counters drifted");
         assert_eq!(results[0].1.null_messages, 0);
         assert_eq!(results[0].1.events_sent, 0);
+    }
+
+    /// A panicking shard ends the run with a typed error instead of
+    /// leaving its peer blocked forever. The run goes on a helper thread
+    /// so a regression fails on the timeout rather than hanging.
+    #[test]
+    fn a_panicking_shard_ends_the_run_with_an_error() {
+        for fault in ["setup fault", "component fault"] {
+            let specs = vec![ring_shard(0, Some(fault)), ring_shard(1, None)];
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(run_sharded(specs, &RING, Time::from_us(1)));
+            });
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("run with a {fault} did not return within 5 s"));
+            match outcome {
+                Err(SimError::ShardPanicked { index: 0, msg }) => assert_eq!(msg, fault),
+                other => panic!("{fault}: got {:?}", other.map(|_| ())),
+            }
+        }
     }
 }

@@ -14,15 +14,10 @@
 //!   entirely and report kernel counters identical across invocations
 //!   (the chain-level half of the `SimStats` parity check — the
 //!   engine-level half lives in `mtf-sim`'s `shard` unit tests);
-//! * the registry's single-FIFO designs, which the domain partitioner
-//!   must refuse to split (their two clock domains are coupled through
-//!   the synchronized full/empty control plane);
 //! * constants for the single-shard fingerprints and event counts and for
 //!   the rendered plain `run_chain` results, so the sharded and plain
 //!   paths cannot drift together unnoticed.
 
-use mtf_core::design::DesignRegistry;
-use mtf_core::{partition_design, FifoParams};
 use mtf_lis::{
     plan_chain_shards, run_chain, run_chain_sharded, verification_stalls, ChainDrive, ChainSpec,
 };
@@ -122,31 +117,6 @@ fn plan_degrades_gracefully_past_the_domain_count() {
     let base = run_chain_sharded(&spec, &drive, 1).expect("single shard runs");
     let over = run_chain_sharded(&spec, &drive, 16).expect("over-sharded run");
     assert_eq!(over.fingerprint, base.fingerprint);
-}
-
-#[test]
-fn registry_fifos_partition_to_one_effective_shard() {
-    // The table-1 designs are single FIFOs whose clock domains are
-    // coupled through the synchronized full/empty detectors: `--shards`
-    // on those benches must report "cannot split" rather than silently
-    // running unsharded. This is the same shared domain-inference pass
-    // the netlist lint uses, so sim and lint agree by construction.
-    for design in DesignRegistry::table1().iter() {
-        let name = design.kind().name();
-        let params = FifoParams::new(4, 8);
-        if design.supports(params).is_err() {
-            continue;
-        }
-        let report = partition_design(design, params).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            report.domains.len() >= 2,
-            "{name}: expected both clock domains"
-        );
-        assert_eq!(
-            report.effective_shards, 1,
-            "{name}: a coupled FIFO must not be splittable"
-        );
-    }
 }
 
 /// FNV-1a over a rendered observable — the same hash
