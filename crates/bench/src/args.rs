@@ -11,6 +11,7 @@
 //! one line on stderr and exit status 2, never a panic.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use mtf_core::FifoParams;
 
@@ -107,11 +108,17 @@ impl Args {
         }
     }
 
-    /// [`Args::usize_of`] for a count that must be at least `min`: a
-    /// smaller value exits the program ([`ArgError::exit`]).
-    pub fn count(&self, name: &str, default: usize, min: usize) -> usize {
+    /// [`Args::usize_of`] for a count that must lie in `range`: a value
+    /// outside it exits the program ([`ArgError::exit`]) with a message
+    /// naming the bound it crossed.
+    pub fn count(&self, name: &str, default: usize, range: RangeInclusive<usize>) -> usize {
         match self.usize_of(name, default) {
-            n if n < min => ArgError(format!("{name} wants at least {min}, got {n}")).exit(),
+            n if n < *range.start() => {
+                ArgError(format!("{name} wants at least {}, got {n}", range.start())).exit()
+            }
+            n if n > *range.end() => {
+                ArgError(format!("{name} wants at most {}, got {n}", range.end())).exit()
+            }
             n => n,
         }
     }
@@ -203,8 +210,8 @@ mod tests {
         assert_eq!(a.value_of("--jobs"), Some("3"));
         assert_eq!(a.usize_of("--jobs", 1), 3);
         assert_eq!(a.usize_of("--latency-steps", 10), 10);
-        assert_eq!(a.count("--shards", 1, 1), 4);
-        assert_eq!(Args::from(&[]).count("--shards", 1, 1), 1);
+        assert_eq!(a.count("--shards", 1, 1..=8), 4);
+        assert_eq!(Args::from(&[]).count("--shards", 1, 1..=8), 1);
         assert_eq!(a.positional(0), Some("8"));
         assert_eq!(a.positional(1), Some("16"));
         assert_eq!(a.positional(2), None);

@@ -27,8 +27,9 @@
 //! cargo run --release -p mtf-bench --bin chains [--items N] [--json]
 //! ```
 //!
-//! `--json` emits one structured `mtf-bench-report-v1` line; CI diffs it
-//! against the committed golden copy.
+//! `--json` emits one structured `mtf-bench-report-v1` line; `cargo test`
+//! pins it byte for byte to `golden/chains.json`
+//! (`crates/bench/tests/stdout_pins.rs`).
 
 use mtf_bench::json::Json;
 use mtf_bench::report::{DesignEntry, Run};
@@ -125,11 +126,11 @@ fn entry_for(
 fn main() {
     let mut run = Run::start("chains", &["--json", "--items", "--shards", "--backend"]);
     let json = !run.text();
-    let items = run.args().count("--items", 60, 1);
-    let shards = run.args().count("--shards", 1, 1);
+    let items = run.args().count("--items", 60, 1..=100_000);
+    let shards = run.args().count("--shards", 1, 1..=1024);
     // `--backend compiled` runs every point on the compiled-netlist
     // backend. The report is intentionally NOT annotated with the
-    // backend: CI diffs the compiled `--json` output against the same
+    // backend: `cargo test` pins the compiled `--json` output to the same
     // golden copy as the event run, so any byte of difference is an
     // equivalence bug.
     let backend = run.args().backend();

@@ -88,8 +88,12 @@ fn run_side(
 fn main() {
     let mut run = Run::start("compiled", &["--quick", "--items", "--runs", "--write"]);
     let quick = run.args().flag("--quick");
-    let n_items = run.args().count("--items", if quick { 96 } else { 384 }, 1);
-    let runs = run.args().count("--runs", if quick { 1 } else { 3 }, 1);
+    let n_items = run
+        .args()
+        .count("--items", if quick { 96 } else { 384 }, 1..=100_000);
+    let runs = run
+        .args()
+        .count("--runs", if quick { 1 } else { 3 }, 1..=100);
 
     let params = FifoParams::new(16, 16);
     let items: Vec<u64> = (0..n_items as u64)

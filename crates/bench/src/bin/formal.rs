@@ -11,9 +11,10 @@
 //! cargo run --release -p mtf-bench --bin formal [--json]
 //! ```
 //!
-//! `--json` emits one `mtf-bench-report-v1` line; CI diffs it against
-//! `golden/formal.json` so a changed verdict *or* a changed state count
-//! shows up in review. Any disproven property exits non-zero, as does a
+//! `--json` emits one `mtf-bench-report-v1` line; `cargo test` pins it
+//! byte for byte to `golden/formal.json`
+//! (`crates/bench/tests/stdout_pins.rs`) so a changed verdict *or* a
+//! changed state count shows up in review. Any disproven property exits non-zero, as does a
 //! state space that blows past its budget ceiling (the counts are part
 //! of the contract: these models are supposed to stay tiny).
 

@@ -5,17 +5,17 @@
 //! CDC synchronizer depth, combinational loops, structural sanity,
 //! glitch-prone cones — then applies each design's waiver table from
 //! `mtf_core::waivers`. Waived findings are *printed*, never hidden;
-//! any unwaived finding makes the process exit non-zero, which is what
-//! the CI job keys off.
+//! any unwaived finding makes the process exit non-zero.
 //!
 //! ```text
 //! cargo run --release -p mtf-bench --bin lint [--json] [--capacity N] [--width W]
 //! cargo run --release -p mtf-bench --bin lint -- --contracts [--json]
 //! ```
 //!
-//! `--json` emits one structured `mtf-bench-report-v1` line; CI diffs it
-//! against `golden/lint.json` (via `scripts/golden_diff.py`) so a new or
-//! vanished finding shows up in review even when it is waived.
+//! `--json` emits one structured `mtf-bench-report-v1` line; `cargo test`
+//! pins it byte for byte to `golden/lint.json`
+//! (`crates/bench/tests/stdout_pins.rs`) so a new or vanished finding
+//! shows up in review even when it is waived.
 //!
 //! `--contracts` switches to the netlist-derived interface contracts:
 //! every registry design's flag disciplines, synchronizer depths,
@@ -24,7 +24,7 @@
 //! tables, and the sharded kernel's lookahead claims on the 64-domain
 //! ladder are statically proven (`mtf_lis::audit_chain_lookahead`). Any
 //! derived-vs-declared mismatch or unsound cut exits non-zero; the JSON
-//! line is diffed against `golden/contracts.json`.
+//! line is pinned the same way to `golden/contracts.json`.
 
 use mtf_bench::json::Json;
 use mtf_bench::report::{DesignEntry, Run};

@@ -23,7 +23,9 @@
 //! sweep fan out over `--jobs` worker threads; every run builds its own
 //! seeded simulator, so the reported rates are independent of the thread
 //! count. `--json` emits one structured
-//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead of the text.
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport) instead of the text;
+//! at the default 30 runs `cargo test` pins it byte for byte to
+//! `golden/robustness.json` (`crates/bench/tests/stdout_pins.rs`).
 
 use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::json::Json;
@@ -69,7 +71,7 @@ fn one_run(seed: u64, stages: usize, meta: MetaModel) -> bool {
 fn main() {
     let mut run = Run::start("robustness", &["--runs", "--jobs", "--json"]);
     let json = !run.text();
-    let runs = run.args().count("--runs", 30, 1) as u64;
+    let runs = run.args().count("--runs", 30, 1..=10_000) as u64;
     let runner = SweepRunner::new(run.args().jobs());
 
     if !json {

@@ -65,11 +65,15 @@ fn main() {
     );
     let quick = run.args().flag("--quick");
     let segments = if quick { 16 } else { 64 };
-    let items = run.args().count("--items", if quick { 16 } else { 40 }, 1);
-    let runs = run.args().count("--runs", if quick { 1 } else { 2 }, 1);
+    let items = run
+        .args()
+        .count("--items", if quick { 16 } else { 40 }, 1..=100_000);
+    let runs = run
+        .args()
+        .count("--runs", if quick { 1 } else { 2 }, 1..=100);
 
     let mut ladder = vec![1usize, 2, 4, 8];
-    let extra = run.args().count("--shards", 1, 1);
+    let extra = run.args().count("--shards", 1, 1..=1024);
     if extra > 1 && !ladder.contains(&extra) {
         ladder.push(extra);
         ladder.sort_unstable();

@@ -15,9 +15,11 @@
 //! representative transfer run.
 //!
 //! `--json` emits the full grid as one structured
-//! [`ExperimentReport`](mtf_bench::report::ExperimentReport);
-//! `--json --cell NAME[:CAPxWIDTH]` measures a single cell (the schema
-//! smoke test in CI uses this).
+//! [`ExperimentReport`](mtf_bench::report::ExperimentReport), which
+//! `cargo test` pins byte for byte to `golden/table1.json`
+//! (`crates/bench/tests/stdout_pins.rs`); `--json --cell
+//! NAME[:CAPxWIDTH]` measures a single cell of one of the four Table 1
+//! designs.
 
 use mtf_bench::args::ArgError;
 use mtf_bench::harness::{Drain, Feed, Harness};
@@ -49,18 +51,17 @@ fn main() {
     let quick = args.flag("--quick");
     let stats = args.flag("--stats");
     let json = args.json();
-    let steps = args.count("--latency-steps", if quick { 4 } else { 10 }, 2);
+    let steps = args.count("--latency-steps", if quick { 4 } else { 10 }, 2..=1000);
     let runner = SweepRunner::new(args.jobs());
     let registry = DesignRegistry::table1();
     let designs: Vec<&'static dyn MixedTimingDesign> = registry.iter().collect();
 
-    // `--json --cell NAME[:CAPxWIDTH]`: one cell only, for the schema
-    // smoke test (fast enough for CI).
+    // `--json --cell NAME[:CAPxWIDTH]`: one Table 1 cell only.
     if let Some(cell) = args.value_of("--cell") {
         if !json {
             ArgError("--cell implies --json".into()).exit();
         }
-        let (design, params) = parse_cell(cell).unwrap_or_else(|e| e.exit());
+        let (design, params) = parse_cell(&registry, cell).unwrap_or_else(|e| e.exit());
         let t = throughput(design, params);
         let l = latency_with(design, FifoParams::new(params.capacity, 8), steps, &runner);
         run.report.entries.push(
@@ -252,15 +253,22 @@ fn main() {
 }
 
 /// `NAME[:CAPxWIDTH]`, e.g. `mixed_clock` or `async_sync:8x16` (`4x8`
-/// when the geometry is omitted).
-fn parse_cell(cell: &str) -> Result<(&'static dyn MixedTimingDesign, FifoParams), ArgError> {
+/// when the geometry is omitted). `NAME` is one of the Table 1 designs
+/// in `registry`; every one of them builds at any valid [`FifoParams`].
+fn parse_cell(
+    registry: &DesignRegistry,
+    cell: &str,
+) -> Result<(&'static dyn MixedTimingDesign, FifoParams), ArgError> {
     let (name, geom) = cell.split_once(':').unwrap_or((cell, "4x8"));
-    let design = DesignRegistry::get(name).ok_or_else(|| {
-        ArgError(format!(
-            "--cell: unknown design {name:?} (expected one of {})",
-            DesignRegistry::standard().names().join(", ")
-        ))
-    })?;
+    let design = registry
+        .iter()
+        .find(|d| d.kind().name() == name)
+        .ok_or_else(|| {
+            ArgError(format!(
+                "--cell: unknown design {name:?} (expected one of {})",
+                registry.names().join(", ")
+            ))
+        })?;
     let bad = || ArgError(format!("--cell wants NAME:CAPxWIDTH, got {cell:?}"));
     let (c, w) = geom.split_once('x').ok_or_else(bad)?;
     let capacity = c.parse().map_err(|_| bad())?;

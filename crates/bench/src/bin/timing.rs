@@ -14,11 +14,12 @@
 //! cargo run --release -p mtf-bench --bin timing [--json] [--capacity N] [--width W]
 //! ```
 //!
-//! `--json` emits one `mtf-bench-report-v1` line; CI diffs it against
-//! `golden/timing.json`, so a delay-annotation change, a path that
-//! appears or vanishes, or a hold-margin regression all surface in
-//! review. Behavioural designs (seizovic, sync_rs) place no gates and
-//! are skipped by name in the `skipped` note.
+//! `--json` emits one `mtf-bench-report-v1` line; `cargo test` pins it
+//! byte for byte to `golden/timing.json`
+//! (`crates/bench/tests/stdout_pins.rs`), so a delay-annotation change,
+//! a path that appears or vanishes, or a hold-margin regression all
+//! surface in review. Behavioural designs (seizovic, sync_rs) place no
+//! gates and are skipped by name in the `skipped` note.
 
 use mtf_bench::json::Json;
 use mtf_bench::measure::{max_delay_sta, timed_build, EXT};

@@ -74,6 +74,12 @@ fn table1_rejects_bad_cells() {
         ("mixed_clock:4x", "--cell wants NAME:CAPxWIDTH"),
         ("mixed_clock:0x8", "capacity must be at least 3 (got 0)"),
         ("mixed_clock:4x0", "width must be in 1..=63 (got 0)"),
+        // Registry designs outside Table 1 are not cells.
+        ("sync_async:4x8", "unknown design \"sync_async\""),
+        ("async_async:4x8", "unknown design \"async_async\""),
+        ("seizovic:4x8", "unknown design \"seizovic\""),
+        ("sync_rs:4x8", "unknown design \"sync_rs\""),
+        ("gray_pointer:3x8", "unknown design \"gray_pointer\""),
     ] {
         let e = usage_error(table1, &["--json", "--cell", cell]);
         assert!(e.contains(expect), "{cell}: {e}");
@@ -107,7 +113,8 @@ fn export_verilog_rejects_bad_positionals_without_writing() {
 }
 
 #[test]
-fn counts_below_their_minimum_are_rejected() {
+fn counts_outside_their_range_are_rejected() {
+    const HUGE: &str = "18446744073709551615";
     for (bin, args, expect) in [
         (
             env!("CARGO_BIN_EXE_table1"),
@@ -133,6 +140,36 @@ fn counts_below_their_minimum_are_rejected() {
             env!("CARGO_BIN_EXE_sharded"),
             &["--quick", "--items", "0"],
             "--items wants at least 1, got 0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--quick", "--latency-steps", HUGE],
+            "--latency-steps wants at most 1000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_robustness"),
+            &["--runs", HUGE],
+            "--runs wants at most 10000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chains"),
+            &["--items", HUGE],
+            "--items wants at most 100000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_compiled"),
+            &["--quick", "--items", HUGE],
+            "--items wants at most 100000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sharded"),
+            &["--quick", "--items", HUGE],
+            "--items wants at most 100000",
+        ),
+        (
+            env!("CARGO_BIN_EXE_compiled"),
+            &["--quick", "--runs", HUGE],
+            "--runs wants at most 100",
         ),
     ] {
         let e = usage_error(bin, args);
