@@ -14,6 +14,12 @@
 //!   async-sync cell's data-validity controller `DV_as` (paper Fig. 10b),
 //!   whose asymmetric protocol prevents a put from corrupting a get in
 //!   progress.
+//!
+//! Each formalism's step rule is defined once, here, and shared with the
+//! model checker (`mtf-mc`'s `check_stg`/`check_bm`), so the checked
+//! model is the executed one: [`StgSpec::is_marked`],
+//! [`StgSpec::is_enabled`] and [`StgSpec::fire`] step a packed
+//! [`StgState`], and [`BmSpec::completed`] picks the burst that fires.
 //! * [`micropipeline`] — a gate-level Sutherland micropipeline built from
 //!   C-elements and word latches; the paper uses it as the asynchronous
 //!   relay station (ARS) chain.
@@ -34,7 +40,6 @@ mod burst_mode;
 mod handshake;
 mod micropipeline;
 mod petri;
-pub mod verify;
 
 pub use burst_mode::{ogt_spec, opt_spec, BmBurst, BmMachine, BmSpec, BmTransition};
 pub use handshake::{
@@ -42,5 +47,4 @@ pub use handshake::{
     ProducerHandle,
 };
 pub use micropipeline::{micropipeline, Micropipeline};
-pub use petri::{dv_as_spec, dv_sa_spec, StgMachine, StgSignal, StgSpec, StgTransition};
-pub use verify::{analyze, StgAnalysis};
+pub use petri::{dv_as_spec, dv_sa_spec, StgMachine, StgSignal, StgSpec, StgState, StgTransition};

@@ -6,8 +6,11 @@
 //! of an outgoing burst of the current state and has not arrived yet —
 //! in any order, which is exactly the freedom the paper's Minimalist
 //! controllers must tolerate. When a full input burst is in, the machine
-//! fires the output burst and advances atomically (the interpreter in
-//! `mtf_async::BmMachine` does the same).
+//! fires the output burst and advances atomically. Which burst has
+//! completed is `mtf-async`'s own rule ([`BmSpec::completed`]), the one
+//! `mtf_async::BmMachine` executes, so the checked model is the simulated
+//! one by construction; only the output-burst consistency verdict is the
+//! checker's own.
 //!
 //! Checked: deadlock-freedom (some input edge is always expected),
 //! consistency (no output burst drives a signal to the level it already
@@ -35,38 +38,43 @@ struct BmSystem<'a> {
     spec: &'a BmSpec,
 }
 
-impl BmSystem<'_> {
-    /// Has transition `t` of state `s.state`'s full input burst arrived?
-    fn burst_done(&self, s: BmState, t: usize) -> bool {
-        self.spec.states[s.state][t].inputs.iter().all(|&(i, lvl)| {
-            let cur = s.inputs & (1 << i) != 0;
-            let entry = s.entry & (1 << i) != 0;
-            cur == lvl && entry != lvl
-        })
-    }
+/// Bit `i` of `m`.
+fn bit(m: u64, i: usize) -> bool {
+    m & 1 << i != 0
+}
 
-    /// Fires completed bursts until quiescent (mirrors the interpreter's
-    /// loop). Returns the settled state; `Err` with the offending output
-    /// if an output burst is inconsistent.
+/// `s` with input `i` moved to `lvl`, before the machine reacts.
+fn apply(mut s: BmState, i: usize, lvl: bool) -> BmState {
+    s.inputs = if lvl {
+        s.inputs | 1 << i
+    } else {
+        s.inputs & !(1 << i)
+    };
+    s
+}
+
+impl BmSystem<'_> {
+    /// Fires the burst [`BmSpec::completed`] picks at `s`, if any, which
+    /// leaves the machine quiescent. Returns the settled state; `Err` with
+    /// the offending output if the output burst re-drives a signal to its
+    /// current level.
     fn settle(&self, mut s: BmState) -> Result<BmState, (BmState, usize)> {
-        loop {
-            let fired = (0..self.spec.states[s.state].len()).find(|&t| self.burst_done(s, t));
-            let Some(t) = fired else { return Ok(s) };
-            let tr = &self.spec.states[s.state][t];
-            for &(o, lvl) in &tr.outputs {
-                let cur = s.outputs & (1 << o) != 0;
-                if cur == lvl {
-                    return Err((s, o));
-                }
-                s.outputs = if lvl {
-                    s.outputs | (1 << o)
-                } else {
-                    s.outputs & !(1 << o)
-                };
+        let Some(t) = self.spec.completed(
+            s.state,
+            move |i, lvl| bit(s.inputs, i) == lvl,
+            move |i, lvl| bit(s.entry, i) == lvl,
+        ) else {
+            return Ok(s);
+        };
+        for &(o, lvl) in &t.outputs {
+            if bit(s.outputs, o) == lvl {
+                return Err((s, o));
             }
-            s.state = tr.next;
-            s.entry = s.inputs;
+            s.outputs ^= 1 << o;
         }
+        s.state = t.next;
+        s.entry = s.inputs;
+        Ok(s)
     }
 
     /// The input edges the safe environment may issue at `s`: any burst
@@ -78,7 +86,7 @@ impl BmSystem<'_> {
         members()
             .enumerate()
             .filter(move |&(k, (i, lvl))| {
-                (s.inputs & (1 << i) != 0) != lvl && !members().take(k).any(|e| e == (i, lvl))
+                bit(s.inputs, i) != lvl && !members().take(k).any(|e| e == (i, lvl))
             })
             .map(|(_, e)| e)
     }
@@ -98,7 +106,7 @@ impl TransitionSystem for BmSystem<'_> {
             .initial_outputs
             .iter()
             .enumerate()
-            .fold(0u64, |o, (i, &b)| if b { o | (1 << i) } else { o });
+            .fold(0u64, |o, (i, &b)| if b { o | 1 << i } else { o });
         // Inputs power on at the level opposite the first edge expected of
         // them is unknowable in general; the interpreter samples the real
         // nets. Here every input starts low, matching the spawn rigs.
@@ -113,15 +121,9 @@ impl TransitionSystem for BmSystem<'_> {
     /// Move code `2i + lvl` is input `i`'s edge to `lvl`.
     fn successors(&self, s: &BmState, out: &mut Vec<(Move, BmState)>) {
         for (i, lvl) in self.env_edges(*s) {
-            let mut n = *s;
-            n.inputs = if lvl {
-                n.inputs | (1 << i)
-            } else {
-                n.inputs & !(1 << i)
-            };
             // Inconsistent output bursts surface in the property pass;
             // the successor relation stops at them.
-            if let Ok(settled) = self.settle(n) {
+            if let Ok(settled) = self.settle(apply(*s, i, lvl)) {
                 out.push((Move::new(2 * i as u32 + u32::from(lvl), false), settled));
             }
         }
@@ -160,12 +162,10 @@ impl BmCheck {
 ///
 /// # Errors
 ///
-/// `Err` if the spec fails `validate` or has more than 64 inputs/outputs.
+/// `Err` if the spec fails `validate` (which includes the 64 input/output
+/// packing limit).
 pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
     spec.validate()?;
-    if spec.input_names.len() > 64 || spec.output_names.len() > 64 {
-        return Err("model checking supports at most 64 signals".into());
-    }
     let sys = BmSystem { spec };
     let space = StateSpace::explore(&sys, 1 << 16);
     if space.truncated {
@@ -187,13 +187,7 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
             });
         }
         for &(a, la) in &edges {
-            let mut n = s;
-            n.inputs = if la {
-                n.inputs | (1 << a)
-            } else {
-                n.inputs & !(1 << a)
-            };
-            match sys.settle(n) {
+            match sys.settle(apply(s, a, la)) {
                 Err((bad, o)) => {
                     if consistency.is_none() {
                         let mut trace = space.trace_to(i);
@@ -216,14 +210,6 @@ pub fn check_bm(spec: &BmSpec) -> Result<BmCheck, String> {
                         if (b, lb) == (a, la) || convergence.is_some() {
                             continue;
                         }
-                        let apply = |mut st: BmState, i: usize, lvl: bool| {
-                            st.inputs = if lvl {
-                                st.inputs | (1 << i)
-                            } else {
-                                st.inputs & !(1 << i)
-                            };
-                            st
-                        };
                         // b may have been consumed by a's burst firing; it
                         // is only still issuable if some burst of the new
                         // state wants it.
