@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use mtf_gates::Builder;
-use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time};
+use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time};
 
 use crate::params::FifoParams;
 
@@ -345,9 +345,8 @@ impl Component for SeizovicFifo {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.put_ack, Logic::L, Time::ZERO);
             ctx.drive(self.valid_get, Logic::L, Time::ZERO);

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use mtf_async::OpJournal;
-use mtf_sim::{Component, Ctx, DriverId, Logic, NetId, Simulator, Time};
+use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, NetId, Simulator, Time};
 
 /// How soon after a clock edge an environment drives its outputs.
 /// The paper's protocols specify "immediately after the positive edge";
@@ -120,9 +120,8 @@ impl Component for SyncProducer {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.req, Logic::L, Time::ZERO);
         }
@@ -236,9 +235,8 @@ impl Component for SyncConsumer {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.req, Logic::L, Time::ZERO);
         }
@@ -338,9 +336,8 @@ impl Component for PacketSource {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.valid_drv, Logic::L, Time::ZERO);
         }
@@ -430,9 +427,8 @@ impl Component for PacketSink {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.stop_drv, Logic::L, Time::ZERO);
         }

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Simulator, Time};
+use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, LogicVec, NetId, Simulator, Time};
 
 /// How soon after a clock edge a relay station's registered outputs settle.
 ///
@@ -136,9 +136,8 @@ impl Component for SyncRelayStation {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
-        let rising = self.prev_clk == Logic::L && clk == Logic::H;
         let first = self.prev_clk == Logic::X;
-        self.prev_clk = clk;
+        let rising = clock_rose(&mut self.prev_clk, clk);
         if first {
             ctx.drive(self.out_valid, Logic::L, Time::ZERO);
             ctx.drive(self.stop_out, Logic::L, Time::ZERO);

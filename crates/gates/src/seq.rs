@@ -1,7 +1,9 @@
 //! Sequential single-bit cells: D flip-flop (with optional enable),
 //! D latch, SR latch.
 
-use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind};
+use mtf_sim::{
+    clock_rose, Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind,
+};
 
 use crate::netlist::{DelayTable, FlopTiming};
 
@@ -19,13 +21,6 @@ pub(crate) enum Drive {
     /// An input moved inside the metastability window: `X` after
     /// clock-to-Q, and the caller settles it.
     Metastable,
-}
-
-/// Records `clk` and reports whether it rose (L→H) since the last step.
-pub(crate) fn clock_rose(prev_clk: &mut Logic, clk: Logic) -> bool {
-    let rose = *prev_clk == Logic::L && clk == Logic::H;
-    *prev_clk = clk;
-    rose
 }
 
 /// The value a flop stores when it samples `v`: an undriven (`Z`) input

@@ -10,10 +10,12 @@
 //!
 //! [`Instance`]: crate::Instance
 
-use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
+use mtf_sim::{
+    clock_rose, Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind,
+};
 
 use crate::netlist::DelayTable;
-use crate::seq::{captured, clock_rose, setup_violation};
+use crate::seq::{captured, setup_violation};
 use crate::tristate::TriBuf;
 
 /// The clocking rules of a word register — edge detection, the enable

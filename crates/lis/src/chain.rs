@@ -37,7 +37,8 @@ use mtf_core::env::{PacketSink, PacketSource};
 use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, MixedTimingDesign};
 use mtf_gates::{install_compiled, Builder, CellDelays};
 use mtf_sim::{
-    Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time,
+    clock_rose, Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator,
+    Time,
 };
 
 use crate::lookahead::stop_launch_delay;
@@ -314,10 +315,7 @@ impl Component for BoundaryProbe {
                 stop,
                 prev_clk,
             } => {
-                let now = ctx.get(*clk);
-                let rising = *prev_clk == Logic::L && now == Logic::H;
-                *prev_clk = now;
-                if rising {
+                if clock_rose(prev_clk, ctx.get(*clk)) {
                     let stopped = ctx.get(*stop) == Logic::H;
                     if stopped {
                         c.put_stall_cycles += 1;
@@ -329,20 +327,14 @@ impl Component for BoundaryProbe {
                 }
             }
             ProbePut::Async { ack, prev_ack } => {
-                let now = ctx.get(*ack);
-                let rising = *prev_ack == Logic::L && now == Logic::H;
-                *prev_ack = now;
-                if rising {
+                if clock_rose(prev_ack, ctx.get(*ack)) {
                     c.put_accepts += 1;
                     c.occupancy += 1;
                     c.max_occupancy = c.max_occupancy.max(c.occupancy);
                 }
             }
         }
-        let now = ctx.get(self.get_clk);
-        let rising = self.prev_get_clk == Logic::L && now == Logic::H;
-        self.prev_get_clk = now;
-        if rising {
+        if clock_rose(&mut self.prev_get_clk, ctx.get(self.get_clk)) {
             if ctx.get(self.stop_in) == Logic::H {
                 c.get_stall_cycles += 1;
             } else if ctx.get(self.valid_get) == Logic::H {

@@ -76,7 +76,7 @@ pub mod vcd;
 pub use clock::ClockGen;
 pub use component::{Component, ComponentId, Ctx};
 pub use error::SimError;
-pub use logic::{Logic, LogicVec};
+pub use logic::{clock_rose, Logic, LogicVec};
 pub use metastable::{mtbf_seconds, MetaModel};
 pub use net::{DriverId, NetId};
 pub use probe::{Edge, Probe, Waveform};

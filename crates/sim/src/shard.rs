@@ -563,10 +563,7 @@ mod tests {
             "edge_reg"
         }
         fn eval(&mut self, ctx: &mut Ctx<'_>) {
-            let clk = ctx.get(self.clk);
-            let rising = self.prev == Logic::L && clk == Logic::H;
-            self.prev = clk;
-            if rising {
+            if crate::clock_rose(&mut self.prev, ctx.get(self.clk)) {
                 let v = ctx.get(self.d);
                 ctx.drive(self.q_drv, v, self.delay);
             }
