@@ -47,7 +47,7 @@ fn main() {
 
     // ---- latency: ours vs Gray-pointer vs Seizovic -------------------------
     // The Gray-pointer baseline runs at this design's own fmax clocks.
-    let ours_p = periods(&MIXED_CLOCK, params);
+    let ours_p = periods(&MIXED_CLOCK, params).unwrap_or_else(|e| run.abort(e));
     let (t_put, t_get) = (ours_p.put.expect("sync put"), ours_p.get);
     let ours = latency_at(&MIXED_CLOCK, params, ours_p, 8, &SweepRunner::serial());
     let gray = latency_at(&GRAY_POINTER, params, ours_p, 8, &SweepRunner::serial());
@@ -106,7 +106,7 @@ fn main() {
     }
 
     // ---- fmax: ours vs Gray-pointer ----------------------------------------
-    let gray_p = periods(&GRAY_POINTER, params);
+    let gray_p = periods(&GRAY_POINTER, params).unwrap_or_else(|e| run.abort(e));
     let (g_put, g_get) = (gray_p.put.expect("sync put"), gray_p.get);
     if run.text() {
         println!("fmax (STA, custom calibration):");
@@ -125,7 +125,7 @@ fn main() {
     }
 
     // Produce the Seizovic vs async-sync contrast the paper draws in words.
-    let asy = latency(&ASYNC_SYNC, params, 6);
+    let asy = latency(&ASYNC_SYNC, params, 6).unwrap_or_else(|e| run.abort(e));
     let szv8 = seizovic_latency(8, Time::from_ns(10));
     if run.text() {
         println!();

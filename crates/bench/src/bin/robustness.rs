@@ -145,9 +145,13 @@ fn main() {
         println!("The price of robustness (mixed-clock 8-place/8-bit, STA fmax):");
     }
     let depths: Vec<usize> = (2..=4).collect();
-    let costs = runner.run(&depths, |_, &stages| {
-        throughput(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, stages))
-    });
+    let costs: Vec<_> = runner
+        .run(&depths, |_, &stages| {
+            throughput(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, stages))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| run.abort(e));
     if !json {
         for (&stages, t) in depths.iter().zip(&costs) {
             println!(

@@ -62,8 +62,9 @@ fn main() {
             ArgError("--cell implies --json".into()).exit();
         }
         let (design, params) = parse_cell(&registry, cell).unwrap_or_else(|e| e.exit());
-        let t = throughput(design, params);
-        let l = latency_with(design, FifoParams::new(params.capacity, 8), steps, &runner);
+        let t = throughput(design, params).unwrap_or_else(|e| run.abort(e));
+        let l = latency_with(design, FifoParams::new(params.capacity, 8), steps, &runner)
+            .unwrap_or_else(|e| run.abort(e));
         run.report.entries.push(
             DesignEntry::new(design, params)
                 .with("put", t.put)
@@ -92,9 +93,13 @@ fn main() {
                 .flat_map(move |&w| CAPACITIES.iter().map(move |&c| (d, w, c)))
         })
         .collect();
-    let tvals: Vec<Throughput> = runner.run(&tcells, |_, &(d, w, c)| {
-        throughput(designs[d], FifoParams::new(c, w))
-    });
+    let tvals: Vec<Throughput> = runner
+        .run(&tcells, |_, &(d, w, c)| {
+            throughput(designs[d], FifoParams::new(c, w))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| run.abort(e));
     let tput = |d: usize, w: usize, c: usize| -> Throughput {
         let i = tcells
             .iter()
@@ -132,14 +137,18 @@ fn main() {
     let lcells: Vec<(usize, usize)> = (0..designs.len())
         .flat_map(|d| CAPACITIES.iter().map(move |&c| (d, c)))
         .collect();
-    let lvals: Vec<LatencyRange> = runner.run(&lcells, |_, &(d, c)| {
-        latency_with(
-            designs[d],
-            FifoParams::new(c, 8),
-            steps,
-            &SweepRunner::serial(),
-        )
-    });
+    let lvals: Vec<LatencyRange> = runner
+        .run(&lcells, |_, &(d, c)| {
+            latency_with(
+                designs[d],
+                FifoParams::new(c, 8),
+                steps,
+                &SweepRunner::serial(),
+            )
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| run.abort(e));
     let lat = |d: usize, c: usize| -> LatencyRange {
         let i = lcells
             .iter()

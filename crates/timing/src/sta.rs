@@ -141,6 +141,13 @@ impl<'a> Sta<'a> {
         self.half_launches.push((net.index(), clock, delay));
     }
 
+    /// Is `net` a node of the timing graph, off every combinational cycle?
+    /// A launch anywhere else reaches no capture pin: a net no instance
+    /// touches has no arcs, so it starts no path.
+    fn traced(&self, net: usize) -> bool {
+        net < self.n_nets && !self.cyclic[net]
+    }
+
     /// Instances whose arcs were dropped to break combinational cycles
     /// (asynchronous handshake loops — not meaningful for clock-domain
     /// fmax).
@@ -274,7 +281,8 @@ impl<'a> Sta<'a> {
     /// Computes the minimum viable period for the domain of `clock`.
     ///
     /// Returns `None` if the domain has no launch-to-capture path at all
-    /// (e.g. the clock net does not exist in this netlist).
+    /// (e.g. the clock net does not exist in this netlist, or every launch
+    /// names a net no instance touches).
     pub fn min_period(&self, clock: NetId) -> Option<TimingReport> {
         const NEG: i64 = i64::MIN / 4;
         let delays = self.netlist.delay_table();
@@ -289,7 +297,7 @@ impl<'a> Sta<'a> {
 
         let mut any_launch = false;
         for &(net, lclk, at, inst) in &self.launches {
-            if lclk == clock && !self.cyclic[net] {
+            if lclk == clock && self.traced(net) {
                 any_launch = true;
                 if (at.as_ps() as i64) > arr_full[net] {
                     arr_full[net] = at.as_ps() as i64;
@@ -298,7 +306,7 @@ impl<'a> Sta<'a> {
             }
         }
         for &(net, lclk, at) in &self.half_launches {
-            if lclk == clock && !self.cyclic[net] {
+            if lclk == clock && self.traced(net) {
                 any_launch = true;
                 if (at.as_ps() as i64) > arr_half[net] {
                     arr_half[net] = at.as_ps() as i64;
@@ -398,7 +406,7 @@ impl<'a> Sta<'a> {
         let mut hi = vec![NEG; self.n_nets];
         let mut any = false;
         for &(net, lclk, at, _) in &self.launches {
-            if lclk == clock && !self.cyclic[net] {
+            if lclk == clock && self.traced(net) {
                 any = true;
                 let t = at.as_ps() as i64;
                 lo[net] = lo[net].min(t);
@@ -441,7 +449,7 @@ impl<'a> Sta<'a> {
     /// is `(d, d)`.
     pub fn launch_window(&self, clock: NetId, net: NetId) -> Option<(Time, Time)> {
         let idx = net.index();
-        if idx >= self.n_nets || self.cyclic[idx] {
+        if !self.traced(idx) {
             return None;
         }
         let (lo, hi) = self.arrival_window(clock)?;
@@ -548,6 +556,24 @@ mod tests {
         let rep = sta.min_period(clk).expect("constrained now");
         assert!(rep.period >= Time::from_ps(1_000));
         assert_eq!(rep.path[0].instance, "<external>");
+    }
+
+    /// A launch on a net outside the timing graph (here: a netlist with
+    /// no instances at all) has no path rather than an index past the
+    /// graph's arrays.
+    #[test]
+    fn launch_off_the_graph_has_no_path() {
+        let mut sim = Simulator::new(0);
+        let mut b = Builder::new(&mut sim);
+        let clk = b.input("clk");
+        let req = b.input("req");
+        let nl = b.finish();
+        let mut sta = Sta::new(&nl);
+        sta.external_launch(req, clk, Time::from_ps(100));
+        sta.external_launch_half(req, clk, Time::from_ps(100));
+        assert!(sta.min_period(clk).is_none());
+        assert!(sta.hold_slack(clk).is_none());
+        assert!(sta.launch_window(clk, req).is_none());
     }
 
     #[test]

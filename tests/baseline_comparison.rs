@@ -13,7 +13,7 @@ use mtf_timing::area;
 /// Empty-FIFO latency (ns) of the Gray-pointer baseline at the mixed-clock
 /// design's own fmax clocks, best alignment over a small sweep.
 fn gray_min_latency(params: FifoParams) -> f64 {
-    let p = periods(&MIXED_CLOCK, params);
+    let p = periods(&MIXED_CLOCK, params).expect("mixed-clock has timing paths");
     let (t_put, t_get) = (p.put.unwrap(), p.get);
     let mut best = f64::INFINITY;
     for s in 0..4 {
@@ -59,7 +59,7 @@ fn gray_min_latency(params: FifoParams) -> f64 {
 #[test]
 fn paper_beats_pointer_fifo_on_latency() {
     let params = FifoParams::new(8, 8);
-    let ours = latency(&MIXED_CLOCK, params, 4);
+    let ours = latency(&MIXED_CLOCK, params, 4).expect("mixed-clock has timing paths");
     let gray = gray_min_latency(params);
     assert!(
         gray > ours.min_ns * 1.1,
@@ -97,7 +97,7 @@ fn paper_beats_seizovic_by_depth_independence() {
     );
     sim.run_until(Time::from_us(3)).unwrap();
     let szv_ns = (cj.time_of(0).expect("delivered") - t0).as_ps() as f64 / 1000.0;
-    let ours = latency(&ASYNC_SYNC, FifoParams::new(8, 8), 4);
+    let ours = latency(&ASYNC_SYNC, FifoParams::new(8, 8), 4).expect("async-sync has timing paths");
     assert!(
         szv_ns > ours.min_ns * 5.0,
         "pipeline synchronization at depth 6 must be far slower \

@@ -57,7 +57,7 @@ fn simulate_at(params: FifoParams, t_put: Time, t_get: Time, seed: u64) -> (usiz
 fn sta_period_simulates_cleanly() {
     for &(cap, w) in &[(4usize, 8usize), (8, 8), (8, 16)] {
         let params = FifoParams::new(cap, w);
-        let p = periods(&MIXED_CLOCK, params);
+        let p = periods(&MIXED_CLOCK, params).expect("mixed-clock has timing paths");
         // 2% guard band over the STA bound.
         let t_put = Time::from_ps(p.put.unwrap().as_ps() * 51 / 50);
         let t_get = Time::from_ps(p.get.as_ps() * 51 / 50);
@@ -72,7 +72,7 @@ fn sta_period_simulates_cleanly() {
 #[test]
 fn overclocking_trips_the_checkers() {
     let params = FifoParams::new(8, 8);
-    let p = periods(&MIXED_CLOCK, params);
+    let p = periods(&MIXED_CLOCK, params).expect("mixed-clock has timing paths");
     // 40% beyond the STA bound: the critical path no longer fits.
     let t_put = Time::from_ps(p.put.unwrap().as_ps() * 6 / 10);
     let t_get = Time::from_ps(p.get.as_ps() * 6 / 10);
@@ -111,7 +111,7 @@ fn sta_bound_is_tight_ish() {
     // The first violations should appear within ~35% below the STA period
     // (the gap is environment-delay modelling slack, not dead margin).
     let params = FifoParams::new(8, 8);
-    let p = periods(&MIXED_CLOCK, params);
+    let p = periods(&MIXED_CLOCK, params).expect("mixed-clock has timing paths");
     let base_put = p.put.unwrap().as_ps();
     let base_get = p.get.as_ps();
     let mut first_bad: Option<u64> = None;
