@@ -236,6 +236,15 @@ impl Component for BmMachine {
         if self.inputs.iter().any(|&n| ctx.get(n) == Logic::X) {
             return;
         }
+        // An undriven input settling to its idle level at start-up is
+        // initialisation, not an edge: absorb it before any burst can
+        // count it as a change.
+        for (e, &n) in self.entry.iter_mut().zip(&self.inputs) {
+            let c = ctx.get(n);
+            if c != *e && !e.is_definite() {
+                *e = c;
+            }
+        }
         let fired = self.spec.completed(
             self.state,
             |i, lvl| ctx.get(self.inputs[i]) == Logic::from_bool(lvl),
@@ -255,12 +264,6 @@ impl Component for BmMachine {
         // any outgoing burst.
         for i in 0..self.inputs.len() {
             let (c, e) = (ctx.get(self.inputs[i]), self.entry[i]);
-            // An undriven input settling to its idle level at start-up is
-            // initialisation, not an edge.
-            if c != e && !e.is_definite() {
-                self.entry[i] = c;
-                continue;
-            }
             if c != e && c.is_definite() {
                 let expected = self.spec.states[self.state].iter().any(|t| {
                     t.inputs
@@ -455,37 +458,67 @@ mod tests {
         );
     }
 
-    /// An input still undriven (`Z`) at power-on records `Z` as its entry
-    /// level, so its first settling to `L` completes a falling-edge burst
-    /// before the start-up fix-up can absorb it.
-    #[test]
-    fn power_on_z_to_low_completes_a_falling_burst() {
-        let spec = BmSpec {
-            name: "fall".into(),
+    /// A one-input machine whose initial state waits for `a` to reach
+    /// `first` and then raises `y`.
+    fn waits_for(first: bool) -> BmSpec {
+        BmSpec {
+            name: "wait".into(),
             input_names: vec!["a".into()],
             output_names: vec!["y".into()],
             states: vec![
                 vec![BmTransition {
-                    inputs: vec![(0, false)],
+                    inputs: vec![(0, first)],
                     outputs: vec![(0, true)],
                     next: 1,
                 }],
                 vec![BmTransition {
-                    inputs: vec![(0, true)],
+                    inputs: vec![(0, !first)],
                     outputs: vec![(0, false)],
                     next: 0,
                 }],
             ],
             initial_state: 0,
             initial_outputs: vec![false],
-        };
+        }
+    }
+
+    /// Runs `waits_for(burst)` with `a` undriven (`Z`) at power-on and
+    /// settling to `level` at 1 ns; returns `y` at 2 ns.
+    fn settle_then_sample(burst: bool, level: Logic) -> Logic {
         let mut sim = Simulator::new(0);
         let a = sim.net("a");
-        let outs = BmMachine::spawn(&mut sim, spec, &[a], Time::from_ps(200));
+        let outs = BmMachine::spawn(&mut sim, waits_for(burst), &[a], Time::from_ps(200));
         let d = sim.driver(a);
-        sim.drive_at(d, a, Logic::L, Time::from_ns(1));
+        sim.drive_at(d, a, level, Time::from_ns(1));
         sim.run_until(Time::from_ns(2)).unwrap();
-        assert_eq!(sim.value(outs[0]), Logic::H, "Z→L fired the falling burst");
+        assert!(sim.violations().is_empty());
+        sim.value(outs[0])
+    }
+
+    /// An input still undriven (`Z`) at power-on that settles to `L` is
+    /// initialising, not falling: a falling burst stays pending.
+    #[test]
+    fn power_on_z_to_low_settling_fires_no_falling_burst() {
+        assert_eq!(settle_then_sample(false, Logic::L), Logic::L);
+    }
+
+    /// The twin: settling `Z`→`H` completes no rising burst either.
+    #[test]
+    fn power_on_z_to_high_settling_fires_no_rising_burst() {
+        assert_eq!(settle_then_sample(true, Logic::H), Logic::L);
+    }
+
+    /// The burst still fires on a real edge after the settling.
+    #[test]
+    fn a_real_edge_after_power_on_settling_fires() {
+        let mut sim = Simulator::new(0);
+        let a = sim.net("a");
+        let outs = BmMachine::spawn(&mut sim, waits_for(false), &[a], Time::from_ps(200));
+        let d = sim.driver(a);
+        sim.drive_at(d, a, Logic::H, Time::from_ns(1));
+        sim.drive_at(d, a, Logic::L, Time::from_ns(2));
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert_eq!(sim.value(outs[0]), Logic::H);
         assert!(sim.violations().is_empty());
     }
 

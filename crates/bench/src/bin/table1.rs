@@ -329,4 +329,5 @@ fn print_kernel_stats(s: SimStats) {
     println!("  wheel cascades        {}", s.wheel_cascades);
     println!("  overflow events       {}", s.overflow_events);
     println!("  elided drives         {}", s.elided_drives);
+    println!("  filtered wakes        {}", s.filtered_wakes);
 }

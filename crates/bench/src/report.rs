@@ -126,6 +126,7 @@ impl ExperimentReport {
                 ("wheel_cascades", Json::Num(k.wheel_cascades as f64)),
                 ("overflow_events", Json::Num(k.overflow_events as f64)),
                 ("elided_drives", Json::Num(k.elided_drives as f64)),
+                ("filtered_wakes", Json::Num(k.filtered_wakes as f64)),
             ];
             // Compiled-backend counters are zero on the default event
             // backend; omit them there so pre-existing golden reports
@@ -215,7 +216,8 @@ impl ExperimentReport {
                 };
                 // The compiled counters are optional: reports written on
                 // the event backend (and all pre-backend reports) omit
-                // them. So do reports from before drive elision.
+                // them. So do reports from before drive elision and
+                // before rising-edge watches.
                 let opt =
                     |key: &str| -> u64 { k.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
                 Some(SimStats {
@@ -229,6 +231,7 @@ impl ExperimentReport {
                     compiled_edge_evals: opt("compiled_edge_evals"),
                     compiled_gate_evals: opt("compiled_gate_evals"),
                     elided_drives: opt("elided_drives"),
+                    filtered_wakes: opt("filtered_wakes"),
                 })
             }
         };
@@ -353,6 +356,7 @@ mod tests {
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
             elided_drives: 5,
+            filtered_wakes: 13,
         });
         r.note("artifact", Json::str("out.vcd"));
         let text = r.to_json().render();

@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use mtf_gates::Builder;
-use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time};
+use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time};
 
 use crate::params::FifoParams;
 
@@ -262,6 +262,10 @@ pub struct SeizovicFifo {
     /// Each stage forwards only on every second clock edge (the two-flop
     /// synchronizer it contains).
     phase: bool,
+    /// The clock level at the previous evaluation (`X` before the first).
+    /// This component watches every clock change, not only rises: a
+    /// falling-edge evaluation runs the asynchronous put handshake, which
+    /// can accept into a stage the previous rising edge emptied.
     prev_clk: Logic,
     ack_high: bool,
 }
@@ -346,7 +350,8 @@ impl Component for SeizovicFifo {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
         let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
+        let rising = self.prev_clk == Logic::L && clk == Logic::H;
+        self.prev_clk = clk;
         if first {
             ctx.drive(self.put_ack, Logic::L, Time::ZERO);
             ctx.drive(self.valid_get, Logic::L, Time::ZERO);

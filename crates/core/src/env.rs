@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use mtf_async::OpJournal;
-use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, NetId, Simulator, Time};
+use mtf_sim::{Component, Ctx, DriverId, Logic, NetId, Simulator, Time};
 
 /// How soon after a clock edge an environment drives its outputs.
 /// The paper's protocols specify "immediately after the positive edge";
@@ -36,7 +36,9 @@ pub struct SyncProducer {
     data: Vec<DriverId>,
     items: VecDeque<u64>,
     presented: Option<u64>,
-    prev_clk: Logic,
+    /// The last clock rise consumed (see [`Ctx::rose`]).
+    seen: Time,
+    started: bool,
     /// Present a new item only every `period` accepted+idle cycles
     /// (1 = saturate).
     every: u64,
@@ -94,13 +96,14 @@ impl SyncProducer {
             data,
             items: items.into(),
             presented: None,
-            prev_clk: Logic::X,
+            seen: Time::MAX,
+            started: false,
             every,
             cycle: 0,
             journal: journal.clone(),
             edges: 0,
         };
-        sim.add_component(Box::new(p), &[clk]);
+        sim.add_clocked_component(Box::new(p), &[clk], &[]);
         journal
     }
 
@@ -119,11 +122,11 @@ impl Component for SyncProducer {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
-        let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first {
+        let rising = ctx.rose(self.clk, &mut self.seen);
+        if !self.started {
+            self.started = true;
             ctx.drive(self.req, Logic::L, Time::ZERO);
+            return;
         }
         if !rising {
             return;
@@ -164,7 +167,9 @@ pub struct SyncConsumer {
     valid: NetId,
     wanted: u64,
     requesting: bool,
-    prev_clk: Logic,
+    /// The last clock rise consumed (see [`Ctx::rose`]).
+    seen: Time,
+    started: bool,
     every: u64,
     cycle: u64,
     journal: OpJournal,
@@ -218,12 +223,13 @@ impl SyncConsumer {
             valid: valid_get,
             wanted,
             requesting: false,
-            prev_clk: Logic::X,
+            seen: Time::MAX,
+            started: false,
             every,
             cycle: 0,
             journal: journal.clone(),
         };
-        sim.add_component(Box::new(c), &[clk]);
+        sim.add_clocked_component(Box::new(c), &[clk], &[]);
         journal
     }
 }
@@ -234,11 +240,11 @@ impl Component for SyncConsumer {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
-        let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first {
+        let rising = ctx.rose(self.clk, &mut self.seen);
+        if !self.started {
+            self.started = true;
             ctx.drive(self.req, Logic::L, Time::ZERO);
+            return;
         }
         if !rising {
             return;
@@ -276,7 +282,9 @@ pub struct PacketSource {
     data: Vec<DriverId>,
     packets: VecDeque<Option<u64>>,
     presented: Option<Option<u64>>,
-    prev_clk: Logic,
+    /// The last clock rise consumed (see [`Ctx::rose`]).
+    seen: Time,
+    started: bool,
     journal: OpJournal,
 }
 
@@ -312,10 +320,11 @@ impl PacketSource {
             data,
             packets: packets.into(),
             presented: None,
-            prev_clk: Logic::X,
+            seen: Time::MAX,
+            started: false,
             journal: journal.clone(),
         };
-        sim.add_component(Box::new(s), &[clk]);
+        sim.add_clocked_component(Box::new(s), &[clk], &[]);
         journal
     }
 
@@ -335,11 +344,11 @@ impl Component for PacketSource {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
-        let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first {
+        let rising = ctx.rose(self.clk, &mut self.seen);
+        if !self.started {
+            self.started = true;
             ctx.drive(self.valid_drv, Logic::L, Time::ZERO);
+            return;
         }
         if !rising {
             return;
@@ -373,7 +382,9 @@ pub struct PacketSink {
     valid: NetId,
     stop_drv: DriverId,
     stops: Vec<(u64, u64)>,
-    prev_clk: Logic,
+    /// The last clock rise consumed (see [`Ctx::rose`]).
+    seen: Time,
+    started: bool,
     cycle: u64,
     stopped: bool,
     journal: OpJournal,
@@ -410,12 +421,13 @@ impl PacketSink {
             valid: valid_get,
             stop_drv,
             stops,
-            prev_clk: Logic::X,
+            seen: Time::MAX,
+            started: false,
             cycle: 0,
             stopped: false,
             journal: journal.clone(),
         };
-        sim.add_component(Box::new(s), &[clk]);
+        sim.add_clocked_component(Box::new(s), &[clk], &[]);
         journal
     }
 }
@@ -426,11 +438,11 @@ impl Component for PacketSink {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
-        let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first {
+        let rising = ctx.rose(self.clk, &mut self.seen);
+        if !self.started {
+            self.started = true;
             ctx.drive(self.stop_drv, Logic::L, Time::ZERO);
+            return;
         }
         if !rising {
             return;

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use mtf_sim::{clock_rose, Component, Ctx, DriverId, Logic, LogicVec, NetId, Simulator, Time};
+use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Simulator, Time};
 
 /// How soon after a clock edge a relay station's registered outputs settle.
 ///
@@ -44,7 +44,9 @@ pub struct SyncRelayStation {
     out_data: Vec<DriverId>,
     stop_out: DriverId,
     queue: VecDeque<LogicVec>,
-    prev_clk: Logic,
+    /// The last clock rise consumed (see [`Ctx::rose`]).
+    seen: Time,
+    started: bool,
     stopped_upstream: bool,
 }
 
@@ -97,10 +99,11 @@ impl SyncRelayStation {
             out_data,
             stop_out,
             queue: VecDeque::new(),
-            prev_clk: Logic::X,
+            seen: Time::MAX,
+            started: false,
             stopped_upstream: false,
         };
-        sim.add_component(Box::new(rs), &[clk]);
+        sim.add_clocked_component(Box::new(rs), &[clk], &[]);
         RelayPort {
             in_valid,
             in_data,
@@ -135,10 +138,9 @@ impl Component for SyncRelayStation {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
-        let first = self.prev_clk == Logic::X;
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first {
+        let rising = ctx.rose(self.clk, &mut self.seen);
+        if !self.started {
+            self.started = true;
             ctx.drive(self.out_valid, Logic::L, Time::ZERO);
             ctx.drive(self.stop_out, Logic::L, Time::ZERO);
             return;

@@ -393,11 +393,13 @@ impl<'a> Builder<'a> {
             delays,
             inst: id.index(),
         });
-        let mut watch = vec![clk, d];
+        // The data and enable pins keep every-change watches: the hold
+        // check runs on their changes.
+        let mut watch = vec![d];
         if let Some(en) = en {
             watch.push(en);
         }
-        let comp = self.sim.add_component(Box::new(ff), &watch);
+        let comp = self.sim.add_clocked_component(Box::new(ff), &[clk], &watch);
         self.netlist.set_elab(
             id,
             ElabInfo {
@@ -637,12 +639,14 @@ impl<'a> Builder<'a> {
             self.netlist.delay_table(),
             id.index(),
         );
-        let mut watch = vec![clk];
+        let mut watch = Vec::new();
         if let Some(en) = en {
             watch.push(en);
         }
         watch.extend_from_slice(d);
-        let comp = self.sim.add_component(Box::new(cell), &watch);
+        let comp = self
+            .sim
+            .add_clocked_component(Box::new(cell), &[clk], &watch);
         self.netlist.set_elab(
             id,
             ElabInfo {

@@ -330,6 +330,7 @@ pub fn install_compiled(sim: &mut Simulator, netlist: &Netlist, name: &str) -> C
         let flop = Flop {
             core,
             clk,
+            prev_clk: Logic::X,
             en,
             d,
             q,

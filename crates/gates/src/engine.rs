@@ -12,10 +12,12 @@
 //! gate applies the [`GateFunc`] its event-driven gate would, and a
 //! compiled flop steps the same clocking core as its event-driven
 //! component (`BitFlopCore` for DFFs and ETDFFs, `WordFlopCore` for word
-//! registers): edge detection, the enable match, `Z`→`X` capture and the
-//! setup/hold checks with their messages have one definition. The engine
-//! only decides when cells evaluate and when their outputs land, and a
-//! wake costs work proportional to what changed, not to the region's size:
+//! registers): the power-on drive, the enable match, `Z`→`X` capture and
+//! the setup/hold checks with their messages have one definition. The
+//! engine only decides when cells evaluate (a flop's clock edge comes from
+//! its slot's previous value, where the event kernel's `Dff` asks
+//! `Ctx::rose`) and when their outputs land, and a wake costs work
+//! proportional to what changed, not to the region's size:
 //!
 //! * **Boundary scan.** Only a boundary net whose `last_change` is the
 //!   current instant is read. Every resolved change of a watched net
@@ -75,6 +77,9 @@ pub(crate) enum FlopCore {
 pub(crate) struct Flop {
     pub(crate) core: FlopCore,
     pub(crate) clk: u32,
+    /// The clock slot's value at this flop's previous evaluation (`X`
+    /// before the first).
+    pub(crate) prev_clk: Logic,
     pub(crate) en: Option<u32>,
     /// Data input slots, LSB first.
     pub(crate) d: Vec<u32>,
@@ -93,6 +98,15 @@ impl Flop {
             FlopCore::Word(c) => c.state.bit(k),
         }
     }
+}
+
+/// Records `clk` in `prev` and reports whether it rose (`L`→`H`) since
+/// the previous evaluation. A compiled flop is evaluated on every change
+/// of its clock slot, so the slot values it saw are its clock's history.
+fn clock_rose(prev: &mut Logic, clk: Logic) -> bool {
+    let rose = *prev == Logic::L && clk == Logic::H;
+    *prev = clk;
+    rose
 }
 
 /// Dirty flags over one node table, plus the list of flags that are set,
@@ -346,19 +360,19 @@ impl CompiledEngine {
         let f = &mut self.flops[j];
         let values = &self.values;
         let read = |s: u32| values[s as usize];
-        let clk = read(f.clk);
+        let rising = clock_rose(&mut f.prev_clk, read(f.clk));
         let en = |_: &Ctx<'_>, _| f.en.map_or(Logic::H, read);
         let cq = self.delays.borrow()[f.inst];
         let delay = match &mut f.core {
             FlopCore::Bit(core) => {
-                match core.step(ctx, clk, &MetaModel::ideal(), en, |_, _| read(f.d[0])) {
+                match core.step(ctx, rising, &MetaModel::ideal(), en, |_, _| read(f.d[0])) {
                     None => return,
                     Some(Drive::Init) => Time::ZERO,
                     Some(_) => cq,
                 }
             }
             FlopCore::Word(core) => {
-                if !core.step(ctx, clk, en, |_, i, _| read(f.d[i])) {
+                if !core.step(ctx, rising, en, |_, i, _| read(f.d[i])) {
                     return;
                 }
                 cq

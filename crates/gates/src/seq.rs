@@ -1,9 +1,7 @@
 //! Sequential single-bit cells: D flip-flop (with optional enable),
 //! D latch, SR latch.
 
-use mtf_sim::{
-    clock_rose, Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind,
-};
+use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind};
 
 use crate::netlist::{DelayTable, FlopTiming};
 
@@ -40,17 +38,17 @@ pub(crate) fn setup_violation(ctx: &Ctx<'_>, net: NetId, now: Time, setup: Time)
     (ch < now && now - ch < setup).then(|| now - ch)
 }
 
-/// The clocking rules of a single-bit edge-triggered cell — edge
-/// detection, the enable match, `Z`→`X` capture and the setup/hold
-/// checks — shared by [`Dff`] and the compiled engine. The caller reads
-/// the pins and drives Q.
+/// The clocking rules of a single-bit edge-triggered cell — the power-on
+/// drive, the enable match, `Z`→`X` capture and the setup/hold checks —
+/// shared by [`Dff`] and the compiled engine. The caller detects the
+/// clock edge, reads the pins and drives Q.
 pub(crate) struct BitFlopCore {
     name: String,
     d: NetId,
     en: Option<NetId>,
     timing: FlopTiming,
     pub(crate) state: Logic,
-    prev_clk: Logic,
+    started: bool,
     last_edge: Option<Time>,
     last_captured: bool,
 }
@@ -69,29 +67,29 @@ impl BitFlopCore {
             en,
             timing,
             state: init,
-            prev_clk: Logic::X,
+            started: false,
             last_edge: None,
             last_captured: false,
         }
     }
 
-    /// Runs one evaluation on the sampled clock `clk`. `en` and `d` read
-    /// the enable and data pins; each is called only when a rising edge
-    /// needs it (`en` only if the cell has an enable). Setup and hold
-    /// reports go to `ctx`; `meta` decides which input changes make the
-    /// sample metastable.
+    /// Runs one evaluation; `rising` says whether the clock rose for this
+    /// cell now (the first evaluation ignores it). `en` and `d` read the
+    /// enable and data pins; each is called only when a rising edge needs
+    /// it (`en` only if the cell has an enable). Setup and hold reports go
+    /// to `ctx`; `meta` decides which input changes make the sample
+    /// metastable.
     pub(crate) fn step(
         &mut self,
         ctx: &mut Ctx<'_>,
-        clk: Logic,
+        rising: bool,
         meta: &MetaModel,
         en: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
         d: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
     ) -> Option<Drive> {
         let now = ctx.now();
-        let first_eval = self.prev_clk == Logic::X && self.last_edge.is_none();
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if first_eval {
+        if !self.started {
+            self.started = true;
             // Establish the power-on output immediately: the state has
             // been on the output since t = 0 (see CElement::eval for why a
             // delayed initial drive is hazardous).
@@ -187,6 +185,8 @@ impl BitFlopCore {
 pub struct Dff {
     core: BitFlopCore,
     clk: NetId,
+    /// The last clock rise this flop consumed (see [`Ctx::rose`]).
+    seen: Time,
     q: DriverId,
     meta: MetaModel,
     /// A metastable output's settle: (instant, resolved value).
@@ -236,6 +236,7 @@ impl Dff {
         Dff {
             core: BitFlopCore::new(cfg.name, cfg.d, cfg.en, cfg.init, cfg.timing),
             clk: cfg.clk,
+            seen: Time::MAX,
             q: cfg.q,
             meta: cfg.meta,
             pending: None,
@@ -262,9 +263,9 @@ impl Component for Dff {
             }
         }
 
-        let clk = ctx.get(self.clk);
+        let rising = ctx.rose(self.clk, &mut self.seen);
         let read = |ctx: &Ctx<'_>, net| ctx.get(net);
-        let Some(drive) = self.core.step(ctx, clk, &self.meta, read, read) else {
+        let Some(drive) = self.core.step(ctx, rising, &self.meta, read, read) else {
             return;
         };
         if drive == Drive::Init {

@@ -10,27 +10,24 @@
 //!
 //! [`Instance`]: crate::Instance
 
-use mtf_sim::{
-    clock_rose, Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind,
-};
+use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
 
 use crate::netlist::DelayTable;
 use crate::seq::{captured, setup_violation};
 use crate::tristate::TriBuf;
 
-/// The clocking rules of a word register — edge detection, the enable
-/// match, `Z`→`X` capture and the setup check on the data pins — shared
-/// by [`RegisterWord`] and the compiled engine. The caller reads the pins
-/// and drives Q. There is no hold check and no check on the enable; the
-/// setup check is always on.
+/// The clocking rules of a word register — the power-on drive, the
+/// enable match, `Z`→`X` capture and the setup check on the data pins —
+/// shared by [`RegisterWord`] and the compiled engine. The caller detects
+/// the clock edge, reads the pins and drives Q. There is no hold check
+/// and no check on the enable; the setup check is always on.
 pub(crate) struct WordFlopCore {
     name: String,
     en: Option<NetId>,
     d: Vec<NetId>,
     setup: Time,
     pub(crate) state: LogicVec,
-    prev_clk: Logic,
-    initialised: bool,
+    started: bool,
 }
 
 impl WordFlopCore {
@@ -41,27 +38,26 @@ impl WordFlopCore {
             state: LogicVec::unknown(d.len()),
             d,
             setup,
-            prev_clk: Logic::X,
-            initialised: false,
+            started: false,
         }
     }
 
-    /// Runs one evaluation on the sampled clock `clk` and returns whether
-    /// Q must be driven with `state` after clock-to-Q: on the first
+    /// Runs one evaluation; `rising` says whether the clock rose for this
+    /// register now (the first evaluation ignores it). Returns whether Q
+    /// must be driven with `state` after clock-to-Q: on the first
     /// evaluation and on every capturing edge. `en` reads the enable (only
     /// if the cell has one) and `d` data bit `i`; each is called only when
     /// an edge needs it.
     pub(crate) fn step(
         &mut self,
         ctx: &mut Ctx<'_>,
-        clk: Logic,
+        rising: bool,
         en: impl FnOnce(&Ctx<'_>, NetId) -> Logic,
         mut d: impl FnMut(&Ctx<'_>, usize, NetId) -> Logic,
     ) -> bool {
         let now = ctx.now();
-        let rising = clock_rose(&mut self.prev_clk, clk);
-        if !self.initialised {
-            self.initialised = true;
+        if !self.started {
+            self.started = true;
             return true;
         }
         if !rising {
@@ -99,6 +95,8 @@ impl WordFlopCore {
 pub struct RegisterWord {
     core: WordFlopCore,
     clk: NetId,
+    /// The last clock rise this register consumed (see [`Ctx::rose`]).
+    seen: Time,
     q: Vec<DriverId>,
     delays: DelayTable,
     inst: usize,
@@ -130,6 +128,7 @@ impl RegisterWord {
         RegisterWord {
             core: WordFlopCore::new(name.into(), en, d, setup),
             clk,
+            seen: Time::MAX,
             q,
             delays,
             inst,
@@ -143,10 +142,10 @@ impl Component for RegisterWord {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let clk = ctx.get(self.clk);
+        let rising = ctx.rose(self.clk, &mut self.seen);
         if self
             .core
-            .step(ctx, clk, |ctx, n| ctx.get(n), |ctx, _, n| ctx.get(n))
+            .step(ctx, rising, |ctx, n| ctx.get(n), |ctx, _, n| ctx.get(n))
         {
             let cq = self.delays.borrow()[self.inst];
             for (i, &drv) in self.q.iter().enumerate() {

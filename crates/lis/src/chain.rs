@@ -37,8 +37,7 @@ use mtf_core::env::{PacketSink, PacketSource};
 use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, MixedTimingDesign};
 use mtf_gates::{install_compiled, Builder, CellDelays};
 use mtf_sim::{
-    clock_rose, Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator,
-    Time,
+    Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time,
 };
 
 use crate::lookahead::stop_launch_delay;
@@ -274,10 +273,19 @@ enum ProbePut {
         clk: NetId,
         valid: NetId,
         stop: NetId,
-        prev_clk: Logic,
     },
     /// 4-phase async protocol: each `ack` rising edge is one accept.
-    Async { ack: NetId, prev_ack: Logic },
+    Async { ack: NetId },
+}
+
+impl ProbePut {
+    /// The net whose rising edges mark put-side events.
+    fn edge_net(&self) -> NetId {
+        match *self {
+            ProbePut::Stream { clk, .. } => clk,
+            ProbePut::Async { ack } => ack,
+        }
+    }
 }
 
 /// A passive observer on one timing boundary: counts accepted packets,
@@ -289,7 +297,10 @@ struct BoundaryProbe {
     get_clk: NetId,
     valid_get: NetId,
     stop_in: NetId,
-    prev_get_clk: Logic,
+    /// The last put-side and get-clock rises consumed (see [`Ctx::rose`]).
+    put_seen: Time,
+    get_seen: Time,
+    started: bool,
     counters: Rc<RefCell<Counters>>,
 }
 
@@ -307,34 +318,33 @@ impl Component for BoundaryProbe {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
+        // The two edge nets can rise in different deltas of one instant;
+        // each rise is consumed once.
+        let put_rose = ctx.rose(self.put.edge_net(), &mut self.put_seen);
+        let get_rose = ctx.rose(self.get_clk, &mut self.get_seen);
+        if !self.started {
+            self.started = true;
+            return;
+        }
         let mut c = self.counters.borrow_mut();
-        match &mut self.put {
-            ProbePut::Stream {
-                clk,
-                valid,
-                stop,
-                prev_clk,
-            } => {
-                if clock_rose(prev_clk, ctx.get(*clk)) {
-                    let stopped = ctx.get(*stop) == Logic::H;
+        if put_rose {
+            let accepted = match self.put {
+                ProbePut::Stream { valid, stop, .. } => {
+                    let stopped = ctx.get(stop) == Logic::H;
                     if stopped {
                         c.put_stall_cycles += 1;
-                    } else if ctx.get(*valid) == Logic::H {
-                        c.put_accepts += 1;
-                        c.occupancy += 1;
-                        c.max_occupancy = c.max_occupancy.max(c.occupancy);
                     }
+                    !stopped && ctx.get(valid) == Logic::H
                 }
-            }
-            ProbePut::Async { ack, prev_ack } => {
-                if clock_rose(prev_ack, ctx.get(*ack)) {
-                    c.put_accepts += 1;
-                    c.occupancy += 1;
-                    c.max_occupancy = c.max_occupancy.max(c.occupancy);
-                }
+                ProbePut::Async { .. } => true,
+            };
+            if accepted {
+                c.put_accepts += 1;
+                c.occupancy += 1;
+                c.max_occupancy = c.max_occupancy.max(c.occupancy);
             }
         }
-        if clock_rose(&mut self.prev_get_clk, ctx.get(self.get_clk)) {
+        if get_rose {
             if ctx.get(self.stop_in) == Logic::H {
                 c.get_stall_cycles += 1;
             } else if ctx.get(self.valid_get) == Logic::H {
@@ -367,7 +377,8 @@ impl ProbeHandle {
 }
 
 /// Attaches a [`BoundaryProbe`] observing `put` and the get side of one
-/// boundary; it wakes on the put-side clock (or `ack`) and `get_clk`.
+/// boundary; it wakes on the rising edges of the put-side clock (or `ack`)
+/// and `get_clk`.
 fn spawn_probe(
     sim: &mut Simulator,
     design: &str,
@@ -376,11 +387,7 @@ fn spawn_probe(
     valid_get: NetId,
     stop_in: NetId,
 ) -> ProbeHandle {
-    let watch = match put {
-        ProbePut::Stream { clk, .. } if clk == get_clk => vec![clk],
-        ProbePut::Stream { clk, .. } => vec![clk, get_clk],
-        ProbePut::Async { ack, .. } => vec![ack, get_clk],
-    };
+    let rising = [put.edge_net(), get_clk];
     let counters = Rc::new(RefCell::new(Counters::default()));
     let probe = BoundaryProbe {
         name: format!("probe.{design}"),
@@ -388,10 +395,12 @@ fn spawn_probe(
         get_clk,
         valid_get,
         stop_in,
-        prev_get_clk: Logic::X,
+        put_seen: Time::MAX,
+        get_seen: Time::MAX,
+        started: false,
         counters: counters.clone(),
     };
-    sim.add_component(Box::new(probe), &watch);
+    sim.add_clocked_component(Box::new(probe), &rising, &[]);
     ProbeHandle {
         design: design.to_string(),
         counters,
@@ -510,10 +519,7 @@ impl ChainBuilder {
             connect(sim, asrs.valid_get, chains[0].port.in_valid);
             connect_bus(sim, &asrs.data_get, &chains[0].port.in_data);
             connect(sim, chains[0].port.stop_out, asrs.stop_in);
-            let put = ProbePut::Async {
-                ack: asrs.put_ack,
-                prev_ack: Logic::X,
-            };
+            let put = ProbePut::Async { ack: asrs.put_ack };
             probes.push(spawn_probe(
                 sim,
                 "async_sync_rs",
@@ -572,7 +578,6 @@ impl ChainBuilder {
                 clk: clk_put,
                 valid: valid_in,
                 stop: stop_out,
-                prev_clk: Logic::X,
             };
             probes.push(spawn_probe(sim, name, put, clk_get, valid_get, stop_in));
         }

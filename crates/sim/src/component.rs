@@ -20,7 +20,9 @@ pub struct ComponentId(pub(crate) u32);
 ///
 /// A component is evaluated (its [`eval`](Component::eval) method called)
 /// whenever one of the nets it was registered as watching changes resolved
-/// value, and whenever a self-scheduled wake-up ([`Ctx::wake_in`]) fires.
+/// value (or, for a rising-only watch, rises from `L` to `H`; see
+/// [`Simulator::add_clocked_component`]), and whenever a self-scheduled
+/// wake-up ([`Ctx::wake_in`]) fires.
 /// Evaluation happens at a single instant: the component reads its input
 /// nets through the [`Ctx`] and schedules *future* output changes; it never
 /// sees time advance inside `eval`.
@@ -76,6 +78,41 @@ impl<'a> Ctx<'a> {
     /// window.
     pub fn last_change(&self, net: NetId) -> Time {
         self.sim.last_change(net)
+    }
+
+    /// Whether `clk` rose (`L`→`H`) at this instant for a caller that has
+    /// not yet consumed that rise: the one rising-edge predicate of every
+    /// edge-triggered component. True iff all three hold:
+    ///
+    /// 1. `clk`'s last `L`→`H` transition is at [`Ctx::now`] (edges out of
+    ///    `X` or `Z` are not rises);
+    /// 2. `clk` is still `H`, so an `L`→`H`→`L` glitch within one instant
+    ///    is no edge;
+    /// 3. `seen`, the instant of the last rise this caller consumed, is
+    ///    not `now`. A true answer sets it to `now`, so a component woken
+    ///    several times in one instant (say, by two clocks rising in
+    ///    different deltas) sees each rise once.
+    ///
+    /// The caller keeps one `seen` per clock (any start value) and calls
+    /// this on every evaluation, its first included, treating the first
+    /// answer as false. So a rise that is already at the first
+    /// evaluation's instant is consumed, as a cell with no earlier clock
+    /// sample sees no edge there, while a rise later in that instant is
+    /// still an edge.
+    ///
+    /// Pair it with a rising-only watch on `clk`
+    /// ([`Simulator::add_clocked_component`](crate::Simulator::add_clocked_component)):
+    /// the kernel then wakes the component on `clk`'s rises and skips its
+    /// other changes.
+    pub fn rose(&self, clk: NetId, seen: &mut Time) -> bool {
+        self.sim.note_read(self.me, clk);
+        let now = self.sim.now();
+        let rose =
+            self.sim.last_rise(clk) == now && self.sim.value(clk) == Logic::H && *seen != now;
+        if rose {
+            *seen = now;
+        }
+        rose
     }
 
     /// Schedules `driver` to contribute `value` after `delay`.

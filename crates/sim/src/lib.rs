@@ -16,6 +16,8 @@
 //! * [`Simulator`] — the event wheel. Components subscribe to nets; when a
 //!   resolved net value changes, every subscriber is re-evaluated at the
 //!   same timestamp and may schedule future drives through its [`Ctx`].
+//!   Edge-triggered components subscribe to their clocks' rising (`L`→`H`)
+//!   transitions only and ask [`Ctx::rose`] whether their clock rose.
 //! * [`Component`] — the trait implemented by every gate, flip-flop,
 //!   controller engine and test environment in the higher crates.
 //! * [`ClockGen`] — free-running clock generators with arbitrary period,
@@ -76,7 +78,7 @@ pub mod vcd;
 pub use clock::ClockGen;
 pub use component::{Component, ComponentId, Ctx};
 pub use error::SimError;
-pub use logic::{clock_rose, Logic, LogicVec};
+pub use logic::{Logic, LogicVec};
 pub use metastable::{mtbf_seconds, MetaModel};
 pub use net::{DriverId, NetId};
 pub use probe::{Edge, Probe, Waveform};

@@ -29,17 +29,6 @@ pub enum Logic {
     Z,
 }
 
-/// Records `clk` in `prev` and reports whether it rose (`L`→`H`) since
-/// the previous call: the one rising-edge predicate of every
-/// edge-triggered component. Edges out of `X` or `Z` do not count, so a
-/// component still at its power-on `prev` sees no edge.
-#[inline]
-pub fn clock_rose(prev: &mut Logic, clk: Logic) -> bool {
-    let rose = *prev == Logic::L && clk == Logic::H;
-    *prev = clk;
-    rose
-}
-
 impl Logic {
     /// Converts a `bool` to a strongly driven level.
     #[inline]
@@ -266,22 +255,6 @@ impl fmt::Display for LogicVec {
 mod tests {
     use super::*;
     use Logic::*;
-
-    #[test]
-    fn clock_rose_is_strict_low_to_high() {
-        for (prev, clk) in [L, H, X, Z]
-            .iter()
-            .flat_map(|&p| [L, H, X, Z].map(|c| (p, c)))
-        {
-            let mut p = prev;
-            assert_eq!(
-                clock_rose(&mut p, clk),
-                prev == L && clk == H,
-                "{prev:?}→{clk:?}"
-            );
-            assert_eq!(p, clk, "records the new level");
-        }
-    }
 
     #[test]
     fn resolve_is_commutative_with_identity_z() {

@@ -3,6 +3,7 @@
 use std::cell::OnceCell;
 use std::rc::Rc;
 
+use crate::component::ComponentId;
 use crate::logic::Logic;
 use crate::time::Time;
 
@@ -43,15 +44,42 @@ pub(crate) enum NetLabel {
     Bit { base: Rc<str>, bit: u32 },
 }
 
+/// One entry of a net's watcher list: a component id, with
+/// [`Watcher::RISING`] set when the component wakes only on the net's
+/// `L`→`H` transitions. One list per net keeps every wake in registration
+/// order, whatever its mode.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Watcher(u32);
+
+impl Watcher {
+    /// The rising-only bit; component ids stay below it.
+    pub(crate) const RISING: u32 = 1 << 31;
+
+    pub(crate) fn new(comp: ComponentId, rising_only: bool) -> Self {
+        Watcher(comp.0 | if rising_only { Self::RISING } else { 0 })
+    }
+
+    pub(crate) fn comp(self) -> ComponentId {
+        ComponentId(self.0 & !Self::RISING)
+    }
+
+    pub(crate) fn rising_only(self) -> bool {
+        self.0 & Self::RISING != 0
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Net {
     label: NetLabel,
     /// Rendered form of a `Bit` label, materialised on first request.
     name_cache: OnceCell<String>,
     pub drivers: Vec<DriverId>,
-    pub watchers: Vec<crate::component::ComponentId>,
+    pub watchers: Vec<Watcher>,
     pub resolved: Logic,
     pub last_change: Time,
+    /// The instant of the latest `L`→`H` transition (`Time::MAX` before
+    /// the first one).
+    pub last_rise: Time,
     pub traced: bool,
     /// Number of resolved-value changes since construction (the raw
     /// material of dynamic-energy estimation).
@@ -67,6 +95,7 @@ impl Net {
             watchers: Vec::new(),
             resolved: Logic::Z,
             last_change: Time::ZERO,
+            last_rise: Time::MAX,
             traced: false,
             toggles: 0,
         }

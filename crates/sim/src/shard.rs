@@ -555,7 +555,8 @@ mod tests {
         d: NetId,
         q_drv: crate::net::DriverId,
         delay: Time,
-        prev: Logic,
+        seen: Time,
+        started: bool,
     }
 
     impl Component for EdgeReg {
@@ -563,7 +564,8 @@ mod tests {
             "edge_reg"
         }
         fn eval(&mut self, ctx: &mut Ctx<'_>) {
-            if crate::clock_rose(&mut self.prev, ctx.get(self.clk)) {
+            let rose = ctx.rose(self.clk, &mut self.seen);
+            if std::mem::replace(&mut self.started, true) && rose {
                 let v = ctx.get(self.d);
                 ctx.drive(self.q_drv, v, self.delay);
             }
@@ -572,15 +574,17 @@ mod tests {
 
     fn spawn_edge_reg(sim: &mut Simulator, clk: NetId, d: NetId, q: NetId, delay: Time) {
         let q_drv = sim.driver(q);
-        sim.add_component(
+        sim.add_clocked_component(
             Box::new(EdgeReg {
                 clk,
                 d,
                 q_drv,
                 delay,
-                prev: Logic::X,
+                seen: Time::MAX,
+                started: false,
             }),
             &[clk],
+            &[],
         );
     }
 

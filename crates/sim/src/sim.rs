@@ -10,7 +10,7 @@ use crate::component::{Component, ComponentId, Ctx};
 use crate::error::SimError;
 use crate::event::{EventKind, EventQueue};
 use crate::logic::{Logic, LogicVec};
-use crate::net::{Driver, DriverId, Net, NetId, NetLabel};
+use crate::net::{Driver, DriverId, Net, NetId, NetLabel, Watcher};
 use crate::probe::Waveform;
 use crate::race::{RaceHazard, RaceHazardKind, RaceState};
 use crate::time::Time;
@@ -125,6 +125,10 @@ pub struct SimStats {
     /// driver's current contribution and so were never queued: each one is
     /// an event that would have been pushed, popped and discarded.
     pub elided_drives: u64,
+    /// Rising-only watchers skipped because their net changed without an
+    /// `L`→`H` transition (see [`Simulator::add_clocked_component`]):
+    /// each one is a wake that a both-edge watch would have queued.
+    pub filtered_wakes: u64,
 }
 
 /// Which execution strategy elaboration should install for purely
@@ -224,6 +228,7 @@ pub struct Simulator {
     compiled_edge_evals: u64,
     compiled_gate_evals: u64,
     elided_drives: u64,
+    filtered_wakes: u64,
     /// Which scheduling call each driver took first (indexed by driver);
     /// debug builds hold every later call to the same one.
     #[cfg(debug_assertions)]
@@ -270,6 +275,7 @@ impl Simulator {
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
             elided_drives: 0,
+            filtered_wakes: 0,
             #[cfg(debug_assertions)]
             drive_modes: Vec::new(),
             race: None,
@@ -326,24 +332,53 @@ impl Simulator {
     /// component receives an initial wake at the current time so it can
     /// establish its outputs.
     pub fn add_component(&mut self, component: Box<dyn Component>, watch: &[NetId]) -> ComponentId {
+        self.add_clocked_component(component, &[], watch)
+    }
+
+    /// Registers an edge-triggered component: it wakes on the `L`→`H`
+    /// transitions of the `rising` nets only, and on every resolved change
+    /// of the `watch`ed nets, plus the initial wake of
+    /// [`Simulator::add_component`]. A net in both lists is watched on
+    /// every change.
+    ///
+    /// A rising-only watch suits a component whose evaluation provably
+    /// does nothing unless one of those nets rose, and which asks
+    /// [`Ctx::rose`] whether it did. Both kinds of watch share each net's
+    /// one watcher list, so same-instant wakes keep registration order.
+    pub fn add_clocked_component(
+        &mut self,
+        component: Box<dyn Component>,
+        rising: &[NetId],
+        watch: &[NetId],
+    ) -> ComponentId {
         let id = ComponentId(self.components.len() as u32);
+        assert!(id.0 < Watcher::RISING, "too many components");
         self.components.push(Some(component));
         self.wake_pending.push(Time::MAX);
+        for &n in rising {
+            self.subscribe(id, n, true);
+        }
         for &n in watch {
-            let w = &mut self.nets[n.0 as usize].watchers;
-            if !w.contains(&id) {
-                w.push(id);
-            }
+            self.subscribe(id, n, false);
         }
         self.schedule_wake(id, self.time);
         id
     }
 
-    /// Additionally subscribes an existing component to `net`.
+    /// Additionally subscribes an existing component to every change of
+    /// `net`.
     pub fn watch(&mut self, comp: ComponentId, net: NetId) {
+        self.subscribe(comp, net, false);
+    }
+
+    /// Adds `comp` to `net`'s watcher list once; an ordinary watch
+    /// overrides a rising-only one.
+    fn subscribe(&mut self, comp: ComponentId, net: NetId, rising_only: bool) {
         let w = &mut self.nets[net.0 as usize].watchers;
-        if !w.contains(&comp) {
-            w.push(comp);
+        match w.iter_mut().find(|w| w.comp() == comp) {
+            Some(entry) if !rising_only => *entry = Watcher::new(comp, false),
+            Some(_) => {}
+            None => w.push(Watcher::new(comp, rising_only)),
         }
     }
 
@@ -357,7 +392,7 @@ impl Simulator {
         let idx = comp.0 as usize;
         self.components[idx] = None;
         for net in &mut self.nets {
-            net.watchers.retain(|&w| w != comp);
+            net.watchers.retain(|w| w.comp() != comp);
         }
     }
 
@@ -399,6 +434,12 @@ impl Simulator {
     /// When `net` last changed resolved value.
     pub fn last_change(&self, net: NetId) -> Time {
         self.nets[net.0 as usize].last_change
+    }
+
+    /// When `net` last made an `L`→`H` transition (`Time::MAX` if it
+    /// never has). Transitions out of `X` or `Z` are not rises.
+    pub(crate) fn last_rise(&self, net: NetId) -> Time {
+        self.nets[net.0 as usize].last_rise
     }
 
     /// How many times `net` has changed resolved value since construction.
@@ -468,6 +509,7 @@ impl Simulator {
             compiled_edge_evals: self.compiled_edge_evals,
             compiled_gate_evals: self.compiled_gate_evals,
             elided_drives: self.elided_drives,
+            filtered_wakes: self.filtered_wakes,
         }
     }
 
@@ -479,7 +521,8 @@ impl Simulator {
         self.nets[net.0 as usize].drivers.len()
     }
 
-    /// Number of components watching `net` (see [`Simulator::watch`]).
+    /// Number of components watching `net`, on every change or on rising
+    /// transitions only (see [`Simulator::add_clocked_component`]).
     /// `mtf-lint` uses this so an output consumed only behaviourally is
     /// not reported as unconnected.
     pub fn watcher_count(&self, net: NetId) -> usize {
@@ -525,7 +568,11 @@ impl Simulator {
     /// when the net changes, so it can never act on a stale value.
     pub(crate) fn note_read(&self, comp: ComponentId, net: NetId) {
         if let Some(race) = &self.race {
-            if self.nets[net.0 as usize].watchers.contains(&comp) {
+            if self.nets[net.0 as usize]
+                .watchers
+                .iter()
+                .any(|w| w.comp() == comp)
+            {
                 return;
             }
             race.borrow_mut().note_read(self.time, net.0, comp);
@@ -784,6 +831,15 @@ impl Simulator {
         if resolved == n.resolved {
             return;
         }
+        #[cfg(debug_assertions)]
+        if resolved == Logic::H && n.last_change == now && n.toggles > 0 {
+            self.check_single_rise(idx);
+        }
+        let n = &mut self.nets[idx];
+        let rose = n.resolved == Logic::L && resolved == Logic::H;
+        if rose {
+            n.last_rise = now;
+        }
         n.resolved = resolved;
         n.last_change = now;
         n.toggles += 1;
@@ -811,18 +867,25 @@ impl Simulator {
                 st.push(h);
             }
         }
-        // Notify watchers via wake events at the current instant. Borrowing
-        // the watcher list, the queue and the coalescing markers as disjoint
-        // fields lets this iterate in place — no clone of the watcher Vec
-        // per net change.
+        // Notify watchers via wake events at the current instant; a
+        // rising-only watcher only if the net rose. Borrowing the watcher
+        // list, the queue and the coalescing markers as disjoint fields
+        // lets this iterate in place — no clone of the watcher Vec per net
+        // change.
         let now = self.time;
-        let (nets, queue, wake_pending, coalesced) = (
+        let (nets, queue, wake_pending, coalesced, filtered) = (
             &self.nets,
             &mut self.queue,
             &mut self.wake_pending,
             &mut self.coalesced_wakes,
+            &mut self.filtered_wakes,
         );
         for &w in &nets[idx].watchers {
+            if !rose && w.rising_only() {
+                *filtered += 1;
+                continue;
+            }
+            let w = w.comp();
             let widx = w.0 as usize;
             if wake_pending[widx] == now {
                 *coalesced += 1;
@@ -830,6 +893,28 @@ impl Simulator {
             }
             wake_pending[widx] = now;
             queue.push(now, EventKind::Wake { comp: w });
+        }
+    }
+
+    /// Debug builds: panics if `net`, about to become `H` after another
+    /// change at this instant, has a rising-only watcher. [`Ctx::rose`]
+    /// reports the rise at any evaluation after it, while a cell that
+    /// sampled its clock level at each evaluation would have missed an
+    /// edge whose wake coalesced with the earlier change's (H→L→H,
+    /// L→X→H); forbidding the case keeps the two exactly equal.
+    #[cfg(debug_assertions)]
+    fn check_single_rise(&self, idx: usize) {
+        let n = &self.nets[idx];
+        if let Some(w) = n.watchers.iter().find(|w| w.rising_only()) {
+            let who = self.components[w.comp().0 as usize]
+                .as_ref()
+                .map_or("component", |c| c.name());
+            panic!(
+                "net '{}' became H after another change at {}; its rising-edge \
+                 watcher '{who}' needs at most one change per instant",
+                n.name(),
+                self.time
+            );
         }
     }
 
@@ -931,6 +1016,220 @@ mod tests {
         assert_eq!(sim.last_change(n), Time::from_ps(2_200));
         assert_eq!(sim.events_processed(), events + 1);
         assert_eq!(sim.stats().elided_drives, 1);
+    }
+
+    /// Each evaluation after the first: its instant in ps and one
+    /// [`Ctx::rose`] answer per rising net.
+    type EdgeLog = Rc<RefCell<Vec<(u64, Vec<bool>)>>>;
+
+    /// Asks [`Ctx::rose`] about each of its nets on every evaluation and
+    /// logs the answers of all but the first.
+    struct EdgeProbe {
+        clks: Vec<NetId>,
+        seen: Vec<Time>,
+        started: bool,
+        log: EdgeLog,
+    }
+
+    impl Component for EdgeProbe {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            let rose: Vec<bool> = self
+                .clks
+                .iter()
+                .zip(&mut self.seen)
+                .map(|(&clk, seen)| ctx.rose(clk, seen))
+                .collect();
+            if self.started {
+                self.log.borrow_mut().push((ctx.now().as_ps(), rose));
+            }
+            self.started = true;
+        }
+    }
+
+    /// Registers an [`EdgeProbe`] asking about `clks`, watching `rising`
+    /// on rises only and `watch` on every change.
+    fn edge_probe(
+        sim: &mut Simulator,
+        clks: &[NetId],
+        rising: &[NetId],
+        watch: &[NetId],
+    ) -> (ComponentId, EdgeLog) {
+        let log = EdgeLog::default();
+        let probe = EdgeProbe {
+            clks: clks.to_vec(),
+            seen: vec![Time::MAX; clks.len()],
+            started: false,
+            log: log.clone(),
+        };
+        let id = sim.add_clocked_component(Box::new(probe), rising, watch);
+        (id, log)
+    }
+
+    /// A net with one stimulus driver: `(ns, level)` pairs.
+    fn stimulus(sim: &mut Simulator, name: &str, levels: &[(u64, Logic)]) -> NetId {
+        let n = sim.net(name);
+        let d = sim.driver(n);
+        for &(ns, v) in levels {
+            sim.drive_at(d, n, v, Time::from_ns(ns));
+        }
+        n
+    }
+
+    /// Drives `out` to `input`'s value with no delay: a second delta.
+    struct Repeater {
+        input: NetId,
+        out: DriverId,
+    }
+
+    impl Component for Repeater {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            let v = ctx.get(self.input);
+            ctx.drive_now(self.out, v);
+        }
+    }
+
+    #[test]
+    fn clock_rose_is_strict_low_to_high() {
+        use Logic::*;
+        for (prev, clk) in [L, H, X, Z]
+            .iter()
+            .flat_map(|&p| [L, H, X, Z].map(|c| (p, c)))
+        {
+            let mut sim = Simulator::new(0);
+            let n = stimulus(&mut sim, "clk", &[(1, prev), (2, clk)]);
+            // An every-change watch, so the predicate is asked on each
+            // transition.
+            let (_, log) = edge_probe(&mut sim, &[n], &[], &[n]);
+            sim.run_until(Time::from_ns(3)).unwrap();
+            let at_2ns: Vec<bool> = log
+                .borrow()
+                .iter()
+                .filter(|(t, _)| *t == 2_000)
+                .map(|(_, r)| r[0])
+                .collect();
+            let expected = if prev == clk {
+                vec![]
+            } else {
+                vec![prev == L && clk == H]
+            };
+            assert_eq!(at_2ns, expected, "{prev:?}→{clk:?}");
+        }
+    }
+
+    #[test]
+    fn rising_watch_wakes_only_on_low_to_high() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let levels = [
+            (1, L),
+            (2, H),
+            (3, L),
+            (4, X),
+            (5, H),
+            (6, Z),
+            (7, H),
+            (8, L),
+            (9, H),
+        ];
+        let clk = stimulus(&mut sim, "clk", &levels);
+        let (_, log) = edge_probe(&mut sim, &[clk], &[clk], &[]);
+        sim.run_until(Time::from_ns(10)).unwrap();
+        // H→L, L→X, X→H, H→Z, Z→H and the power-on Z→L wake nobody.
+        assert_eq!(*log.borrow(), [(2_000, vec![true]), (9_000, vec![true])]);
+        assert_eq!(sim.stats().filtered_wakes, 7);
+        assert_eq!(sim.last_rise(clk), Time::from_ns(9));
+    }
+
+    #[test]
+    fn ordinary_watch_on_another_net_still_wakes() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H), (3, L)]);
+        let d = stimulus(&mut sim, "d", &[(1, L), (2, H), (4, L)]);
+        let (_, log) = edge_probe(&mut sim, &[clk], &[clk], &[d]);
+        sim.run_until(Time::from_ns(5)).unwrap();
+        // At 2 ns the clock and data wakes coalesce into one evaluation,
+        // whose rise is consumed; the data change at 4 ns wakes it alone.
+        assert_eq!(
+            *log.borrow(),
+            [
+                (1_000, vec![false]),
+                (2_000, vec![true]),
+                (4_000, vec![false])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_glitch_within_one_instant_wakes_but_is_no_edge() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H), (2, L)]);
+        let (_, log) = edge_probe(&mut sim, &[clk], &[clk], &[]);
+        sim.run_until(Time::from_ns(3)).unwrap();
+        // The rise queued the wake; by then the clock is low again.
+        assert_eq!(*log.borrow(), [(2_000, vec![false])]);
+        assert_eq!(sim.last_rise(clk), Time::from_ns(2));
+    }
+
+    #[test]
+    fn two_rises_in_different_deltas_are_each_consumed_once() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let a = stimulus(&mut sim, "a", &[(1, L), (2, H)]);
+        let b = sim.net("b");
+        let (_, log) = edge_probe(&mut sim, &[a, b], &[a, b], &[]);
+        // Registered after the probe, so `b` rises one delta after the
+        // probe's first evaluation at 2 ns.
+        let out = sim.driver(b);
+        sim.add_component(Box::new(Repeater { input: a, out }), &[a]);
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [(2_000, vec![true, false]), (2_000, vec![false, true])]
+        );
+    }
+
+    #[test]
+    fn a_first_evaluation_consumes_a_rise_already_at_now() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H)]);
+        let d = sim.net("d");
+        let dd = sim.driver(d);
+        sim.run_until(Time::from_ns(2)).unwrap();
+        assert_eq!(sim.last_rise(clk), sim.now());
+        // Registered after the rise, then woken again in the same instant.
+        let (_, log) = edge_probe(&mut sim, &[clk], &[clk], &[d]);
+        sim.drive_at(dd, d, H, sim.now());
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert_eq!(*log.borrow(), [(2_000, vec![false])]);
+    }
+
+    #[test]
+    fn detach_component_drops_rising_entries() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H)]);
+        let (id, log) = edge_probe(&mut sim, &[clk], &[clk], &[]);
+        assert_eq!(sim.watcher_count(clk), 1);
+        sim.detach_component(id);
+        assert_eq!(sim.watcher_count(clk), 0);
+        sim.run_until(Time::from_ns(3)).unwrap();
+        assert!(log.borrow().is_empty());
+        // Two stimulus drives and the detached component's initial wake.
+        assert_eq!(sim.events_processed(), 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "became H after another change")]
+    fn a_rise_after_another_change_in_one_instant_is_refused() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H), (3, L), (3, H)]);
+        let _ = edge_probe(&mut sim, &[clk], &[clk], &[]);
+        let _ = sim.run_until(Time::from_ns(4));
     }
 
     #[cfg(debug_assertions)]
