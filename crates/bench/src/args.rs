@@ -6,9 +6,10 @@
 //! this module parses them once so each `main` only reads typed accessors
 //! instead of re-scanning `std::env::args()` by hand.
 //!
-//! A flag the binary does not declare (`--josn`), or a value it cannot use
-//! (`--shards abc`, `--items 0`, `--backend nosuch`), is an [`ArgError`]:
-//! one line on stderr and exit status 2, never a panic.
+//! A flag the binary does not declare (`--josn`), a value flag with no
+//! value (`--capacity` last) or given twice, or a value the binary cannot
+//! use (`--shards abc`, `--items 0`, `--backend nosuch`), is an
+//! [`ArgError`]: one line on stderr and exit status 2, never a panic.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -56,6 +57,9 @@ const VALUE_FLAGS: &[&str] = &[
     "--cell",
     "--shards",
     "--backend",
+    "--capacity",
+    "--width",
+    "--items",
 ];
 
 /// The parsed command line of an experiment binary.
@@ -124,19 +128,31 @@ impl Args {
     }
 
     /// Rejects any `--` argument not in `known`, the flags (bare and
-    /// valued) a binary reads.
+    /// valued) a binary reads; a value flag followed by nothing or by
+    /// another flag; and a value flag given twice, whose first value the
+    /// accessors would read while the second went unchecked.
     pub fn check_flags(&self, known: &[&str]) -> Result<(), ArgError> {
-        match self
-            .raw
-            .iter()
-            .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-        {
-            None => Ok(()),
-            Some(a) => Err(ArgError(format!(
-                "unknown flag {a} (expected one of {})",
-                known.join(", ")
-            ))),
+        for (i, a) in self.raw.iter().enumerate() {
+            if !a.starts_with("--") {
+                continue;
+            }
+            if !known.contains(&a.as_str()) {
+                return Err(ArgError(format!(
+                    "unknown flag {a} (expected one of {})",
+                    known.join(", ")
+                )));
+            }
+            if !VALUE_FLAGS.contains(&a.as_str()) {
+                continue;
+            }
+            if self.raw.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                return Err(ArgError(format!("{a} needs a value")));
+            }
+            if self.raw[..i].contains(a) {
+                return Err(ArgError(format!("{a} given twice")));
+            }
         }
+        Ok(())
     }
 
     /// `--capacity N --width W` (default 4 and 8) as a buildable
@@ -242,6 +258,23 @@ mod tests {
                 "unknown flag --josn (expected one of --quick, --json)".into()
             ))
         );
+    }
+
+    #[test]
+    fn missing_and_repeated_values_are_errors() {
+        let known = ["--capacity", "--json"];
+        let check = |raw: &[&str]| Args::from(raw).check_flags(&known);
+        assert_eq!(check(&["--capacity", "4", "--json"]), Ok(()));
+        for raw in [&["--capacity"][..], &["--capacity", "--json"]] {
+            let e = ArgError("--capacity needs a value".into());
+            assert_eq!(check(raw), Err(e), "{raw:?}");
+        }
+        assert_eq!(
+            check(&["--capacity", "4", "--capacity", "x"]),
+            Err(ArgError("--capacity given twice".into()))
+        );
+        // Bare flags may repeat; they carry no value to disagree on.
+        assert_eq!(check(&["--json", "--json"]), Ok(()));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use mtf_core::design::DesignRegistry;
 use mtf_core::FifoParams;
 use mtf_lint::extract_state_elements;
 use mtf_mc::designs::{check_all, check_controllers, SYNC_STAGES};
-use mtf_mc::{check_chain, ChainModel};
+use mtf_mc::{check_chain, ChainModel, Property, Verdict};
 
 /// Ceilings the explored spaces must stay under (state-count budget
 /// assertions — far above today's numbers, tight enough that an
@@ -32,6 +32,24 @@ use mtf_mc::{check_chain, ChainModel};
 const FIFO_STATE_CEILING: usize = 1 << 20;
 const CTRL_STATE_CEILING: usize = 1 << 10;
 const CHAIN_STATE_CEILING: usize = 1 << 22;
+
+/// One configuration's verdicts in both report forms: the text column
+/// (`p=proven` or `p=DISPROVEN`, space-separated) and the JSON fields
+/// (`p: 1` or `p: 0`), in property order.
+fn verdicts(verdicts: &[(Property, Verdict)]) -> (String, Vec<(&'static str, f64)>) {
+    let text: Vec<String> = verdicts
+        .iter()
+        .map(|(p, v)| {
+            let word = if v.holds() { "proven" } else { "DISPROVEN" };
+            format!("{}={word}", p.name())
+        })
+        .collect();
+    let fields = verdicts
+        .iter()
+        .map(|(p, v)| (p.name(), if v.holds() { 1.0 } else { 0.0 }))
+        .collect();
+    (text.join(" "), fields)
+}
 
 fn main() {
     let mut run = Run::start("formal", &["--json"]);
@@ -61,28 +79,17 @@ fn main() {
                 dc.capacity
             ));
         }
+        let (text, fields) = verdicts(&dc.check.verdicts);
         let mut e = DesignEntry::new(design, params)
             .with("model_capacity", dc.capacity as f64)
             .with("states", states as f64)
             .with("transitions", dc.check.space.edge_count() as f64)
             .with("state_bits", state_bits as f64);
-        for (p, v) in &dc.check.verdicts {
-            e = e.with(p.name(), if v.holds() { 1.0 } else { 0.0 });
+        for (p, x) in fields {
+            e = e.with(p, x);
         }
         run.report.entries.push(e);
         if !json {
-            let verdicts: Vec<String> = dc
-                .check
-                .verdicts
-                .iter()
-                .map(|(p, v)| {
-                    format!(
-                        "{}={}",
-                        p.name(),
-                        if v.holds() { "proven" } else { "DISPROVEN" }
-                    )
-                })
-                .collect();
             println!(
                 "{:>15} c{}: {:>6} states {:>7} transitions ({} netlist state bits) | {}",
                 dc.kind.name(),
@@ -90,7 +97,7 @@ fn main() {
                 states,
                 dc.check.space.edge_count(),
                 state_bits,
-                verdicts.join(" ")
+                text
             );
         }
         if let Some(cx) = dc.check.first_counterexample() {
@@ -105,32 +112,13 @@ fn main() {
     if !json {
         println!();
     }
-    for (class, name, states, clean, extra) in stg
+    for (class, name, states, clean, vs) in stg
         .iter()
-        .map(|c| {
-            (
-                "stg",
-                c.name.clone(),
-                c.space.len(),
-                c.is_clean() && c.dead_transitions.is_empty(),
-                c.verdicts
-                    .iter()
-                    .map(|(p, v)| (p.name(), v.holds()))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .chain(bm.iter().map(|c| {
-            (
-                "bm",
-                c.name.clone(),
-                c.space.len(),
-                c.is_clean(),
-                c.verdicts
-                    .iter()
-                    .map(|(p, v)| (p.name(), v.holds()))
-                    .collect::<Vec<_>>(),
-            )
-        }))
+        .map(|c| ("stg", &c.name, c.space.len(), c.is_clean(), &c.verdicts))
+        .chain(
+            bm.iter()
+                .map(|c| ("bm", &c.name, c.space.len(), c.is_clean(), &c.verdicts)),
+        )
     {
         if states > CTRL_STATE_CEILING {
             run.abort(format_args!(
@@ -140,23 +128,17 @@ fn main() {
         if !clean {
             run.fail(format_args!("controller {name} is not clean"));
         }
+        let (text, fields) = verdicts(vs);
         if !json {
-            println!(
-                "{name:>15} ({class}): {states:>3} states | {}",
-                extra
-                    .iter()
-                    .map(|(p, h)| format!("{p}={}", if *h { "proven" } else { "DISPROVEN" }))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
+            println!("{name:>15} ({class}): {states:>3} states | {text}");
         }
         let mut pairs = vec![
-            ("name".to_string(), Json::str(&name)),
+            ("name".to_string(), Json::str(name)),
             ("class".to_string(), Json::str(class)),
             ("states".to_string(), Json::Num(states as f64)),
         ];
-        for (p, h) in extra {
-            pairs.push((p.to_string(), Json::Num(if h { 1.0 } else { 0.0 })));
+        for (p, x) in fields {
+            pairs.push((p.to_string(), Json::Num(x)));
         }
         ctrl_notes.push(Json::Obj(pairs));
     }
@@ -168,23 +150,14 @@ fn main() {
     if let Some(cx) = chain.first_counterexample() {
         run.fail(format_args!("{}: {cx}", chain.name));
     }
+    let (text, fields) = verdicts(&chain.verdicts);
     if !json {
         println!();
         println!(
-            "{:>15}: {:>6} states {:>7} transitions | {}",
+            "{:>15}: {:>6} states {:>7} transitions | {text}",
             chain.name,
             chain.space.len(),
             chain.space.edge_count(),
-            chain
-                .verdicts
-                .iter()
-                .map(|(p, v)| format!(
-                    "{}={}",
-                    p.name(),
-                    if v.holds() { "proven" } else { "DISPROVEN" }
-                ))
-                .collect::<Vec<_>>()
-                .join(" ")
         );
     }
     let mut chain_pairs = vec![
@@ -195,11 +168,8 @@ fn main() {
             Json::Num(chain.space.edge_count() as f64),
         ),
     ];
-    for (p, v) in &chain.verdicts {
-        chain_pairs.push((
-            p.name().to_string(),
-            Json::Num(if v.holds() { 1.0 } else { 0.0 }),
-        ));
+    for (p, x) in fields {
+        chain_pairs.push((p.to_string(), Json::Num(x)));
     }
 
     let disproven = run.failures();

@@ -195,6 +195,53 @@ fn undeclared_flags_are_rejected() {
 }
 
 #[test]
+fn value_flags_without_a_value_are_rejected() {
+    for (bin, args, flag) in [
+        (
+            env!("CARGO_BIN_EXE_timing"),
+            &["--capacity"][..],
+            "--capacity",
+        ),
+        (
+            env!("CARGO_BIN_EXE_timing"),
+            &["--width", "--json"],
+            "--width",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--quick", "--jobs"],
+            "--jobs",
+        ),
+        (env!("CARGO_BIN_EXE_chains"), &["--items"], "--items"),
+    ] {
+        let e = usage_error(bin, args);
+        assert!(
+            e.contains(&format!("{flag} needs a value")),
+            "{args:?}: {e}"
+        );
+    }
+}
+
+#[test]
+fn repeated_value_flags_are_rejected() {
+    for (bin, args, flag) in [
+        (
+            env!("CARGO_BIN_EXE_timing"),
+            &["--capacity", "4", "--capacity", "x"][..],
+            "--capacity",
+        ),
+        (
+            env!("CARGO_BIN_EXE_robustness"),
+            &["--runs", "1", "--runs", "1"],
+            "--runs",
+        ),
+    ] {
+        let e = usage_error(bin, args);
+        assert!(e.contains(&format!("{flag} given twice")), "{args:?}: {e}");
+    }
+}
+
+#[test]
 fn unwritable_outputs_abort_without_a_panic() {
     // A directory where the file should go: unwritable even for root,
     // which `chmod` would not stop.

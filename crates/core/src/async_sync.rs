@@ -4,6 +4,7 @@ use mtf_async::{dv_as_spec, opt_spec, BmMachine, StgMachine};
 use mtf_gates::Builder;
 use mtf_sim::{Logic, MetaModel, NetId, Time};
 
+use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::detectors::{build_bimodal_empty, build_ne_detector, build_oe_detector};
 use crate::params::FifoParams;
 
@@ -22,11 +23,7 @@ pub(crate) struct AsyncCellArray {
     pub valid_bus: NetId,
     /// The inverted get clock (falling-edge launch of the mid-cycle `re`).
     pub nclk_get: NetId,
-    pub we: Vec<NetId>,
-    pub ptok: Vec<NetId>,
-    pub gtok: Vec<NetId>,
     pub cell_full: Vec<NetId>,
-    pub cell_empty: Vec<NetId>,
 }
 
 /// Builds the async-put / sync-get cell array of paper Fig. 9, including
@@ -53,9 +50,7 @@ pub(crate) fn build_async_cell_array(
     // killed a gate-delay after the edge by the rising empty flag) never
     // signals `re+` to the controller at all.
     let nclk_get = b.inv(clk_get);
-    let mut ptok = Vec::with_capacity(n);
     let mut cell_full = Vec::with_capacity(n);
-    let mut cell_empty = Vec::with_capacity(n);
 
     for i in 0..n {
         b.push_scope(format!("cell{i}"));
@@ -72,14 +67,12 @@ pub(crate) fn build_async_cell_array(
         let dv_nets = StgMachine::spawn(b.sim(), dv_as_spec(i), &[we[i], re_i], DV_DELAY);
         let (e_i, f_i) = (dv_nets[2], dv_nets[3]);
         b.record_macro("DVas", &[we[i], re_i], &[e_i, f_i], DV_DELAY);
-        cell_empty.push(e_i);
         cell_full.push(f_i);
 
         // OPT: obtains the token from the right neighbour's pulse.
         let opt_out = BmMachine::spawn(b.sim(), opt_spec(i, i == 0), &[we[prev], we[i]], OPT_DELAY);
         let ptok_i = opt_out[0];
         b.record_macro("OPT", &[we[prev], we[i]], &[ptok_i], OPT_DELAY);
-        ptok.push(ptok_i);
 
         // The write-enable pulse generator (asymmetric C-element).
         b.acelement_onto(&[put_req], &[ptok_i, e_i], Logic::L, we[i]);
@@ -120,17 +113,13 @@ pub(crate) fn build_async_cell_array(
         put_ack,
         valid_bus,
         nclk_get,
-        we,
-        ptok,
-        gtok,
         cell_full,
-        cell_empty,
     }
 }
 
-/// The async–sync FIFO (paper Section 4): a 4-phase single-rail
-/// bundled-data put interface feeding the unchanged synchronous get part of
-/// the mixed-clock design.
+/// Builds the async–sync FIFO (paper Section 4) into `b`: a 4-phase
+/// single-rail bundled-data put interface feeding the unchanged synchronous
+/// get part of the mixed-clock design, clocked by the get-slot clock.
 ///
 /// Each cell's asynchronous put part (paper Fig. 9):
 ///
@@ -152,152 +141,84 @@ pub(crate) fn build_async_cell_array(
 /// (Section 6): acknowledge rises when the enqueue has committed and is
 /// *withheld* whenever the token cell is still occupied, which is how the
 /// asynchronous interface expresses "full" without a detector.
-#[derive(Clone, Debug)]
-pub struct AsyncSyncFifo {
-    /// Parameters this instance was built with.
-    pub params: FifoParams,
-    /// Get-domain clock (input).
-    pub clk_get: NetId,
-    /// Asynchronous put request (input, 4-phase).
-    pub put_req: NetId,
-    /// Put data bus (input, bundled with `put_req`).
-    pub put_data: Vec<NetId>,
-    /// Put acknowledge (output, 4-phase).
-    pub put_ack: NetId,
-    /// Get request (input, sampled on `clk_get`).
-    pub req_get: NetId,
-    /// Get data bus (output, tri-state).
-    pub data_get: Vec<NetId>,
-    /// High at a `clk_get` edge iff a dequeue completed that cycle.
-    pub valid_get: NetId,
-    /// Empty flag to the receiver (output, synchronized to `clk_get`).
-    pub empty: NetId,
-    /// Internal: global get enable.
-    pub en_get: NetId,
-    /// Internal: per-cell write-enable pulses.
-    pub we: Vec<NetId>,
-    /// Internal: per-cell put tokens (OPT outputs).
-    pub ptok: Vec<NetId>,
-    /// Internal: per-cell get tokens.
-    pub gtok: Vec<NetId>,
-    /// Internal: per-cell full lines `f_i` (DV outputs).
-    pub cell_full: Vec<NetId>,
-    /// Internal: per-cell empty lines `e_i` (DV outputs).
-    pub cell_empty: Vec<NetId>,
-    /// Internal: inverted get clock (timing-analysis launch point).
-    pub nclk_get: NetId,
+pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
+    build_with_cells(b, params, clocks).0
 }
 
-impl AsyncSyncFifo {
-    /// Builds the FIFO into `b`. The caller drives `put_req`/`put_data`
-    /// with a 4-phase environment (e.g.
-    /// [`FourPhaseProducer`](mtf_async::FourPhaseProducer)) and clocks the
-    /// get side.
-    pub fn build(b: &mut Builder<'_>, params: FifoParams, clk_get: NetId) -> Self {
-        let w = params.width;
-        b.push_scope("asfifo");
+/// [`build`], also returning the per-cell full lines `f_i` (test
+/// observability of the cell state).
+pub(crate) fn build_with_cells(
+    b: &mut Builder<'_>,
+    params: FifoParams,
+    clocks: ClockInputs,
+) -> (DesignPorts, Vec<NetId>) {
+    let clk_get = clocks.get_net();
+    let w = params.width;
+    b.push_scope("asfifo");
 
-        let put_req = b.input("put_req");
-        let put_data = b.input_bus("put_data", w);
-        let req_get = b.input("req_get");
-        let data_get = b.input_bus("data_get", w);
-        let en_get = b.input("en_get");
+    let put_req = b.input("put_req");
+    let put_data = b.input_bus("put_data", w);
+    let req_get = b.input("req_get");
+    let data_get = b.input_bus("data_get", w);
+    let en_get = b.input("en_get");
 
-        // ---- cell array (paper Fig. 9, shared with the relay station) -------
-        let array =
-            build_async_cell_array(b, params, clk_get, en_get, put_req, &put_data, &data_get);
-        let AsyncCellArray {
-            put_ack,
-            valid_bus,
-            nclk_get,
-            we,
-            ptok,
-            gtok,
-            cell_full,
-            cell_empty,
-        } = array;
+    // ---- cell array (paper Fig. 9, shared with the relay station) -------
+    let AsyncCellArray {
+        put_ack,
+        valid_bus,
+        nclk_get,
+        cell_full,
+    } = build_async_cell_array(b, params, clk_get, en_get, put_req, &put_data, &data_get);
 
-        // Empty detection + get controller: reused from the mixed-clock
-        // design, operating on the DV-produced f_i lines.
-        let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
-        let oe_raw = build_oe_detector(b, &cell_full);
-        let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
-        let en_get_val = b.and_not(req_get, empty);
-        b.buf_onto(en_get_val, en_get);
+    // Empty detection + get controller: reused from the mixed-clock
+    // design, operating on the DV-produced f_i lines.
+    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let oe_raw = build_oe_detector(b, &cell_full);
+    let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
+    let en_get_val = b.and_not(req_get, empty);
+    b.buf_onto(en_get_val, en_get);
 
-        // Every *stored* item is valid (data is enqueued only when
-        // requested), but the grant can outlive the data by a stale
-        // detector cycle — so dequeue success is the enable gated by the
-        // selected cell's broadcast non-empty flag.
-        let valid_get = b.and2(en_get, valid_bus);
+    // Every *stored* item is valid (data is enqueued only when
+    // requested), but the grant can outlive the data by a stale
+    // detector cycle — so dequeue success is the enable gated by the
+    // selected cell's broadcast non-empty flag.
+    let valid_get = b.and2(en_get, valid_bus);
 
-        b.pop_scope();
-        AsyncSyncFifo {
-            params,
-            clk_get,
-            put_req,
-            put_data,
-            put_ack,
-            req_get,
-            data_get,
-            valid_get,
-            empty,
-            en_get,
-            we,
-            ptok,
-            gtok,
-            cell_full,
-            cell_empty,
-            nclk_get,
-        }
-    }
-
-    /// Number of cells currently holding data (from the `f_i` lines);
-    /// `None` if any line is not definite.
-    pub fn occupancy(&self, sim: &mtf_sim::Simulator) -> Option<usize> {
-        let mut n = 0;
-        for &f in &self.cell_full {
-            match sim.value(f).to_bool() {
-                Some(true) => n += 1,
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        Some(n)
-    }
-
-    /// Maps the external nets onto the uniform
-    /// [`DesignPorts`](crate::design::DesignPorts) scheme.
-    pub fn ports(&self) -> crate::design::DesignPorts {
-        let mut p =
-            crate::design::DesignPorts::new(crate::design::DesignKind::AsyncSync, self.params);
-        p.clk_get = Some(self.clk_get);
-        p.put_req = Some(self.put_req);
-        p.data_put = self.put_data.clone();
-        p.put_ack = Some(self.put_ack);
-        p.req_get = Some(self.req_get);
-        p.data_get = self.data_get.clone();
-        p.valid_get = Some(self.valid_get);
-        p.empty = Some(self.empty);
-        p.nclk_get = Some(self.nclk_get);
-        p
-    }
+    b.pop_scope();
+    let ports = DesignPorts {
+        clk_get: Some(clk_get),
+        put_req: Some(put_req),
+        data_put: put_data,
+        put_ack: Some(put_ack),
+        req_get: Some(req_get),
+        data_get,
+        valid_get: Some(valid_get),
+        empty: Some(empty),
+        nclk_get: Some(nclk_get),
+        ..DesignPorts::new(DesignKind::AsyncSync, params)
+    };
+    (ports, cell_full)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::SyncConsumer;
-    use mtf_async::FourPhaseProducer;
+    use crate::env::on_ports::{async_put, sync_get};
+    use crate::mixed_clock::occupancy;
     use mtf_sim::{ClockGen, Simulator, ViolationKind};
 
-    fn build(sim: &mut Simulator, params: FifoParams, tget: Time) -> AsyncSyncFifo {
+    /// The FIFO's ports and its `f_i` lines, on a running get clock.
+    fn build(sim: &mut Simulator, params: FifoParams, tget: Time) -> (DesignPorts, Vec<NetId>) {
         let clk_get = sim.net("clk_get");
         ClockGen::builder(tget)
             .phase(Time::from_ps(700))
             .spawn(sim, clk_get);
         let mut b = Builder::new(sim);
-        let f = AsyncSyncFifo::build(&mut b, params, clk_get);
+        let clocks = ClockInputs {
+            clk_put: None,
+            clk_get: Some(clk_get),
+        };
+        let f = build_with_cells(&mut b, params, clocks);
         drop(b.finish());
         f
     }
@@ -305,27 +226,17 @@ mod tests {
     #[test]
     fn transfers_all_items_in_order() {
         let mut sim = Simulator::new(11);
-        let f = build(&mut sim, FifoParams::new(4, 8), Time::from_ns(10));
+        let (f, _) = build(&mut sim, FifoParams::new(4, 8), Time::from_ns(10));
         let items: Vec<u64> = (0..40).map(|i| (255 - i) % 256).collect();
-        let ph = FourPhaseProducer::spawn(
+        let ph = async_put(
             &mut sim,
             "prod",
-            f.put_req,
-            f.put_ack,
-            &f.put_data,
+            &f,
             items.clone(),
             Time::from_ps(500),
             Time::ZERO,
         );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(4)).unwrap();
         assert_eq!(ph.journal().len(), items.len(), "all items acknowledged");
         assert_eq!(cj.values(), items, "all items dequeued in order");
@@ -339,16 +250,15 @@ mod tests {
     #[test]
     fn ack_withheld_when_full() {
         let mut sim = Simulator::new(12);
-        let f = build(&mut sim, FifoParams::new(4, 8), Time::from_ns(10));
+        let (f, cells) = build(&mut sim, FifoParams::new(4, 8), Time::from_ns(10));
         // Tie the get side off.
-        let d = sim.driver(f.req_get);
-        sim.drive_at(d, f.req_get, Logic::L, Time::ZERO);
-        let ph = FourPhaseProducer::spawn(
+        let req_get = f.req_get.unwrap();
+        let d = sim.driver(req_get);
+        sim.drive_at(d, req_get, Logic::L, Time::ZERO);
+        let ph = async_put(
             &mut sim,
             "prod",
-            f.put_req,
-            f.put_ack,
-            &f.put_data,
+            &f,
             (0..10).collect(),
             Time::from_ps(500),
             Time::ZERO,
@@ -356,34 +266,24 @@ mod tests {
         sim.run_until(Time::from_us(2)).unwrap();
         // All four cells fill; the fifth handshake blocks with ack low.
         assert_eq!(ph.journal().len(), 4, "asynchronous back-pressure");
-        assert_eq!(f.occupancy(&sim), Some(4));
-        assert_eq!(sim.value(f.put_ack), Logic::L);
+        assert_eq!(occupancy(&sim, &cells), Some(4));
+        assert_eq!(sim.value(f.put_ack.unwrap()), Logic::L);
     }
 
     #[test]
     fn slow_producer_fast_consumer() {
         let mut sim = Simulator::new(13);
-        let f = build(&mut sim, FifoParams::new(8, 16), Time::from_ns(6));
+        let (f, _) = build(&mut sim, FifoParams::new(8, 16), Time::from_ns(6));
         let items: Vec<u64> = (0..30).map(|i| i * 1_000).collect();
-        let ph = FourPhaseProducer::spawn(
+        let ph = async_put(
             &mut sim,
             "prod",
-            f.put_req,
-            f.put_ack,
-            &f.put_data,
+            &f,
             items.clone(),
             Time::from_ps(500),
             Time::from_ns(40),
         );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(8)).unwrap();
         assert_eq!(ph.journal().len(), items.len());
         assert_eq!(cj.values(), items);
@@ -395,27 +295,17 @@ mod tests {
         // must deliver one item per get cycle in steady state — the reason
         // Table 1 shows identical get columns for both designs.
         let mut sim = Simulator::new(14);
-        let f = build(&mut sim, FifoParams::new(8, 8), Time::from_ns(10));
+        let (f, _) = build(&mut sim, FifoParams::new(8, 8), Time::from_ns(10));
         let items: Vec<u64> = (0..100).collect();
-        let _ph = FourPhaseProducer::spawn(
+        let _ph = async_put(
             &mut sim,
             "prod",
-            f.put_req,
-            f.put_ack,
-            &f.put_data,
+            &f,
             items.clone(),
             Time::from_ps(300),
             Time::ZERO,
         );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(6)).unwrap();
         assert_eq!(cj.values(), items);
         // Steady state: consecutive dequeues one get-period apart.

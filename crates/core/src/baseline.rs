@@ -2,21 +2,22 @@
 //! "Related Work"), implemented so the claims can be measured rather than
 //! quoted:
 //!
-//! * [`GrayPointerFifo`] — the standard alternative architecture for
-//!   mixed-clock FIFOs: a ring buffer addressed by binary pointers whose
-//!   Gray-coded images are synchronized into the opposite domain (the
-//!   paper's ref. \[5\] is a member of this family). Latency through an
+//! * [`GRAY_POINTER`](crate::design::GRAY_POINTER) — the standard
+//!   alternative architecture for mixed-clock FIFOs: a ring buffer
+//!   addressed by binary pointers whose Gray-coded images are synchronized
+//!   into the opposite domain (the paper's ref. \[5\] is a member of this
+//!   family). Latency through an
 //!   empty FIFO costs pointer synchronization *plus* registered
 //!   full/empty flags — the "three passes through the global signal
 //!   synchronizers" the paper criticises.
 //! * [`SeizovicFifo`] — Seizovic's pipeline synchronization \[13\]:
 //!   a cascade of stages, each of which re-synchronizes the handshake, so
 //!   latency grows linearly with depth.
-//! * [`PerCellSyncFifo`] — the Intel patent's approach \[9\]: the same
-//!   token-ring cell array as the paper's design, but with every cell's
-//!   state flag individually synchronized into the opposite domain ("two
-//!   synchronizers per cell") instead of one synchronizer per global
-//!   detector. Robust without any anticipation tricks — and measurably
+//! * [`PER_CELL_SYNC`](crate::design::PER_CELL_SYNC) — the Intel patent's
+//!   approach \[9\]: the same token-ring cell array as the paper's design,
+//!   but with every cell's state flag individually synchronized into the
+//!   opposite domain ("two synchronizers per cell") instead of one
+//!   synchronizer per global detector. Robust without any anticipation tricks — and measurably
 //!   bigger (`mtf_timing::area`).
 //!
 //! The `related_work` binary in `mtf-bench` prints the three-way
@@ -27,6 +28,7 @@ use std::collections::VecDeque;
 use mtf_gates::Builder;
 use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time};
 
+use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::params::FifoParams;
 
 // ---------------------------------------------------------------------------
@@ -90,152 +92,114 @@ fn addr_decode(b: &mut Builder<'_>, addr: &[NetId], naddr: &[NetId], index: usiz
 // Gray-code pointer FIFO.
 // ---------------------------------------------------------------------------
 
-/// The classic dual-clock FIFO with synchronized Gray pointers (see module
-/// docs). External interface matches [`MixedClockFifo`](crate::MixedClockFifo)
-/// so the same environments drive both.
-#[derive(Clone, Debug)]
-pub struct GrayPointerFifo {
-    /// Parameters (capacity must be a power of two ≥ 4).
-    pub params: FifoParams,
-    /// Put-domain clock (input).
-    pub clk_put: NetId,
-    /// Get-domain clock (input).
-    pub clk_get: NetId,
-    /// Put request (input).
-    pub req_put: NetId,
-    /// Put data (input).
-    pub data_put: Vec<NetId>,
-    /// Registered full flag (output).
-    pub full: NetId,
-    /// Get request (input).
-    pub req_get: NetId,
-    /// Get data (output, tri-state).
-    pub data_get: Vec<NetId>,
-    /// Dequeue-success flag (output).
-    pub valid_get: NetId,
-    /// Registered empty flag (output).
-    pub empty: NetId,
-}
+/// Builds the classic dual-clock FIFO with synchronized Gray pointers (see
+/// module docs) into `b`. Its interfaces are the
+/// [mixed-clock FIFO](crate::design::MIXED_CLOCK)'s, so the same
+/// environments drive both; `full` and `empty` are registered flags.
+///
+/// # Panics
+///
+/// Panics unless `params.capacity` is a power of two ≥ 4.
+pub(crate) fn build_gray_pointer(
+    b: &mut Builder<'_>,
+    params: FifoParams,
+    clocks: ClockInputs,
+) -> DesignPorts {
+    let (clk_put, clk_get) = (clocks.put_net(), clocks.get_net());
+    let n = params.capacity;
+    assert!(n >= 4 && n.is_power_of_two(), "capacity must be 2^k >= 4");
+    let k = n.trailing_zeros() as usize; // address bits; pointers have k+1
+    let w = params.width;
+    b.push_scope("grayfifo");
 
-impl GrayPointerFifo {
-    /// Builds the FIFO into `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `params.capacity` is a power of two ≥ 4.
-    pub fn build(b: &mut Builder<'_>, params: FifoParams, clk_put: NetId, clk_get: NetId) -> Self {
-        let n = params.capacity;
-        assert!(n >= 4 && n.is_power_of_two(), "capacity must be 2^k >= 4");
-        let k = n.trailing_zeros() as usize; // address bits; pointers have k+1
-        let w = params.width;
-        b.push_scope("grayfifo");
+    let req_put = b.input("req_put");
+    let data_put = b.input_bus("data_put", w);
+    let req_get = b.input("req_get");
+    let data_get = b.input_bus("data_get", w);
 
-        let req_put = b.input("req_put");
-        let data_put = b.input_bus("data_put", w);
-        let req_get = b.input("req_get");
-        let data_get = b.input_bus("data_get", w);
+    // ---- write domain --------------------------------------------------
+    // Registered pointers; next-value logic feeds back through flops, so
+    // there is no combinational loop.
+    let wbin: Vec<NetId> = (0..=k).map(|i| b.sim().net(format!("wbin[{i}]"))).collect();
+    let full = b.input("full_reg");
+    let do_put = b.and_not(req_put, full);
+    let wbin_next = increment(b, &wbin, do_put);
+    for i in 0..=k {
+        let q = b.dff(clk_put, wbin_next[i], Logic::L);
+        b.buf_onto(q, wbin[i]);
+    }
+    let wgray_next = bin2gray(b, &wbin_next);
+    let wgray: Vec<NetId> = wgray_next
+        .iter()
+        .map(|&g| b.dff(clk_put, g, Logic::L))
+        .collect();
 
-        // ---- write domain --------------------------------------------------
-        // Registered pointers; next-value logic feeds back through flops, so
-        // there is no combinational loop.
-        let wbin: Vec<NetId> = (0..=k).map(|i| b.sim().net(format!("wbin[{i}]"))).collect();
-        let full = b.input("full_reg");
-        let do_put = b.and_not(req_put, full);
-        let wbin_next = increment(b, &wbin, do_put);
-        for i in 0..=k {
-            let q = b.dff(clk_put, wbin_next[i], Logic::L);
-            b.buf_onto(q, wbin[i]);
-        }
-        let wgray_next = bin2gray(b, &wbin_next);
-        let wgray: Vec<NetId> = wgray_next
-            .iter()
-            .map(|&g| b.dff(clk_put, g, Logic::L))
-            .collect();
+    // ---- read domain ----------------------------------------------------
+    let rbin: Vec<NetId> = (0..=k).map(|i| b.sim().net(format!("rbin[{i}]"))).collect();
+    let empty = b.input("empty_reg");
+    let do_get = b.and_not(req_get, empty);
+    let rbin_next = increment(b, &rbin, do_get);
+    for i in 0..=k {
+        let q = b.dff(clk_get, rbin_next[i], Logic::L);
+        b.buf_onto(q, rbin[i]);
+    }
+    let rgray_next = bin2gray(b, &rbin_next);
+    let rgray: Vec<NetId> = rgray_next
+        .iter()
+        .map(|&g| b.dff(clk_get, g, Logic::L))
+        .collect();
 
-        // ---- read domain ----------------------------------------------------
-        let rbin: Vec<NetId> = (0..=k).map(|i| b.sim().net(format!("rbin[{i}]"))).collect();
-        let empty = b.input("empty_reg");
-        let do_get = b.and_not(req_get, empty);
-        let rbin_next = increment(b, &rbin, do_get);
-        for i in 0..=k {
-            let q = b.dff(clk_get, rbin_next[i], Logic::L);
-            b.buf_onto(q, rbin[i]);
-        }
-        let rgray_next = bin2gray(b, &rbin_next);
-        let rgray: Vec<NetId> = rgray_next
-            .iter()
-            .map(|&g| b.dff(clk_get, g, Logic::L))
-            .collect();
+    // ---- pointer synchronizers (the defining cost of this design) ------
+    let rgray_in_put: Vec<NetId> = rgray
+        .iter()
+        .map(|&g| b.sync_chain(clk_put, g, params.sync_stages, Logic::L))
+        .collect();
+    let wgray_in_get: Vec<NetId> = wgray
+        .iter()
+        .map(|&g| b.sync_chain(clk_get, g, params.sync_stages, Logic::L))
+        .collect();
 
-        // ---- pointer synchronizers (the defining cost of this design) ------
-        let rgray_in_put: Vec<NetId> = rgray
-            .iter()
-            .map(|&g| b.sync_chain(clk_put, g, params.sync_stages, Logic::L))
-            .collect();
-        let wgray_in_get: Vec<NetId> = wgray
-            .iter()
-            .map(|&g| b.sync_chain(clk_get, g, params.sync_stages, Logic::L))
-            .collect();
+    // ---- registered full/empty flags ------------------------------------
+    // full when the next write Gray pointer equals the read pointer with
+    // its two top bits inverted (the wrap-distance-N condition).
+    let x_top = b.xor2(wgray_next[k], rgray_in_put[k]);
+    let x_2nd = b.xor2(wgray_next[k - 1], rgray_in_put[k - 1]);
+    let eq_rest = equal(b, &wgray_next[..k - 1], &rgray_in_put[..k - 1]);
+    let full_next = b.and(&[x_top, x_2nd, eq_rest]);
+    let full_q = b.dff(clk_put, full_next, Logic::L);
+    b.buf_onto(full_q, full);
 
-        // ---- registered full/empty flags ------------------------------------
-        // full when the next write Gray pointer equals the read pointer with
-        // its two top bits inverted (the wrap-distance-N condition).
-        let x_top = b.xor2(wgray_next[k], rgray_in_put[k]);
-        let x_2nd = b.xor2(wgray_next[k - 1], rgray_in_put[k - 1]);
-        let eq_rest = equal(b, &wgray_next[..k - 1], &rgray_in_put[..k - 1]);
-        let full_next = b.and(&[x_top, x_2nd, eq_rest]);
-        let full_q = b.dff(clk_put, full_next, Logic::L);
-        b.buf_onto(full_q, full);
+    let empty_next = equal(b, &rgray_next, &wgray_in_get);
+    let empty_q = b.dff(clk_get, empty_next, Logic::H);
+    b.buf_onto(empty_q, empty);
 
-        let empty_next = equal(b, &rgray_next, &wgray_in_get);
-        let empty_q = b.dff(clk_get, empty_next, Logic::H);
-        b.buf_onto(empty_q, empty);
-
-        // ---- memory ---------------------------------------------------------
-        let nwaddr: Vec<NetId> = wbin[..k].iter().map(|&a| b.inv(a)).collect();
-        let nraddr: Vec<NetId> = rbin[..k].iter().map(|&a| b.inv(a)).collect();
-        for cell in 0..n {
-            b.push_scope(format!("cell{cell}"));
-            let wsel = addr_decode(b, &wbin[..k], &nwaddr, cell);
-            let wen = b.and2(do_put, wsel);
-            let q = b.register(clk_put, Some(wen), &data_put);
-            let rsel = addr_decode(b, &rbin[..k], &nraddr, cell);
-            let ren = b.and2(do_get, rsel);
-            b.tri_word_onto(ren, &q, &data_get);
-            b.pop_scope();
-        }
-
-        let valid_get = b.buf(do_get);
+    // ---- memory ---------------------------------------------------------
+    let nwaddr: Vec<NetId> = wbin[..k].iter().map(|&a| b.inv(a)).collect();
+    let nraddr: Vec<NetId> = rbin[..k].iter().map(|&a| b.inv(a)).collect();
+    for cell in 0..n {
+        b.push_scope(format!("cell{cell}"));
+        let wsel = addr_decode(b, &wbin[..k], &nwaddr, cell);
+        let wen = b.and2(do_put, wsel);
+        let q = b.register(clk_put, Some(wen), &data_put);
+        let rsel = addr_decode(b, &rbin[..k], &nraddr, cell);
+        let ren = b.and2(do_get, rsel);
+        b.tri_word_onto(ren, &q, &data_get);
         b.pop_scope();
-        GrayPointerFifo {
-            params,
-            clk_put,
-            clk_get,
-            req_put,
-            data_put,
-            full,
-            req_get,
-            data_get,
-            valid_get,
-            empty,
-        }
     }
 
-    /// Maps the external nets onto the uniform
-    /// [`DesignPorts`](crate::design::DesignPorts) scheme.
-    pub fn ports(&self) -> crate::design::DesignPorts {
-        let mut p =
-            crate::design::DesignPorts::new(crate::design::DesignKind::GrayPointer, self.params);
-        p.clk_put = Some(self.clk_put);
-        p.clk_get = Some(self.clk_get);
-        p.req_put = Some(self.req_put);
-        p.data_put = self.data_put.clone();
-        p.full = Some(self.full);
-        p.req_get = Some(self.req_get);
-        p.data_get = self.data_get.clone();
-        p.valid_get = Some(self.valid_get);
-        p.empty = Some(self.empty);
-        p
+    let valid_get = b.buf(do_get);
+    b.pop_scope();
+    DesignPorts {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+        req_put: Some(req_put),
+        data_put,
+        full: Some(full),
+        req_get: Some(req_get),
+        data_get,
+        valid_get: Some(valid_get),
+        empty: Some(empty),
+        ..DesignPorts::new(DesignKind::GrayPointer, params)
     }
 }
 
@@ -412,169 +376,131 @@ impl Component for SeizovicFifo {
 // Intel-style per-cell synchronization FIFO.
 // ---------------------------------------------------------------------------
 
-/// The Intel patent's architecture \[9\] (as characterised by the paper):
-/// the same token-ring cell array, but each cell's occupancy flag is
-/// synchronized into the opposite clock domain individually — "two
-/// synchronizers per cell" — and the interfaces consult the token cell's
-/// *synchronized* flag instead of an anticipating global detector.
+/// Builds the Intel patent's architecture \[9\] (as characterised by the
+/// paper) into `b`: the same token-ring cell array, but each cell's
+/// occupancy flag is synchronized into the opposite clock domain
+/// individually — "two synchronizers per cell" — and the interfaces consult
+/// the token cell's *synchronized* flag instead of an anticipating global
+/// detector.
 ///
 /// Because every flag crosses domains conservatively (late, never early),
 /// no anticipation margin, bi-modal detector or clock-ratio envelope is
 /// needed — the price is `4·n` synchronizer flops and a re-use latency of
 /// two cycles per cell, visible in the area model (`mtf_timing::area`) and in
 /// small-capacity throughput.
-#[derive(Clone, Debug)]
-pub struct PerCellSyncFifo {
-    /// Parameters.
-    pub params: FifoParams,
-    /// Put-domain clock (input).
-    pub clk_put: NetId,
-    /// Get-domain clock (input).
-    pub clk_get: NetId,
-    /// Put request / validity (input).
-    pub req_put: NetId,
-    /// Put data (input).
-    pub data_put: Vec<NetId>,
-    /// Full-for-the-token-cell flag (output).
-    pub full: NetId,
-    /// Get request (input).
-    pub req_get: NetId,
-    /// Get data (output, tri-state).
-    pub data_get: Vec<NetId>,
-    /// Dequeue-success flag (output).
-    pub valid_get: NetId,
-    /// Empty-for-the-token-cell flag (output).
-    pub empty: NetId,
-}
+pub(crate) fn build_per_cell_sync(
+    b: &mut Builder<'_>,
+    params: FifoParams,
+    clocks: ClockInputs,
+) -> DesignPorts {
+    let (clk_put, clk_get) = (clocks.put_net(), clocks.get_net());
+    let n = params.capacity;
+    let w = params.width;
+    b.push_scope("pcsfifo");
 
-impl PerCellSyncFifo {
-    /// Builds the FIFO into `b`.
-    pub fn build(b: &mut Builder<'_>, params: FifoParams, clk_put: NetId, clk_get: NetId) -> Self {
-        let n = params.capacity;
-        let w = params.width;
-        b.push_scope("pcsfifo");
+    let req_put = b.input("req_put");
+    let data_put = b.input_bus("data_put", w);
+    let req_get = b.input("req_get");
+    let data_get = b.input_bus("data_get", w);
+    let valid_bus = b.input("valid_bus");
+    let en_put = b.input("en_put");
+    let en_get = b.input("en_get");
+    let nclk_get = b.inv(clk_get);
 
-        let req_put = b.input("req_put");
-        let data_put = b.input_bus("data_put", w);
-        let req_get = b.input("req_get");
-        let data_get = b.input_bus("data_get", w);
-        let valid_bus = b.input("valid_bus");
-        let en_put = b.input("en_put");
-        let en_get = b.input("en_get");
-        let nclk_get = b.inv(clk_get);
+    let ptok: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("ptok[{i}]"))).collect();
+    let gtok: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("gtok[{i}]"))).collect();
+    let mut pe_terms = Vec::with_capacity(n); // token cell synced-empty
+    let mut ge_terms = Vec::with_capacity(n); // token cell synced-full
 
-        let ptok: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("ptok[{i}]"))).collect();
-        let gtok: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("gtok[{i}]"))).collect();
-        let mut pe_terms = Vec::with_capacity(n); // token cell synced-empty
-        let mut ge_terms = Vec::with_capacity(n); // token cell synced-full
-
-        for i in 0..n {
-            b.push_scope(format!("cell{i}"));
-            let prev = (i + n - 1) % n;
-            let init = Logic::from_bool(i == 0);
-            let pq = b.dff_opts(
-                clk_put,
-                ptok[prev],
-                Some(en_put),
-                init,
-                MetaModel::ideal(),
-                true,
-            );
-            b.buf_onto(pq, ptok[i]);
-            let gq = b.dff_opts(
-                clk_get,
-                gtok[prev],
-                Some(en_get),
-                init,
-                MetaModel::ideal(),
-                true,
-            );
-            b.buf_onto(gq, gtok[i]);
-
-            let do_put = b.and2(ptok[i], en_put);
-            let do_get = b.and2(gtok[i], en_get);
-            let do_get_commit = b.and(&[gtok[i], en_get, nclk_get]);
-            let set_pulse = b.buf(do_put);
-            let committed = b.dff_opts(clk_put, do_put, None, Logic::L, MetaModel::ideal(), true);
-            // Half-cycle commit pulse, gated with the clock's LOW phase:
-            // with extreme clock ratios (this design's selling point) the
-            // get side can dequeue within one put cycle of the commit, and
-            // a cycle-long set level would swallow the reset
-            // (set-dominance), leaving a stale flag that re-delivers the
-            // item a lap later. Gating with the low phase (rather than the
-            // high one) also avoids the classic glitch where the clock
-            // rises a flop-delay before the committed flag falls.
-            let commit_pulse = b.and_not(committed, clk_put);
-
-            // `dv` scope: the glitch lint's waiver table matches these
-            // latches — their pins see the token flop through both a
-            // direct gate and the global-enable OR tree (reconvergent by
-            // construction in this baseline; both paths settle within the
-            // launching clock cycle).
-            b.push_scope("dv");
-            let (_claim, e_i) = b.sr_latch_qn_set_dominant(set_pulse, do_get_commit, Logic::L);
-            let (f_i, _) = b.sr_latch_qn_set_dominant(commit_pulse, do_get_commit, Logic::L);
-            b.pop_scope();
-
-            // The defining feature: per-cell synchronizers in BOTH
-            // directions (the paper's design has exactly two, globally).
-            let e_in_put = b.sync_chain(clk_put, e_i, params.sync_stages, Logic::H);
-            let f_in_get = b.sync_chain(clk_get, f_i, params.sync_stages, Logic::L);
-
-            pe_terms.push(b.and2(ptok[i], e_in_put));
-            ge_terms.push(b.and2(gtok[i], f_in_get));
-
-            let mut reg_in: Vec<NetId> = data_put.clone();
-            reg_in.push(req_put);
-            let reg_q = b.register(clk_put, Some(do_put), &reg_in);
-            let v_eff = b.and2(f_in_get, reg_q[w]);
-            b.tri_word_onto(do_get, &reg_q[..w], &data_get);
-            b.tribuf_onto(do_get, v_eff, valid_bus);
-            b.pop_scope();
-        }
-
-        // Interfaces consult only the token cell's synchronized flag.
-        let pe_ok = b.or(&pe_terms);
-        let full = b.inv(pe_ok);
-        let en_put_val = b.and2(req_put, pe_ok);
-        b.buf_onto(en_put_val, en_put);
-
-        let ge_ok = b.or(&ge_terms);
-        let empty = b.inv(ge_ok);
-        let en_get_val = b.and2(req_get, ge_ok);
-        b.buf_onto(en_get_val, en_get);
-        let valid_get = b.and2(en_get, valid_bus);
-
-        b.pop_scope();
-        PerCellSyncFifo {
-            params,
+    for i in 0..n {
+        b.push_scope(format!("cell{i}"));
+        let prev = (i + n - 1) % n;
+        let init = Logic::from_bool(i == 0);
+        let pq = b.dff_opts(
             clk_put,
+            ptok[prev],
+            Some(en_put),
+            init,
+            MetaModel::ideal(),
+            true,
+        );
+        b.buf_onto(pq, ptok[i]);
+        let gq = b.dff_opts(
             clk_get,
-            req_put,
-            data_put,
-            full,
-            req_get,
-            data_get,
-            valid_get,
-            empty,
-        }
+            gtok[prev],
+            Some(en_get),
+            init,
+            MetaModel::ideal(),
+            true,
+        );
+        b.buf_onto(gq, gtok[i]);
+
+        let do_put = b.and2(ptok[i], en_put);
+        let do_get = b.and2(gtok[i], en_get);
+        let do_get_commit = b.and(&[gtok[i], en_get, nclk_get]);
+        let set_pulse = b.buf(do_put);
+        let committed = b.dff_opts(clk_put, do_put, None, Logic::L, MetaModel::ideal(), true);
+        // Half-cycle commit pulse, gated with the clock's LOW phase:
+        // with extreme clock ratios (this design's selling point) the
+        // get side can dequeue within one put cycle of the commit, and
+        // a cycle-long set level would swallow the reset
+        // (set-dominance), leaving a stale flag that re-delivers the
+        // item a lap later. Gating with the low phase (rather than the
+        // high one) also avoids the classic glitch where the clock
+        // rises a flop-delay before the committed flag falls.
+        let commit_pulse = b.and_not(committed, clk_put);
+
+        // `dv` scope: the glitch lint's waiver table matches these
+        // latches — their pins see the token flop through both a
+        // direct gate and the global-enable OR tree (reconvergent by
+        // construction in this baseline; both paths settle within the
+        // launching clock cycle).
+        b.push_scope("dv");
+        let (_claim, e_i) = b.sr_latch_qn_set_dominant(set_pulse, do_get_commit, Logic::L);
+        let (f_i, _) = b.sr_latch_qn_set_dominant(commit_pulse, do_get_commit, Logic::L);
+        b.pop_scope();
+
+        // The defining feature: per-cell synchronizers in BOTH
+        // directions (the paper's design has exactly two, globally).
+        let e_in_put = b.sync_chain(clk_put, e_i, params.sync_stages, Logic::H);
+        let f_in_get = b.sync_chain(clk_get, f_i, params.sync_stages, Logic::L);
+
+        pe_terms.push(b.and2(ptok[i], e_in_put));
+        ge_terms.push(b.and2(gtok[i], f_in_get));
+
+        let mut reg_in: Vec<NetId> = data_put.clone();
+        reg_in.push(req_put);
+        let reg_q = b.register(clk_put, Some(do_put), &reg_in);
+        let v_eff = b.and2(f_in_get, reg_q[w]);
+        b.tri_word_onto(do_get, &reg_q[..w], &data_get);
+        b.tribuf_onto(do_get, v_eff, valid_bus);
+        b.pop_scope();
     }
 
-    /// Maps the external nets onto the uniform
-    /// [`DesignPorts`](crate::design::DesignPorts) scheme.
-    pub fn ports(&self) -> crate::design::DesignPorts {
-        let mut p =
-            crate::design::DesignPorts::new(crate::design::DesignKind::PerCellSync, self.params);
-        p.clk_put = Some(self.clk_put);
-        p.clk_get = Some(self.clk_get);
-        p.req_put = Some(self.req_put);
-        p.data_put = self.data_put.clone();
-        p.full = Some(self.full);
-        p.req_get = Some(self.req_get);
-        p.data_get = self.data_get.clone();
-        p.valid_get = Some(self.valid_get);
-        p.empty = Some(self.empty);
-        p
+    // Interfaces consult only the token cell's synchronized flag.
+    let pe_ok = b.or(&pe_terms);
+    let full = b.inv(pe_ok);
+    let en_put_val = b.and2(req_put, pe_ok);
+    b.buf_onto(en_put_val, en_put);
+
+    let ge_ok = b.or(&ge_terms);
+    let empty = b.inv(ge_ok);
+    let en_get_val = b.and2(req_get, ge_ok);
+    b.buf_onto(en_get_val, en_get);
+    let valid_get = b.and2(en_get, valid_bus);
+
+    b.pop_scope();
+    DesignPorts {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+        req_put: Some(req_put),
+        data_put,
+        full: Some(full),
+        req_get: Some(req_get),
+        data_get,
+        valid_get: Some(valid_get),
+        empty: Some(empty),
+        ..DesignPorts::new(DesignKind::PerCellSync, params)
     }
 }
 
@@ -582,7 +508,7 @@ impl PerCellSyncFifo {
 // Shift-register FIFO (the mobile-data strawman for the power claim).
 // ---------------------------------------------------------------------------
 
-/// A single-clock shift-register FIFO: every item marches through every
+/// Builds a single-clock shift-register FIFO into `b`: every item marches through every
 /// stage on its way out (a "collapsing" shift FIFO — stages take from
 /// upstream whenever anything downstream has a hole, so items never
 /// duplicate and bubbles collapse).
@@ -592,114 +518,87 @@ impl PerCellSyncFifo {
 /// register bits in transit, while the paper's circular array writes each
 /// item exactly once and broadcasts it once. Experiment E12 measures the
 /// difference.
-#[derive(Clone, Debug)]
-pub struct ShiftRegisterFifo {
-    /// Parameters (capacity = number of stages).
-    pub params: FifoParams,
-    /// The single clock (input).
-    pub clk: NetId,
-    /// Put request (input).
-    pub req_put: NetId,
-    /// Put data (input).
-    pub data_put: Vec<NetId>,
-    /// Full flag (stage 0 cannot absorb this cycle).
-    pub full: NetId,
-    /// Get request (input).
-    pub req_get: NetId,
-    /// Get data (output — the last stage's register).
-    pub data_get: Vec<NetId>,
-    /// Dequeue-success flag (output).
-    pub valid_get: NetId,
-    /// Empty flag (last stage holds nothing).
-    pub empty: NetId,
-}
+///
+/// The single clock sits in the put slot; get-side environments fall back
+/// to it through [`DesignPorts::get_clock`].
+pub(crate) fn build_shift_register(
+    b: &mut Builder<'_>,
+    params: FifoParams,
+    clocks: ClockInputs,
+) -> DesignPorts {
+    let clk = clocks.put_net();
+    let n = params.capacity;
+    let w = params.width;
+    b.push_scope("shiftfifo");
 
-impl ShiftRegisterFifo {
-    /// Builds the FIFO into `b`.
-    pub fn build(b: &mut Builder<'_>, params: FifoParams, clk: NetId) -> Self {
-        let n = params.capacity;
-        let w = params.width;
-        b.push_scope("shiftfifo");
+    let req_put = b.input("req_put");
+    let data_put = b.input_bus("data_put", w);
+    let req_get = b.input("req_get");
 
-        let req_put = b.input("req_put");
-        let data_put = b.input_bus("data_put", w);
-        let req_get = b.input("req_get");
+    // Stage state nets, created up front: the take chain ripples from
+    // the output back to the input.
+    let valid: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("valid[{i}]"))).collect();
+    let take: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("take[{i}]"))).collect();
 
-        // Stage state nets, created up front: the take chain ripples from
-        // the output back to the input.
-        let valid: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("valid[{i}]"))).collect();
-        let take: Vec<NetId> = (0..n).map(|i| b.sim().net(format!("take[{i}]"))).collect();
-
-        // take[n-1] = do_get OR !valid[n-1]; take[i] = !valid[i] OR take[i+1].
-        let do_get = b.and2(req_get, valid[n - 1]);
-        let t_last = b.or_not(do_get, valid[n - 1]);
-        b.buf_onto(t_last, take[n - 1]);
-        for i in (0..n - 1).rev() {
-            let hole = b.inv(valid[i]);
-            let t = b.or2(hole, take[i + 1]);
-            b.buf_onto(t, take[i]);
-        }
-
-        // Stages: register + valid flop, shifting on take.
-        let mut upstream_data = data_put.clone();
-        let mut upstream_valid = req_put;
-        let mut last_q = Vec::new();
-        for i in 0..n {
-            b.push_scope(format!("stage{i}"));
-            let q = b.register(clk, Some(take[i]), &upstream_data);
-            // valid_next = take ? upstream_valid : valid
-            let vnext = b.mux2(take[i], valid[i], upstream_valid);
-            let vq = b.dff(clk, vnext, Logic::L);
-            b.buf_onto(vq, valid[i]);
-            upstream_data = q.clone();
-            upstream_valid = valid[i];
-            last_q = q;
-            b.pop_scope();
-        }
-
-        let full = b.inv(take[0]);
-        let empty = b.inv(valid[n - 1]);
-        let valid_get = b.buf(do_get);
-
-        b.pop_scope();
-        ShiftRegisterFifo {
-            params,
-            clk,
-            req_put,
-            data_put,
-            full,
-            req_get,
-            data_get: last_q,
-            valid_get,
-            empty,
-        }
+    // take[n-1] = do_get OR !valid[n-1]; take[i] = !valid[i] OR take[i+1].
+    let do_get = b.and2(req_get, valid[n - 1]);
+    let t_last = b.or_not(do_get, valid[n - 1]);
+    b.buf_onto(t_last, take[n - 1]);
+    for i in (0..n - 1).rev() {
+        let hole = b.inv(valid[i]);
+        let t = b.or2(hole, take[i + 1]);
+        b.buf_onto(t, take[i]);
     }
 
-    /// Maps the external nets onto the uniform
-    /// [`DesignPorts`](crate::design::DesignPorts) scheme. The single
-    /// clock sits in the put slot; get-side environments fall back to it
-    /// via [`DesignPorts::get_clock`](crate::design::DesignPorts::get_clock).
-    pub fn ports(&self) -> crate::design::DesignPorts {
-        let mut p =
-            crate::design::DesignPorts::new(crate::design::DesignKind::ShiftRegister, self.params);
-        p.clk_put = Some(self.clk);
-        p.req_put = Some(self.req_put);
-        p.data_put = self.data_put.clone();
-        p.full = Some(self.full);
-        p.req_get = Some(self.req_get);
-        p.data_get = self.data_get.clone();
-        p.valid_get = Some(self.valid_get);
-        p.empty = Some(self.empty);
-        p
+    // Stages: register + valid flop, shifting on take.
+    let mut upstream_data = data_put.clone();
+    let mut upstream_valid = req_put;
+    let mut last_q = Vec::new();
+    for i in 0..n {
+        b.push_scope(format!("stage{i}"));
+        let q = b.register(clk, Some(take[i]), &upstream_data);
+        // valid_next = take ? upstream_valid : valid
+        let vnext = b.mux2(take[i], valid[i], upstream_valid);
+        let vq = b.dff(clk, vnext, Logic::L);
+        b.buf_onto(vq, valid[i]);
+        upstream_data = q.clone();
+        upstream_valid = valid[i];
+        last_q = q;
+        b.pop_scope();
+    }
+
+    let full = b.inv(take[0]);
+    let empty = b.inv(valid[n - 1]);
+    let valid_get = b.buf(do_get);
+
+    b.pop_scope();
+    DesignPorts {
+        clk_put: Some(clk),
+        req_put: Some(req_put),
+        data_put,
+        full: Some(full),
+        req_get: Some(req_get),
+        data_get: last_q,
+        valid_get: Some(valid_get),
+        empty: Some(empty),
+        ..DesignPorts::new(DesignKind::ShiftRegister, params)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{SyncConsumer, SyncProducer};
+    use crate::env::on_ports::{sync_get, sync_put};
+    use crate::env::SyncConsumer;
     use mtf_async::FourPhaseProducer;
     use mtf_sim::ClockGen;
+
+    fn clocks(clk_put: NetId, clk_get: Option<NetId>) -> ClockInputs {
+        ClockInputs {
+            clk_put: Some(clk_put),
+            clk_get,
+        }
+    }
 
     #[test]
     fn gray_pointer_fifo_transfers_in_order() {
@@ -711,27 +610,15 @@ mod tests {
             .phase(Time::from_ps(2_500))
             .spawn(&mut sim, clk_get);
         let mut b = Builder::new(&mut sim);
-        let f = GrayPointerFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
+        let f = build_gray_pointer(
+            &mut b,
+            FifoParams::new(8, 8),
+            clocks(clk_put, Some(clk_get)),
+        );
         drop(b.finish());
         let items: Vec<u64> = (0..50).map(|i| (i * 11) % 256).collect();
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "c",
-            clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let pj = sync_put(&mut sim, "p", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "c", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(5)).unwrap();
         assert_eq!(pj.len(), items.len());
         assert_eq!(cj.values(), items);
@@ -745,22 +632,19 @@ mod tests {
         ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(10));
         ClockGen::spawn_simple(&mut sim, clk_get, Time::from_ns(10));
         let mut b = Builder::new(&mut sim);
-        let f = GrayPointerFifo::build(&mut b, FifoParams::new(4, 8), clk_put, clk_get);
-        drop(b.finish());
-        let d = sim.driver(f.req_get);
-        sim.drive_at(d, f.req_get, Logic::L, Time::ZERO);
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            (0..10).collect(),
+        let f = build_gray_pointer(
+            &mut b,
+            FifoParams::new(4, 8),
+            clocks(clk_put, Some(clk_get)),
         );
+        drop(b.finish());
+        let req_get = f.req_get.unwrap();
+        let d = sim.driver(req_get);
+        sim.drive_at(d, req_get, Logic::L, Time::ZERO);
+        let pj = sync_put(&mut sim, "p", &f, (0..10).collect(), 1);
         sim.run_until(Time::from_us(2)).unwrap();
         assert_eq!(pj.len(), 4, "pointer FIFO uses all 2^k slots, no more");
-        assert_eq!(sim.value(f.full), Logic::H);
+        assert_eq!(sim.value(f.full.unwrap()), Logic::H);
     }
 
     #[test]
@@ -770,7 +654,11 @@ mod tests {
         let clk_put = sim.net("clk_put");
         let clk_get = sim.net("clk_get");
         let mut b = Builder::new(&mut sim);
-        let _ = GrayPointerFifo::build(&mut b, FifoParams::new(6, 8), clk_put, clk_get);
+        let _ = build_gray_pointer(
+            &mut b,
+            FifoParams::new(6, 8),
+            clocks(clk_put, Some(clk_get)),
+        );
     }
 
     #[test]
@@ -857,27 +745,15 @@ mod tests {
             .phase(Time::from_ps(3_100))
             .spawn(&mut sim, clk_get);
         let mut b = Builder::new(&mut sim);
-        let f = PerCellSyncFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
+        let f = build_per_cell_sync(
+            &mut b,
+            FifoParams::new(8, 8),
+            clocks(clk_put, Some(clk_get)),
+        );
         drop(b.finish());
         let items: Vec<u64> = (0..40).map(|i| (i * 3) % 256).collect();
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "c",
-            clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let pj = sync_put(&mut sim, "p", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "c", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(8)).unwrap();
         assert_eq!(pj.len(), items.len());
         assert_eq!(cj.values(), items);
@@ -896,27 +772,15 @@ mod tests {
             .phase(Time::from_ps(900))
             .spawn(&mut sim, clk_get);
         let mut b = Builder::new(&mut sim);
-        let f = PerCellSyncFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
+        let f = build_per_cell_sync(
+            &mut b,
+            FifoParams::new(8, 8),
+            clocks(clk_put, Some(clk_get)),
+        );
         drop(b.finish());
         let items: Vec<u64> = (0..30).collect();
-        let _pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "c",
-            clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let _pj = sync_put(&mut sim, "p", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "c", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(10)).unwrap();
         assert_eq!(cj.values(), items);
     }
@@ -927,27 +791,11 @@ mod tests {
         let clk = sim.net("clk");
         ClockGen::spawn_simple(&mut sim, clk, Time::from_ns(10));
         let mut b = Builder::new(&mut sim);
-        let f = ShiftRegisterFifo::build(&mut b, FifoParams::new(6, 8), clk);
+        let f = build_shift_register(&mut b, FifoParams::new(6, 8), clocks(clk, None));
         drop(b.finish());
         let items: Vec<u64> = (0..40).map(|i| (i * 7) % 256).collect();
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "c",
-            clk,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let pj = sync_put(&mut sim, "p", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "c", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(5)).unwrap();
         assert_eq!(pj.len(), items.len());
         assert_eq!(cj.values(), items);
@@ -959,23 +807,16 @@ mod tests {
         let clk = sim.net("clk");
         ClockGen::spawn_simple(&mut sim, clk, Time::from_ns(10));
         let mut b = Builder::new(&mut sim);
-        let f = ShiftRegisterFifo::build(&mut b, FifoParams::new(4, 8), clk);
+        let f = build_shift_register(&mut b, FifoParams::new(4, 8), clocks(clk, None));
         drop(b.finish());
-        let d = sim.driver(f.req_get);
-        sim.drive_at(d, f.req_get, Logic::L, Time::ZERO);
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "p",
-            clk,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            (0..10).collect(),
-        );
+        let req_get = f.req_get.unwrap();
+        let d = sim.driver(req_get);
+        sim.drive_at(d, req_get, Logic::L, Time::ZERO);
+        let pj = sync_put(&mut sim, "p", &f, (0..10).collect(), 1);
         sim.run_until(Time::from_us(2)).unwrap();
         assert_eq!(pj.len(), 4, "all four stages fill, then full blocks");
-        assert_eq!(sim.value(f.full), Logic::H);
-        assert_eq!(sim.value(f.empty), Logic::L);
+        assert_eq!(sim.value(f.full.unwrap()), Logic::H);
+        assert_eq!(sim.value(f.empty.unwrap()), Logic::L);
     }
 
     #[test]
@@ -997,45 +838,16 @@ mod tests {
                 .spawn(&mut sim, clk_get);
             let mut b = Builder::new(&mut sim);
             let params = FifoParams::new(16, 16);
-            let (req_put, data_put, full, req_get, data_get, valid_get, nl);
-            if shift {
-                let f = ShiftRegisterFifo::build(&mut b, params, clk_put);
-                nl = b.finish();
-                req_put = f.req_put;
-                data_put = f.data_put;
-                full = f.full;
-                req_get = f.req_get;
-                data_get = f.data_get;
-                valid_get = f.valid_get;
+            // The shift register runs both sides on the put clock.
+            let build = if shift {
+                build_shift_register
             } else {
-                let f = crate::MixedClockFifo::build(&mut b, params, clk_put, clk_get);
-                nl = b.finish();
-                req_put = f.req_put;
-                data_put = f.data_put;
-                full = f.full;
-                req_get = f.req_get;
-                data_get = f.data_get;
-                valid_get = f.valid_get;
-            }
-            let get_clk = if shift { clk_put } else { clk_get };
-            let _pj = SyncProducer::spawn(
-                &mut sim,
-                "p",
-                clk_put,
-                req_put,
-                &data_put,
-                full,
-                items.clone(),
-            );
-            let cj = SyncConsumer::spawn(
-                &mut sim,
-                "c",
-                get_clk,
-                req_get,
-                &data_get,
-                valid_get,
-                items.len() as u64,
-            );
+                crate::mixed_clock::build
+            };
+            let f = build(&mut b, params, clocks(clk_put, Some(clk_get)));
+            let nl = b.finish();
+            let _pj = sync_put(&mut sim, "p", &f, items.clone(), 1);
+            let cj = sync_get(&mut sim, "c", &f, items.len() as u64, 1);
             sim.run_until(Time::from_us(4)).unwrap();
             assert_eq!(cj.values(), items, "both must be correct first");
             mtf_timing::storage_write_toggles(&nl, &sim)
@@ -1059,17 +871,16 @@ mod tests {
             let clk_put = sim.net("clk_put");
             let clk_get = sim.net("clk_get");
             let mut b = Builder::new(&mut sim);
-            if per_cell {
-                let _ =
-                    PerCellSyncFifo::build(&mut b, FifoParams::new(capacity, 8), clk_put, clk_get);
+            let build = if per_cell {
+                build_per_cell_sync
             } else {
-                let _ = crate::MixedClockFifo::build(
-                    &mut b,
-                    FifoParams::new(capacity, 8),
-                    clk_put,
-                    clk_get,
-                );
-            }
+                crate::mixed_clock::build
+            };
+            build(
+                &mut b,
+                FifoParams::new(capacity, 8),
+                clocks(clk_put, Some(clk_get)),
+            );
             mtf_timing::area(&b.finish())
         };
         // The paper's claim is specifically about synchronization area:

@@ -3,9 +3,9 @@
 //!
 //! The paper's point is that its designs are *interchangeable* behind
 //! put/get interfaces; this module makes that interchangeability a type.
-//! Each design (the six paper designs, the four related-work baselines
-//! in [`baseline`](crate::baseline), and Carloni's single-clock relay
-//! station) is one [`Design`] row implementing [`MixedTimingDesign`]:
+//! Each design (the six paper designs, the four related-work baselines in
+//! [`baseline`], and Carloni's single-clock relay station) is one
+//! [`Design`] row implementing [`MixedTimingDesign`]:
 //! a constructor that takes whatever clocks the design declares it needs
 //! ([`Clocking`]) and returns a [`DesignPorts`] naming every external net
 //! under one scheme, plus metadata describing each interface's protocol
@@ -26,11 +26,10 @@
 use mtf_gates::{Builder, Netlist};
 use mtf_sim::{NetId, Simulator};
 
-use crate::baseline::{GrayPointerFifo, PerCellSyncFifo, SeizovicFifo, ShiftRegisterFifo};
+use crate::baseline::{self, SeizovicFifo};
 use crate::waivers::{LintWaiver, ASYNC_SYNC_WAIVERS, MIXED_CLOCK_WAIVERS, PER_CELL_SYNC_WAIVERS};
 use crate::{
-    AsyncAsyncFifo, AsyncSyncFifo, AsyncSyncRelayStation, FifoParams, MixedClockFifo,
-    MixedClockRelayStation, SyncAsyncFifo, SyncRelayStation,
+    async_async, async_sync, mixed_clock, relay, sync_async, FifoParams, SyncRelayStation,
 };
 
 /// The protocol spoken by one side (put or get) of a design.
@@ -118,12 +117,12 @@ pub struct ClockInputs {
 impl ClockInputs {
     /// The put-slot clock. [`Design`]'s `build` has already checked it
     /// against the row's [`Clocking`].
-    fn put_net(self) -> NetId {
+    pub(crate) fn put_net(self) -> NetId {
         self.clk_put.expect("put-side clock net")
     }
 
     /// The get-slot clock, checked likewise.
-    fn get_net(self) -> NetId {
+    pub(crate) fn get_net(self) -> NetId {
         self.clk_get.expect("get-side clock net")
     }
 }
@@ -273,8 +272,8 @@ pub struct DesignPorts {
 }
 
 impl DesignPorts {
-    /// Ports with everything absent — design `ports()` mappings fill in
-    /// what exists.
+    /// Ports with everything absent — each design's build fills in what
+    /// exists.
     pub fn new(kind: DesignKind, params: FifoParams) -> Self {
         DesignPorts {
             kind,
@@ -491,7 +490,9 @@ fn power_of_two_from_4(params: FifoParams) -> Result<(), String> {
     }
 }
 
-/// Section 3: [`MixedClockFifo`].
+/// Section 3: the mixed-clock (sync–sync) FIFO — token-ring cells with
+/// immobile data, an anticipating full detector and the bi-modal empty
+/// detector.
 pub static MIXED_CLOCK: Design = Design {
     kind: DesignKind::MixedClock,
     name: "mixed_clock",
@@ -503,10 +504,11 @@ pub static MIXED_CLOCK: Design = Design {
     get_discipline: FlagDiscipline::Bimodal,
     waivers: MIXED_CLOCK_WAIVERS,
     supports: any_params,
-    build: |b, p, c| MixedClockFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+    build: mixed_clock::build,
 };
 
-/// Section 4: [`AsyncSyncFifo`].
+/// Section 4: the async–sync FIFO — the asynchronous put part of Fig. 9
+/// feeding the mixed-clock design's synchronous get part.
 pub static ASYNC_SYNC: Design = Design {
     kind: DesignKind::AsyncSync,
     name: "async_sync",
@@ -518,10 +520,11 @@ pub static ASYNC_SYNC: Design = Design {
     get_discipline: FlagDiscipline::Bimodal,
     waivers: ASYNC_SYNC_WAIVERS,
     supports: any_params,
-    build: |b, p, c| AsyncSyncFifo::build(b, p, c.get_net()).ports(),
+    build: async_sync::build,
 };
 
-/// The sync-async extension: [`SyncAsyncFifo`].
+/// The sync–async extension: the mixed-clock design's synchronous put part
+/// feeding a 4-phase get part through the `DV_sa` controller.
 pub static SYNC_ASYNC: Design = Design {
     kind: DesignKind::SyncAsync,
     name: "sync_async",
@@ -533,10 +536,11 @@ pub static SYNC_ASYNC: Design = Design {
     get_discipline: FlagDiscipline::Direct,
     waivers: &[],
     supports: any_params,
-    build: |b, p, c| SyncAsyncFifo::build(b, p, c.put_net()).ports(),
+    build: sync_async::build,
 };
 
-/// The async-async token ring: [`AsyncAsyncFifo`].
+/// The async–async token-ring FIFO of the paper's ref. \[4\]: 4-phase
+/// bundled data on both sides, no clocks.
 pub static ASYNC_ASYNC: Design = Design {
     kind: DesignKind::AsyncAsync,
     name: "async_async",
@@ -548,10 +552,11 @@ pub static ASYNC_ASYNC: Design = Design {
     get_discipline: FlagDiscipline::Direct,
     waivers: &[],
     supports: any_params,
-    build: |b, p, _| AsyncAsyncFifo::build(b, p).ports(),
+    build: async_async::build,
 };
 
-/// Section 5.2: [`MixedClockRelayStation`].
+/// Section 5.2: the mixed-clock relay station — the [`MIXED_CLOCK`] cell
+/// array behind relay-station controllers.
 pub static MIXED_CLOCK_RS: Design = Design {
     kind: DesignKind::MixedClockRs,
     name: "mixed_clock_rs",
@@ -563,10 +568,11 @@ pub static MIXED_CLOCK_RS: Design = Design {
     get_discipline: FlagDiscipline::Bimodal,
     waivers: MIXED_CLOCK_WAIVERS,
     supports: any_params,
-    build: |b, p, c| MixedClockRelayStation::build(b, p, c.put_net(), c.get_net()).ports(),
+    build: relay::build_mixed_clock,
 };
 
-/// Section 5.3: [`AsyncSyncRelayStation`].
+/// Section 5.3: the async–sync relay station — the [`ASYNC_SYNC`] put part
+/// with the get controller of Fig. 16.
 pub static ASYNC_SYNC_RS: Design = Design {
     kind: DesignKind::AsyncSyncRs,
     name: "async_sync_rs",
@@ -578,10 +584,11 @@ pub static ASYNC_SYNC_RS: Design = Design {
     get_discipline: FlagDiscipline::Bimodal,
     waivers: ASYNC_SYNC_WAIVERS,
     supports: any_params,
-    build: |b, p, c| AsyncSyncRelayStation::build(b, p, c.get_net()).ports(),
+    build: relay::build_async_sync,
 };
 
-/// Baseline [`GrayPointerFifo`]: power-of-two capacities of at least 4.
+/// Baseline: the Gray-code pointer FIFO (paper ref. \[5\]); power-of-two
+/// capacities of at least 4.
 pub static GRAY_POINTER: Design = Design {
     kind: DesignKind::GrayPointer,
     name: "gray_pointer",
@@ -593,10 +600,10 @@ pub static GRAY_POINTER: Design = Design {
     get_discipline: FlagDiscipline::Exact,
     waivers: &[],
     supports: power_of_two_from_4,
-    build: |b, p, c| GrayPointerFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+    build: baseline::build_gray_pointer,
 };
 
-/// Baseline [`PerCellSyncFifo`].
+/// Baseline: the per-cell-synchronizer FIFO (paper ref. \[9\]).
 pub static PER_CELL_SYNC: Design = Design {
     kind: DesignKind::PerCellSync,
     name: "per_cell_sync",
@@ -608,11 +615,11 @@ pub static PER_CELL_SYNC: Design = Design {
     get_discipline: FlagDiscipline::Exact,
     waivers: PER_CELL_SYNC_WAIVERS,
     supports: any_params,
-    build: |b, p, c| PerCellSyncFifo::build(b, p, c.put_net(), c.get_net()).ports(),
+    build: baseline::build_per_cell_sync,
 };
 
-/// Baseline [`ShiftRegisterFifo`]. Both interfaces run on the put-slot
-/// clock.
+/// Baseline: the single-clock shift-register FIFO (mobile data). Both
+/// interfaces run on the put-slot clock.
 pub static SHIFT_REGISTER: Design = Design {
     kind: DesignKind::ShiftRegister,
     name: "shift_register",
@@ -624,7 +631,7 @@ pub static SHIFT_REGISTER: Design = Design {
     get_discipline: FlagDiscipline::SameCycle,
     waivers: &[],
     supports: any_params,
-    build: |b, p, c| ShiftRegisterFifo::build(b, p, c.put_net()).ports(),
+    build: baseline::build_shift_register,
 };
 
 /// Baseline [`SeizovicFifo`]. Behavioural; pipeline depth is taken from

@@ -44,8 +44,6 @@ pub struct SyncProducer {
     every: u64,
     cycle: u64,
     journal: OpJournal,
-    /// Clock edges seen (observability for steady-state assertions).
-    edges: u64,
 }
 
 impl std::fmt::Debug for SyncProducer {
@@ -101,7 +99,6 @@ impl SyncProducer {
             every,
             cycle: 0,
             journal: journal.clone(),
-            edges: 0,
         };
         sim.add_clocked_component(Box::new(p), &[clk], &[]);
         journal
@@ -131,7 +128,6 @@ impl Component for SyncProducer {
         if !rising {
             return;
         }
-        self.edges += 1;
         // Was the item offered during the ended cycle accepted at this
         // edge? Accepted iff `full` is (still) low at the edge — the exact
         // condition the put controller applies.
@@ -467,6 +463,99 @@ impl Component for PacketSink {
                 ENV_DELAY,
             );
         }
+    }
+}
+
+/// Test shorthands: the environments above (and the 4-phase ones of
+/// [`mtf_async`]) wired to the nets a built design's [`DesignPorts`] names.
+/// Each panics if the side's protocol net is absent.
+#[cfg(test)]
+pub(crate) mod on_ports {
+    use super::*;
+    use crate::design::DesignPorts;
+    use mtf_async::{ConsumerHandle, FourPhaseGetter, FourPhaseProducer, ProducerHandle};
+
+    /// A [`SyncProducer`] offering `items` at most every `every` cycles.
+    pub(crate) fn sync_put(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        items: Vec<u64>,
+        every: u64,
+    ) -> OpJournal {
+        let (clk, req, full) = (p.put_clock().unwrap(), p.req_put.unwrap(), p.full.unwrap());
+        SyncProducer::spawn_every(sim, name, clk, req, &p.data_put, full, items, every)
+    }
+
+    /// A [`SyncConsumer`] requesting at most every `every` cycles.
+    pub(crate) fn sync_get(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        wanted: u64,
+        every: u64,
+    ) -> OpJournal {
+        let (clk, req, valid) = (
+            p.get_clock().unwrap(),
+            p.req_get.unwrap(),
+            p.valid_get.unwrap(),
+        );
+        SyncConsumer::spawn_every(sim, name, clk, req, &p.data_get, valid, wanted, every)
+    }
+
+    /// A [`FourPhaseProducer`] on the asynchronous put side.
+    pub(crate) fn async_put(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        items: Vec<u64>,
+        bundling: Time,
+        gap: Time,
+    ) -> ProducerHandle {
+        let (req, ack) = (p.put_req.unwrap(), p.put_ack.unwrap());
+        FourPhaseProducer::spawn(sim, name, req, ack, &p.data_put, items, bundling, gap)
+    }
+
+    /// A [`FourPhaseGetter`] on the asynchronous get side.
+    pub(crate) fn async_get(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        wanted: usize,
+        gap: Time,
+    ) -> ConsumerHandle {
+        let (req, ack) = (p.get_req.unwrap(), p.get_ack.unwrap());
+        FourPhaseGetter::spawn(sim, name, req, ack, &p.data_get, wanted, gap)
+    }
+
+    /// A [`PacketSource`] on the stream put side.
+    pub(crate) fn packets_in(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        packets: Vec<Option<u64>>,
+    ) -> OpJournal {
+        let (clk, valid, stop) = (
+            p.put_clock().unwrap(),
+            p.valid_in.unwrap(),
+            p.stop_out.unwrap(),
+        );
+        PacketSource::spawn(sim, name, clk, valid, &p.data_put, stop, packets)
+    }
+
+    /// A [`PacketSink`] on the stream get side, stopping during `stops`.
+    pub(crate) fn packets_out(
+        sim: &mut Simulator,
+        name: &str,
+        p: &DesignPorts,
+        stops: Vec<(u64, u64)>,
+    ) -> OpJournal {
+        let (clk, valid, stop) = (
+            p.get_clock().unwrap(),
+            p.valid_get.unwrap(),
+            p.stop_in.unwrap(),
+        );
+        PacketSink::spawn(sim, name, clk, &p.data_get, valid, stop, stops)
     }
 }
 

@@ -3,6 +3,7 @@
 use mtf_gates::Builder;
 use mtf_sim::{Logic, MetaModel, NetId};
 
+use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::detectors::{
     build_bimodal_empty, build_full_detector, build_ne_detector, build_oe_detector,
 };
@@ -15,8 +16,6 @@ use crate::params::FifoParams;
 pub(crate) struct SyncCellArray {
     pub cell_full: Vec<NetId>,
     pub cell_empty: Vec<NetId>,
-    pub ptok: Vec<NetId>,
-    pub gtok: Vec<NetId>,
     /// The inverted get clock gating the mid-cycle dequeue commit — a
     /// falling-edge launch point for timing analysis.
     pub nclk_get: NetId,
@@ -191,15 +190,13 @@ pub(crate) fn build_sync_cell_array(
     SyncCellArray {
         cell_full,
         cell_empty,
-        ptok,
-        gtok,
         nclk_get,
     }
 }
 
-/// The mixed-clock FIFO (paper Section 3): a circular array of
-/// [`FifoParams::capacity`] cells between a put interface clocked by
-/// `clk_put` and a get interface clocked by `clk_get`.
+/// Builds the mixed-clock FIFO (paper Section 3) into `b`: a circular
+/// array of [`FifoParams::capacity`] cells between a put interface clocked
+/// by the put-slot clock and a get interface clocked by the get-slot clock.
 ///
 /// Structure per cell (paper Fig. 5):
 ///
@@ -244,162 +241,107 @@ pub(crate) fn build_sync_cell_array(
 /// item per get cycle; deeper synchronizers restore the full-rate envelope
 /// along with improving MTBF. The `clock_ratio_*` tests demonstrate both
 /// sides of the boundary.
-///
-/// All external nets are public fields; the cell-state nets are exposed for
-/// tests and detectors-of-detectors experiments.
-#[derive(Clone, Debug)]
-pub struct MixedClockFifo {
-    /// Parameters this instance was built with.
-    pub params: FifoParams,
-    /// Put-domain clock (input).
-    pub clk_put: NetId,
-    /// Get-domain clock (input).
-    pub clk_get: NetId,
-    /// Put request / data-valid (input, sampled on `clk_put`).
-    pub req_put: NetId,
-    /// Put data bus (input).
-    pub data_put: Vec<NetId>,
-    /// Full flag to the sender (output, synchronized to `clk_put`).
-    pub full: NetId,
-    /// Get request (input, sampled on `clk_get`).
-    pub req_get: NetId,
-    /// Get data bus (output, tri-state).
-    pub data_get: Vec<NetId>,
-    /// Validity of the current `data_get` word (output).
-    pub valid_get: NetId,
-    /// Empty flag to the receiver (output, synchronized to `clk_get`).
-    pub empty: NetId,
-    /// Internal: global put enable (put controller output).
-    pub en_put: NetId,
-    /// Internal: global get enable (get controller output).
-    pub en_get: NetId,
-    /// Internal: per-cell full lines `f_i`.
-    pub cell_full: Vec<NetId>,
-    /// Internal: per-cell empty lines `e_i`.
-    pub cell_empty: Vec<NetId>,
-    /// Internal: per-cell put-token lines.
-    pub ptok: Vec<NetId>,
-    /// Internal: per-cell get-token lines.
-    pub gtok: Vec<NetId>,
-    /// Internal: the inverted get clock (falling-edge launch point of the
-    /// mid-cycle dequeue commit; used by timing analysis).
-    pub nclk_get: NetId,
+pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
+    build_with_cells(b, params, clocks).0
 }
 
-impl MixedClockFifo {
-    /// Builds the FIFO into `b`. The caller supplies the two clock nets
-    /// (usually driven by [`mtf_sim::ClockGen`]s) and connects or drives
-    /// the returned interface nets.
-    pub fn build(b: &mut Builder<'_>, params: FifoParams, clk_put: NetId, clk_get: NetId) -> Self {
-        let w = params.width;
-        b.push_scope("mcfifo");
+/// [`build`], also returning the per-cell full lines `f_i` (test
+/// observability of the cell state).
+pub(crate) fn build_with_cells(
+    b: &mut Builder<'_>,
+    params: FifoParams,
+    clocks: ClockInputs,
+) -> (DesignPorts, Vec<NetId>) {
+    let (clk_put, clk_get) = (clocks.put_net(), clocks.get_net());
+    let w = params.width;
+    b.push_scope("mcfifo");
 
-        // External interface nets.
-        let req_put = b.input("req_put");
-        let data_put = b.input_bus("data_put", w);
-        let req_get = b.input("req_get");
-        let data_get = b.input_bus("data_get", w);
-        let valid_bus = b.input("valid_bus");
+    // External interface nets.
+    let req_put = b.input("req_put");
+    let data_put = b.input_bus("data_put", w);
+    let req_get = b.input("req_get");
+    let data_get = b.input_bus("data_get", w);
+    let valid_bus = b.input("valid_bus");
 
-        // Controller outputs, created up front because the cells need them.
-        let en_put = b.input("en_put");
-        let en_get = b.input("en_get");
+    // Controller outputs, created up front because the cells need them.
+    let en_put = b.input("en_put");
+    let en_get = b.input("en_get");
 
-        // ---- cell array (paper Fig. 5, shared with the relay station) -------
-        let array = build_sync_cell_array(
-            b, params, clk_put, clk_get, en_put, en_get, req_put, &data_put, &data_get, valid_bus,
-        );
-        let SyncCellArray {
-            cell_full,
-            cell_empty,
-            ptok,
-            gtok,
-            nclk_get,
-        } = array;
+    // ---- cell array (paper Fig. 5, shared with the relay station) -------
+    let SyncCellArray {
+        cell_full,
+        cell_empty,
+        nclk_get,
+    } = build_sync_cell_array(
+        b, params, clk_put, clk_get, en_put, en_get, req_put, &data_put, &data_get, valid_bus,
+    );
 
-        // ---- detectors and synchronizers ------------------------------------
-        let full_raw = build_full_detector(b, &cell_empty, params.sync_stages.max(2));
-        let full = b.sync_chain(clk_put, full_raw, params.sync_stages, Logic::L);
+    // ---- detectors and synchronizers ------------------------------------
+    let full_raw = build_full_detector(b, &cell_empty, params.sync_stages.max(2));
+    let full = b.sync_chain(clk_put, full_raw, params.sync_stages, Logic::L);
 
-        let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
-        let oe_raw = build_oe_detector(b, &cell_full);
-        let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
+    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let oe_raw = build_oe_detector(b, &cell_full);
+    let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
 
-        // ---- controllers (paper Fig. 7) --------------------------------------
-        // Put controller: enable puts while a valid item is offered and the
-        // FIFO is not full.
-        let en_put_val = b.and_not(req_put, full);
-        b.buf_onto(en_put_val, en_put);
-        // Get controller: enable gets while requested and not empty.
-        let en_get_val = b.and_not(req_get, empty);
-        b.buf_onto(en_get_val, en_get);
+    // ---- controllers (paper Fig. 7) --------------------------------------
+    // Put controller: enable puts while a valid item is offered and the
+    // FIFO is not full.
+    let en_put_val = b.and_not(req_put, full);
+    b.buf_onto(en_put_val, en_put);
+    // Get controller: enable gets while requested and not empty.
+    let en_get_val = b.and_not(req_get, empty);
+    b.buf_onto(en_get_val, en_get);
 
-        // External validity: low whenever no dequeue is in progress.
-        let valid_get = b.and2(en_get, valid_bus);
+    // External validity: low whenever no dequeue is in progress.
+    let valid_get = b.and2(en_get, valid_bus);
 
-        b.pop_scope();
-        MixedClockFifo {
-            params,
-            clk_put,
-            clk_get,
-            req_put,
-            data_put,
-            full,
-            req_get,
-            data_get,
-            valid_get,
-            empty,
-            en_put,
-            en_get,
-            cell_full,
-            cell_empty,
-            ptok,
-            gtok,
-            nclk_get,
+    b.pop_scope();
+    let ports = DesignPorts {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+        req_put: Some(req_put),
+        data_put,
+        full: Some(full),
+        req_get: Some(req_get),
+        data_get,
+        valid_get: Some(valid_get),
+        empty: Some(empty),
+        nclk_get: Some(nclk_get),
+        ..DesignPorts::new(DesignKind::MixedClock, params)
+    };
+    (ports, cell_full)
+}
+
+/// The number of cells currently holding data, read combinationally from
+/// the `f_i` lines `cell_full` (test observability; `None` if any line is
+/// not definite).
+#[cfg(test)]
+pub(crate) fn occupancy(sim: &mtf_sim::Simulator, cell_full: &[NetId]) -> Option<usize> {
+    let mut n = 0;
+    for &f in cell_full {
+        match sim.value(f).to_bool() {
+            Some(true) => n += 1,
+            Some(false) => {}
+            None => return None,
         }
     }
-
-    /// The number of cells currently holding data, read combinationally
-    /// from the `f_i` lines (test observability; returns `None` if any
-    /// line is not definite).
-    pub fn occupancy(&self, sim: &mtf_sim::Simulator) -> Option<usize> {
-        let mut n = 0;
-        for &f in &self.cell_full {
-            match sim.value(f).to_bool() {
-                Some(true) => n += 1,
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        Some(n)
-    }
-
-    /// Maps the external nets onto the uniform
-    /// [`DesignPorts`](crate::design::DesignPorts) scheme.
-    pub fn ports(&self) -> crate::design::DesignPorts {
-        let mut p =
-            crate::design::DesignPorts::new(crate::design::DesignKind::MixedClock, self.params);
-        p.clk_put = Some(self.clk_put);
-        p.clk_get = Some(self.clk_get);
-        p.req_put = Some(self.req_put);
-        p.data_put = self.data_put.clone();
-        p.full = Some(self.full);
-        p.req_get = Some(self.req_get);
-        p.data_get = self.data_get.clone();
-        p.valid_get = Some(self.valid_get);
-        p.empty = Some(self.empty);
-        p.nclk_get = Some(self.nclk_get);
-        p
-    }
+    Some(n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{SyncConsumer, SyncProducer};
+    use crate::env::on_ports::{sync_get, sync_put};
     use mtf_sim::{ClockGen, Simulator, Time};
 
-    fn build(sim: &mut Simulator, params: FifoParams, tput: Time, tget: Time) -> MixedClockFifo {
+    /// The FIFO's ports and its `f_i` lines, on running clocks.
+    fn build(
+        sim: &mut Simulator,
+        params: FifoParams,
+        tput: Time,
+        tget: Time,
+    ) -> (DesignPorts, Vec<NetId>) {
         let clk_put = sim.net("clk_put");
         let clk_get = sim.net("clk_get");
         ClockGen::spawn_simple(sim, clk_put, tput);
@@ -407,7 +349,11 @@ mod tests {
             .phase(Time::from_ps(1_300))
             .spawn(sim, clk_get);
         let mut b = Builder::new(sim);
-        let f = MixedClockFifo::build(&mut b, params, clk_put, clk_get);
+        let clocks = ClockInputs {
+            clk_put: Some(clk_put),
+            clk_get: Some(clk_get),
+        };
+        let f = build_with_cells(&mut b, params, clocks);
         drop(b.finish());
         f
     }
@@ -415,31 +361,15 @@ mod tests {
     #[test]
     fn transfers_all_items_in_order() {
         let mut sim = Simulator::new(1);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
             Time::from_ns(13),
         );
         let items: Vec<u64> = (0..40).map(|i| (i * 7) % 256).collect();
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let pj = sync_put(&mut sim, "prod", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(3)).unwrap();
         assert_eq!(pj.len(), items.len(), "all items enqueued");
         assert_eq!(cj.values(), items, "all items dequeued in order");
@@ -449,31 +379,15 @@ mod tests {
     fn faster_get_clock_still_correct() {
         // 12 ns put vs 7 ns get: inside the T_put < 2·T_get envelope.
         let mut sim = Simulator::new(2);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(8, 8),
             Time::from_ns(12),
             Time::from_ns(7),
         );
         let items: Vec<u64> = (0..60).collect();
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let pj = sync_put(&mut sim, "prod", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(5)).unwrap();
         assert_eq!(pj.len(), items.len());
         assert_eq!(cj.values(), items);
@@ -485,25 +399,17 @@ mod tests {
         // detector is consumed by the in-flight put during the
         // synchronization delay: the FIFO fills to exactly N, never N+1.
         let mut sim = Simulator::new(3);
-        let f = build(
+        let (f, cells) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
             Time::from_ns(10),
         );
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            (0..20).collect(),
-        );
+        let pj = sync_put(&mut sim, "prod", &f, (0..20).collect(), 1);
         sim.run_until(Time::from_us(2)).unwrap();
         assert_eq!(pj.len(), 4, "fills to capacity, no overflow");
-        assert_eq!(f.occupancy(&sim), Some(4));
-        assert_eq!(sim.value(f.full), mtf_sim::Logic::H);
+        assert_eq!(occupancy(&sim, &cells), Some(4));
+        assert_eq!(sim.value(f.full.unwrap()), mtf_sim::Logic::H);
     }
 
     #[test]
@@ -513,26 +419,17 @@ mod tests {
         // "sometimes the two systems see an n-place FIFO as a n-1 place
         // one").
         let mut sim = Simulator::new(8);
-        let f = build(
+        let (f, cells) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
             Time::from_ns(10),
         );
-        let pj = SyncProducer::spawn_every(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            (0..20).collect(),
-            5,
-        );
+        let pj = sync_put(&mut sim, "prod", &f, (0..20).collect(), 5);
         sim.run_until(Time::from_us(3)).unwrap();
         assert_eq!(pj.len(), 3, "blocked with one cell still free");
-        assert_eq!(f.occupancy(&sim), Some(3));
-        assert_eq!(sim.value(f.full), mtf_sim::Logic::H);
+        assert_eq!(occupancy(&sim, &cells), Some(3));
+        assert_eq!(sim.value(f.full.unwrap()), mtf_sim::Logic::H);
     }
 
     #[test]
@@ -540,40 +437,24 @@ mod tests {
         // The bi-modal detector's whole point: a FIFO holding one item must
         // serve it (plain anticipating-empty would stall forever).
         let mut sim = Simulator::new(4);
-        let f = build(
+        let (f, cells) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
             Time::from_ns(11),
         );
-        let pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            vec![0xAB],
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            1,
-        );
+        let pj = sync_put(&mut sim, "prod", &f, vec![0xAB], 1);
+        let cj = sync_get(&mut sim, "cons", &f, 1, 1);
         sim.run_until(Time::from_us(2)).unwrap();
         assert_eq!(pj.len(), 1);
         assert_eq!(cj.values(), vec![0xAB], "the single item must come out");
-        assert_eq!(f.occupancy(&sim), Some(0));
+        assert_eq!(occupancy(&sim, &cells), Some(0));
     }
 
     #[test]
     fn empty_fifo_yields_nothing() {
         let mut sim = Simulator::new(5);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
@@ -581,20 +462,13 @@ mod tests {
         );
         // Tie the unused put request inactive (an undriven control input
         // reads as unknown).
-        let d = sim.driver(f.req_put);
-        sim.drive_at(d, f.req_put, mtf_sim::Logic::L, Time::ZERO);
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            5,
-        );
+        let req_put = f.req_put.unwrap();
+        let d = sim.driver(req_put);
+        sim.drive_at(d, req_put, mtf_sim::Logic::L, Time::ZERO);
+        let cj = sync_get(&mut sim, "cons", &f, 5, 1);
         sim.run_until(Time::from_us(1)).unwrap();
         assert_eq!(cj.len(), 0, "no items can be dequeued from an empty FIFO");
-        assert_eq!(sim.value(f.empty), mtf_sim::Logic::H);
+        assert_eq!(sim.value(f.empty.unwrap()), mtf_sim::Logic::H);
     }
 
     #[test]
@@ -602,33 +476,15 @@ mod tests {
         // Slow, non-saturating traffic exercises the oe-dominates path of
         // the bi-modal detector on every item.
         let mut sim = Simulator::new(6);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(4, 8),
             Time::from_ns(10),
             Time::from_ns(10),
         );
         let items: Vec<u64> = (100..110).collect();
-        let _pj = SyncProducer::spawn_every(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-            7,
-        );
-        let cj = SyncConsumer::spawn_every(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-            3,
-        );
+        let _pj = sync_put(&mut sim, "prod", &f, items.clone(), 7);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 3);
         sim.run_until(Time::from_us(3)).unwrap();
         assert_eq!(cj.values(), items);
     }
@@ -642,31 +498,15 @@ mod tests {
         // an explicit bubble: the stream stays lossless and ordered, only
         // the rate degrades (the paper's original circuit corrupts here).
         let mut sim = Simulator::new(2);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(8, 8),
             Time::from_ns(17),
             Time::from_ns(5),
         );
         let items: Vec<u64> = (0..60).collect();
-        let _pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let _pj = sync_put(&mut sim, "prod", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(5)).unwrap();
         assert_eq!(
             cj.values(),
@@ -681,31 +521,15 @@ mod tests {
         // (T_put < 4·T_get): the get side now trails the put by 4 get
         // cycles, which covers the put-side latching delay.
         let mut sim = Simulator::new(2);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::with_sync_stages(8, 8, 4),
             Time::from_ns(17),
             Time::from_ns(5),
         );
         let items: Vec<u64> = (0..60).collect();
-        let _pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let _pj = sync_put(&mut sim, "prod", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(6)).unwrap();
         assert_eq!(cj.values(), items);
     }
@@ -713,31 +537,15 @@ mod tests {
     #[test]
     fn sixteen_place_sixteen_bit() {
         let mut sim = Simulator::new(7);
-        let f = build(
+        let (f, _) = build(
             &mut sim,
             FifoParams::new(16, 16),
             Time::from_ns(9),
             Time::from_ns(12),
         );
         let items: Vec<u64> = (0..100).map(|i| (i * 257) % 65_536).collect();
-        let _pj = SyncProducer::spawn(
-            &mut sim,
-            "prod",
-            f.clk_put,
-            f.req_put,
-            &f.data_put,
-            f.full,
-            items.clone(),
-        );
-        let cj = SyncConsumer::spawn(
-            &mut sim,
-            "cons",
-            f.clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            items.len() as u64,
-        );
+        let _pj = sync_put(&mut sim, "prod", &f, items.clone(), 1);
+        let cj = sync_get(&mut sim, "cons", &f, items.len() as u64, 1);
         sim.run_until(Time::from_us(5)).unwrap();
         assert_eq!(cj.values(), items);
     }

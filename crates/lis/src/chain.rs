@@ -32,9 +32,9 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use mtf_async::{micropipeline, FourPhaseProducer, OpJournal};
-use mtf_core::design::DesignRegistry;
+use mtf_core::design::{DesignRegistry, ASYNC_SYNC_RS};
 use mtf_core::env::{PacketSink, PacketSource};
-use mtf_core::{AsyncSyncRelayStation, Clocking, FifoParams, MixedTimingDesign};
+use mtf_core::{ClockInputs, Clocking, FifoParams, MixedTimingDesign};
 use mtf_gates::{install_compiled, Builder, CellDelays};
 use mtf_sim::{
     Backend, ClockGen, Component, Ctx, DriverId, Logic, MetaModel, NetId, Simulator, Time,
@@ -88,7 +88,7 @@ pub struct SegmentSpec {
 /// A declarative description of a heterogeneous LIS chain:
 /// `segments[0] → boundaries[0] → segments[1] → … → segments[n-1]`, with
 /// an optional asynchronous micropipeline head bridged into `segments[0]`
-/// by an [`AsyncSyncRelayStation`].
+/// by an async–sync relay station ([`ASYNC_SYNC_RS`]).
 ///
 /// Boundary designs are named by their registry name (see
 /// [`DesignRegistry::streams`]); both their interfaces must speak the
@@ -508,25 +508,33 @@ impl ChainBuilder {
         if let (0, Some(stages)) = (range.start, spec.async_head) {
             let mut b = Builder::with_delays(sim, delays, meta);
             let ars = micropipeline(&mut b, stages, spec.width);
-            let asrs = AsyncSyncRelayStation::build(&mut b, params, seg_clks[0]);
+            let clocks = ClockInputs {
+                clk_put: None,
+                clk_get: Some(seg_clks[0]),
+            };
+            let asrs = ASYNC_SYNC_RS.build(&mut b, params, clocks);
             let head_netlist = b.finish();
             if backend == Backend::Compiled {
                 install_compiled(sim, &head_netlist, "compiled.async_head");
             }
-            connect(sim, ars.req_out, asrs.put_req);
-            connect_bus(sim, &ars.data_out, &asrs.put_data);
-            connect(sim, asrs.put_ack, ars.ack_out);
-            connect(sim, asrs.valid_get, chains[0].port.in_valid);
+            let put_req = asrs.put_req.expect("async put");
+            let put_ack = asrs.put_ack.expect("async put");
+            let valid_get = asrs.valid_get.expect("stream get");
+            let stop_in = asrs.stop_in.expect("stream get");
+            connect(sim, ars.req_out, put_req);
+            connect_bus(sim, &ars.data_out, &asrs.data_put);
+            connect(sim, put_ack, ars.ack_out);
+            connect(sim, valid_get, chains[0].port.in_valid);
             connect_bus(sim, &asrs.data_get, &chains[0].port.in_data);
-            connect(sim, chains[0].port.stop_out, asrs.stop_in);
-            let put = ProbePut::Async { ack: asrs.put_ack };
+            connect(sim, chains[0].port.stop_out, stop_in);
+            let put = ProbePut::Async { ack: put_ack };
             probes.push(spawn_probe(
                 sim,
                 "async_sync_rs",
                 put,
                 seg_clks[0],
-                asrs.valid_get,
-                asrs.stop_in,
+                valid_get,
+                stop_in,
             ));
             async_in = Some(AsyncPort {
                 req: ars.req_in,

@@ -4,8 +4,8 @@
 //! segmenting each wire and inserting **relay stations** — clocked 2-place
 //! buffers with back-pressure (`stopIn`/`stopOut`). The paper under
 //! reproduction generalises relay stations to mixed-timing interfaces
-//! (`mtf-core`'s [`MixedClockRelayStation`](mtf_core::MixedClockRelayStation)
-//! and [`AsyncSyncRelayStation`](mtf_core::AsyncSyncRelayStation)); this
+//! (`mtf-core`'s [`MIXED_CLOCK_RS`](mtf_core::design::MIXED_CLOCK_RS) and
+//! [`ASYNC_SYNC_RS`](mtf_core::design::ASYNC_SYNC_RS) registry rows); this
 //! crate provides the *single-clock* substrate they plug into:
 //!
 //! * [`SyncRelayStation`] — Carloni's relay station (paper Fig. 11b): a

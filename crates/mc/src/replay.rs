@@ -18,8 +18,9 @@
 //!   paper's two stages.
 
 use mtf_async::{StgMachine, StgSpec};
+use mtf_core::design::MIXED_CLOCK;
 use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
+use mtf_core::{ClockInputs, FifoParams, MixedTimingDesign};
 use mtf_gates::{Builder, CellDelays};
 use mtf_sim::{ClockGen, Logic, MetaModel, Simulator, Time, ViolationKind};
 
@@ -142,31 +143,34 @@ pub fn replay_fifo_hazard(sync_stages: usize, seed: u64) -> FifoReplayOutcome {
         .phase(Time::from_ps(seed * 997 % 9_000))
         .spawn(&mut sim, clk_get);
     let mut b = Builder::with_delays(&mut sim, CellDelays::hp06(), hostile);
-    let f = MixedClockFifo::build(
-        &mut b,
-        FifoParams::with_sync_stages(8, 8, sync_stages),
-        clk_put,
-        clk_get,
-    );
+    let params = FifoParams::with_sync_stages(8, 8, sync_stages);
+    let clocks = ClockInputs {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+    };
+    let f = MIXED_CLOCK.build(&mut b, params, clocks);
     drop(b.finish());
     let items: Vec<u64> = (0..40).collect();
+    let (req_put, full) = (f.req_put.unwrap(), f.full.unwrap());
     let pj = SyncProducer::spawn(
         &mut sim,
         "prod",
         clk_put,
-        f.req_put,
+        req_put,
         &f.data_put,
-        f.full,
+        full,
         items.clone(),
     );
+    let (req_get, valid_get) = (f.req_get.unwrap(), f.valid_get.unwrap());
+    let n = items.len() as u64;
     let cj = SyncConsumer::spawn(
         &mut sim,
         "cons",
         clk_get,
-        f.req_get,
+        req_get,
         &f.data_get,
-        f.valid_get,
-        items.len() as u64,
+        valid_get,
+        n,
     );
     let survived =
         sim.run_until(Time::from_us(4)).is_ok() && pj.len() == items.len() && cj.values() == items;

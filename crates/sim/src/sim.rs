@@ -664,22 +664,7 @@ impl Simulator {
         }
         d.value = value;
         let net = d.net;
-        if let Some(race) = &self.race {
-            let mut st = race.borrow_mut();
-            if let Some(prev) = st.note_write(self.time, net.0, driver) {
-                let h = RaceHazard {
-                    kind: RaceHazardKind::WriteWrite,
-                    time: self.time,
-                    net: self.nets[net.0 as usize].name().to_owned(),
-                    detail: format!(
-                        "drivers #{} and #{} both changed their contribution \
-                         within one delta cycle",
-                        prev.0, driver.0
-                    ),
-                };
-                st.push(h);
-            }
-        }
+        self.note_race_write(net, driver);
         self.recompute_net(net);
     }
 
@@ -796,23 +781,33 @@ impl Simulator {
         }
         d.value = value;
         let net = d.net;
-        if let Some(race) = &self.race {
-            let mut st = race.borrow_mut();
-            if let Some(prev) = st.note_write(self.time, net.0, driver) {
-                let h = RaceHazard {
-                    kind: RaceHazardKind::WriteWrite,
-                    time: self.time,
-                    net: self.nets[net.0 as usize].name().to_owned(),
-                    detail: format!(
-                        "drivers #{} and #{} both changed their contribution \
-                         within one delta cycle",
-                        prev.0, driver.0
-                    ),
-                };
-                st.push(h);
-            }
-        }
+        self.note_race_write(net, driver);
         self.recompute_net(net);
+    }
+
+    /// Sanitizer hook for a driver whose contribution to `net` just
+    /// changed: records a write-write hazard when another driver already
+    /// changed `net` in the same delta cycle. A no-op unless the race
+    /// sanitizer is enabled.
+    #[inline]
+    fn note_race_write(&self, net: NetId, driver: DriverId) {
+        let Some(race) = &self.race else {
+            return;
+        };
+        let mut st = race.borrow_mut();
+        if let Some(prev) = st.note_write(self.time, net.0, driver) {
+            let h = RaceHazard {
+                kind: RaceHazardKind::WriteWrite,
+                time: self.time,
+                net: self.nets[net.0 as usize].name().to_owned(),
+                detail: format!(
+                    "drivers #{} and #{} both changed their contribution \
+                     within one delta cycle",
+                    prev.0, driver.0
+                ),
+            };
+            st.push(h);
+        }
     }
 
     fn recompute_net(&mut self, net: NetId) {

@@ -6,8 +6,8 @@
 //! the two global detectors (full and empty), the Intel design has two
 //! synchronizers per cell." This module makes that claim quantitative for
 //! the gate-level designs in this workspace (see
-//! `mtf_core::baseline::PerCellSyncFifo` for the Intel-style comparison
-//! point).
+//! the `mtf_core::design::PER_CELL_SYNC` baseline for the Intel-style
+//! comparison point).
 //!
 //! Estimates are static-CMOS transistor counts per cell kind — coarse, but
 //! uniform across designs, which is all a relative comparison needs.

@@ -11,7 +11,8 @@
 //!
 //! Experiment E12 (`cargo run -p mtf-bench --bin power`) compares the
 //! paper's FIFO against a shift-register FIFO
-//! (`mtf_core::baseline::ShiftRegisterFifo`) streaming the same data.
+//! (the `mtf_core::design::SHIFT_REGISTER` baseline) streaming the same
+//! data.
 
 use mtf_gates::Netlist;
 use mtf_sim::Simulator;

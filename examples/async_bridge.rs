@@ -21,8 +21,9 @@
 //! (packets with validity bits, every cycle) for the DSP's domain.
 
 use mtf_async::{micropipeline, FourPhaseProducer};
+use mtf_core::design::ASYNC_SYNC_RS;
 use mtf_core::env::PacketSink;
-use mtf_core::{AsyncSyncRelayStation, FifoParams};
+use mtf_core::{ClockInputs, FifoParams, MixedTimingDesign};
 use mtf_gates::Builder;
 use mtf_lis::{connect, connect_bus, RelayChain};
 use mtf_sim::{ClockGen, Simulator, Time};
@@ -40,18 +41,22 @@ fn main() {
     let mut b = Builder::new(&mut sim);
     let ars = micropipeline(&mut b, 3, W);
     // The async-sync boundary.
-    let asrs = AsyncSyncRelayStation::build(&mut b, FifoParams::new(8, W), clk);
+    let clocks = ClockInputs {
+        clk_put: None,
+        clk_get: Some(clk),
+    };
+    let asrs = ASYNC_SYNC_RS.build(&mut b, FifoParams::new(8, W), clocks);
     drop(b.finish());
     // Synchronous relay stations on the DSP side.
     let srs = RelayChain::spawn(&mut sim, "srs", clk, W, 2, Time::from_ns(1));
 
     // Stitch: ARS chain -> ASRS (4-phase), ASRS -> SRS chain (packets).
-    connect(&mut sim, ars.req_out, asrs.put_req);
-    connect_bus(&mut sim, &ars.data_out, &asrs.put_data);
-    connect(&mut sim, asrs.put_ack, ars.ack_out);
-    connect(&mut sim, asrs.valid_get, srs.port.in_valid);
+    connect(&mut sim, ars.req_out, asrs.put_req.unwrap());
+    connect_bus(&mut sim, &ars.data_out, &asrs.data_put);
+    connect(&mut sim, asrs.put_ack.unwrap(), ars.ack_out);
+    connect(&mut sim, asrs.valid_get.unwrap(), srs.port.in_valid);
     connect_bus(&mut sim, &asrs.data_get, &srs.port.in_data);
-    connect(&mut sim, srs.port.stop_out, asrs.stop_in);
+    connect(&mut sim, srs.port.stop_out, asrs.stop_in.unwrap());
 
     // The bursty sensor: clumps of samples with idle gaps.
     let samples: Vec<u64> = (0..120).map(|i| (i * 13) % 256).collect();

@@ -21,8 +21,9 @@
 //! core. The example also stalls the consumer mid-run to show end-to-end
 //! back-pressure.
 
+use mtf_core::design::MIXED_CLOCK_RS;
 use mtf_core::env::{PacketSink, PacketSource};
-use mtf_core::{FifoParams, MixedClockRelayStation};
+use mtf_core::{ClockInputs, FifoParams, MixedTimingDesign};
 use mtf_gates::Builder;
 use mtf_lis::{connect, connect_bus, RelayChain};
 use mtf_sim::{ClockGen, Simulator, Time};
@@ -41,18 +42,22 @@ fn main() {
     let chain_a = RelayChain::spawn(&mut sim, "chainA", clk_a, W, 3, Time::from_ns(1));
     // The paper's contribution: the clock-boundary relay station.
     let mut b = Builder::new(&mut sim);
-    let mcrs = MixedClockRelayStation::build(&mut b, FifoParams::new(8, W), clk_a, clk_b);
+    let clocks = ClockInputs {
+        clk_put: Some(clk_a),
+        clk_get: Some(clk_b),
+    };
+    let mcrs = MIXED_CLOCK_RS.build(&mut b, FifoParams::new(8, W), clocks);
     drop(b.finish());
     // Long wire in domain B: two more stations.
     let chain_b = RelayChain::spawn(&mut sim, "chainB", clk_b, W, 2, Time::from_ns(1));
 
     // Stitch: chainA -> MCRS -> chainB.
-    connect(&mut sim, chain_a.port.out_valid, mcrs.valid_in);
+    connect(&mut sim, chain_a.port.out_valid, mcrs.valid_in.unwrap());
     connect_bus(&mut sim, &chain_a.port.out_data, &mcrs.data_put);
-    connect(&mut sim, mcrs.stop_out, chain_a.port.stop_in);
-    connect(&mut sim, mcrs.valid_get, chain_b.port.in_valid);
+    connect(&mut sim, mcrs.stop_out.unwrap(), chain_a.port.stop_in);
+    connect(&mut sim, mcrs.valid_get.unwrap(), chain_b.port.in_valid);
     connect_bus(&mut sim, &mcrs.data_get, &chain_b.port.in_data);
-    connect(&mut sim, chain_b.port.stop_out, mcrs.stop_in);
+    connect(&mut sim, chain_b.port.stop_out, mcrs.stop_in.unwrap());
 
     // Environments: the producer pearl streams packets; the consumer
     // stalls for 60 cycles mid-run (e.g. a cache refill).

@@ -10,8 +10,9 @@
 //! happened — including the full/empty stall behaviour you would see on a
 //! logic analyzer.
 
+use mtf_core::design::MIXED_CLOCK;
 use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
+use mtf_core::{ClockInputs, FifoParams, MixedTimingDesign};
 use mtf_gates::Builder;
 use mtf_sim::{ClockGen, Edge, Simulator, Time};
 
@@ -26,10 +27,16 @@ fn main() {
         .phase(Time::from_ps(3_700))
         .spawn(&mut sim, clk_get);
 
-    // 2. The FIFO. `FifoParams::new` gives the paper's two-flop
-    //    synchronizers; see `with_sync_stages` for the robustness knob.
+    // 2. The FIFO, built through its registry row. `FifoParams::new` gives
+    //    the paper's two-flop synchronizers; see `with_sync_stages` for the
+    //    robustness knob. Every external net comes back in one
+    //    `DesignPorts`, present where the design's interfaces have it.
     let mut b = Builder::new(&mut sim);
-    let fifo = MixedClockFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
+    let clocks = ClockInputs {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+    };
+    let fifo = MIXED_CLOCK.build(&mut b, FifoParams::new(8, 8), clocks);
     let netlist = b.finish();
     println!(
         "built a {} mixed-clock FIFO: {} cells placed",
@@ -39,24 +46,25 @@ fn main() {
 
     // 3. Testbench environments: a saturating producer and consumer.
     let items: Vec<u64> = (0..200).map(|i| (i * 37) % 256).collect();
-    sim.trace(fifo.full);
-    sim.trace(fifo.empty);
+    let (full, empty) = (fifo.full.unwrap(), fifo.empty.unwrap());
+    sim.trace(full);
+    sim.trace(empty);
     let put_journal = SyncProducer::spawn(
         &mut sim,
         "producer",
         clk_put,
-        fifo.req_put,
+        fifo.req_put.unwrap(),
         &fifo.data_put,
-        fifo.full,
+        full,
         items.clone(),
     );
     let get_journal = SyncConsumer::spawn(
         &mut sim,
         "consumer",
         clk_get,
-        fifo.req_get,
+        fifo.req_get.unwrap(),
         &fifo.data_get,
-        fifo.valid_get,
+        fifo.valid_get.unwrap(),
         items.len() as u64,
     );
 
@@ -77,14 +85,14 @@ fn main() {
     println!("  sustained get rate: {get_rate:.1} M items/s (get clock:  77 MHz)");
     println!(
         "  producer stalled on `full` {} times (slower consumer exerting back-pressure)",
-        sim.waveform(fifo.full)
+        sim.waveform(full)
             .expect("traced")
             .edges(Edge::Rising)
             .count()
     );
     println!(
         "  consumer saw `empty` deassert {} times",
-        sim.waveform(fifo.empty)
+        sim.waveform(empty)
             .expect("traced")
             .edges(Edge::Falling)
             .count()

@@ -1,14 +1,14 @@
 //! Experiment E11 — the paper's related-work claims, as assertions
 //! (the `related_work` binary prints the full comparison).
 
+use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::measure::{latency, periods};
-use mtf_core::baseline::{GrayPointerFifo, PerCellSyncFifo, SeizovicFifo};
-use mtf_core::design::{ASYNC_SYNC, MIXED_CLOCK};
-use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
-use mtf_gates::{Builder, CellDelays};
-use mtf_sim::{ClockGen, Logic, MetaModel, Simulator, Time};
-use mtf_timing::area;
+use mtf_core::baseline::SeizovicFifo;
+use mtf_core::design::{ASYNC_SYNC, GRAY_POINTER, MIXED_CLOCK, PER_CELL_SYNC};
+use mtf_core::env::SyncConsumer;
+use mtf_core::{FifoParams, MixedTimingDesign};
+use mtf_sim::{ClockGen, Logic, Simulator, Time};
+use mtf_timing::{area, Tech};
 
 /// Empty-FIFO latency (ns) of the Gray-pointer baseline at the mixed-clock
 /// design's own fmax clocks, best alignment over a small sweep.
@@ -18,26 +18,21 @@ fn gray_min_latency(params: FifoParams) -> f64 {
     let mut best = f64::INFINITY;
     for s in 0..4 {
         let offset = Time::from_ps(t_get.as_ps() * s / 4);
-        let mut sim = Simulator::new(9);
-        let clk_put = sim.net("clk_put");
-        let clk_get = sim.net("clk_get");
-        ClockGen::builder(t_put)
-            .phase(offset)
-            .spawn(&mut sim, clk_put);
-        ClockGen::spawn_simple(&mut sim, clk_get, t_get);
-        let mut b = Builder::with_delays(&mut sim, CellDelays::hp06_custom(), MetaModel::ideal());
-        let f = GrayPointerFifo::build(&mut b, params, clk_put, clk_get);
-        let nl = b.finish();
-        mtf_timing::Tech::hp06_custom().annotate(&nl);
-        let cj = SyncConsumer::spawn(
-            &mut sim,
+        let mut h = Harness::calibrated(9);
+        h.clock_nets_both()
+            .gen_put_phased(t_put, offset)
+            .gen_get(t_get);
+        let f = h
+            .build_annotated(&GRAY_POINTER, params, &Tech::hp06_custom())
+            .clone();
+        let cj = h.drain(
             "c",
-            clk_get,
-            f.req_get,
-            &f.data_get,
-            f.valid_get,
-            1,
+            Drain::Consume {
+                n: 1,
+                phase: Time::ZERO,
+            },
         );
+        let sim = &mut h.sim;
         let warm = t_get * 40;
         let k = (warm.as_ps() + t_put.as_ps() - 1 - offset.as_ps() % t_put.as_ps()) / t_put.as_ps();
         let t0 = offset + t_put * k + Time::from_ps(100);
@@ -45,9 +40,10 @@ fn gray_min_latency(params: FifoParams) -> f64 {
             let d = sim.driver(dn);
             sim.drive_at(d, dn, Logic::from_bool((0xA5 >> i) & 1 == 1), t0);
         }
-        let rd = sim.driver(f.req_put);
-        sim.drive_at(rd, f.req_put, Logic::L, Time::ZERO);
-        sim.drive_at(rd, f.req_put, Logic::H, t0);
+        let req_put = f.req_put.unwrap();
+        let rd = sim.driver(req_put);
+        sim.drive_at(rd, req_put, Logic::L, Time::ZERO);
+        sim.drive_at(rd, req_put, Logic::H, t0);
         sim.run_until(t0 + t_get * 60).unwrap();
         if let Some(t) = cj.time_of(0) {
             best = best.min((t - t0).as_ps() as f64 / 1000.0);
@@ -109,22 +105,14 @@ fn paper_beats_seizovic_by_depth_independence() {
 #[test]
 fn paper_beats_per_cell_sync_on_area() {
     for capacity in [8usize, 16] {
-        let build = |per_cell: bool| {
-            let mut sim = Simulator::new(0);
-            let clk_put = sim.net("clk_put");
-            let clk_get = sim.net("clk_get");
-            let mut b = Builder::new(&mut sim);
-            if per_cell {
-                let _ =
-                    PerCellSyncFifo::build(&mut b, FifoParams::new(capacity, 8), clk_put, clk_get);
-            } else {
-                let _ =
-                    MixedClockFifo::build(&mut b, FifoParams::new(capacity, 8), clk_put, clk_get);
-            }
-            area(&b.finish())
+        let build = |design: &dyn MixedTimingDesign| {
+            let mut h = Harness::new(0);
+            h.clock_nets_both();
+            h.build(design, FifoParams::new(capacity, 8));
+            area(h.netlist())
         };
-        let ours = build(false);
-        let intel = build(true);
+        let ours = build(&MIXED_CLOCK);
+        let intel = build(&PER_CELL_SYNC);
         assert!(intel.total > ours.total, "capacity {capacity}");
         assert!(
             intel.flops as f64 > ours.flops as f64 * 1.3,
@@ -139,67 +127,37 @@ fn all_baselines_are_still_correct_fifos() {
     // unit tests cover more; this guards the integration configuration.)
     let items: Vec<u64> = (0..30).map(|i| (i * 91) % 256).collect();
 
-    // Gray-pointer.
-    let mut sim = Simulator::new(11);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(10));
-    ClockGen::builder(Time::from_ns(14))
-        .phase(Time::from_ps(3_300))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
-    let f = GrayPointerFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
-    drop(b.finish());
-    let _pj = SyncProducer::spawn(
-        &mut sim,
-        "p",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
+    let transfer = |design: &dyn MixedTimingDesign, seed, t_put, t_get, phase| {
+        let mut h = Harness::new(seed);
+        h.clock_nets_both()
+            .gen_put(Time::from_ns(t_put))
+            .gen_get_phased(Time::from_ns(t_get), Time::from_ps(phase));
+        h.build(design, FifoParams::new(8, 8));
+        let feed = Feed::Saturate {
+            items: items.clone(),
+            bundling: Time::ZERO,
+            phase: Time::ZERO,
+        };
+        let _pj = h.feed("p", feed);
+        let n = items.len() as u64;
+        let cj = h.drain(
+            "c",
+            Drain::Consume {
+                n,
+                phase: Time::ZERO,
+            },
+        );
+        h.sim.run_until(Time::from_us(10)).unwrap();
+        cj.values()
+    };
+    assert_eq!(
+        transfer(&GRAY_POINTER, 11, 10, 14, 3_300),
+        items,
+        "gray-pointer"
     );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
-        "c",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
+    assert_eq!(
+        transfer(&PER_CELL_SYNC, 12, 9, 11, 1_700),
+        items,
+        "per-cell sync"
     );
-    sim.run_until(Time::from_us(10)).unwrap();
-    assert_eq!(cj.values(), items, "gray-pointer");
-
-    // Per-cell sync.
-    let mut sim = Simulator::new(12);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(9));
-    ClockGen::builder(Time::from_ns(11))
-        .phase(Time::from_ps(1_700))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
-    let f = PerCellSyncFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
-    drop(b.finish());
-    let _pj = SyncProducer::spawn(
-        &mut sim,
-        "p",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
-        "c",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
-    );
-    sim.run_until(Time::from_us(10)).unwrap();
-    assert_eq!(cj.values(), items, "per-cell sync");
 }

@@ -6,8 +6,9 @@
 //! bi-modal `ne`/`oe` combination must serve it. These tests attack the
 //! one-item state from every schedule proptest can dream up.
 
+use mtf_core::design::MIXED_CLOCK;
 use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{DesignKind, FifoParams, MixedClockFifo};
+use mtf_core::{ClockInputs, DesignKind, FifoParams, MixedTimingDesign};
 use mtf_gates::Builder;
 use mtf_lis::chain::{run_chain, ChainDrive, ChainSpec};
 use mtf_mc::designs::{fifo_model, BUDGET, SYNC_STAGES};
@@ -33,25 +34,31 @@ fn run(
         .phase(Time::from_ps(seed % t_get_ps))
         .spawn(&mut sim, clk_get);
     let mut b = Builder::new(&mut sim);
-    let f = MixedClockFifo::build(&mut b, FifoParams::new(capacity, 8), clk_put, clk_get);
+    let clocks = ClockInputs {
+        clk_put: Some(clk_put),
+        clk_get: Some(clk_get),
+    };
+    let f = MIXED_CLOCK.build(&mut b, FifoParams::new(capacity, 8), clocks);
     drop(b.finish());
+    let (req_put, full) = (f.req_put.unwrap(), f.full.unwrap());
     let pj = SyncProducer::spawn_every(
         &mut sim,
         "prod",
         clk_put,
-        f.req_put,
+        req_put,
         &f.data_put,
-        f.full,
+        full,
         items.to_vec(),
         put_every,
     );
+    let (req_get, valid_get) = (f.req_get.unwrap(), f.valid_get.unwrap());
     let cj = SyncConsumer::spawn_every(
         &mut sim,
         "cons",
         clk_get,
-        f.req_get,
+        req_get,
         &f.data_get,
-        f.valid_get,
+        valid_get,
         items.len() as u64,
         get_every,
     );

@@ -8,10 +8,11 @@
 //! flows from the simulator's single seeded RNG, and neither wake
 //! coalescing nor the delta ring may change the order components observe.
 
-use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
-use mtf_gates::{Builder, CellDelays};
-use mtf_sim::{ClockGen, MetaModel, RaceHazard, RaceHazardKind, Simulator, Time};
+use mtf_bench::harness::{Drain, Feed, Harness};
+use mtf_core::design::MIXED_CLOCK;
+use mtf_core::FifoParams;
+use mtf_gates::CellDelays;
+use mtf_sim::{MetaModel, RaceHazard, RaceHazardKind, Time};
 
 /// Everything observable about one run, for whole-value comparison.
 #[derive(Debug, PartialEq, Eq)]
@@ -37,43 +38,30 @@ fn fingerprint_opts(seed: u64, sanitize: bool) -> (Fingerprint, Vec<RaceHazard>)
         tau: Time::from_ps(2_500),
         max_settle: Time::from_ps(25_000),
     };
-    let mut sim = Simulator::new(seed);
+    let mut h = Harness::with_model(seed, CellDelays::hp06(), harsh);
     if sanitize {
-        sim.enable_race_sanitizer();
+        h.sim.enable_race_sanitizer();
     }
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ps(9_973));
-    ClockGen::builder(Time::from_ps(10_007))
-        .phase(Time::from_ps(seed % 9_000))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::with_delays(&mut sim, CellDelays::hp06(), harsh);
-    let f = MixedClockFifo::build(
-        &mut b,
-        FifoParams::with_sync_stages(8, 8, 2),
-        clk_put,
-        clk_get,
-    );
-    drop(b.finish());
+    h.clock_nets_both()
+        .gen_put(Time::from_ps(9_973))
+        .gen_get_phased(Time::from_ps(10_007), Time::from_ps(seed % 9_000));
+    h.build(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, 2));
     let items: Vec<u64> = (0..40).collect();
-    let _pj = SyncProducer::spawn(
-        &mut sim,
-        "prod",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
+    let feed = Feed::Saturate {
+        items: items.clone(),
+        bundling: Time::ZERO,
+        phase: Time::ZERO,
+    };
+    let _pj = h.feed("prod", feed);
+    let n = items.len() as u64;
+    let cj = h.drain(
         "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
+        Drain::Consume {
+            n,
+            phase: Time::ZERO,
+        },
     );
+    let sim = &mut h.sim;
     sim.run_until(Time::from_us(5)).expect("simulation runs");
 
     let toggles: Vec<(String, u64)> = (0..sim.net_count())

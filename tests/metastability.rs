@@ -7,10 +7,11 @@
 //! two stages (and deeper) survive it; and the analytical MTBF grows
 //! exponentially with depth.
 
-use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
-use mtf_gates::{Builder, CellDelays};
-use mtf_sim::{mtbf_seconds, ClockGen, MetaModel, Simulator, Time, ViolationKind};
+use mtf_bench::harness::{Drain, Feed, Harness};
+use mtf_core::design::MIXED_CLOCK;
+use mtf_core::FifoParams;
+use mtf_gates::CellDelays;
+use mtf_sim::{mtbf_seconds, MetaModel, Time, ViolationKind};
 
 /// A hostile flop: wide vulnerability window, slow settling — makes
 /// synchronizer failures visible in microseconds of simulated time. The
@@ -29,43 +30,30 @@ fn hostile() -> MetaModel {
 /// One plesiochronous transfer; returns whether the stream survived and
 /// how many metastable samplings occurred.
 fn transfer(seed: u64, stages: usize, meta: MetaModel) -> (bool, usize) {
-    let mut sim = Simulator::new(seed);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ps(9_973));
-    ClockGen::builder(Time::from_ps(10_007))
-        .phase(Time::from_ps(seed * 997 % 9_000))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::with_delays(&mut sim, CellDelays::hp06(), meta);
-    let f = MixedClockFifo::build(
-        &mut b,
-        FifoParams::with_sync_stages(8, 8, stages),
-        clk_put,
-        clk_get,
-    );
-    drop(b.finish());
+    let mut h = Harness::with_model(seed, CellDelays::hp06(), meta);
+    h.clock_nets_both()
+        .gen_put(Time::from_ps(9_973))
+        .gen_get_phased(Time::from_ps(10_007), Time::from_ps(seed * 997 % 9_000));
+    h.build(&MIXED_CLOCK, FifoParams::with_sync_stages(8, 8, stages));
     let items: Vec<u64> = (0..40).collect();
-    let pj = SyncProducer::spawn(
-        &mut sim,
-        "prod",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
+    let feed = Feed::Saturate {
+        items: items.clone(),
+        bundling: Time::ZERO,
+        phase: Time::ZERO,
+    };
+    let pj = h.feed("prod", feed);
+    let n = items.len() as u64;
+    let cj = h.drain(
         "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
+        Drain::Consume {
+            n,
+            phase: Time::ZERO,
+        },
     );
-    let ok =
-        sim.run_until(Time::from_us(4)).is_ok() && pj.len() == items.len() && cj.values() == items;
-    let events = sim.violations_of(ViolationKind::Metastability).count();
+    let ok = h.sim.run_until(Time::from_us(4)).is_ok()
+        && pj.len() == items.len()
+        && cj.values() == items;
+    let events = h.sim.violations_of(ViolationKind::Metastability).count();
     (ok, events)
 }
 

@@ -2,9 +2,10 @@
 //! (paper Section 5, Figs. 11 and 14).
 
 use mtf_async::{micropipeline, FourPhaseProducer};
-use mtf_core::design::MIXED_CLOCK_RS;
+use mtf_bench::harness::{Drain, Feed, Harness};
+use mtf_core::design::{ASYNC_SYNC_RS, MIXED_CLOCK_RS};
 use mtf_core::env::{PacketSink, PacketSource};
-use mtf_core::{AsyncSyncRelayStation, FifoParams, MixedClockRelayStation};
+use mtf_core::{ClockInputs, FifoParams, MixedTimingDesign};
 use mtf_gates::Builder;
 use mtf_lis::{connect, connect_bus, splice_stream_design, RelayChain};
 use mtf_sim::{ClockGen, Simulator, Time};
@@ -108,15 +109,19 @@ fn fig14_async_to_sync_system() {
         .spawn(&mut sim, clk);
     let mut b = Builder::new(&mut sim);
     let ars = micropipeline(&mut b, 4, 8);
-    let asrs = AsyncSyncRelayStation::build(&mut b, FifoParams::new(8, 8), clk);
+    let clocks = ClockInputs {
+        clk_put: None,
+        clk_get: Some(clk),
+    };
+    let asrs = ASYNC_SYNC_RS.build(&mut b, FifoParams::new(8, 8), clocks);
     drop(b.finish());
     let srs = RelayChain::spawn(&mut sim, "srs", clk, 8, 3, Time::from_ns(1));
-    connect(&mut sim, ars.req_out, asrs.put_req);
-    connect_bus(&mut sim, &ars.data_out, &asrs.put_data);
-    connect(&mut sim, asrs.put_ack, ars.ack_out);
-    connect(&mut sim, asrs.valid_get, srs.port.in_valid);
+    connect(&mut sim, ars.req_out, asrs.put_req.unwrap());
+    connect_bus(&mut sim, &ars.data_out, &asrs.data_put);
+    connect(&mut sim, asrs.put_ack.unwrap(), ars.ack_out);
+    connect(&mut sim, asrs.valid_get.unwrap(), srs.port.in_valid);
     connect_bus(&mut sim, &asrs.data_get, &srs.port.in_data);
-    connect(&mut sim, srs.port.stop_out, asrs.stop_in);
+    connect(&mut sim, srs.port.stop_out, asrs.stop_in.unwrap());
 
     let items: Vec<u64> = (0..100).map(|i| (i * 7) % 256).collect();
     let ph = FourPhaseProducer::spawn(
@@ -150,37 +155,15 @@ fn fig14_async_to_sync_system() {
 #[test]
 fn throughput_tracks_the_slower_domain() {
     let rate = |t_a: u64, t_b: u64| {
-        let (_sent, _) = (0, 0); // silence unused in closure style
-        let mut sim = Simulator::new(5);
-        let clk_a = sim.net("clk_a");
-        let clk_b = sim.net("clk_b");
-        ClockGen::spawn_simple(&mut sim, clk_a, Time::from_ps(t_a));
-        ClockGen::builder(Time::from_ps(t_b))
-            .phase(Time::from_ps(700))
-            .spawn(&mut sim, clk_b);
-        let mut b = Builder::new(&mut sim);
-        let rs = MixedClockRelayStation::build(&mut b, FifoParams::new(8, 8), clk_a, clk_b);
-        drop(b.finish());
+        let mut h = Harness::new(5);
+        h.clock_nets_both()
+            .gen_put(Time::from_ps(t_a))
+            .gen_get_phased(Time::from_ps(t_b), Time::from_ps(700));
+        h.build(&MIXED_CLOCK_RS, FifoParams::new(8, 8));
         let packets: Vec<Option<u64>> = (0..300).map(|v| Some(v % 256)).collect();
-        let _sj = PacketSource::spawn(
-            &mut sim,
-            "src",
-            clk_a,
-            rs.valid_in,
-            &rs.data_put,
-            rs.stop_out,
-            packets,
-        );
-        let kj = PacketSink::spawn(
-            &mut sim,
-            "sink",
-            clk_b,
-            &rs.data_get,
-            rs.valid_get,
-            rs.stop_in,
-            vec![],
-        );
-        sim.run_until(Time::from_us(20)).unwrap();
+        let _sj = h.feed("src", Feed::Packets { packets });
+        let kj = h.drain("sink", Drain::Sink { stalls: vec![] });
+        h.sim.run_until(Time::from_us(20)).unwrap();
         kj.ops_per_second(100).expect("steady state")
     };
     // 320 MHz -> 250 MHz: bound by the get side.

@@ -4,51 +4,41 @@
 //! flip-flops' setup checkers — i.e. the STA bound is neither vacuous nor
 //! wildly conservative.
 
+use mtf_bench::harness::{Drain, Feed, Harness};
 use mtf_bench::measure::periods;
 use mtf_core::design::MIXED_CLOCK;
-use mtf_core::env::{SyncConsumer, SyncProducer};
-use mtf_core::{FifoParams, MixedClockFifo};
-use mtf_gates::{Builder, CellDelays};
-use mtf_sim::{ClockGen, MetaModel, Simulator, Time, ViolationKind};
+use mtf_core::FifoParams;
+use mtf_sim::{Time, ViolationKind};
+use mtf_timing::Tech;
 
 /// Simulates a transfer with both clocks at the given periods; returns
 /// (setup/hold violation count, stream intact?).
 fn simulate_at(params: FifoParams, t_put: Time, t_get: Time, seed: u64) -> (usize, bool) {
-    let mut sim = Simulator::new(seed);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, t_put);
-    ClockGen::builder(t_get)
-        .phase(Time::from_ps(seed * 131 % t_get.as_ps()))
-        .spawn(&mut sim, clk_get);
     // Same calibration as the STA measurements; ideal metastability so the
     // only reports are genuine setup/hold trips.
-    let mut b = Builder::with_delays(&mut sim, CellDelays::hp06_custom(), MetaModel::ideal());
-    let f = MixedClockFifo::build(&mut b, params, clk_put, clk_get);
-    let nl = b.finish();
-    mtf_timing::Tech::hp06_custom().annotate(&nl);
+    let mut h = Harness::calibrated(seed);
+    h.clock_nets_both()
+        .gen_put(t_put)
+        .gen_get_phased(t_get, Time::from_ps(seed * 131 % t_get.as_ps()));
+    h.build_annotated(&MIXED_CLOCK, params, &Tech::hp06_custom());
     let items: Vec<u64> = (0..60).collect();
-    let pj = SyncProducer::spawn(
-        &mut sim,
-        "prod",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
+    let feed = Feed::Saturate {
+        items: items.clone(),
+        bundling: Time::ZERO,
+        phase: Time::ZERO,
+    };
+    let pj = h.feed("prod", feed);
+    let n = items.len() as u64;
+    let cj = h.drain(
         "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
+        Drain::Consume {
+            n,
+            phase: Time::ZERO,
+        },
     );
-    sim.run_until(Time::from_us(10)).unwrap();
-    let viol = sim.violations_of(ViolationKind::Setup).count()
-        + sim.violations_of(ViolationKind::Hold).count();
+    h.sim.run_until(Time::from_us(10)).unwrap();
+    let viol = h.sim.violations_of(ViolationKind::Setup).count()
+        + h.sim.violations_of(ViolationKind::Hold).count();
     let ok = pj.len() == items.len() && cj.values() == items;
     (viol, ok)
 }

@@ -3,11 +3,10 @@
 //! steady-state operation the designs have no synchronization overhead —
 //! each read and write operation can be completed in one cycle."
 
-use mtf_async::FourPhaseProducer;
-use mtf_core::env::{PacketSink, PacketSource, SyncConsumer, SyncProducer};
-use mtf_core::{AsyncSyncFifo, FifoParams, MixedClockFifo, MixedClockRelayStation};
-use mtf_gates::Builder;
-use mtf_sim::{ClockGen, Simulator, Time};
+use mtf_bench::harness::{Drain, Feed, Harness};
+use mtf_core::design::{ASYNC_SYNC, MIXED_CLOCK, MIXED_CLOCK_RS};
+use mtf_core::{Clocking, FifoParams};
+use mtf_sim::Time;
 
 /// Fraction of consecutive journal entries exactly one `period` apart,
 /// over the middle of the run.
@@ -21,41 +20,37 @@ fn back_to_back_fraction(times: &[Time], period_ps: u64) -> f64 {
     hits as f64 / (mid.len() - 1) as f64
 }
 
+/// Saturating items with no asynchronous bundling margin or gap.
+fn saturate(items: &[u64]) -> Feed {
+    Feed::Saturate {
+        items: items.to_vec(),
+        bundling: Time::ZERO,
+        phase: Time::ZERO,
+    }
+}
+
+/// A consumer requesting until `n` items arrived.
+fn consume(n: usize) -> Drain {
+    Drain::Consume {
+        n: n as u64,
+        phase: Time::ZERO,
+    }
+}
+
 #[test]
 fn mixed_clock_fifo_one_op_per_cycle_both_sides() {
-    let mut sim = Simulator::new(1);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
     // Identical frequency, skewed phase: the classic "same speed, different
     // clock tree" SoC case. With 8 places the synchronizer lag is fully
     // hidden.
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(10));
-    ClockGen::builder(Time::from_ns(10))
-        .phase(Time::from_ps(4_300))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
-    let f = MixedClockFifo::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
-    drop(b.finish());
+    let mut h = Harness::new(1);
+    h.clock_nets_both()
+        .gen_put(Time::from_ns(10))
+        .gen_get_phased(Time::from_ns(10), Time::from_ps(4_300));
+    h.build(&MIXED_CLOCK, FifoParams::new(8, 8));
     let items: Vec<u64> = (0..200).collect();
-    let pj = SyncProducer::spawn(
-        &mut sim,
-        "prod",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
-        "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
-    );
-    sim.run_until(Time::from_us(6)).unwrap();
+    let pj = h.feed("prod", saturate(&items));
+    let cj = h.drain("cons", consume(items.len()));
+    h.sim.run_until(Time::from_us(6)).unwrap();
     assert_eq!(cj.values(), items);
     let put_b2b = back_to_back_fraction(&pj.times(), 10_000);
     let get_b2b = back_to_back_fraction(&cj.times(), 10_000);
@@ -71,36 +66,15 @@ fn mixed_clock_fifo_one_op_per_cycle_both_sides() {
 
 #[test]
 fn mcrs_streams_one_packet_per_cycle() {
-    let mut sim = Simulator::new(2);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(10));
-    ClockGen::builder(Time::from_ns(10))
-        .phase(Time::from_ps(2_900))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
-    let rs = MixedClockRelayStation::build(&mut b, FifoParams::new(8, 8), clk_put, clk_get);
-    drop(b.finish());
+    let mut h = Harness::new(2);
+    h.clock_nets_both()
+        .gen_put(Time::from_ns(10))
+        .gen_get_phased(Time::from_ns(10), Time::from_ps(2_900));
+    h.build(&MIXED_CLOCK_RS, FifoParams::new(8, 8));
     let packets: Vec<Option<u64>> = (0..200).map(Some).collect();
-    let _sj = PacketSource::spawn(
-        &mut sim,
-        "src",
-        clk_put,
-        rs.valid_in,
-        &rs.data_put,
-        rs.stop_out,
-        packets,
-    );
-    let kj = PacketSink::spawn(
-        &mut sim,
-        "sink",
-        clk_get,
-        &rs.data_get,
-        rs.valid_get,
-        rs.stop_in,
-        vec![],
-    );
-    sim.run_until(Time::from_us(6)).unwrap();
+    let _sj = h.feed("src", Feed::Packets { packets });
+    let kj = h.drain("sink", Drain::Sink { stalls: vec![] });
+    h.sim.run_until(Time::from_us(6)).unwrap();
     assert_eq!(kj.values(), (0..200).collect::<Vec<u64>>());
     let b2b = back_to_back_fraction(&kj.times(), 10_000);
     assert!(b2b > 0.95, "valid packet every get cycle (got {b2b:.2})");
@@ -111,35 +85,19 @@ fn async_sync_get_side_has_no_overhead() {
     // A fast async producer keeps the FIFO non-empty; the synchronous get
     // side must then deliver one item per clock, exactly as in the
     // mixed-clock design (Table 1's identical get columns).
-    let mut sim = Simulator::new(3);
-    let clk_get = sim.net("clk_get");
-    ClockGen::builder(Time::from_ns(10))
-        .phase(Time::from_ps(1_100))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
-    let f = AsyncSyncFifo::build(&mut b, FifoParams::new(8, 8), clk_get);
-    drop(b.finish());
+    let mut h = Harness::new(3);
+    h.clock_nets(Clocking::GetOnly)
+        .gen_get_phased(Time::from_ns(10), Time::from_ps(1_100));
+    h.build(&ASYNC_SYNC, FifoParams::new(8, 8));
     let items: Vec<u64> = (0..200).collect();
-    let _ph = FourPhaseProducer::spawn(
-        &mut sim,
-        "prod",
-        f.put_req,
-        f.put_ack,
-        &f.put_data,
-        items.clone(),
-        Time::from_ps(300),
-        Time::ZERO,
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
-        "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
-    );
-    sim.run_until(Time::from_us(8)).unwrap();
+    let feed = Feed::Saturate {
+        items: items.clone(),
+        bundling: Time::from_ps(300),
+        phase: Time::ZERO,
+    };
+    let _ph = h.feed("prod", feed);
+    let cj = h.drain("cons", consume(items.len()));
+    h.sim.run_until(Time::from_us(8)).unwrap();
     assert_eq!(cj.values(), items);
     let b2b = back_to_back_fraction(&cj.times(), 10_000);
     assert!(b2b > 0.95, "one dequeue per cycle (got {b2b:.2})");
@@ -150,38 +108,17 @@ fn undersized_fifo_does_cost_throughput() {
     // The inverse claim: with capacity too small to hide the synchronizer
     // lag, throughput drops below one op per cycle — the "appropriate
     // buffer capacity" qualifier is real.
-    let mut sim = Simulator::new(4);
-    let clk_put = sim.net("clk_put");
-    let clk_get = sim.net("clk_get");
-    ClockGen::spawn_simple(&mut sim, clk_put, Time::from_ns(10));
-    ClockGen::builder(Time::from_ns(10))
-        .phase(Time::from_ps(4_300))
-        .spawn(&mut sim, clk_get);
-    let mut b = Builder::new(&mut sim);
+    let mut h = Harness::new(4);
+    h.clock_nets_both()
+        .gen_put(Time::from_ns(10))
+        .gen_get_phased(Time::from_ns(10), Time::from_ps(4_300));
     // Capacity 3 (the minimum): detectors keep one cell in reserve and the
     // sync lag eats the rest.
-    let f = MixedClockFifo::build(&mut b, FifoParams::new(3, 8), clk_put, clk_get);
-    drop(b.finish());
+    h.build(&MIXED_CLOCK, FifoParams::new(3, 8));
     let items: Vec<u64> = (0..120).collect();
-    let _pj = SyncProducer::spawn(
-        &mut sim,
-        "prod",
-        clk_put,
-        f.req_put,
-        &f.data_put,
-        f.full,
-        items.clone(),
-    );
-    let cj = SyncConsumer::spawn(
-        &mut sim,
-        "cons",
-        clk_get,
-        f.req_get,
-        &f.data_get,
-        f.valid_get,
-        items.len() as u64,
-    );
-    sim.run_until(Time::from_us(20)).unwrap();
+    let _pj = h.feed("prod", saturate(&items));
+    let cj = h.drain("cons", consume(items.len()));
+    h.sim.run_until(Time::from_us(20)).unwrap();
     assert_eq!(cj.values(), items, "still correct, just slower");
     let b2b = back_to_back_fraction(&cj.times(), 10_000);
     assert!(
