@@ -330,4 +330,5 @@ fn print_kernel_stats(s: SimStats) {
     println!("  overflow events       {}", s.overflow_events);
     println!("  elided drives         {}", s.elided_drives);
     println!("  filtered wakes        {}", s.filtered_wakes);
+    println!("  slept wakes           {}", s.slept_wakes);
 }

@@ -127,6 +127,7 @@ impl ExperimentReport {
                 ("overflow_events", Json::Num(k.overflow_events as f64)),
                 ("elided_drives", Json::Num(k.elided_drives as f64)),
                 ("filtered_wakes", Json::Num(k.filtered_wakes as f64)),
+                ("slept_wakes", Json::Num(k.slept_wakes as f64)),
             ];
             // Compiled-backend counters are zero on the default event
             // backend; omit them there so pre-existing golden reports
@@ -216,8 +217,8 @@ impl ExperimentReport {
                 };
                 // The compiled counters are optional: reports written on
                 // the event backend (and all pre-backend reports) omit
-                // them. So do reports from before drive elision and
-                // before rising-edge watches.
+                // them. So do reports from before drive elision,
+                // rising-edge watches and quiescent-flop sleep.
                 let opt =
                     |key: &str| -> u64 { k.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
                 Some(SimStats {
@@ -232,6 +233,7 @@ impl ExperimentReport {
                     compiled_gate_evals: opt("compiled_gate_evals"),
                     elided_drives: opt("elided_drives"),
                     filtered_wakes: opt("filtered_wakes"),
+                    slept_wakes: opt("slept_wakes"),
                 })
             }
         };
@@ -357,6 +359,7 @@ mod tests {
             compiled_gate_evals: 0,
             elided_drives: 5,
             filtered_wakes: 13,
+            slept_wakes: 17,
         });
         r.note("artifact", Json::str("out.vcd"));
         let text = r.to_json().render();

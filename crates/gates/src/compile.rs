@@ -33,7 +33,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use mtf_sim::{Logic, NetId, Simulator};
+use mtf_sim::{Logic, NetId, Simulator, Time};
 
 use crate::engine::{CombNode, CompiledEngine, Flop, FlopCore};
 use crate::kind::CellKind;
@@ -331,6 +331,7 @@ pub fn install_compiled(sim: &mut Simulator, netlist: &Netlist, name: &str) -> C
             core,
             clk,
             prev_clk: Logic::X,
+            last_rise: Time::MAX,
             en,
             d,
             q,

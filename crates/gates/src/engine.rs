@@ -80,6 +80,9 @@ pub(crate) struct Flop {
     /// The clock slot's value at this flop's previous evaluation (`X`
     /// before the first).
     pub(crate) prev_clk: Logic,
+    /// The latest clock rise this flop evaluated (`Time::MAX` before the
+    /// first): the hold check's reference.
+    pub(crate) last_rise: Time,
     pub(crate) en: Option<u32>,
     /// Data input slots, LSB first.
     pub(crate) d: Vec<u32>,
@@ -361,11 +364,15 @@ impl CompiledEngine {
         let values = &self.values;
         let read = |s: u32| values[s as usize];
         let rising = clock_rose(&mut f.prev_clk, read(f.clk));
+        if rising {
+            f.last_rise = now;
+        }
         let en = |_: &Ctx<'_>, _| f.en.map_or(Logic::H, read);
         let cq = self.delays.borrow()[f.inst];
         let delay = match &mut f.core {
             FlopCore::Bit(core) => {
-                match core.step(ctx, rising, &MetaModel::ideal(), en, |_, _| read(f.d[0])) {
+                let d = |_: &Ctx<'_>, _| read(f.d[0]);
+                match core.step(ctx, rising, f.last_rise, &MetaModel::ideal(), en, d) {
                     None => return,
                     Some(Drive::Init) => Time::ZERO,
                     Some(_) => cq,

@@ -81,7 +81,7 @@ pub use kind::CellKind;
 pub use netlist::{
     CellDelays, DelayTable, ElabInfo, FlopElab, FlopTiming, Instance, InstanceId, Netlist,
 };
-pub use seq::{DLatch, Dff, SrLatch};
+pub use seq::{DLatch, Dff, DffConfig, SrLatch};
 pub use tristate::TriBuf;
 pub use verilog::{to_verilog, Port, PortDir};
 pub use word::{LatchWord, RegisterWord, TriWord};

@@ -13,7 +13,7 @@
 use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
 
 use crate::netlist::DelayTable;
-use crate::seq::{captured, setup_violation};
+use crate::seq::{captured, quiet_from, setup_violation};
 use crate::tristate::TriBuf;
 
 /// The clocking rules of a word register — the power-on drive, the
@@ -87,6 +87,13 @@ impl WordFlopCore {
             }
         }
     }
+
+    /// [`quiet_from`] for this register after an edge at `now`: the
+    /// margin is the setup window.
+    pub(crate) fn quiet_from(&self, ctx: &Ctx<'_>, now: Time, cq: Time) -> Time {
+        let inputs = self.en.iter().chain(&self.d).copied();
+        quiet_from(ctx, inputs, self.setup, now, cq)
+    }
 }
 
 /// A W-bit positive-edge register with a shared synchronous enable — the
@@ -143,14 +150,23 @@ impl Component for RegisterWord {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
+        // The first evaluation ignores `rising`: it only drives the
+        // power-on state.
+        let edge = rising && self.core.started;
+        let cq = self.delays.borrow()[self.inst];
         if self
             .core
             .step(ctx, rising, |ctx, n| ctx.get(n), |ctx, _, n| ctx.get(n))
         {
-            let cq = self.delays.borrow()[self.inst];
             for (i, &drv) in self.q.iter().enumerate() {
                 ctx.drive(drv, self.core.state.bit(i), cq);
             }
+        }
+        // Every later edge with the enable and data unchanged repeats
+        // this one.
+        if edge {
+            let from = self.core.quiet_from(ctx, ctx.now(), cq);
+            ctx.sleep_from(from);
         }
     }
 }

@@ -129,6 +129,10 @@ pub struct SimStats {
     /// `L`→`H` transition (see [`Simulator::add_clocked_component`]):
     /// each one is a wake that a both-edge watch would have queued.
     pub filtered_wakes: u64,
+    /// Rising-only wakes skipped because the watcher slept (see
+    /// [`Ctx::sleep_from`](crate::Ctx::sleep_from)): each one is an edge
+    /// evaluation that provably would have done nothing.
+    pub slept_wakes: u64,
 }
 
 /// Which execution strategy elaboration should install for purely
@@ -203,6 +207,37 @@ impl DriveMode {
     }
 }
 
+/// Per-component scheduling state, kept together because the watcher
+/// walk of [`Simulator::recompute_net`] reads them together.
+#[derive(Clone, Copy, Debug)]
+struct WakeState {
+    /// The instant of a queued, not-yet-delivered wake (`Time::MAX` when
+    /// none). A wake request matching it is dropped — the queued wake
+    /// already covers it.
+    pending: Time,
+    /// Rising-only wakes at or after this instant are skipped
+    /// (`Time::MAX`: awake). Set by [`Ctx::sleep_from`]; cleared by every
+    /// ordinary wake and by [`Simulator::schedule_wake`].
+    sleep_from: Time,
+    /// The latest rise skipped while asleep (`Time::MAX`: none);
+    /// [`Ctx::rose`] counts it as consumed.
+    slept_rise: Time,
+    /// Debug builds: the sequence number the skipped rise's wake would
+    /// have taken.
+    #[cfg(debug_assertions)]
+    slept_seq: u64,
+}
+
+impl WakeState {
+    const IDLE: WakeState = WakeState {
+        pending: Time::MAX,
+        sleep_from: Time::MAX,
+        slept_rise: Time::MAX,
+        #[cfg(debug_assertions)]
+        slept_seq: u64::MAX,
+    };
+}
+
 /// The discrete-event simulator. See the [crate docs](crate) for the model.
 pub struct Simulator {
     nets: Vec<Net>,
@@ -219,16 +254,18 @@ pub struct Simulator {
     /// [`SimError::DeltaOverflow`].
     pub max_events_per_instant: u64,
     events_processed: u64,
-    /// Per-component wake-coalescing marker: the instant of a queued,
-    /// not-yet-delivered wake for that component (`Time::MAX` when none).
-    /// A wake request matching the marker is dropped — the queued wake
-    /// already covers it.
-    wake_pending: Vec<Time>,
+    /// Wake coalescing and sleep state, indexed by component.
+    wakes: Vec<WakeState>,
     coalesced_wakes: u64,
     compiled_edge_evals: u64,
     compiled_gate_evals: u64,
     elided_drives: u64,
     filtered_wakes: u64,
+    slept_wakes: u64,
+    /// Debug builds: the sequence number of the event being dispatched,
+    /// the order key of every net change it causes.
+    #[cfg(debug_assertions)]
+    dispatch_seq: u64,
     /// Which scheduling call each driver took first (indexed by driver);
     /// debug builds hold every later call to the same one.
     #[cfg(debug_assertions)]
@@ -270,12 +307,15 @@ impl Simulator {
             stop_requested: false,
             max_events_per_instant: 2_000_000,
             events_processed: 0,
-            wake_pending: Vec::new(),
+            wakes: Vec::new(),
             coalesced_wakes: 0,
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
             elided_drives: 0,
             filtered_wakes: 0,
+            slept_wakes: 0,
+            #[cfg(debug_assertions)]
+            dispatch_seq: 0,
             #[cfg(debug_assertions)]
             drive_modes: Vec::new(),
             race: None,
@@ -354,7 +394,7 @@ impl Simulator {
         let id = ComponentId(self.components.len() as u32);
         assert!(id.0 < Watcher::RISING, "too many components");
         self.components.push(Some(component));
-        self.wake_pending.push(Time::MAX);
+        self.wakes.push(WakeState::IDLE);
         for &n in rising {
             self.subscribe(id, n, true);
         }
@@ -387,10 +427,13 @@ impl Simulator {
     /// every net, so future net changes stop generating wake events for
     /// it. Used by the compiled backend to supersede per-gate components
     /// with a region engine after elaboration; its drivers keep their
-    /// last contribution.
+    /// last contribution, and its sleep state is dropped.
     pub fn detach_component(&mut self, comp: ComponentId) {
         let idx = comp.0 as usize;
         self.components[idx] = None;
+        let w = &mut self.wakes[idx];
+        w.sleep_from = Time::MAX;
+        w.slept_rise = Time::MAX;
         for net in &mut self.nets {
             net.watchers.retain(|w| w.comp() != comp);
         }
@@ -510,6 +553,7 @@ impl Simulator {
             compiled_gate_evals: self.compiled_gate_evals,
             elided_drives: self.elided_drives,
             filtered_wakes: self.filtered_wakes,
+            slept_wakes: self.slept_wakes,
         }
     }
 
@@ -692,18 +736,36 @@ impl Simulator {
         let _ = (driver, mode);
     }
 
+    /// Queues a wake for `comp` at `at` (clamped to now), unless one is
+    /// already queued for that instant. A timed wake also ends the
+    /// component's sleep.
     pub(crate) fn schedule_wake(&mut self, comp: ComponentId, at: Time) {
         let at = at.max(self.time);
-        let idx = comp.0 as usize;
-        if self.wake_pending[idx] == at {
+        let w = &mut self.wakes[comp.0 as usize];
+        w.sleep_from = Time::MAX;
+        if w.pending == at {
             // A wake for this component at this instant is already queued
             // and will run after every net update of the instant — this
             // request is covered by it.
             self.coalesced_wakes += 1;
             return;
         }
-        self.wake_pending[idx] = at;
+        w.pending = at;
         self.queue.push(at, EventKind::Wake { comp });
+    }
+
+    /// See [`Ctx::sleep_from`].
+    pub(crate) fn sleep_from(&mut self, comp: ComponentId, at: Time) {
+        debug_assert!(
+            at > self.time,
+            "a sleeper must take every remaining rise of the current instant"
+        );
+        self.wakes[comp.0 as usize].sleep_from = at;
+    }
+
+    /// The latest rise `comp` slept through (`Time::MAX` if none).
+    pub(crate) fn slept_rise(&self, comp: ComponentId) -> Time {
+        self.wakes[comp.0 as usize].slept_rise
     }
 
     // ---- event loop --------------------------------------------------------
@@ -736,21 +798,25 @@ impl Simulator {
                 });
             }
             self.time = ev.time;
+            #[cfg(debug_assertions)]
+            {
+                self.dispatch_seq = ev.seq;
+            }
             match ev.kind {
                 EventKind::Drive {
                     driver,
                     value,
                     stamp,
                 } => {
-                    self.apply_drive(driver, value, stamp, ev.seq);
+                    self.apply_drive(driver, value, stamp);
                 }
                 EventKind::Wake { comp } => {
                     // Retire the coalescing marker *before* evaluating, so a
                     // wake the component schedules for this same instant
                     // during eval (self-rewake) is queued, not absorbed.
-                    let widx = comp.0 as usize;
-                    if self.wake_pending[widx] == ev.time {
-                        self.wake_pending[widx] = Time::MAX;
+                    let w = &mut self.wakes[comp.0 as usize];
+                    if w.pending == ev.time {
+                        w.pending = Time::MAX;
                     }
                     self.eval_component(comp);
                 }
@@ -768,7 +834,7 @@ impl Simulator {
         self.run_until(horizon)
     }
 
-    fn apply_drive(&mut self, driver: DriverId, value: Logic, stamp: u64, _seq: u64) {
+    fn apply_drive(&mut self, driver: DriverId, value: Logic, stamp: u64) {
         let d = &mut self.drivers[driver.0 as usize];
         // Cancellation: `stamp == u64::MAX` marks externally scheduled
         // drives (never cancelled); otherwise only the latest scheduled
@@ -827,8 +893,17 @@ impl Simulator {
             return;
         }
         #[cfg(debug_assertions)]
-        if resolved == Logic::H && n.last_change == now && n.toggles > 0 {
-            self.check_single_rise(idx);
+        {
+            let (rise_again, fall) = (
+                resolved == Logic::H && n.last_change == now && n.toggles > 0,
+                n.resolved == Logic::H && n.last_rise == now,
+            );
+            if rise_again {
+                self.check_single_rise(idx);
+            }
+            if fall {
+                self.check_no_slept_fall(idx);
+            }
         }
         let n = &mut self.nets[idx];
         let rose = n.resolved == Logic::L && resolved == Logic::H;
@@ -863,31 +938,92 @@ impl Simulator {
             }
         }
         // Notify watchers via wake events at the current instant; a
-        // rising-only watcher only if the net rose. Borrowing the watcher
-        // list, the queue and the coalescing markers as disjoint fields
-        // lets this iterate in place — no clone of the watcher Vec per net
+        // rising-only watcher only if the net rose and the watcher is
+        // awake. An ordinary watch ends a sleep. Borrowing the watcher
+        // list, the queue and the wake states as disjoint fields lets
+        // this iterate in place — no clone of the watcher Vec per net
         // change.
         let now = self.time;
-        let (nets, queue, wake_pending, coalesced, filtered) = (
-            &self.nets,
-            &mut self.queue,
-            &mut self.wake_pending,
-            &mut self.coalesced_wakes,
-            &mut self.filtered_wakes,
-        );
+        let (nets, queue, wakes) = (&self.nets, &mut self.queue, &mut self.wakes);
         for &w in &nets[idx].watchers {
-            if !rose && w.rising_only() {
-                *filtered += 1;
+            let comp = w.comp();
+            let st = &mut wakes[comp.0 as usize];
+            if w.rising_only() {
+                if !rose {
+                    self.filtered_wakes += 1;
+                    continue;
+                }
+                if now >= st.sleep_from {
+                    self.slept_wakes += 1;
+                    st.slept_rise = now;
+                    #[cfg(debug_assertions)]
+                    {
+                        st.slept_seq = queue.next_seq();
+                    }
+                    continue;
+                }
+            } else {
+                st.sleep_from = Time::MAX;
+                #[cfg(debug_assertions)]
+                if st.slept_rise == now && self.dispatch_seq < st.slept_seq {
+                    Self::refuse_late_input(&nets[idx], &self.components, comp, now);
+                }
+            }
+            if st.pending == now {
+                self.coalesced_wakes += 1;
                 continue;
             }
-            let w = w.comp();
-            let widx = w.0 as usize;
-            if wake_pending[widx] == now {
-                *coalesced += 1;
-                continue;
-            }
-            wake_pending[widx] = now;
-            queue.push(now, EventKind::Wake { comp: w });
+            st.pending = now;
+            queue.push(now, EventKind::Wake { comp });
+        }
+    }
+
+    /// Debug builds: panics because `net`, an ordinary input of `comp`,
+    /// changed through an event queued before the wake of the rise `comp`
+    /// slept through at `now`. Awake, `comp` would have evaluated that
+    /// rise after this change; asleep, it consumed the rise with the old
+    /// value, so the sleep rule cannot reproduce the order.
+    #[cfg(debug_assertions)]
+    #[cold]
+    fn refuse_late_input(
+        net: &Net,
+        components: &[Option<Box<dyn Component>>],
+        comp: ComponentId,
+        now: Time,
+    ) -> ! {
+        let who = components[comp.0 as usize]
+            .as_ref()
+            .map_or("component", |c| c.name());
+        panic!(
+            "net '{}' changed at {now} through an event queued ahead of the \
+             rise its watcher '{who}' slept through; a sleeper's inputs must \
+             change after its skipped wake would have run",
+            net.name()
+        );
+    }
+
+    /// Debug builds: panics if `net`, about to fall in the instant it
+    /// rose, has a rising-only watcher that slept through that rise.
+    /// Awake, the watcher would have seen no edge (its wake runs after
+    /// the fall; see [`Ctx::rose`]'s second rule); asleep, it counted
+    /// the rise as consumed.
+    #[cfg(debug_assertions)]
+    fn check_no_slept_fall(&self, idx: usize) {
+        let n = &self.nets[idx];
+        if let Some(w) = n
+            .watchers
+            .iter()
+            .find(|w| w.rising_only() && self.wakes[w.comp().0 as usize].slept_rise == self.time)
+        {
+            let who = self.components[w.comp().0 as usize]
+                .as_ref()
+                .map_or("component", |c| c.name());
+            panic!(
+                "net '{}' fell in the instant {} it rose while its watcher \
+                 '{who}' slept through the rise",
+                n.name(),
+                self.time
+            );
         }
     }
 
@@ -1214,6 +1350,177 @@ mod tests {
         assert!(log.borrow().is_empty());
         // Two stimulus drives and the detached component's initial wake.
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// Each evaluation after the first: its instant in ps, the
+    /// [`Ctx::rose`] answer and `seen` afterwards in ps.
+    type SleepLog = Rc<RefCell<Vec<(u64, bool, u64)>>>;
+
+    /// An edge-triggered probe that, after each rising evaluation, sleeps
+    /// from `max(now + 1 ps, from)`.
+    struct Sleeper {
+        clk: NetId,
+        seen: Time,
+        from: Time,
+        started: bool,
+        log: SleepLog,
+    }
+
+    impl Component for Sleeper {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            let rose = ctx.rose(self.clk, &mut self.seen);
+            if self.started {
+                let entry = (ctx.now().as_ps(), rose, self.seen.as_ps());
+                self.log.borrow_mut().push(entry);
+                if rose {
+                    ctx.sleep_from(self.from.max(ctx.now() + Time::from_ps(1)));
+                }
+            }
+            self.started = true;
+        }
+    }
+
+    fn sleeper(
+        sim: &mut Simulator,
+        clk: NetId,
+        watch: &[NetId],
+        from: Time,
+    ) -> (ComponentId, SleepLog) {
+        let log = SleepLog::default();
+        let probe = Sleeper {
+            clk,
+            seen: Time::MAX,
+            from,
+            started: false,
+            log: log.clone(),
+        };
+        let id = sim.add_clocked_component(Box::new(probe), &[clk], watch);
+        (id, log)
+    }
+
+    /// `L` at 1 ns, then a rise at each of `rises` (ns) and a fall 1 ns
+    /// after it.
+    fn clock(sim: &mut Simulator, rises: &[u64]) -> NetId {
+        let mut levels = vec![(1, Logic::L)];
+        for &r in rises {
+            levels.extend([(r, Logic::H), (r + 1, Logic::L)]);
+        }
+        stimulus(sim, "clk", &levels)
+    }
+
+    #[test]
+    fn an_input_change_rearms_a_sleeper() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4, 6, 8]);
+        let d = stimulus(&mut sim, "d", &[(5, Logic::H)]);
+        let (_, log) = sleeper(&mut sim, clk, &[d], Time::ZERO);
+        sim.run_until(Time::from_ns(10)).unwrap();
+        // The rises at 4 and 8 ns are slept through; the one at 4 ns is
+        // consumed by the evaluation the data change at 5 ns wakes.
+        assert_eq!(
+            *log.borrow(),
+            [
+                (2_000, true, 2_000),
+                (5_000, false, 4_000),
+                (6_000, true, 6_000)
+            ]
+        );
+        assert_eq!(sim.stats().slept_wakes, 2);
+    }
+
+    #[test]
+    fn a_rise_before_sleep_from_is_still_delivered() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4, 6, 8]);
+        // Asleep from 6 ns: the rise at 4 ns wakes it, the one at 6 ns
+        // (at `sleep_from`) and the one at 8 ns do not.
+        let (_, log) = sleeper(&mut sim, clk, &[], Time::from_ns(6));
+        sim.run_until(Time::from_ns(10)).unwrap();
+        assert_eq!(*log.borrow(), [(2_000, true, 2_000), (4_000, true, 4_000)]);
+        assert_eq!(sim.stats().slept_wakes, 2);
+    }
+
+    #[test]
+    fn a_timed_wake_rearms_a_sleeper() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4, 6]);
+        let (id, log) = sleeper(&mut sim, clk, &[], Time::ZERO);
+        sim.run_until(Time::from_ps(4_500)).unwrap();
+        // Requesting the wake ends the sleep at once, before it runs.
+        sim.schedule_wake(id, Time::from_ns(5));
+        sim.run_until(Time::from_ns(8)).unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [
+                (2_000, true, 2_000),
+                (5_000, false, 4_000),
+                (6_000, true, 6_000)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_slept_rise_is_consumed_before_a_later_change_in_its_instant() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4]);
+        // `go` lands after the clock at 4 ns; the repeater's drive of `d`
+        // is queued behind the wake the slept rise would have taken.
+        let go = stimulus(&mut sim, "go", &[(4, Logic::H)]);
+        let d = sim.net("d");
+        let (_, slept) = sleeper(&mut sim, clk, &[d], Time::ZERO);
+        // The awake twin: it evaluates the rise before `d` moves.
+        let (_, awake) = edge_probe(&mut sim, &[clk], &[clk], &[d]);
+        let out = sim.driver(d);
+        sim.add_component(Box::new(Repeater { input: go, out }), &[go]);
+        sim.run_until(Time::from_ns(6)).unwrap();
+        assert_eq!(
+            *slept.borrow(),
+            [(2_000, true, 2_000), (4_000, false, 4_000)]
+        );
+        assert_eq!(
+            *awake.borrow(),
+            [
+                (2_000, vec![true]),
+                (4_000, vec![true]),
+                (4_000, vec![false])
+            ]
+        );
+    }
+
+    #[test]
+    fn detach_component_drops_sleep_state() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4]);
+        let (id, _) = sleeper(&mut sim, clk, &[], Time::ZERO);
+        sim.run_until(Time::from_ps(4_500)).unwrap();
+        assert_eq!(sim.slept_rise(id), Time::from_ns(4));
+        assert_ne!(sim.wakes[0].sleep_from, Time::MAX);
+        sim.detach_component(id);
+        assert_eq!(sim.slept_rise(id), Time::MAX);
+        assert_eq!(sim.wakes[0].sleep_from, Time::MAX);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "queued ahead of the rise its watcher")]
+    fn an_input_queued_ahead_of_a_slept_rise_is_refused() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4]);
+        // Queued before the sleeper's wake for the 4 ns rise could be.
+        let d = stimulus(&mut sim, "d", &[(4, Logic::H)]);
+        let _ = sleeper(&mut sim, clk, &[d], Time::ZERO);
+        let _ = sim.run_until(Time::from_ns(6));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fell in the instant")]
+    fn a_fall_in_the_instant_of_a_slept_rise_is_refused() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let clk = stimulus(&mut sim, "clk", &[(1, L), (2, H), (3, L), (4, H), (4, L)]);
+        let _ = sleeper(&mut sim, clk, &[], Time::ZERO);
+        let _ = sim.run_until(Time::from_ns(6));
     }
 
     #[cfg(debug_assertions)]

@@ -156,9 +156,9 @@ fn chain_observables_are_pinned() {
     assert_eq!(
         sharded,
         [
-            (0x30ae58a4eb4c75c2, 176_649),
-            (0xdf005cdb4046be87, 218_206),
-            (0xcaf666ef5f944c12, 1_551_760),
+            (0x30ae58a4eb4c75c2, 155_720),
+            (0xdf005cdb4046be87, 191_661),
+            (0xcaf666ef5f944c12, 1_416_944),
         ],
         "sharded observables moved"
     );
