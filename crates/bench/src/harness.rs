@@ -448,8 +448,7 @@ pub fn fifo_transfer(
 
 /// [`fifo_transfer`] returning the finished [`Harness`] alongside the
 /// drain journal, for callers that also want the kernel counters or
-/// waveforms of the run (the `compiled` bench bin compares
-/// `events_processed` across backends this way).
+/// waveforms of the run (the `benchmark` bin reads them this way).
 pub fn fifo_transfer_run(
     design: &dyn MixedTimingDesign,
     params: FifoParams,

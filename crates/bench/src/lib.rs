@@ -21,9 +21,8 @@
 //! * **Static checks**: `lint` (netlist lint and derived contracts),
 //!   `timing` (max- and min-delay STA) and `formal` (model checking);
 //!   `export_verilog` writes the designs as structural Verilog.
-//! * **Engine benches**: `compiled` and `sharded` compare the execution
-//!   backends and the domain-sharded runner; `benchmark` is the repo's
-//!   performance yardstick.
+//! * **Engine benches**: `sharded` measures the domain-sharded runner;
+//!   `benchmark` is the repo's performance yardstick.
 //!
 //! The [`paper`] module holds the published Table 1 numbers so the
 //! binaries can print paper-vs-measured side by side. All the sweeps fan

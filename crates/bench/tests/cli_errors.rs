@@ -132,11 +132,6 @@ fn counts_outside_their_range_are_rejected() {
             "--items wants at least 1, got 0",
         ),
         (
-            env!("CARGO_BIN_EXE_compiled"),
-            &["--quick", "--items", "0"],
-            "--items wants at least 1, got 0",
-        ),
-        (
             env!("CARGO_BIN_EXE_sharded"),
             &["--quick", "--items", "0"],
             "--items wants at least 1, got 0",
@@ -157,19 +152,9 @@ fn counts_outside_their_range_are_rejected() {
             "--items wants at most 100000",
         ),
         (
-            env!("CARGO_BIN_EXE_compiled"),
-            &["--quick", "--items", HUGE],
-            "--items wants at most 100000",
-        ),
-        (
             env!("CARGO_BIN_EXE_sharded"),
             &["--quick", "--items", HUGE],
             "--items wants at most 100000",
-        ),
-        (
-            env!("CARGO_BIN_EXE_compiled"),
-            &["--quick", "--runs", HUGE],
-            "--runs wants at most 100",
         ),
     ] {
         let e = usage_error(bin, args);
