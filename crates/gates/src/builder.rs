@@ -394,7 +394,8 @@ impl<'a> Builder<'a> {
             inst: id.index(),
         });
         // The data and enable pins keep every-change watches: the hold
-        // check runs on their changes.
+        // check runs on their changes, and a change wakes a flop that
+        // sleeps through quiet edges (`Ctx::sleep_from`).
         let mut watch = vec![d];
         if let Some(en) = en {
             watch.push(en);
@@ -639,6 +640,8 @@ impl<'a> Builder<'a> {
             self.netlist.delay_table(),
             id.index(),
         );
+        // The register has no hold check; its enable and data watches
+        // wake it from sleep through quiet edges (`Ctx::sleep_from`).
         let mut watch = Vec::new();
         if let Some(en) = en {
             watch.push(en);
