@@ -331,4 +331,5 @@ fn print_kernel_stats(s: SimStats) {
     println!("  elided drives         {}", s.elided_drives);
     println!("  filtered wakes        {}", s.filtered_wakes);
     println!("  slept wakes           {}", s.slept_wakes);
+    println!("  held wakes            {}", s.held_wakes);
 }

@@ -128,6 +128,7 @@ impl ExperimentReport {
                 ("elided_drives", Json::Num(k.elided_drives as f64)),
                 ("filtered_wakes", Json::Num(k.filtered_wakes as f64)),
                 ("slept_wakes", Json::Num(k.slept_wakes as f64)),
+                ("held_wakes", Json::Num(k.held_wakes as f64)),
             ];
             // Compiled-backend counters are zero on the default event
             // backend; omit them there so pre-existing golden reports
@@ -218,7 +219,8 @@ impl ExperimentReport {
                 // The compiled counters are optional: reports written on
                 // the event backend (and all pre-backend reports) omit
                 // them. So do reports from before drive elision,
-                // rising-edge watches and quiescent-flop sleep.
+                // rising-edge watches, quiescent-flop sleep and
+                // controlling-input sleep.
                 let opt =
                     |key: &str| -> u64 { k.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
                 Some(SimStats {
@@ -234,6 +236,7 @@ impl ExperimentReport {
                     elided_drives: opt("elided_drives"),
                     filtered_wakes: opt("filtered_wakes"),
                     slept_wakes: opt("slept_wakes"),
+                    held_wakes: opt("held_wakes"),
                 })
             }
         };
@@ -360,6 +363,7 @@ mod tests {
             elided_drives: 5,
             filtered_wakes: 13,
             slept_wakes: 17,
+            held_wakes: 19,
         });
         r.note("artifact", Json::str("out.vcd"));
         let text = r.to_json().render();

@@ -58,6 +58,23 @@ impl GateFunc {
         }
     }
 
+    /// The index of the first input whose level alone fixes the output,
+    /// whatever the other inputs are (`X` and `Z` included): `L` on an
+    /// AND or NAND, `H` on an OR or NOR, `a = L` or `b = H` on an ANDNOT,
+    /// `a = H` or `b = L` on an ORNOT. BUF, INV, XOR and MUX2 have no
+    /// controlling value.
+    pub fn controlling(self, inputs: &[Logic]) -> Option<usize> {
+        let first = |c: Logic| inputs.iter().position(|&v| v == c);
+        let pair = |a: Logic, b: Logic| inputs.iter().zip([a, b]).position(|(&v, c)| v == c);
+        match self {
+            GateFunc::And | GateFunc::Nand => first(Logic::L),
+            GateFunc::Or | GateFunc::Nor => first(Logic::H),
+            GateFunc::AndNot => pair(Logic::L, Logic::H),
+            GateFunc::OrNot => pair(Logic::H, Logic::L),
+            GateFunc::Buf | GateFunc::Inv | GateFunc::Xor | GateFunc::Mux2 => None,
+        }
+    }
+
     /// The plain Kleene evaluation with `Z` read as `X`.
     fn apply_kleene(self, inputs: &[Logic]) -> Logic {
         // Normalise Z to X: a floating gate input reads as unknown.
@@ -109,6 +126,11 @@ impl GateFunc {
 /// A combinational gate: recomputes its function whenever an input net
 /// changes and schedules the result on its output driver after the
 /// instance's current [`DelayTable`] entry.
+///
+/// When its output already holds the result and an input holds its
+/// function's controlling value ([`GateFunc::controlling`]), the gate
+/// waits for that input alone ([`Ctx::sleep_until_change`]): until it
+/// moves, no other input can change the output.
 pub struct CombGate {
     name: String,
     func: GateFunc,
@@ -159,18 +181,24 @@ impl Component for CombGate {
         // Gate evaluation is the hottest code in the simulator; read the
         // inputs into a stack buffer so no allocation happens per eval.
         // (The builder's widest primitive cells stay well under the cap.)
-        let v = if self.inputs.len() <= 8 {
-            let mut vals = [Logic::Z; 8];
-            for (v, &n) in vals.iter_mut().zip(&self.inputs) {
+        let mut buf = [Logic::Z; 8];
+        let wide: Vec<Logic>;
+        let vals: &[Logic] = if self.inputs.len() <= 8 {
+            for (v, &n) in buf.iter_mut().zip(&self.inputs) {
                 *v = ctx.get(n);
             }
-            self.func.apply(&vals[..self.inputs.len()])
+            &buf[..self.inputs.len()]
         } else {
-            let vals: Vec<Logic> = self.inputs.iter().map(|&n| ctx.get(n)).collect();
-            self.func.apply(&vals)
+            wide = self.inputs.iter().map(|&n| ctx.get(n)).collect();
+            &wide
         };
+        let v = self.func.apply(vals);
         let d = self.delays.borrow()[self.inst];
-        ctx.drive(self.out, v, d);
+        if ctx.drive(self.out, v, d) {
+            if let Some(i) = self.func.controlling(vals) {
+                ctx.sleep_until_change(self.inputs[i]);
+            }
+        }
     }
 }
 
@@ -228,6 +256,59 @@ mod tests {
         assert_eq!(GateFunc::AndNot.apply(&[H, H]), L);
         assert_eq!(GateFunc::OrNot.apply(&[L, H]), L);
         assert_eq!(GateFunc::OrNot.apply(&[L, L]), H);
+    }
+
+    /// Every level vector of one to three inputs: the controlling input
+    /// alone decides the output, so each vector that agrees with another
+    /// at that input gives the same result.
+    #[test]
+    fn a_controlling_input_fixes_the_output() {
+        const LEVELS: [Logic; 4] = [L, H, X, Z];
+        let vectors = |n: usize| -> Vec<Vec<Logic>> {
+            (0..4usize.pow(n as u32))
+                .map(|k| {
+                    (0..n)
+                        .map(|i| LEVELS[k / 4usize.pow(i as u32) % 4])
+                        .collect()
+                })
+                .collect()
+        };
+        let funcs = [
+            (GateFunc::Buf, 1..=1),
+            (GateFunc::Inv, 1..=1),
+            (GateFunc::And, 1..=3),
+            (GateFunc::Or, 1..=3),
+            (GateFunc::Nand, 1..=3),
+            (GateFunc::Nor, 1..=3),
+            (GateFunc::Xor, 2..=2),
+            (GateFunc::Mux2, 3..=3),
+            (GateFunc::AndNot, 2..=2),
+            (GateFunc::OrNot, 2..=2),
+        ];
+        let mut held = 0;
+        for (f, arities) in funcs {
+            for n in arities {
+                let all = vectors(n);
+                for v in &all {
+                    let Some(i) = f.controlling(v) else {
+                        continue;
+                    };
+                    held += 1;
+                    for w in all.iter().filter(|w| w[i] == v[i]) {
+                        assert_eq!(f.apply(v), f.apply(w), "{f:?} {v:?} vs {w:?}");
+                    }
+                }
+                if matches!(
+                    f,
+                    GateFunc::Buf | GateFunc::Inv | GateFunc::Xor | GateFunc::Mux2
+                ) {
+                    assert!(all.iter().all(|v| f.controlling(v).is_none()), "{f:?}");
+                }
+            }
+        }
+        // 1 + 7 + 37 vectors of 1..=3 inputs hold a given level, for each
+        // of AND, OR, NAND and NOR; 7 of 16 each for ANDNOT and ORNOT.
+        assert_eq!(held, 4 * 45 + 2 * 7);
     }
 
     #[test]

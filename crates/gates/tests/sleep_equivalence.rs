@@ -10,12 +10,12 @@
 //! metastability window) makes the sleep rule's input margins, not its
 //! wait for Q, decide when the cell may sleep.
 //!
-//! The twin keeps the clock as a rising-only watch rather than adding it
-//! to the ordinary watches: an ordinary clock watch adds a wake at every
-//! clock fall, and such a wake can overwrite the wake-coalescing marker
-//! of a queued metastable settle, so a data change at the settle instant
-//! evaluates the cell twice and reports one hold violation twice. That
-//! is a property of the watch mode, not of sleep.
+//! There are two twins. One keeps the clock as a rising-only watch; the
+//! other watches it on every change, so it also evaluates at every clock
+//! fall and at `X`/`Z` levels. A fall wake at an earlier instant must not
+//! hide the wake of a queued metastable settle: a data change at the
+//! settle instant is then absorbed into that wake, and the cell reports
+//! a hold violation once.
 
 use mtf_gates::{Builder, CellDelays, Dff, DffConfig, InstanceId, RegisterWord};
 use mtf_sim::{Component, Ctx, Logic, MetaModel, NetId, Simulator, Time};
@@ -93,16 +93,27 @@ impl Component for RngTap {
     }
 }
 
+/// Which cell a run builds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Variant {
+    /// The built cell, which may sleep.
+    Sleeper,
+    /// A [`NeverSleeps`] copy with the same watches.
+    Twin,
+    /// A [`NeverSleeps`] copy that watches the clock on every change.
+    ClockWatchTwin,
+}
+
 /// Builds `flop` in a fresh simulator (with a 20 ps clock-to-Q if
-/// `fast`), applies the stimulus and runs it; with `twin`, the built cell
-/// is replaced by a [`NeverSleeps`] copy with the same watches.
+/// `fast`), applies the stimulus and runs it; a twin replaces the built
+/// cell.
 fn run(
     flop: Flop,
     fast: bool,
     init: Logic,
     clock: &[(Time, Logic)],
     changes: &[(usize, Time, Logic)],
-    twin: bool,
+    variant: Variant,
 ) -> Observed {
     let mut sim = Simulator::new(7);
     let clk = sim.net("clk");
@@ -136,12 +147,12 @@ fn run(
         }
     };
     let netlist = b.finish();
-    if twin {
+    if variant != Variant::Sleeper {
         let id = InstanceId::from_index(0);
         let (elab, name) = (netlist.elab(id), netlist.instance(id).name.clone());
         sim.detach_component(elab.component.expect("the cell is a component"));
         let timing = elab.flop.as_ref().expect("an edge-triggered cell").timing;
-        let cell: Box<dyn Component> = match flop {
+        let twin: Box<dyn Component> = match flop {
             Flop::Bit { .. } => Box::new(Dff::new(DffConfig {
                 name,
                 clk,
@@ -165,8 +176,14 @@ fn run(
                 0,
             )),
         };
-        let watch: Vec<NetId> = en.iter().chain(&d).copied().collect();
-        sim.add_clocked_component(Box::new(NeverSleeps(cell)), &[clk], &watch);
+        let mut watch: Vec<NetId> = en.iter().chain(&d).copied().collect();
+        let rising = if variant == Variant::Twin {
+            vec![clk]
+        } else {
+            watch.push(clk);
+            vec![]
+        };
+        sim.add_clocked_component(Box::new(NeverSleeps(twin)), &rising, &watch);
     }
     for &n in &q {
         sim.trace(n);
@@ -244,12 +261,14 @@ proptest! {
             })
             .collect();
         let init = Logic::from_bool(init);
-        let sleeper = run(flop, fast, init, &clock, &changes, false);
-        let twin = run(flop, fast, init, &clock, &changes, true);
-        prop_assert_eq!(twin.3, 0, "the twin never sleeps");
-        prop_assert_eq!(&sleeper.0, &twin.0, "Q waveforms of {:?}, fast {}", flop, fast);
-        prop_assert_eq!(&sleeper.1, &twin.1, "violations of {:?}, fast {}", flop, fast);
-        prop_assert_eq!(sleeper.2, twin.2, "RNG draws of {:?}, fast {}", flop, fast);
+        let sleeper = run(flop, fast, init, &clock, &changes, Variant::Sleeper);
+        for variant in [Variant::Twin, Variant::ClockWatchTwin] {
+            let twin = run(flop, fast, init, &clock, &changes, variant);
+            prop_assert_eq!(twin.3, 0, "the twin never sleeps");
+            prop_assert_eq!(&sleeper.0, &twin.0, "Q waveforms of {:?}, fast {}, {:?}", flop, fast, variant);
+            prop_assert_eq!(&sleeper.1, &twin.1, "violations of {:?}, fast {}, {:?}", flop, fast, variant);
+            prop_assert_eq!(sleeper.2, twin.2, "RNG draws of {:?}, fast {}, {:?}", flop, fast, variant);
+        }
     }
 }
 
@@ -273,8 +292,8 @@ fn quiet_inputs_let_every_cell_sleep() {
         },
         Flop::Word { en: true, width: 2 },
     ] {
-        let sleeper = run(flop, false, Logic::L, &clock, &changes, false);
-        let twin = run(flop, false, Logic::L, &clock, &changes, true);
+        let sleeper = run(flop, false, Logic::L, &clock, &changes, Variant::Sleeper);
+        let twin = run(flop, false, Logic::L, &clock, &changes, Variant::Twin);
         assert!(
             sleeper.3 >= 15,
             "{flop:?} slept through {} rises",

@@ -22,7 +22,9 @@ pub struct ComponentId(pub(crate) u32);
 /// whenever one of the nets it was registered as watching changes resolved
 /// value (or, for a rising-only watch, rises from `L` to `H`; see
 /// [`Simulator::add_clocked_component`]), and whenever a self-scheduled
-/// wake-up ([`Ctx::wake_in`]) fires.
+/// wake-up ([`Ctx::wake_in`]) fires. A component that sleeps
+/// ([`Ctx::sleep_from`], [`Ctx::sleep_until_change`]) skips the wakes
+/// that provably would do nothing.
 /// Evaluation happens at a single instant: the component reads its input
 /// nets through the [`Ctx`] and schedules *future* output changes; it never
 /// sees time advance inside `eval`.
@@ -141,6 +143,30 @@ impl<'a> Ctx<'a> {
         self.sim.sleep_from(self.me, at);
     }
 
+    /// Holds this component until `net`, which it watches on every
+    /// change, changes: the kernel skips the wakes its other ordinary
+    /// watches would queue (counted in
+    /// [`SimStats::held_wakes`](crate::SimStats::held_wakes)). The next
+    /// wake of any kind ends the hold, and so does a timed wake request
+    /// ([`Ctx::wake_in`]); rising-only watches are not affected. A
+    /// component that already has a wake queued for this instant is not
+    /// held.
+    ///
+    /// Only for a component whose evaluation, while `net` keeps its
+    /// value, would do nothing whatever its other inputs do: no drive
+    /// but one the kernel elides, no report and no RNG draw. A
+    /// combinational gate qualifies after an elided drive when `net`
+    /// holds its function's controlling value.
+    ///
+    /// The rule is exact. A skipped wake takes the sequence number it
+    /// would have had, so every later event is numbered as in a run
+    /// without the hold; and when `net` changes in the same instant
+    /// before that wake would have run, the wake is queued at that
+    /// number, so the component evaluates exactly where it would have.
+    pub fn sleep_until_change(&mut self, net: NetId) {
+        self.sim.sleep_until_change(self.me, net);
+    }
+
     /// Schedules `driver` to contribute `value` after `delay`.
     ///
     /// A later call for the same driver cancels any still-pending earlier
@@ -153,14 +179,18 @@ impl<'a> Ctx<'a> {
     /// A driver scheduled here must not also be scheduled through
     /// [`Simulator::drive_at`] or [`Ctx::commit_drive`]; the elision is
     /// exact only because this call owns the driver (debug builds check).
-    pub fn drive(&mut self, driver: DriverId, value: Logic, delay: Time) {
-        self.sim.drive_in(driver, value, delay);
+    ///
+    /// Returns whether the drive was elided: then the driver holds
+    /// `value` and has nothing pending.
+    pub fn drive(&mut self, driver: DriverId, value: Logic, delay: Time) -> bool {
+        self.sim.drive_in(driver, value, delay)
     }
 
     /// Schedules `driver` to contribute `value` at the current instant
     /// (still via the event queue, preserving deterministic ordering).
-    pub fn drive_now(&mut self, driver: DriverId, value: Logic) {
-        self.sim.drive_in(driver, value, Time::ZERO);
+    /// Returns whether the drive was elided, as [`Ctx::drive`] does.
+    pub fn drive_now(&mut self, driver: DriverId, value: Logic) -> bool {
+        self.sim.drive_in(driver, value, Time::ZERO)
     }
 
     /// Applies `value` on `driver` immediately — no queue event. The net

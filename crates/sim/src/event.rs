@@ -186,7 +186,7 @@ impl Default for EventQueue {
             scratch: Vec::new(),
             cur: 0,
             len: 0,
-            next_seq: 0,
+            next_seq: 1,
             stats: QueueStats::default(),
         }
     }
@@ -194,20 +194,52 @@ impl Default for EventQueue {
 
 impl EventQueue {
     /// The sequence number the next `push` will assign; lets callers embed
-    /// an event's own seq inside it (drive cancellation stamps).
+    /// an event's own seq inside it (drive cancellation stamps). Numbers
+    /// start at 1, so 0 can stand for "before every event".
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     pub fn push(&mut self, time: Time, kind: EventKind) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.len += 1;
         if self.len > self.stats.peak_depth {
             self.stats.peak_depth = self.len;
         }
         self.place(Event { time, seq, kind });
         seq
+    }
+
+    /// Takes the next sequence number without queueing anything, so the
+    /// seqs of later pushes are those they would have had if an event had
+    /// been pushed here. [`EventQueue::insert_reserved`] may queue the
+    /// event later in the same instant.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Queues an event at the current instant under a `seq` reserved
+    /// earlier in it, at the delta-ring position a push at reservation
+    /// time would have given it. The reserved event must not have been
+    /// due yet: every event popped so far in this instant has a smaller
+    /// seq.
+    pub fn insert_reserved(&mut self, seq: u64, kind: EventKind) {
+        let time = Time::from_ps(self.cur);
+        self.len += 1;
+        if self.len > self.stats.peak_depth {
+            self.stats.peak_depth = self.len;
+        }
+        self.stats.delta_pushes += 1;
+        let pending = &self.ready[self.ready_head..];
+        debug_assert!(pending.iter().all(|e| e.time == time && e.seq != seq));
+        let at = self.ready_head + pending.partition_point(|e| e.seq < seq);
+        self.ready.insert(at, Event { time, seq, kind });
+        let depth = self.ready.len() - self.ready_head;
+        if depth > self.stats.peak_delta_depth {
+            self.stats.peak_delta_depth = depth;
+        }
     }
 
     /// Routes an event into the delta ring, a wheel slot, or overflow,
@@ -632,6 +664,28 @@ mod tests {
         for seed in 0..50 {
             interleaving_against_reference(seed, 2_000);
         }
+    }
+
+    #[test]
+    fn a_reserved_seq_is_inserted_at_its_delta_ring_place() {
+        let wake = |i| EventKind::Wake {
+            comp: ComponentId(i),
+        };
+        let mut q = EventQueue::default();
+        let first = q.push(Time::from_ps(100), wake(0));
+        q.push(Time::from_ps(100), wake(1));
+        assert_eq!(q.pop().unwrap().seq, first);
+        let seq = q.reserve_seq();
+        q.push(Time::from_ps(100), wake(3));
+        q.insert_reserved(seq, wake(2));
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Wake { comp } => (e.time.as_ps(), comp.0 as u64),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(rest, [(100, 1), (100, 2), (100, 3)]);
+        assert_eq!(q.stats().delta_pushes, 4);
     }
 
     #[test]

@@ -133,6 +133,13 @@ pub struct SimStats {
     /// [`Ctx::sleep_from`](crate::Ctx::sleep_from)): each one is an edge
     /// evaluation that provably would have done nothing.
     pub slept_wakes: u64,
+    /// Ordinary wakes skipped because the watcher waited for a change of
+    /// another net (see
+    /// [`Ctx::sleep_until_change`](crate::Ctx::sleep_until_change)): each
+    /// one is an evaluation whose output one input pinned. A skipped wake
+    /// that would have coalesced into an earlier skipped one is counted
+    /// here too, not in `coalesced_wakes`.
+    pub held_wakes: u64,
 }
 
 /// Which execution strategy elaboration should install for purely
@@ -211,10 +218,23 @@ impl DriveMode {
 /// walk of [`Simulator::recompute_net`] reads them together.
 #[derive(Clone, Copy, Debug)]
 struct WakeState {
-    /// The instant of a queued, not-yet-delivered wake (`Time::MAX` when
-    /// none). A wake request matching it is dropped — the queued wake
-    /// already covers it.
-    pending: Time,
+    /// The sequence number of the latest wake requested at its own
+    /// instant: queued, or skipped while held (its number reserved); 0,
+    /// a number the queue never takes, before the first. While it is
+    /// still ahead ([`WakeState::ahead`]), a wake request is dropped —
+    /// that wake already covers it.
+    wake_seq: u64,
+    /// The instant of the latest queued, not-yet-delivered wake requested
+    /// for a later instant ([`Simulator::schedule_wake`]; `Time::MAX` when
+    /// none); a wake request at that instant is dropped too. Kept apart
+    /// from `wake_seq`, so a wake at an earlier instant does not hide it.
+    timed: Time,
+    /// The net whose change ends a hold ([`Ctx::sleep_until_change`];
+    /// `NOT_HELD` when none): until then, ordinary wakes from other nets
+    /// are skipped. Cleared by every wake dispatch, by
+    /// [`Simulator::schedule_wake`] and by
+    /// [`Simulator::detach_component`].
+    awaited: u32,
     /// Rising-only wakes at or after this instant are skipped
     /// (`Time::MAX`: awake). Set by [`Ctx::sleep_from`]; cleared by every
     /// ordinary wake and by [`Simulator::schedule_wake`].
@@ -229,13 +249,38 @@ struct WakeState {
 }
 
 impl WakeState {
+    const NOT_HELD: u32 = u32::MAX;
+
     const IDLE: WakeState = WakeState {
-        pending: Time::MAX,
+        wake_seq: 0,
+        timed: Time::MAX,
+        awaited: Self::NOT_HELD,
         sleep_from: Time::MAX,
         slept_rise: Time::MAX,
         #[cfg(debug_assertions)]
         slept_seq: u64::MAX,
     };
+
+    /// Whether the latest same-instant wake is still ahead: requested in
+    /// this instant and not yet dispatched (`due` is the simulator's).
+    fn ahead(&self, due: u64) -> bool {
+        self.wake_seq > due
+    }
+
+    /// Whether a wake requested at `now` is covered by one still ahead.
+    fn covers(&self, due: u64, now: Time) -> bool {
+        self.ahead(due) || self.timed == now
+    }
+
+    /// Ends the hold. A held component has no queued wake ahead, so a
+    /// wake still ahead is one it skipped: it is queued now at its
+    /// reserved seq, where the never-held component has it.
+    fn release(&mut self, due: u64, queue: &mut EventQueue, comp: ComponentId) {
+        if self.ahead(due) {
+            queue.insert_reserved(self.wake_seq, EventKind::Wake { comp });
+        }
+        self.awaited = Self::NOT_HELD;
+    }
 }
 
 /// The discrete-event simulator. See the [crate docs](crate) for the model.
@@ -262,10 +307,13 @@ pub struct Simulator {
     elided_drives: u64,
     filtered_wakes: u64,
     slept_wakes: u64,
-    /// Debug builds: the sequence number of the event being dispatched,
-    /// the order key of every net change it causes.
-    #[cfg(debug_assertions)]
-    dispatch_seq: u64,
+    held_wakes: u64,
+    /// Sequence numbers at or below this one are no longer ahead: taken
+    /// before the current instant began, or by an event already
+    /// dispatched in it (one instant's events are dispatched in sequence
+    /// order). Kept by [`Simulator::run_until`]; it orders a net change
+    /// against the wakes of its instant.
+    due: u64,
     /// Which scheduling call each driver took first (indexed by driver);
     /// debug builds hold every later call to the same one.
     #[cfg(debug_assertions)]
@@ -314,8 +362,8 @@ impl Simulator {
             elided_drives: 0,
             filtered_wakes: 0,
             slept_wakes: 0,
-            #[cfg(debug_assertions)]
-            dispatch_seq: 0,
+            held_wakes: 0,
+            due: 0,
             #[cfg(debug_assertions)]
             drive_modes: Vec::new(),
             race: None,
@@ -427,13 +475,14 @@ impl Simulator {
     /// every net, so future net changes stop generating wake events for
     /// it. Used by the compiled backend to supersede per-gate components
     /// with a region engine after elaboration; its drivers keep their
-    /// last contribution, and its sleep state is dropped.
+    /// last contribution, and its sleep state and hold are dropped.
     pub fn detach_component(&mut self, comp: ComponentId) {
         let idx = comp.0 as usize;
         self.components[idx] = None;
         let w = &mut self.wakes[idx];
         w.sleep_from = Time::MAX;
         w.slept_rise = Time::MAX;
+        w.awaited = WakeState::NOT_HELD;
         for net in &mut self.nets {
             net.watchers.retain(|w| w.comp() != comp);
         }
@@ -554,6 +603,7 @@ impl Simulator {
             elided_drives: self.elided_drives,
             filtered_wakes: self.filtered_wakes,
             slept_wakes: self.slept_wakes,
+            held_wakes: self.held_wakes,
         }
     }
 
@@ -635,14 +685,15 @@ impl Simulator {
     /// `drive_in` would cancel it, and nothing else changes the driver's
     /// contribution (drivers are owned by one scheduling call, see
     /// [`Simulator::drive_at`]); so when it landed it would find its own
-    /// value in place, change nothing and wake nobody.
-    pub(crate) fn drive_in(&mut self, driver: DriverId, value: Logic, delay: Time) {
+    /// value in place, change nothing and wake nobody. Returns whether
+    /// the drive was elided.
+    pub(crate) fn drive_in(&mut self, driver: DriverId, value: Logic, delay: Time) -> bool {
         self.claim(driver, DriveMode::Inertial);
         let d = &mut self.drivers[driver.0 as usize];
         if d.value == value {
             d.pending_seq = u64::MAX;
             self.elided_drives += 1;
-            return;
+            return true;
         }
         let t = self.time + delay;
         let stamp = self.queue.next_seq();
@@ -656,6 +707,7 @@ impl Simulator {
         );
         debug_assert_eq!(stamp, seq);
         self.drivers[driver.0 as usize].pending_seq = seq;
+        false
     }
 
     /// External (testbench-level) drive scheduling: contributes `value` on
@@ -738,20 +790,28 @@ impl Simulator {
 
     /// Queues a wake for `comp` at `at` (clamped to now), unless one is
     /// already queued for that instant. A timed wake also ends the
-    /// component's sleep.
+    /// component's sleep and its hold.
     pub(crate) fn schedule_wake(&mut self, comp: ComponentId, at: Time) {
-        let at = at.max(self.time);
+        let now = self.time;
+        let at = at.max(now);
         let w = &mut self.wakes[comp.0 as usize];
         w.sleep_from = Time::MAX;
-        if w.pending == at {
+        if w.awaited != WakeState::NOT_HELD {
+            w.release(self.due, &mut self.queue, comp);
+        }
+        if (at == now && w.ahead(self.due)) || w.timed == at {
             // A wake for this component at this instant is already queued
             // and will run after every net update of the instant — this
             // request is covered by it.
             self.coalesced_wakes += 1;
             return;
         }
-        w.pending = at;
-        self.queue.push(at, EventKind::Wake { comp });
+        let seq = self.queue.push(at, EventKind::Wake { comp });
+        if at == now {
+            w.wake_seq = seq;
+        } else {
+            w.timed = at;
+        }
     }
 
     /// See [`Ctx::sleep_from`].
@@ -761,6 +821,20 @@ impl Simulator {
             "a sleeper must take every remaining rise of the current instant"
         );
         self.wakes[comp.0 as usize].sleep_from = at;
+    }
+
+    /// See [`Ctx::sleep_until_change`].
+    pub(crate) fn sleep_until_change(&mut self, comp: ComponentId, net: NetId) {
+        debug_assert!(
+            self.nets[net.0 as usize]
+                .watchers
+                .contains(&Watcher::new(comp, false)),
+            "a held component must watch the net it waits for on every change"
+        );
+        let w = &mut self.wakes[comp.0 as usize];
+        if !w.ahead(self.due) {
+            w.awaited = net.0;
+        }
     }
 
     /// The latest rise `comp` slept through (`Time::MAX` if none).
@@ -786,8 +860,11 @@ impl Simulator {
                 break;
             };
             if ev.time > instant {
+                // `instant` is the simulator's time: every number taken
+                // so far belongs to an earlier instant.
                 instant = ev.time;
                 events_this_instant = 0;
+                self.due = self.queue.next_seq() - 1;
             }
             events_this_instant += 1;
             self.events_processed += 1;
@@ -798,10 +875,7 @@ impl Simulator {
                 });
             }
             self.time = ev.time;
-            #[cfg(debug_assertions)]
-            {
-                self.dispatch_seq = ev.seq;
-            }
+            self.due = self.due.max(ev.seq);
             match ev.kind {
                 EventKind::Drive {
                     driver,
@@ -811,18 +885,25 @@ impl Simulator {
                     self.apply_drive(driver, value, stamp);
                 }
                 EventKind::Wake { comp } => {
-                    // Retire the coalescing marker *before* evaluating, so a
-                    // wake the component schedules for this same instant
-                    // during eval (self-rewake) is queued, not absorbed.
+                    // The dispatch retires the wake *before* evaluating
+                    // (its seq is no longer ahead), so a wake the
+                    // component schedules for this same instant during
+                    // eval (self-rewake) is queued, not absorbed. A held
+                    // component is woken only by a release, so its hold
+                    // has nothing left to queue.
                     let w = &mut self.wakes[comp.0 as usize];
-                    if w.pending == ev.time {
-                        w.pending = Time::MAX;
+                    if w.timed == ev.time {
+                        w.timed = Time::MAX;
                     }
+                    w.awaited = WakeState::NOT_HELD;
                     self.eval_component(comp);
                 }
             }
         }
         if !self.stop_requested {
+            if horizon > self.time {
+                self.due = self.queue.next_seq() - 1;
+            }
             self.time = horizon;
         }
         Ok(())
@@ -939,11 +1020,12 @@ impl Simulator {
         }
         // Notify watchers via wake events at the current instant; a
         // rising-only watcher only if the net rose and the watcher is
-        // awake. An ordinary watch ends a sleep. Borrowing the watcher
-        // list, the queue and the wake states as disjoint fields lets
-        // this iterate in place — no clone of the watcher Vec per net
-        // change.
+        // awake, an ordinary one only if it is not held for another net.
+        // An ordinary watch ends a sleep. Borrowing the watcher list, the
+        // queue and the wake states as disjoint fields lets this iterate
+        // in place — no clone of the watcher Vec per net change.
         let now = self.time;
+        let due = self.due;
         let (nets, queue, wakes) = (&self.nets, &mut self.queue, &mut self.wakes);
         for &w in &nets[idx].watchers {
             let comp = w.comp();
@@ -963,18 +1045,30 @@ impl Simulator {
                     continue;
                 }
             } else {
+                if st.awaited != WakeState::NOT_HELD {
+                    if st.awaited != net.0 {
+                        // Held: skip the wake, but take the seq it would
+                        // have had, unless it would have coalesced into a
+                        // wake still ahead in this instant.
+                        self.held_wakes += 1;
+                        if !st.covers(due, now) {
+                            st.wake_seq = queue.reserve_seq();
+                        }
+                        continue;
+                    }
+                    st.release(due, queue, comp);
+                }
                 st.sleep_from = Time::MAX;
                 #[cfg(debug_assertions)]
-                if st.slept_rise == now && self.dispatch_seq < st.slept_seq {
+                if st.slept_rise == now && st.slept_seq > due {
                     Self::refuse_late_input(&nets[idx], &self.components, comp, now);
                 }
             }
-            if st.pending == now {
+            if st.covers(due, now) {
                 self.coalesced_wakes += 1;
                 continue;
             }
-            st.pending = now;
-            queue.push(now, EventKind::Wake { comp });
+            st.wake_seq = queue.push(now, EventKind::Wake { comp });
         }
     }
 
@@ -1498,6 +1592,164 @@ mod tests {
         sim.detach_component(id);
         assert_eq!(sim.slept_rise(id), Time::MAX);
         assert_eq!(sim.wakes[0].sleep_from, Time::MAX);
+    }
+
+    /// Evaluation order across components: instant in ps and name.
+    type OrderLog = Rc<RefCell<Vec<(u64, &'static str)>>>;
+
+    /// Logs each evaluation; with `hold`, waits for `a` alone while it is
+    /// `L` (an AND whose output nobody reads).
+    struct Held {
+        name: &'static str,
+        a: NetId,
+        hold: bool,
+        log: OrderLog,
+    }
+
+    impl Component for Held {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            self.log.borrow_mut().push((ctx.now().as_ps(), self.name));
+            if self.hold && ctx.get(self.a) == Logic::L {
+                ctx.sleep_until_change(self.a);
+            }
+        }
+    }
+
+    /// Registers a [`Held`] named `name` watching `a` and `b`.
+    fn held(
+        sim: &mut Simulator,
+        name: &'static str,
+        a: NetId,
+        b: NetId,
+        hold: bool,
+        log: &OrderLog,
+    ) -> ComponentId {
+        let c = Held {
+            name,
+            a,
+            hold,
+            log: log.clone(),
+        };
+        sim.add_component(Box::new(c), &[a, b])
+    }
+
+    /// The evaluations at or after 1 ns, in order.
+    fn order(log: &OrderLog) -> Vec<(u64, &'static str)> {
+        log.borrow()
+            .iter()
+            .copied()
+            .filter(|&(t, _)| t >= 1_000)
+            .collect()
+    }
+
+    #[test]
+    fn a_held_component_skips_other_inputs_until_the_awaited_one_moves() {
+        use Logic::*;
+        let run = |hold: bool| {
+            let mut sim = Simulator::new(0);
+            let a = stimulus(&mut sim, "a", &[(1, L), (5, H), (7, L)]);
+            let b = stimulus(&mut sim, "b", &[(2, H), (3, L), (4, H), (6, L), (8, H)]);
+            let log = OrderLog::default();
+            held(&mut sim, "g", a, b, hold, &log);
+            sim.run_until(Time::from_ns(9)).unwrap();
+            (order(&log), sim.stats())
+        };
+        let (held, stats) = run(true);
+        // Held from 1 ns: `b` at 2-4 ns is skipped, `a` rising at 5 ns
+        // wakes it; awake, `b` at 6 ns does too; held again from 7 ns.
+        let at = |ns: &[u64]| ns.iter().map(|&t| (t * 1_000, "g")).collect::<Vec<_>>();
+        assert_eq!(held, at(&[1, 5, 6, 7]));
+        assert_eq!(stats.held_wakes, 4);
+        let (awake, awake_stats) = run(false);
+        assert_eq!(awake, at(&[1, 2, 3, 4, 5, 6, 7, 8]));
+        assert_eq!(awake_stats.events_processed, stats.events_processed + 4);
+    }
+
+    #[test]
+    fn a_release_in_the_instant_of_a_skip_runs_the_wake_in_its_place() {
+        use Logic::*;
+        let run = |hold: bool| {
+            let mut sim = Simulator::new(0);
+            // Both 3 ns drives are queued long before the skipped wake.
+            let b = stimulus(&mut sim, "b", &[(1, L), (3, H)]);
+            let a = stimulus(&mut sim, "a", &[(1, L), (3, H)]);
+            let log = OrderLog::default();
+            held(&mut sim, "g", a, b, hold, &log);
+            // Woken by `b` right after `g`'s would-be wake.
+            held(&mut sim, "tail", b, b, false, &log);
+            sim.run_until(Time::from_ns(4)).unwrap();
+            (order(&log), sim.stats())
+        };
+        let (held, stats) = run(true);
+        let (awake, awake_stats) = run(false);
+        // At 3 ns `b` moves first (`g` held: skipped, seq reserved), then
+        // `a` through an earlier-queued event: `g`'s wake is queued at the
+        // reserved seq, so `g` still evaluates before `tail`.
+        assert_eq!(
+            held,
+            [(1_000, "g"), (1_000, "tail"), (3_000, "g"), (3_000, "tail")]
+        );
+        assert_eq!(held, awake);
+        assert_eq!(stats.held_wakes, 1);
+        assert_eq!(stats.events_processed, awake_stats.events_processed);
+        assert_eq!(stats.coalesced_wakes, awake_stats.coalesced_wakes);
+    }
+
+    #[test]
+    fn a_release_after_the_skipped_wake_was_due_wakes_afresh() {
+        use Logic::*;
+        let run = |hold: bool| {
+            let mut sim = Simulator::new(0);
+            let b = stimulus(&mut sim, "b", &[(1, L), (3, H)]);
+            let go = stimulus(&mut sim, "go", &[(1, L), (3, H)]);
+            let a = sim.net("a");
+            let log = OrderLog::default();
+            held(&mut sim, "g", a, b, hold, &log);
+            // `a` follows `go` one delta later, after `g`'s skipped wake.
+            let out = sim.driver(a);
+            sim.add_component(Box::new(Repeater { input: go, out }), &[go]);
+            held(&mut sim, "tail", b, b, false, &log);
+            sim.run_until(Time::from_ns(4)).unwrap();
+            (order(&log), sim.stats().held_wakes)
+        };
+        let (held, skipped) = run(true);
+        assert_eq!(
+            held,
+            [
+                (1_000, "g"),
+                (1_000, "tail"),
+                (1_000, "g"),
+                (3_000, "tail"),
+                (3_000, "g")
+            ]
+        );
+        assert_eq!(skipped, 1);
+        // Awake, `g` also evaluates the skipped wake, before `tail`.
+        let (mut awake, _) = run(false);
+        assert_eq!(awake.remove(3), (3_000, "g"));
+        assert_eq!(held, awake);
+    }
+
+    #[test]
+    fn schedule_wake_and_detach_end_a_hold() {
+        use Logic::*;
+        let mut sim = Simulator::new(0);
+        let a = stimulus(&mut sim, "a", &[(1, L)]);
+        let b = stimulus(&mut sim, "b", &[(2, H), (4, L)]);
+        let log = OrderLog::default();
+        let id = held(&mut sim, "g", a, b, true, &log);
+        sim.run_until(Time::from_ps(2_500)).unwrap();
+        assert_eq!(sim.wakes[id.0 as usize].awaited, a.0);
+        // The request ends the hold at once, before its wake runs.
+        sim.schedule_wake(id, Time::from_ns(3));
+        assert_eq!(sim.wakes[id.0 as usize].awaited, WakeState::NOT_HELD);
+        sim.run_until(Time::from_ps(3_500)).unwrap();
+        assert_eq!(order(&log), [(1_000, "g"), (3_000, "g")]);
+        assert_eq!(sim.wakes[id.0 as usize].awaited, a.0);
+        sim.detach_component(id);
+        assert_eq!(sim.wakes[id.0 as usize].awaited, WakeState::NOT_HELD);
+        sim.run_until(Time::from_ns(5)).unwrap();
+        assert_eq!(sim.stats().held_wakes, 1);
     }
 
     #[cfg(debug_assertions)]
