@@ -12,7 +12,8 @@
 //! at any thread count — cells are computed in parallel but reassembled
 //! in input order, and every cell seeds its own simulator. `--stats`
 //! appends the simulation kernel's internal counters for one
-//! representative transfer run.
+//! representative transfer run, and its evaluations per component kind
+//! (in the `--json` report, the `kernel` block's `by_kind` object).
 //!
 //! `--json` emits the full grid as one structured
 //! [`ExperimentReport`](mtf_bench::report::ExperimentReport), which
@@ -30,7 +31,7 @@ use mtf_bench::report::{DesignEntry, Run};
 use mtf_bench::sweep::SweepRunner;
 use mtf_core::design::{DesignRegistry, MIXED_CLOCK};
 use mtf_core::{FifoParams, MixedTimingDesign};
-use mtf_sim::{SimStats, Time};
+use mtf_sim::{KindCount, SimStats, Time};
 
 const WIDTHS: [usize; 2] = [8, 16];
 const CAPACITIES: [usize; 3] = [4, 8, 16];
@@ -230,11 +231,14 @@ fn main() {
         println!();
         println!("{pass} shape checks passed, {fail} failed");
         if stats {
-            print_kernel_stats(kernel_stats());
+            let (s, by_kind) = kernel_stats(true);
+            print_kernel_stats(s, &by_kind);
         }
     } else {
         let r = &mut run.report;
-        r.kernel = Some(kernel_stats());
+        let (s, by_kind) = kernel_stats(stats);
+        r.kernel = Some(s);
+        r.by_kind = by_kind;
         for (d, design) in designs.iter().enumerate() {
             for &width in &WIDTHS {
                 for &capacity in &CAPACITIES {
@@ -290,9 +294,13 @@ fn parse_cell(
 /// Runs one representative mixed-clock transfer and returns the kernel's
 /// internal counters ([`mtf_sim::Simulator::stats`]) — a quick check of
 /// how hard the event queue worked and how much the wake coalescing and
-/// delta ring are earning.
-fn kernel_stats() -> SimStats {
+/// delta ring are earning — and, if `by_kind`, its evaluations per
+/// component kind.
+fn kernel_stats(by_kind: bool) -> (SimStats, Vec<KindCount>) {
     let mut h = Harness::calibrated(7);
+    if by_kind {
+        h.sim.enable_kind_counts();
+    }
     h.clock_nets_both();
     h.gen_put(Time::from_ps(4_000));
     h.gen_get_phased(Time::from_ps(5_300), Time::from_ps(700));
@@ -315,10 +323,10 @@ fn kernel_stats() -> SimStats {
         },
     );
     h.sim.run_until(Time::from_us(2)).expect("simulation runs");
-    h.sim.stats()
+    (h.sim.stats(), h.sim.kind_counts())
 }
 
-fn print_kernel_stats(s: SimStats) {
+fn print_kernel_stats(s: SimStats, by_kind: &[KindCount]) {
     println!();
     println!("Kernel stats (mixed-clock 8-place/8-bit, 64-item transfer, 2 µs):");
     println!("  events processed      {}", s.events_processed);
@@ -332,4 +340,11 @@ fn print_kernel_stats(s: SimStats) {
     println!("  filtered wakes        {}", s.filtered_wakes);
     println!("  slept wakes           {}", s.slept_wakes);
     println!("  held wakes            {}", s.held_wakes);
+    println!("  evaluations by kind   all (idle)   at a rising edge (idle)");
+    for c in by_kind {
+        println!(
+            "    {:<10} {:>8} ({:>6})   {:>8} ({:>6})",
+            c.kind, c.evals, c.idle, c.edges, c.idle_edges
+        );
+    }
 }

@@ -15,7 +15,7 @@
 use std::fmt::Display;
 
 use mtf_core::FifoParams;
-use mtf_sim::SimStats;
+use mtf_sim::{KindCount, SimStats};
 
 use crate::args::Args;
 use crate::json::Json;
@@ -64,6 +64,10 @@ pub struct ExperimentReport {
     pub entries: Vec<DesignEntry>,
     /// Event-kernel counters from a representative run, if one was taken.
     pub kernel: Option<SimStats>,
+    /// Evaluations per component kind in that run, if they were counted
+    /// ([`Simulator::enable_kind_counts`](mtf_sim::Simulator::enable_kind_counts));
+    /// the `kernel` block's optional `by_kind` object.
+    pub by_kind: Vec<KindCount>,
     /// Experiment-specific extras (artifact paths, check counts, …).
     pub notes: Vec<(String, Json)>,
 }
@@ -143,6 +147,24 @@ impl ExperimentReport {
                     Json::Num(k.compiled_gate_evals as f64),
                 ));
             }
+            // Counted only on request; omitted otherwise, like the
+            // compiled counters.
+            if !self.by_kind.is_empty() {
+                let kinds = self
+                    .by_kind
+                    .iter()
+                    .map(|c| {
+                        let counts = Json::obj([
+                            ("evals", Json::Num(c.evals as f64)),
+                            ("idle", Json::Num(c.idle as f64)),
+                            ("edges", Json::Num(c.edges as f64)),
+                            ("idle_edges", Json::Num(c.idle_edges as f64)),
+                        ]);
+                        (c.kind.clone(), counts)
+                    })
+                    .collect();
+                fields.push(("by_kind", Json::Obj(kinds)));
+            }
             pairs.push(("kernel".to_string(), Json::obj(fields)));
         }
         for (name, value) in &self.notes {
@@ -208,6 +230,28 @@ impl ExperimentReport {
                 measurements,
             });
         }
+        let by_kind = match v.get("kernel").and_then(|k| k.get("by_kind")) {
+            None => Vec::new(),
+            Some(Json::Obj(kinds)) => kinds
+                .iter()
+                .map(|(kind, c)| {
+                    let n = |key: &str| {
+                        c.get(key)
+                            .and_then(Json::as_f64)
+                            .map(|x| x as u64)
+                            .ok_or_else(|| format!("by_kind {kind} without {key}"))
+                    };
+                    Ok(KindCount {
+                        kind: kind.clone(),
+                        evals: n("evals")?,
+                        idle: n("idle")?,
+                        edges: n("edges")?,
+                        idle_edges: n("idle_edges")?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            Some(_) => return Err("by_kind is not an object".into()),
+        };
         let kernel = match v.get("kernel") {
             None => None,
             Some(k) => {
@@ -254,6 +298,7 @@ impl ExperimentReport {
             experiment,
             entries,
             kernel,
+            by_kind,
             notes,
         })
     }
@@ -365,6 +410,13 @@ mod tests {
             slept_wakes: 17,
             held_wakes: 19,
         });
+        r.by_kind = vec![KindCount {
+            kind: "DFF".into(),
+            evals: 29,
+            idle: 23,
+            edges: 5,
+            idle_edges: 1,
+        }];
         r.note("artifact", Json::str("out.vcd"));
         let text = r.to_json().render();
         let back = ExperimentReport::from_json(&Json::parse(&text).unwrap()).unwrap();

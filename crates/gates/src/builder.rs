@@ -151,7 +151,8 @@ impl<'a> Builder<'a> {
 
     // ---- combinational gates ------------------------------------------------
 
-    fn comb(&mut self, kind: CellKind, func: GateFunc, inputs: Vec<NetId>, out: NetId) -> NetId {
+    fn comb(&mut self, func: GateFunc, inputs: Vec<NetId>, out: NetId) -> NetId {
+        let kind = func.cell_kind();
         let name = self.fresh_name(&kind.to_string());
         let drv = self.sim.driver(out);
         let id = self.netlist.push(Instance {
@@ -187,24 +188,24 @@ impl<'a> Builder<'a> {
     /// Non-inverting buffer.
     pub fn buf(&mut self, a: NetId) -> NetId {
         let out = self.out_net("buf_out");
-        self.comb(CellKind::Buf, GateFunc::Buf, vec![a], out)
+        self.comb(GateFunc::Buf, vec![a], out)
     }
 
     /// Inverter.
     pub fn inv(&mut self, a: NetId) -> NetId {
         let out = self.out_net("inv_out");
-        self.comb(CellKind::Inv, GateFunc::Inv, vec![a], out)
+        self.comb(GateFunc::Inv, vec![a], out)
     }
 
     /// Inverter driving an existing net (for feedback loops).
     pub fn inv_onto(&mut self, a: NetId, out: NetId) {
-        self.comb(CellKind::Inv, GateFunc::Inv, vec![a], out);
+        self.comb(GateFunc::Inv, vec![a], out);
     }
 
     /// Buffer driving an existing net (for connecting separately created
     /// nets, e.g. ring topologies built back-to-front).
     pub fn buf_onto(&mut self, a: NetId, out: NetId) {
-        self.comb(CellKind::Buf, GateFunc::Buf, vec![a], out);
+        self.comb(GateFunc::Buf, vec![a], out);
     }
 
     /// 2-input AND.
@@ -216,7 +217,7 @@ impl<'a> Builder<'a> {
     pub fn and(&mut self, inputs: &[NetId]) -> NetId {
         assert!(!inputs.is_empty(), "AND needs at least one input");
         let out = self.out_net("and_out");
-        self.comb(CellKind::And, GateFunc::And, inputs.to_vec(), out)
+        self.comb(GateFunc::And, inputs.to_vec(), out)
     }
 
     /// 2-input OR.
@@ -228,45 +229,45 @@ impl<'a> Builder<'a> {
     pub fn or(&mut self, inputs: &[NetId]) -> NetId {
         assert!(!inputs.is_empty(), "OR needs at least one input");
         let out = self.out_net("or_out");
-        self.comb(CellKind::Or, GateFunc::Or, inputs.to_vec(), out)
+        self.comb(GateFunc::Or, inputs.to_vec(), out)
     }
 
     /// N-input NAND.
     pub fn nand(&mut self, inputs: &[NetId]) -> NetId {
         assert!(!inputs.is_empty(), "NAND needs at least one input");
         let out = self.out_net("nand_out");
-        self.comb(CellKind::Nand, GateFunc::Nand, inputs.to_vec(), out)
+        self.comb(GateFunc::Nand, inputs.to_vec(), out)
     }
 
     /// N-input NOR.
     pub fn nor(&mut self, inputs: &[NetId]) -> NetId {
         assert!(!inputs.is_empty(), "NOR needs at least one input");
         let out = self.out_net("nor_out");
-        self.comb(CellKind::Nor, GateFunc::Nor, inputs.to_vec(), out)
+        self.comb(GateFunc::Nor, inputs.to_vec(), out)
     }
 
     /// 2-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
         let out = self.out_net("xor_out");
-        self.comb(CellKind::Xor, GateFunc::Xor, vec![a, b], out)
+        self.comb(GateFunc::Xor, vec![a, b], out)
     }
 
     /// `a AND NOT b` (one complex gate).
     pub fn and_not(&mut self, a: NetId, b: NetId) -> NetId {
         let out = self.out_net("andn_out");
-        self.comb(CellKind::And, GateFunc::AndNot, vec![a, b], out)
+        self.comb(GateFunc::AndNot, vec![a, b], out)
     }
 
     /// `a OR NOT b` (one complex gate).
     pub fn or_not(&mut self, a: NetId, b: NetId) -> NetId {
         let out = self.out_net("orn_out");
-        self.comb(CellKind::Or, GateFunc::OrNot, vec![a, b], out)
+        self.comb(GateFunc::OrNot, vec![a, b], out)
     }
 
     /// 2-to-1 mux: `a` when `sel` low, `b` when high.
     pub fn mux2(&mut self, sel: NetId, a: NetId, b: NetId) -> NetId {
         let out = self.out_net("mux_out");
-        self.comb(CellKind::Mux2, GateFunc::Mux2, vec![sel, a, b], out)
+        self.comb(GateFunc::Mux2, vec![sel, a, b], out)
     }
 
     // ---- tri-state -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, NetId};
 
+use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 
 // NOTE on `Z` inputs: a C-element is a state-holding cell, so an undriven
@@ -81,6 +82,10 @@ impl CElement {
 impl Component for CElement {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::CElement.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
@@ -190,6 +195,10 @@ impl AsymCElement {
 impl Component for AsymCElement {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::AsymCElement.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

@@ -2,6 +2,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, NetId};
 
+use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 
 /// The boolean function a [`CombGate`] computes, with Kleene (`X`-aware)
@@ -35,6 +36,21 @@ pub enum GateFunc {
 }
 
 impl GateFunc {
+    /// The library cell that implements this function: `AndNot` and
+    /// `OrNot` are an AND and an OR with one inverted input.
+    pub fn cell_kind(self) -> CellKind {
+        match self {
+            GateFunc::Buf => CellKind::Buf,
+            GateFunc::Inv => CellKind::Inv,
+            GateFunc::And | GateFunc::AndNot => CellKind::And,
+            GateFunc::Or | GateFunc::OrNot => CellKind::Or,
+            GateFunc::Nand => CellKind::Nand,
+            GateFunc::Nor => CellKind::Nor,
+            GateFunc::Xor => CellKind::Xor,
+            GateFunc::Mux2 => CellKind::Mux2,
+        }
+    }
+
     /// Applies the function to the input levels.
     ///
     /// `Z` means *not driven yet* (power-up, or a released tri-state bus),
@@ -175,6 +191,10 @@ impl CombGate {
 impl Component for CombGate {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        self.func.cell_kind().name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

@@ -108,9 +108,10 @@ impl CellKind {
     }
 }
 
-impl fmt::Display for CellKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CellKind {
+    /// The cell's library name (`"AND"`, `"DFF"`, …), as printed.
+    pub fn name(self) -> &'static str {
+        match self {
             CellKind::Buf => "BUF",
             CellKind::Inv => "INV",
             CellKind::And => "AND",
@@ -130,8 +131,13 @@ impl fmt::Display for CellKind {
             CellKind::LatchWord => "LWORD",
             CellKind::TriWord => "TRIWORD",
             CellKind::Macro => "MACRO",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CellKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

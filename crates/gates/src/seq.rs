@@ -3,6 +3,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind};
 
+use crate::kind::CellKind;
 use crate::netlist::{DelayTable, FlopTiming};
 
 /// What an edge-triggered core asks its scheduler to drive on Q. The
@@ -290,6 +291,14 @@ impl Component for Dff {
         &self.core.name
     }
 
+    fn kind(&self) -> &'static str {
+        if self.core.en.is_some() {
+            CellKind::Etdff.name()
+        } else {
+            CellKind::Dff.name()
+        }
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
 
@@ -392,6 +401,10 @@ impl DLatch {
 impl Component for DLatch {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::DLatch.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
@@ -525,6 +538,10 @@ impl SrLatch {
 impl Component for SrLatch {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::SrLatch.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

@@ -2,6 +2,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, NetId};
 
+use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 
 /// A single-bit tri-state driver: drives `d` onto the bus while `en` is
@@ -63,6 +64,10 @@ impl TriBuf {
 impl Component for TriBuf {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::TriBuf.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

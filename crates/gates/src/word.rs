@@ -12,6 +12,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation, ViolationKind};
 
+use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 use crate::seq::{captured, quiet_from, setup_violation};
 use crate::tristate::TriBuf;
@@ -148,6 +149,10 @@ impl Component for RegisterWord {
         &self.core.name
     }
 
+    fn kind(&self) -> &'static str {
+        CellKind::Register.name()
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
         // The first evaluation ignores `rising`: it only drives the
@@ -223,6 +228,10 @@ impl Component for LatchWord {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        CellKind::LatchWord.name()
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let en = ctx.get(self.en);
         let delay = self.delays.borrow()[self.inst];
@@ -294,6 +303,10 @@ impl TriWord {
 impl Component for TriWord {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        CellKind::TriWord.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

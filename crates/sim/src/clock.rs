@@ -109,6 +109,10 @@ impl Component for ClockGen {
         "clock"
     }
 
+    fn kind(&self) -> &'static str {
+        "clock"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         if !self.started {
             self.started = true;

@@ -35,6 +35,12 @@ pub trait Component: 'static {
         "component"
     }
 
+    /// What kind of element this is (gates give their cell kind, such as
+    /// `"DFF"`): the key of [`Simulator::kind_counts`].
+    fn kind(&self) -> &'static str {
+        "component"
+    }
+
     /// React to a net change or wake-up. See the trait docs for the model.
     fn eval(&mut self, ctx: &mut Ctx<'_>);
 }
@@ -121,6 +127,7 @@ impl<'a> Ctx<'a> {
         let rose = last == now && self.sim.value(clk) == Logic::H && *seen != now;
         if rose {
             *seen = now;
+            self.sim.note_rise();
         }
         rose
     }

@@ -11,7 +11,10 @@
 //! * a **near wheel** of 4096 slots at exact 1 ps resolution (one slot =
 //!   one timestamp), with a two-level occupancy bitmap so the next
 //!   occupied slot is found in two `trailing_zeros` instructions — gate
-//!   delays (a few hundred ps) land here directly;
+//!   delays (a few hundred ps) land here directly. A slot is a singly
+//!   linked list (`head`/`tail` indices) through one pooled node arena
+//!   with a free list, so the wheel's memory follows the number of queued
+//!   events rather than the number of slots ever used;
 //! * two coarser levels of 64 slots each (4096 ps and 2¹⁸ ps granules)
 //!   covering 2²⁴ ps ≈ 16.7 µs ahead of the cursor — clock periods land
 //!   here and are re-placed into the near wheel once per occupied granule;
@@ -45,6 +48,11 @@
 //!   migrated into the wheel the moment the cursor enters it, before any
 //!   newer push could land next to the migrated events.
 //!
+//! Events are 24 bytes (pinned below): time, seq and an 8-byte kind. A
+//! component drive needs no cancellation stamp of its own, because its
+//! seq is the stamp — it is live iff its driver's `pending_seq` still
+//! equals it.
+//!
 //! These properties are exercised against a reference binary-heap model by
 //! the tests at the bottom of this file (a seeded interleaving test that
 //! runs everywhere, plus the shrinking-capable `proptest` version in
@@ -60,12 +68,17 @@ use crate::time::Time;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
-    /// Apply a driver contribution scheduled earlier. `stamp` must still
-    /// match the driver's `pending_seq`, otherwise the event was cancelled.
+    /// Apply a driver contribution scheduled earlier. A component drive
+    /// (`external == false`) applies only if the driver's `pending_seq`
+    /// still equals the event's own seq, otherwise a later schedule
+    /// cancelled it; an `external` one ([`Simulator::drive_at`]) always
+    /// applies.
+    ///
+    /// [`Simulator::drive_at`]: crate::Simulator::drive_at
     Drive {
         driver: DriverId,
         value: Logic,
-        stamp: u64,
+        external: bool,
     },
     /// Re-evaluate a component (net change notification or self-wake).
     Wake { comp: ComponentId },
@@ -77,6 +90,12 @@ pub(crate) struct Event {
     pub seq: u64,
     pub kind: EventKind,
 }
+
+// Every queued event is copied through the delta ring and the wheel's node
+// arena several times, and the queue's cache footprint is its depth times
+// this size: growing it by a field costs every event of every run, so a
+// new field must be added on purpose, with this pin.
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -114,6 +133,24 @@ const MID_SHIFT: u32 = NEAR_BITS; // granule 4096 ps
 const FAR_SHIFT: u32 = NEAR_BITS + COARSE_BITS; // granule 2¹⁸ ps
 /// Total wheel span: 2²⁴ ps ≈ 16.7 µs.
 const SPAN_BITS: u32 = NEAR_BITS + 2 * COARSE_BITS;
+/// The end of a near-wheel slot's list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One near-wheel resident: an event and the arena index of the next
+/// event in its slot (or in the free list).
+#[derive(Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
+/// A near-wheel slot's list: arena indices of its oldest and newest
+/// events. Meaningful only while the slot's occupancy bit is set.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
 
 /// Counters the queue keeps about itself; surfaced through
 /// [`Simulator::stats`](crate::Simulator::stats).
@@ -134,9 +171,15 @@ pub(crate) struct EventQueue {
     /// on this all-hot path.
     ready: Vec<Event>,
     ready_head: usize,
-    /// Near wheel: slot `t & NEAR_MASK` holds exactly timestamp `t` for
-    /// `t` in the cursor's 4096 ps block.
-    near: Vec<Vec<Event>>,
+    /// Near wheel: slot `t & NEAR_MASK` lists exactly the events at
+    /// timestamp `t`, for `t` in the cursor's 4096 ps block, oldest first.
+    near: Box<[Slot; NEAR_SLOTS]>,
+    /// The node arena behind every near-wheel slot. A drained slot's nodes
+    /// go to the free list (`free`, linked through `Node::next`) and are
+    /// reused before the arena grows, so its length is the peak number of
+    /// near-wheel residents.
+    nodes: Vec<Node>,
+    free: u32,
     /// Two-level occupancy bitmap over `near`: bit `w` of `near_summary`
     /// says word `near_words[w]` is non-zero.
     near_words: [u64; NEAR_SLOTS / 64],
@@ -157,6 +200,11 @@ pub(crate) struct EventQueue {
     len: usize,
     next_seq: u64,
     stats: QueueStats,
+    /// Tests: near-wheel residents now and at most so far.
+    #[cfg(test)]
+    near_live: usize,
+    #[cfg(test)]
+    near_peak: usize,
 }
 
 impl std::fmt::Debug for EventQueue {
@@ -175,7 +223,14 @@ impl Default for EventQueue {
         EventQueue {
             ready: Vec::new(),
             ready_head: 0,
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
+            near: Box::new(
+                [Slot {
+                    head: NIL,
+                    tail: NIL,
+                }; NEAR_SLOTS],
+            ),
+            nodes: Vec::new(),
+            free: NIL,
             near_words: [0; NEAR_SLOTS / 64],
             near_summary: 0,
             mid: std::array::from_fn(|_| Vec::new()),
@@ -188,14 +243,17 @@ impl Default for EventQueue {
             len: 0,
             next_seq: 1,
             stats: QueueStats::default(),
+            #[cfg(test)]
+            near_live: 0,
+            #[cfg(test)]
+            near_peak: 0,
         }
     }
 }
 
 impl EventQueue {
-    /// The sequence number the next `push` will assign; lets callers embed
-    /// an event's own seq inside it (drive cancellation stamps). Numbers
-    /// start at 1, so 0 can stand for "before every event".
+    /// The sequence number the next `push` will assign. Numbers start at
+    /// 1, so 0 can stand for "before every event".
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -243,7 +301,10 @@ impl EventQueue {
     }
 
     /// Routes an event into the delta ring, a wheel slot, or overflow,
-    /// relative to the current cursor.
+    /// relative to the current cursor. The delta ring and the near wheel,
+    /// where almost every event goes, are handled here; the rest in
+    /// [`EventQueue::place_far`].
+    #[inline]
     fn place(&mut self, ev: Event) {
         let t = ev.time.as_ps();
         if t <= self.cur {
@@ -258,13 +319,31 @@ impl EventQueue {
             }
             return;
         }
+        if (t ^ self.cur) >= 1 << NEAR_BITS {
+            return self.place_far(ev);
+        }
+        let s = (t & NEAR_MASK) as usize;
+        let i = self.alloc(ev);
+        let (w, bit) = (s >> 6, 1u64 << (s & 63));
+        let slot = &mut self.near[s];
+        if self.near_words[w] & bit == 0 {
+            *slot = Slot { head: i, tail: i };
+            self.near_words[w] |= bit;
+            self.near_summary |= 1u64 << w;
+        } else {
+            self.nodes[slot.tail as usize].next = i;
+            slot.tail = i;
+        }
+    }
+
+    /// [`EventQueue::place`] for events beyond the near wheel: a coarse
+    /// level or the overflow map.
+    #[cold]
+    #[inline(never)]
+    fn place_far(&mut self, ev: Event) {
+        let t = ev.time.as_ps();
         let diff = t ^ self.cur;
-        if diff < 1 << NEAR_BITS {
-            let s = (t & NEAR_MASK) as usize;
-            self.near[s].push(ev);
-            self.near_words[s >> 6] |= 1u64 << (s & 63);
-            self.near_summary |= 1u64 << (s >> 6);
-        } else if diff < 1 << FAR_SHIFT {
+        if diff < 1 << FAR_SHIFT {
             let s = ((t >> MID_SHIFT) & COARSE_MASK) as usize;
             self.mid[s].push(ev);
             self.mid_occ |= 1u64 << s;
@@ -276,6 +355,31 @@ impl EventQueue {
             self.stats.overflow_pushes += 1;
             self.overflow.entry(t).or_default().push(ev);
         }
+    }
+
+    /// Stores `ev` in a free arena node (a new one only if none is free)
+    /// and returns the node's index, its list link cleared.
+    #[inline]
+    fn alloc(&mut self, ev: Event) -> u32 {
+        #[cfg(test)]
+        {
+            self.near_live += 1;
+            self.near_peak = self.near_peak.max(self.near_live);
+        }
+        let node = Node { ev, next: NIL };
+        let i = self.free;
+        if i != NIL {
+            let n = &mut self.nodes[i as usize];
+            self.free = n.next;
+            *n = node;
+            return i;
+        }
+        let i = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("near wheel holds fewer than 2^32 - 1 events");
+        self.nodes.push(node);
+        i
     }
 
     /// Earliest queued time without disturbing the wheel. The event loop
@@ -352,14 +456,33 @@ impl EventQueue {
                 if self.near_words[w] == 0 {
                     self.near_summary &= !(1u64 << w);
                 }
-                let bucket = &mut self.near[s];
-                if bucket.len() == 1 {
+                let Slot { head, tail } = self.near[s];
+                // The slot's nodes go back to the free list whole.
+                self.nodes[tail as usize].next = self.free;
+                self.free = head;
+                if head == tail {
                     // Lone event at this instant: skip the delta ring.
+                    #[cfg(test)]
+                    {
+                        self.near_live -= 1;
+                    }
                     self.len -= 1;
-                    return bucket.pop();
+                    return Some(self.nodes[head as usize].ev);
                 }
-                self.stats.delta_pushes += bucket.len() as u64;
-                self.ready.append(bucket);
+                let mut i = head;
+                loop {
+                    let n = self.nodes[i as usize];
+                    self.ready.push(n.ev);
+                    self.stats.delta_pushes += 1;
+                    #[cfg(test)]
+                    {
+                        self.near_live -= 1;
+                    }
+                    if i == tail {
+                        break;
+                    }
+                    i = n.next;
+                }
                 let depth = self.ready.len() - self.ready_head;
                 if depth > self.stats.peak_delta_depth {
                     self.stats.peak_delta_depth = depth;
@@ -449,6 +572,13 @@ impl EventQueue {
 
     pub fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    /// Tests: the node arena's length, and the most near-wheel residents
+    /// there have been at once.
+    #[cfg(test)]
+    pub fn near_arena(&self) -> (usize, usize) {
+        (self.nodes.len(), self.near_peak)
     }
 }
 

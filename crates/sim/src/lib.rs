@@ -87,7 +87,7 @@ pub use shard::{
     run_sharded, ClockSchedule, ExportSpec, ImportSpec, LinkDef, LinkLaunch, ShardIo, ShardPlan,
     ShardSpec, ShardStats,
 };
-pub use sim::{Backend, SimStats, Simulator, Violation, ViolationKind};
+pub use sim::{Backend, KindCount, SimStats, Simulator, Violation, ViolationKind};
 pub use time::Time;
 
 /// Commonly used items, for glob import in examples and tests.

@@ -113,9 +113,10 @@ impl Net {
 pub(crate) struct Driver {
     pub net: NetId,
     pub value: Logic,
-    /// Sequence number of the most recently scheduled drive event for this
-    /// driver, or `u64::MAX` once an elided drive has cancelled it; an
-    /// event whose stamp does not match is stale (cancelled by a later
-    /// schedule — inertial-delay behaviour).
+    /// Sequence number of the most recently scheduled component drive
+    /// event for this driver, or `u64::MAX` (a number the queue never
+    /// takes) before the first and once an elided drive has cancelled it.
+    /// A component drive event whose own seq differs is stale: a later
+    /// schedule cancelled it (inertial-delay behaviour).
     pub pending_seq: u64,
 }

@@ -21,12 +21,33 @@ use crate::time::Time;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Push at `last_popped_time + delta` (the simulator never schedules
-    /// into the past).
-    Push {
-        delta: u64,
-    },
+    /// Push at `now + delta` (the simulator never schedules into the
+    /// past).
+    Push { delta: u64 },
+    /// The unbounded pop.
     Pop,
+    /// [`EventQueue::pop_not_after`], the event loop's pop, at a horizon
+    /// placed against the earliest queued event.
+    PopNotAfter(Horizon),
+    /// [`EventQueue::reserve_seq`] at the current instant: a held wake's
+    /// skipped number.
+    Reserve,
+    /// [`EventQueue::insert_reserved`] of the reservation, if its wake is
+    /// not yet due: a held wake's release.
+    InsertReserved,
+}
+
+/// Where a bounded pop's horizon falls, relative to the earliest queued
+/// event `e` (or to `now` when the queue is empty). Never before `now`:
+/// the simulator's horizon is never in its past.
+#[derive(Debug, Clone, Copy)]
+enum Horizon {
+    /// `e - 1`: nothing is due.
+    Before,
+    /// Exactly `e`.
+    At,
+    /// `e + delta`: possibly between queued events, possibly past all.
+    After(u64),
 }
 
 /// Deltas biased across every tier of the queue: the same-instant delta
@@ -45,43 +66,105 @@ fn delta() -> impl Strategy<Value = u64> {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => delta().prop_map(|delta| Op::Push { delta }),
+        6 => delta().prop_map(|delta| Op::Push { delta }),
         1 => Just(Op::Pop),
+        1 => Just(Op::PopNotAfter(Horizon::Before)),
+        1 => Just(Op::PopNotAfter(Horizon::At)),
+        1 => delta().prop_map(|d| Op::PopNotAfter(Horizon::After(d))),
+        1 => Just(Op::Reserve),
+        1 => Just(Op::InsertReserved),
     ]
 }
 
 proptest! {
-    /// Random push/pop interleavings (including same-instant bursts and
-    /// far-future overflow residents) pop in exactly the reference
-    /// heap's `(time, seq)` order.
+    /// Random interleavings of pushes, both pops and held-wake
+    /// reservations (including same-instant bursts and far-future
+    /// overflow residents) pop in exactly the reference heap's
+    /// `(time, seq)` order, and the near wheel's node arena never grows
+    /// past the most near-wheel residents there have been at once.
+    ///
+    /// Like the simulator, the model keeps `now`, the instant events are
+    /// queued from: the last popped event's time, or a bounded pop's
+    /// horizon when nothing was due (`run_until` then advances to it).
+    /// A reservation is taken only at the queue's own instant, and
+    /// inserted only while nothing with a larger seq has been popped.
     #[test]
     fn queue_matches_reference_heap(ops in prop::collection::vec(op(), 1..250)) {
         let mut q = EventQueue::default();
         let mut reference: BinaryHeap<Event> = BinaryHeap::new();
         let mut now = 0u64;
+        // The last popped event's (time, seq): the queue's instant.
+        let mut last = (0u64, 0u64);
+        let mut reserved: Option<u64> = None;
         let mut id = 0u32;
+        let mut wake = || {
+            id += 1;
+            EventKind::Wake { comp: ComponentId(id) }
+        };
         for op in ops {
-            match op {
+            let popped = match op {
                 Op::Push { delta } => {
                     let t = Time::from_ps(now + delta);
-                    let kind = EventKind::Wake { comp: ComponentId(id) };
-                    id += 1;
+                    let kind = wake();
                     let seq = q.push(t, kind);
                     reference.push(Event { time: t, seq, kind });
+                    None
                 }
-                Op::Pop => {
-                    let got = q.pop();
-                    let want = reference.pop();
-                    prop_assert_eq!(
-                        got.map(|e| (e.time, e.seq)),
-                        want.map(|e| (e.time, e.seq))
-                    );
-                    if let Some(e) = got {
-                        now = e.time.as_ps();
+                Op::Pop => Some((q.pop(), reference.pop())),
+                Op::PopNotAfter(h) => {
+                    let e = reference.peek().map_or(now, |e| e.time.as_ps());
+                    let horizon = match h {
+                        Horizon::Before => e.saturating_sub(1),
+                        Horizon::At => e,
+                        Horizon::After(d) => e + d,
                     }
+                    .max(now);
+                    let horizon = Time::from_ps(horizon);
+                    let got = q.pop_not_after(horizon);
+                    let want = if reference.peek().is_some_and(|e| e.time <= horizon) {
+                        reference.pop()
+                    } else {
+                        None
+                    };
+                    if want.is_none() {
+                        now = horizon.as_ps();
+                    }
+                    Some((got, want))
+                }
+                Op::Reserve => {
+                    if now == last.0 {
+                        reserved = Some(q.reserve_seq());
+                    }
+                    None
+                }
+                Op::InsertReserved => {
+                    if let Some(seq) = reserved.take() {
+                        if now == last.0 && last.1 < seq {
+                            let kind = wake();
+                            q.insert_reserved(seq, kind);
+                            reference.push(Event { time: Time::from_ps(now), seq, kind });
+                        }
+                    }
+                    None
+                }
+            };
+            if let Some((got, want)) = popped {
+                prop_assert_eq!(
+                    got.map(|e| (e.time, e.seq)),
+                    want.map(|e| (e.time, e.seq))
+                );
+                if let Some(e) = got {
+                    now = e.time.as_ps();
+                    last = (now, e.seq);
                 }
             }
+            if now != last.0 {
+                // The instant is over; a later release queues afresh.
+                reserved = None;
+            }
             prop_assert_eq!(q.len(), reference.len());
+            let (nodes, peak) = q.near_arena();
+            prop_assert!(nodes <= peak, "{} arena nodes for at most {} residents", nodes, peak);
         }
         // Drain both completely: the tail order must agree too.
         loop {

@@ -522,6 +522,7 @@ mod tests {
     use super::*;
     use crate::clock::ClockGen;
     use crate::component::{Component, Ctx};
+    use proptest::prelude::*;
 
     #[test]
     fn next_landing_is_strictly_after() {
@@ -588,53 +589,111 @@ mod tests {
         );
     }
 
-    /// The ring shards' clocks; each register launches `RING_DELAY`
+    /// Shard `i`'s clock in a ring; each register launches `RING_DELAY`
     /// after its rising edge.
-    const RING_CLOCKS: [ClockSchedule; 2] = [
+    const fn ring_clock(i: usize) -> ClockSchedule {
         ClockSchedule {
-            phase: Time::ZERO,
-            period: Time::from_ps(1_000),
-        },
-        ClockSchedule {
-            phase: Time::from_ps(450),
-            period: Time::from_ps(1_300),
-        },
-    ];
+            phase: Time::from_ps(450 * i as u64),
+            period: Time::from_ps(1_000 + 300 * i as u64),
+        }
+    }
     const RING_DELAY: Time = Time::from_ps(400);
-    const RING: [LinkDef; 2] = [LinkDef { from: 0, to: 1 }, LinkDef { from: 1, to: 0 }];
 
-    /// Panics once the simulation reaches 5 ns.
-    struct PanicAt5ns;
+    /// The links of an `n`-shard ring: link `i` runs from shard `i` to
+    /// the next.
+    fn ring_links(n: usize) -> Vec<LinkDef> {
+        (0..n)
+            .map(|i| LinkDef {
+                from: i,
+                to: (i + 1) % n,
+            })
+            .collect()
+    }
 
-    impl Component for PanicAt5ns {
+    /// A fault injected into one ring shard.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// The setup closure panics with "setup fault".
+        Setup,
+        /// A component panics with "component fault" at this instant.
+        PanicAt(Time),
+        /// A zero-delay loop starts at this instant, so `run_until`
+        /// returns [`SimError::DeltaOverflow`] there.
+        LoopAt(Time),
+    }
+
+    /// Panics once the simulation reaches `at`.
+    struct PanicAt {
+        at: Time,
+    }
+
+    impl Component for PanicAt {
         fn name(&self) -> &str {
-            "panic_at_5ns"
+            "panic_at"
         }
         fn eval(&mut self, ctx: &mut Ctx<'_>) {
-            assert!(ctx.now() < Time::from_ns(5), "component fault");
+            let now = ctx.now();
+            assert!(now < self.at, "component fault");
+            ctx.wake_in(self.at - now);
         }
     }
 
-    /// Shard `i` of a two-shard ring: its register samples the peer's
-    /// output, mirrored over link `1 - i`, and exports its own on link
-    /// `i`. A `fault` of `"setup fault"` panics in the setup closure;
-    /// any other fault panics through a component at 5 ns.
-    fn ring_shard(i: usize, fault: Option<&'static str>) -> ShardSpec<Vec<(Time, Logic)>> {
-        let other = 1 - i;
+    /// From `at` on, drives its own watched net to its complement with
+    /// no delay: a zero-delay oscillation.
+    struct LoopAt {
+        at: Time,
+        net: NetId,
+        drv: DriverId,
+    }
+
+    impl Component for LoopAt {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            let now = ctx.now();
+            if now < self.at {
+                ctx.wake_in(self.at - now);
+            } else {
+                let v = if ctx.get(self.net) == Logic::H {
+                    Logic::L
+                } else {
+                    Logic::H
+                };
+                ctx.drive_now(self.drv, v);
+            }
+        }
+    }
+
+    /// Events a [`Fault::LoopAt`] shard allows per instant, so the loop
+    /// is caught quickly.
+    const LOOP_LIMIT: u64 = 1_000;
+
+    /// Shard `i` of an `n`-shard ring: its register samples the previous
+    /// shard's output, mirrored over link `i - 1`, and exports its own on
+    /// link `i`.
+    fn ring_shard(n: usize, i: usize, fault: Option<Fault>) -> ShardSpec<Vec<(Time, Logic)>> {
+        let prev = (i + n - 1) % n;
         ShardSpec {
             seed: 7,
             setup: Box::new(move |sim: &mut Simulator| {
-                assert!(fault != Some("setup fault"), "setup fault");
-                let schedule = RING_CLOCKS[i];
+                let schedule = ring_clock(i);
                 let clk = sim.net(format!("clk{i}"));
                 ClockGen::builder(schedule.period)
                     .phase(schedule.phase)
                     .spawn(sim, clk);
-                if fault.is_some() {
-                    sim.add_component(Box::new(PanicAt5ns), &[clk]);
+                match fault {
+                    Some(Fault::Setup) => panic!("setup fault"),
+                    Some(Fault::PanicAt(at)) => {
+                        sim.add_component(Box::new(PanicAt { at }), &[]);
+                    }
+                    Some(Fault::LoopAt(at)) => {
+                        sim.max_events_per_instant = LOOP_LIMIT;
+                        let net = sim.net("loop");
+                        let drv = sim.driver(net);
+                        sim.add_component(Box::new(LoopAt { at, net, drv }), &[net]);
+                    }
+                    None => {}
                 }
                 let q = sim.net(format!("q{i}"));
-                let mirror = sim.net(format!("xlink.q{other}"));
+                let mirror = sim.net(format!("xlink.q{prev}"));
                 let mirror_drv = sim.driver(mirror);
                 spawn_edge_reg(sim, clk, mirror, q, RING_DELAY);
                 if i == 1 {
@@ -644,7 +703,7 @@ mod tests {
                 sim.trace(q);
                 ShardPlan {
                     io: ShardIo {
-                        // Link i carries shard i's q to the peer.
+                        // Link i carries shard i's q to the next shard.
                         exports: vec![ExportSpec {
                             link: i,
                             nets: vec![q],
@@ -654,7 +713,7 @@ mod tests {
                             }],
                         }],
                         imports: vec![ImportSpec {
-                            link: other,
+                            link: prev,
                             pins: vec![(mirror_drv, mirror)],
                         }],
                     },
@@ -664,6 +723,27 @@ mod tests {
                 }
             }),
         }
+    }
+
+    /// Runs an `n`-shard ring to `horizon` with `fault` injected into
+    /// shard `faulty` and returns how it ended. The run goes on a helper
+    /// thread, so one that never returns fails on the timeout rather than
+    /// hanging the test.
+    fn run_faulty_ring(
+        n: usize,
+        faulty: usize,
+        fault: Fault,
+        horizon: Time,
+    ) -> Result<(), SimError> {
+        let specs = (0..n)
+            .map(|i| ring_shard(n, i, (i == faulty).then_some(fault)))
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_sharded(specs, &ring_links(n), horizon).map(|_| ()));
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("run with {fault:?} in shard {faulty} of {n} hung"))
     }
 
     /// Two shards in a ring: each re-registers the other's output onto
@@ -677,7 +757,7 @@ mod tests {
         let reference: Vec<Vec<(Time, Logic)>> = {
             let mut sim = Simulator::new(7);
             let clk: Vec<NetId> = (0..2).map(|i| sim.net(format!("clk{i}"))).collect();
-            for (i, s) in RING_CLOCKS.iter().enumerate() {
+            for (i, s) in (0..2).map(ring_clock).enumerate() {
                 ClockGen::builder(s.period)
                     .phase(s.phase)
                     .spawn(&mut sim, clk[i]);
@@ -699,8 +779,8 @@ mod tests {
         };
 
         // Sharded: one register per shard, the peer's output mirrored.
-        let specs = (0..2).map(|i| ring_shard(i, None)).collect();
-        let results = run_sharded(specs, &RING, horizon).unwrap();
+        let specs = (0..2).map(|i| ring_shard(2, i, None)).collect();
+        let results = run_sharded(specs, &ring_links(2), horizon).unwrap();
 
         for (i, (points, st)) in results.iter().enumerate() {
             assert_eq!(
@@ -750,22 +830,60 @@ mod tests {
     }
 
     /// A panicking shard ends the run with a typed error instead of
-    /// leaving its peer blocked forever. The run goes on a helper thread
-    /// so a regression fails on the timeout rather than hanging.
+    /// leaving its peer blocked forever.
     #[test]
     fn a_panicking_shard_ends_the_run_with_an_error() {
-        for fault in ["setup fault", "component fault"] {
-            let specs = vec![ring_shard(0, Some(fault)), ring_shard(1, None)];
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(run_sharded(specs, &RING, Time::from_us(1)));
-            });
-            let outcome = rx
-                .recv_timeout(Duration::from_secs(5))
-                .unwrap_or_else(|_| panic!("run with a {fault} did not return within 5 s"));
-            match outcome {
-                Err(SimError::ShardPanicked { index: 0, msg }) => assert_eq!(msg, fault),
-                other => panic!("{fault}: got {:?}", other.map(|_| ())),
+        for (fault, msg) in [
+            (Fault::Setup, "setup fault"),
+            (Fault::PanicAt(Time::from_ns(5)), "component fault"),
+        ] {
+            match run_faulty_ring(2, 0, fault, Time::from_us(1)) {
+                Err(SimError::ShardPanicked { index: 0, msg: m }) => assert_eq!(m, msg),
+                other => panic!("{fault:?}: got {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        /// Whichever shard of a ring of at most four faults, in whichever
+        /// round and however (a panic in setup or in a component, or a
+        /// zero-delay loop that makes `run_until` return an error), the
+        /// run ends with that shard's error. Round `r` faults at `r` ns:
+        /// the rings take 24–33 lockstep rounds over their 20 ns, so each
+        /// nanosecond is a round or two. A panic in round 0 is one in the
+        /// setup closure.
+        #[test]
+        fn any_shard_fault_ends_the_run_with_its_error(
+            n in 2usize..=4,
+            faulty in 0usize..4,
+            round in 0u64..16,
+            panics in any::<bool>(),
+        ) {
+            let faulty = faulty % n;
+            let at = Time::from_ns(round);
+            let fault = match (panics, round) {
+                (true, 0) => Fault::Setup,
+                (true, _) => Fault::PanicAt(at),
+                (false, _) => Fault::LoopAt(at),
+            };
+            match (fault, run_faulty_ring(n, faulty, fault, Time::from_ns(20))) {
+                (Fault::Setup, Err(SimError::ShardPanicked { index, msg })) => {
+                    prop_assert_eq!((index, msg.as_str()), (faulty, "setup fault"));
+                }
+                (Fault::PanicAt(_), Err(SimError::ShardPanicked { index, msg })) => {
+                    prop_assert_eq!((index, msg.as_str()), (faulty, "component fault"));
+                }
+                (Fault::LoopAt(_), Err(SimError::DeltaOverflow { time, events })) => {
+                    prop_assert_eq!((time, events), (at, LOOP_LIMIT + 1));
+                }
+                (fault, other) => prop_assert!(
+                    false,
+                    "{:?} in shard {} of {}: got {:?}",
+                    fault,
+                    faulty,
+                    n,
+                    other
+                ),
             }
         }
     }

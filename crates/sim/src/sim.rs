@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -140,6 +140,65 @@ pub struct SimStats {
     /// that would have coalesced into an earlier skipped one is counted
     /// here too, not in `coalesced_wakes`.
     pub held_wakes: u64,
+}
+
+/// Evaluations of one component kind ([`Component::kind`]), counted once
+/// [`Simulator::enable_kind_counts`] is called.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KindCount {
+    /// The kind's name.
+    pub kind: String,
+    /// Evaluations of components of this kind.
+    pub evals: u64,
+    /// Those evaluations that queued nothing: no event pushed and no
+    /// sequence number reserved. Each is a wake that, unless it reported
+    /// a violation, drew from the RNG or landed a compiled drive, changed
+    /// nothing.
+    pub idle: u64,
+    /// Evaluations in which [`Ctx::rose`] answered true: edge
+    /// evaluations of clocked cells. `evals - edges` are the others.
+    pub edges: u64,
+    /// Edge evaluations that queued nothing.
+    pub idle_edges: u64,
+}
+
+/// The per-kind evaluation counters behind [`Simulator::kind_counts`].
+#[derive(Debug, Default)]
+struct KindCounter {
+    /// Each component's row in `rows`, once it has evaluated (`u32::MAX`
+    /// before).
+    row_of: Vec<u32>,
+    /// Counts per kind, in order of first evaluation.
+    rows: Vec<(&'static str, [u64; 4])>,
+    /// Whether [`Ctx::rose`] answered true in the current evaluation.
+    rose: Cell<bool>,
+}
+
+impl KindCounter {
+    /// Counts one evaluation of `comp`, and clears `rose` for the next.
+    fn count(&mut self, comp: ComponentId, c: &dyn Component, idle: bool) {
+        let i = comp.0 as usize;
+        if self.row_of.len() <= i {
+            self.row_of.resize(i + 1, u32::MAX);
+        }
+        if self.row_of[i] == u32::MAX {
+            let kind = c.kind();
+            let row = match self.rows.iter().position(|r| r.0 == kind) {
+                Some(row) => row,
+                None => {
+                    self.rows.push((kind, [0; 4]));
+                    self.rows.len() - 1
+                }
+            };
+            self.row_of[i] = row as u32;
+        }
+        let edge = self.rose.take();
+        let n = &mut self.rows[self.row_of[i] as usize].1;
+        n[0] += 1;
+        n[1] += u64::from(idle);
+        n[2] += u64::from(edge);
+        n[3] += u64::from(edge && idle);
+    }
 }
 
 /// Which execution strategy elaboration should install for purely
@@ -322,6 +381,9 @@ pub struct Simulator {
     /// per read/drive. `RefCell` because reads are recorded from
     /// [`Ctx::get`], which takes `&self`.
     race: Option<RefCell<RaceState>>,
+    /// Per-kind evaluation counters; `None` (the default) costs one
+    /// branch per evaluation.
+    kinds: Option<Box<KindCounter>>,
 }
 
 impl fmt::Debug for Simulator {
@@ -367,6 +429,7 @@ impl Simulator {
             #[cfg(debug_assertions)]
             drive_modes: Vec::new(),
             race: None,
+            kinds: None,
         }
     }
 
@@ -623,6 +686,35 @@ impl Simulator {
         self.nets[net.0 as usize].watchers.len()
     }
 
+    /// Starts counting evaluations per component kind
+    /// ([`Simulator::kind_counts`]). Passive, like the race sanitizer:
+    /// scheduling is identical to a plain run. Idempotent.
+    pub fn enable_kind_counts(&mut self) {
+        if self.kinds.is_none() {
+            self.kinds = Some(Box::default());
+        }
+    }
+
+    /// Evaluations per component kind since
+    /// [`Simulator::enable_kind_counts`], sorted by kind (empty unless it
+    /// was called).
+    pub fn kind_counts(&self) -> Vec<KindCount> {
+        let mut out: Vec<KindCount> = self
+            .kinds
+            .iter()
+            .flat_map(|k| &k.rows)
+            .map(|&(kind, [evals, idle, edges, idle_edges])| KindCount {
+                kind: kind.to_owned(),
+                evals,
+                idle,
+                edges,
+                idle_edges,
+            })
+            .collect();
+        out.sort_by(|a, b| a.kind.cmp(&b.kind));
+        out
+    }
+
     // ---- delta-race sanitizer ---------------------------------------------
 
     /// Turns on the delta-race sanitizer (see [`crate::race`]). Purely
@@ -659,18 +751,27 @@ impl Simulator {
 
     /// Records a component-level net read (called by [`Ctx::get`], hence
     /// `&self`). Only non-watching reads are kept: a watcher is re-woken
-    /// when the net changes, so it can never act on a stale value.
+    /// when the net changes, so it can never act on a stale value. Inline
+    /// so that with the sanitizer off a read costs one branch.
+    #[inline]
     pub(crate) fn note_read(&self, comp: ComponentId, net: NetId) {
         if let Some(race) = &self.race {
-            if self.nets[net.0 as usize]
-                .watchers
-                .iter()
-                .any(|w| w.comp() == comp)
-            {
-                return;
-            }
-            race.borrow_mut().note_read(self.time, net.0, comp);
+            self.record_read(race, comp, net);
         }
+    }
+
+    /// [`Simulator::note_read`]'s body, with the sanitizer on.
+    #[cold]
+    #[inline(never)]
+    fn record_read(&self, race: &RefCell<RaceState>, comp: ComponentId, net: NetId) {
+        if self.nets[net.0 as usize]
+            .watchers
+            .iter()
+            .any(|w| w.comp() == comp)
+        {
+            return;
+        }
+        race.borrow_mut().note_read(self.time, net.0, comp);
     }
 
     // ---- scheduling (also used by `Ctx`) ----------------------------------
@@ -696,16 +797,14 @@ impl Simulator {
             return true;
         }
         let t = self.time + delay;
-        let stamp = self.queue.next_seq();
         let seq = self.queue.push(
             t,
             EventKind::Drive {
                 driver,
                 value,
-                stamp,
+                external: false,
             },
         );
-        debug_assert_eq!(stamp, seq);
         self.drivers[driver.0 as usize].pending_seq = seq;
         false
     }
@@ -736,7 +835,7 @@ impl Simulator {
             EventKind::Drive {
                 driver,
                 value,
-                stamp: u64::MAX,
+                external: true,
             },
         );
     }
@@ -751,8 +850,8 @@ impl Simulator {
     /// from the event path.
     pub(crate) fn commit_drive(&mut self, driver: DriverId, value: Logic) {
         // An engine-managed driver never has kernel-queued drive events,
-        // so there is no pending_seq to consult: mirror the external
-        // (`stamp == u64::MAX`) path of `apply_drive`.
+        // so there is no pending_seq to consult: mirror the external path
+        // of `apply_drive`.
         self.claim(driver, DriveMode::Committed);
         let d = &mut self.drivers[driver.0 as usize];
         if d.value == value {
@@ -837,6 +936,14 @@ impl Simulator {
         }
     }
 
+    /// Notes, when counting kinds, that [`Ctx::rose`] answered true.
+    #[inline]
+    pub(crate) fn note_rise(&self) {
+        if let Some(kinds) = &self.kinds {
+            kinds.rose.set(true);
+        }
+    }
+
     /// The latest rise `comp` slept through (`Time::MAX` if none).
     pub(crate) fn slept_rise(&self, comp: ComponentId) -> Time {
         self.wakes[comp.0 as usize].slept_rise
@@ -880,9 +987,9 @@ impl Simulator {
                 EventKind::Drive {
                     driver,
                     value,
-                    stamp,
+                    external,
                 } => {
-                    self.apply_drive(driver, value, stamp);
+                    self.apply_drive(driver, value, ev.seq, external);
                 }
                 EventKind::Wake { comp } => {
                     // The dispatch retires the wake *before* evaluating
@@ -915,12 +1022,12 @@ impl Simulator {
         self.run_until(horizon)
     }
 
-    fn apply_drive(&mut self, driver: DriverId, value: Logic, stamp: u64) {
+    fn apply_drive(&mut self, driver: DriverId, value: Logic, seq: u64, external: bool) {
         let d = &mut self.drivers[driver.0 as usize];
-        // Cancellation: `stamp == u64::MAX` marks externally scheduled
-        // drives (never cancelled); otherwise only the latest scheduled
-        // drive for this driver may apply.
-        if stamp != u64::MAX && d.pending_seq != stamp {
+        // Cancellation: external drives are never cancelled; of a
+        // component's, only the latest scheduled one for this driver (the
+        // one whose seq `pending_seq` holds) may apply.
+        if !external && d.pending_seq != seq {
             return;
         }
         if d.value == value {
@@ -934,13 +1041,19 @@ impl Simulator {
 
     /// Sanitizer hook for a driver whose contribution to `net` just
     /// changed: records a write-write hazard when another driver already
-    /// changed `net` in the same delta cycle. A no-op unless the race
-    /// sanitizer is enabled.
+    /// changed `net` in the same delta cycle. With the sanitizer off, one
+    /// branch.
     #[inline]
     fn note_race_write(&self, net: NetId, driver: DriverId) {
-        let Some(race) = &self.race else {
-            return;
-        };
+        if let Some(race) = &self.race {
+            self.record_write(race, net, driver);
+        }
+    }
+
+    /// [`Simulator::note_race_write`]'s body, with the sanitizer on.
+    #[cold]
+    #[inline(never)]
+    fn record_write(&self, race: &RefCell<RaceState>, net: NetId, driver: DriverId) {
         let mut st = race.borrow_mut();
         if let Some(prev) = st.note_write(self.time, net.0, driver) {
             let h = RaceHazard {
@@ -1000,23 +1113,7 @@ impl Simulator {
             }
         }
         if let Some(race) = &self.race {
-            let mut st = race.borrow_mut();
-            for c in st.take_stale_readers(now, net.0) {
-                let who = self.components[c.0 as usize]
-                    .as_ref()
-                    .map(|b| b.name().to_owned())
-                    .unwrap_or_else(|| format!("component#{}", c.0));
-                let h = RaceHazard {
-                    kind: RaceHazardKind::ReadThenWrite,
-                    time: now,
-                    net: self.nets[idx].name().to_owned(),
-                    detail: format!(
-                        "'{who}' read the net earlier this instant without \
-                         watching it, then the resolved value changed to {resolved:?}"
-                    ),
-                };
-                st.push(h);
-            }
+            self.record_stale_readers(race, net, resolved);
         }
         // Notify watchers via wake events at the current instant; a
         // rising-only watcher only if the net rose and the watcher is
@@ -1069,6 +1166,32 @@ impl Simulator {
                 continue;
             }
             st.wake_seq = queue.push(now, EventKind::Wake { comp });
+        }
+    }
+
+    /// Sanitizer hook for a change of `net` to `resolved`: records a
+    /// read-then-write hazard for each component that read it earlier in
+    /// this instant without watching it.
+    #[cold]
+    #[inline(never)]
+    fn record_stale_readers(&self, race: &RefCell<RaceState>, net: NetId, resolved: Logic) {
+        let now = self.time;
+        let mut st = race.borrow_mut();
+        for c in st.take_stale_readers(now, net.0) {
+            let who = self.components[c.0 as usize]
+                .as_ref()
+                .map(|b| b.name().to_owned())
+                .unwrap_or_else(|| format!("component#{}", c.0));
+            let h = RaceHazard {
+                kind: RaceHazardKind::ReadThenWrite,
+                time: now,
+                net: self.nets[net.0 as usize].name().to_owned(),
+                detail: format!(
+                    "'{who}' read the net earlier this instant without \
+                     watching it, then the resolved value changed to {resolved:?}"
+                ),
+            };
+            st.push(h);
         }
     }
 
@@ -1151,12 +1274,16 @@ impl Simulator {
             // a removed component is harmless.
             return;
         };
+        let seq = self.queue.next_seq();
         {
             let mut ctx = Ctx {
                 sim: self,
                 me: comp,
             };
             c.eval(&mut ctx);
+        }
+        if let Some(kinds) = &mut self.kinds {
+            kinds.count(comp, &*c, self.queue.next_seq() == seq);
         }
         self.components[idx] = Some(c);
     }
