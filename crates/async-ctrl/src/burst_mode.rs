@@ -223,6 +223,10 @@ impl Component for BmMachine {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "bm_machine"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         if !self.started {
             self.started = true;

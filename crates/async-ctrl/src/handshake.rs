@@ -182,6 +182,10 @@ impl Component for FourPhaseProducer {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "four_phase_producer"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         match self.state {
             ProducerState::Idle => {
@@ -272,6 +276,10 @@ impl FourPhaseGetter {
 impl Component for FourPhaseGetter {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        "four_phase_getter"
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
@@ -384,6 +392,10 @@ impl ConsumerHandle {
 impl Component for FourPhaseConsumer {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        "four_phase_consumer"
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

@@ -274,6 +274,10 @@ impl Component for StgMachine {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "stg_machine"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         if !self.started {
             self.started = true;

@@ -340,10 +340,18 @@ fn print_kernel_stats(s: SimStats, by_kind: &[KindCount]) {
     println!("  filtered wakes        {}", s.filtered_wakes);
     println!("  slept wakes           {}", s.slept_wakes);
     println!("  held wakes            {}", s.held_wakes);
+    println!("  sampled wakes         {}", s.sampled_wakes);
     println!("  evaluations by kind   all (idle)   at a rising edge (idle)");
+    // Behavioural kinds have names longer than the cells' ten columns.
+    let w = by_kind
+        .iter()
+        .map(|c| c.kind.len())
+        .max()
+        .unwrap_or(0)
+        .max(10);
     for c in by_kind {
         println!(
-            "    {:<10} {:>8} ({:>6})   {:>8} ({:>6})",
+            "    {:<w$} {:>8} ({:>6})   {:>8} ({:>6})",
             c.kind, c.evals, c.idle, c.edges, c.idle_edges
         );
     }

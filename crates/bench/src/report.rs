@@ -133,6 +133,7 @@ impl ExperimentReport {
                 ("filtered_wakes", Json::Num(k.filtered_wakes as f64)),
                 ("slept_wakes", Json::Num(k.slept_wakes as f64)),
                 ("held_wakes", Json::Num(k.held_wakes as f64)),
+                ("sampled_wakes", Json::Num(k.sampled_wakes as f64)),
             ];
             // Compiled-backend counters are zero on the default event
             // backend; omit them there so pre-existing golden reports
@@ -263,8 +264,8 @@ impl ExperimentReport {
                 // The compiled counters are optional: reports written on
                 // the event backend (and all pre-backend reports) omit
                 // them. So do reports from before drive elision,
-                // rising-edge watches, quiescent-flop sleep and
-                // controlling-input sleep.
+                // rising-edge watches, quiescent-flop sleep,
+                // controlling-input sleep and sampled data pins.
                 let opt =
                     |key: &str| -> u64 { k.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
                 Some(SimStats {
@@ -281,6 +282,7 @@ impl ExperimentReport {
                     filtered_wakes: opt("filtered_wakes"),
                     slept_wakes: opt("slept_wakes"),
                     held_wakes: opt("held_wakes"),
+                    sampled_wakes: opt("sampled_wakes"),
                 })
             }
         };
@@ -409,6 +411,7 @@ mod tests {
             filtered_wakes: 13,
             slept_wakes: 17,
             held_wakes: 19,
+            sampled_wakes: 23,
         });
         r.by_kind = vec![KindCount {
             kind: "DFF".into(),

@@ -311,6 +311,10 @@ impl Component for SeizovicFifo {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "seizovic_fifo"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let clk = ctx.get(self.clk);
         let first = self.prev_clk == Logic::X;

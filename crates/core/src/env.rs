@@ -118,6 +118,10 @@ impl Component for SyncProducer {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "sync_producer"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
         if !self.started {
@@ -235,6 +239,10 @@ impl Component for SyncConsumer {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "sync_consumer"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
         if !self.started {
@@ -339,6 +347,10 @@ impl Component for PacketSource {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "packet_source"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
         if !self.started {
@@ -431,6 +443,10 @@ impl PacketSink {
 impl Component for PacketSink {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> &'static str {
+        "packet_sink"
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {

@@ -137,6 +137,10 @@ impl Component for SyncRelayStation {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "sync_relay"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let rising = ctx.rose(self.clk, &mut self.seen);
         if !self.started {

@@ -394,14 +394,13 @@ impl<'a> Builder<'a> {
             delays,
             inst: id.index(),
         });
-        // The data and enable pins keep every-change watches: the hold
-        // check runs on their changes, and a change wakes a flop that
-        // sleeps through quiet edges (`Ctx::sleep_from`).
-        let mut watch = vec![d];
-        if let Some(en) = en {
-            watch.push(en);
-        }
-        let comp = self.sim.add_clocked_component(Box::new(ff), &[clk], &watch);
+        // The data and enable pins are sampled: between edges only the
+        // hold check reads them, so a change wakes the flop only inside
+        // its hold window (`Ctx::listen_for`), and otherwise acts on its
+        // sleep through quiet edges (`Ctx::sleep_from`).
+        let comp = self
+            .sim
+            .add_sampling_component(Box::new(ff), clk, en.as_slice(), &[d]);
         self.netlist.set_elab(
             id,
             ElabInfo {
@@ -641,16 +640,12 @@ impl<'a> Builder<'a> {
             self.netlist.delay_table(),
             id.index(),
         );
-        // The register has no hold check; its enable and data watches
-        // wake it from sleep through quiet edges (`Ctx::sleep_from`).
-        let mut watch = Vec::new();
-        if let Some(en) = en {
-            watch.push(en);
-        }
-        watch.extend_from_slice(d);
+        // The register has no hold check, so its sampled enable and data
+        // pins never wake it; they act on its sleep through quiet edges
+        // (`Ctx::sleep_from`).
         let comp = self
             .sim
-            .add_clocked_component(Box::new(cell), &[clk], &watch);
+            .add_sampling_component(Box::new(cell), clk, en.as_slice(), d);
         self.netlist.set_elab(
             id,
             ElabInfo {

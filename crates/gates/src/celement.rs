@@ -2,6 +2,7 @@
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, NetId};
 
+use crate::comb::with_levels;
 use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 
@@ -17,6 +18,9 @@ use crate::netlist::DelayTable;
 /// The workhorse of asynchronous control (micropipeline stages, handshake
 /// joins). Unknown inputs are treated pessimistically: if an `X` input
 /// could flip the output, the output goes `X`.
+///
+/// After an elided drive, an input equal to the state pins it, so the
+/// cell waits for that input alone ([`Ctx::sleep_until_change`]).
 pub struct CElement {
     name: String,
     inputs: Vec<NetId>,
@@ -77,6 +81,13 @@ impl CElement {
             state
         }
     }
+
+    /// The first input equal to `state`: while it keeps its level, no
+    /// other input can move the state. It blocks the consensus away from
+    /// `state`, and an `X` or `Z` input blocks both.
+    pub(crate) fn held_input(state: Logic, inputs: &[Logic]) -> Option<usize> {
+        inputs.iter().position(|&v| v == state)
+    }
 }
 
 impl Component for CElement {
@@ -102,10 +113,17 @@ impl Component for CElement {
             // re-triggers eval anyway.
             return;
         }
-        let vals: Vec<Logic> = self.inputs.iter().map(|&n| ctx.get(n)).collect();
-        self.state = Self::next_state(self.state, &vals);
         let delay = self.delays.borrow()[self.inst];
-        ctx.drive(self.out, self.state, delay);
+        let (state, inputs, out) = (self.state, &self.inputs, self.out);
+        self.state = with_levels(ctx, inputs, |ctx, vals| {
+            let next = Self::next_state(state, vals);
+            if ctx.drive(out, next, delay) {
+                if let Some(i) = Self::held_input(next, vals) {
+                    ctx.sleep_until_change(inputs[i]);
+                }
+            }
+            next
+        });
     }
 }
 
@@ -120,10 +138,16 @@ impl Component for CElement {
 /// * output goes **low** when all `common` inputs are low (the `plus`
 ///   inputs are irrelevant);
 /// * otherwise it holds.
+///
+/// After an elided drive, a `common` input equal to the state, or at `L`
+/// any input at `L`, pins the state, so the cell waits for that input
+/// alone ([`Ctx::sleep_until_change`]).
 pub struct AsymCElement {
     name: String,
-    common: Vec<NetId>,
-    plus: Vec<NetId>,
+    /// The `common` inputs, then the `plus` inputs.
+    inputs: Vec<NetId>,
+    /// How many of `inputs` are `common`.
+    common: usize,
     out: DriverId,
     state: Logic,
     started: bool,
@@ -151,10 +175,11 @@ impl AsymCElement {
         delays: DelayTable,
         inst: usize,
     ) -> Self {
+        let n = common.len();
         AsymCElement {
             name: name.into(),
-            common,
-            plus,
+            inputs: [common, plus].concat(),
+            common: n,
             out,
             state: init,
             started: false,
@@ -190,6 +215,21 @@ impl AsymCElement {
             }
         }
     }
+
+    /// An input that pins `state` while it keeps its level, as an index
+    /// into `common` followed by `plus`: a `common` input equal to the
+    /// state, or at `L` any input at `L` (a low `plus` input blocks the
+    /// rise, and a fall leaves the state `L`). At `H` a `plus` input pins
+    /// nothing, since the `common` inputs alone reset the cell.
+    pub(crate) fn held_input(state: Logic, common: &[Logic], plus: &[Logic]) -> Option<usize> {
+        let low_plus = || {
+            (state == Logic::L)
+                .then(|| plus.iter().position(|&v| v == Logic::L))
+                .flatten()
+                .map(|i| common.len() + i)
+        };
+        common.iter().position(|&v| v == state).or_else(low_plus)
+    }
 }
 
 impl Component for AsymCElement {
@@ -207,17 +247,26 @@ impl Component for AsymCElement {
             ctx.drive(self.out, self.state, mtf_sim::Time::ZERO); // see CElement
             return;
         }
-        let c: Vec<Logic> = self.common.iter().map(|&n| ctx.get(n)).collect();
-        let p: Vec<Logic> = self.plus.iter().map(|&n| ctx.get(n)).collect();
-        self.state = Self::next_state(self.state, &c, &p);
         let delay = self.delays.borrow()[self.inst];
-        ctx.drive(self.out, self.state, delay);
+        let (state, inputs, out) = (self.state, &self.inputs, self.out);
+        let common = self.common;
+        self.state = with_levels(ctx, inputs, |ctx, vals| {
+            let (c, p) = vals.split_at(common);
+            let next = Self::next_state(state, c, p);
+            if ctx.drive(out, next, delay) {
+                if let Some(i) = Self::held_input(next, c, p) {
+                    ctx.sleep_until_change(inputs[i]);
+                }
+            }
+            next
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comb::level_vectors;
     use Logic::*;
 
     #[test]
@@ -265,6 +314,67 @@ mod tests {
         assert_eq!(CElement::next_state(L, &[Z, X]), L);
         assert_eq!(AsymCElement::next_state(L, &[Z], &[H]), L);
         assert_eq!(AsymCElement::next_state(H, &[Z], &[L]), H);
+    }
+
+    /// Every state and input vector of one to three inputs: an input the
+    /// cell holds on pins the next state (and so the output) whatever
+    /// the other inputs do.
+    #[test]
+    fn a_held_input_fixes_the_state() {
+        let mut held = 0;
+        for n in 1..=3 {
+            let all = level_vectors(n);
+            for state in [L, H, X, Z] {
+                for v in &all {
+                    let Some(i) = CElement::held_input(state, v) else {
+                        continue;
+                    };
+                    held += 1;
+                    for w in all.iter().filter(|w| w[i] == v[i]) {
+                        assert_eq!(CElement::next_state(state, w), state, "{state:?} {w:?}");
+                    }
+                }
+            }
+        }
+        // Each state: 1 + 7 + 37 vectors hold it somewhere.
+        assert_eq!(held, 4 * 45);
+    }
+
+    /// The same for the asymmetric cell, over every split of one to three
+    /// inputs into at least one `common` and the rest `plus`.
+    #[test]
+    fn a_held_asym_input_fixes_the_state() {
+        let mut held = 0;
+        for n in 1..=3 {
+            let all = level_vectors(n);
+            for common in 1..=n {
+                for state in [L, H, X, Z] {
+                    for v in &all {
+                        let (c, p) = v.split_at(common);
+                        let Some(i) = AsymCElement::held_input(state, c, p) else {
+                            continue;
+                        };
+                        held += 1;
+                        for w in all.iter().filter(|w| w[i] == v[i]) {
+                            let (c, p) = w.split_at(common);
+                            let next = AsymCElement::next_state(state, c, p);
+                            assert_eq!(next, state, "{state:?} {c:?} {p:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // At `L` the vectors with an `L` anywhere; at the other states
+        // those with the state among the `common` inputs.
+        assert_eq!(held, 405);
+    }
+
+    /// At `H` a `plus` input pins nothing: the `common` inputs reset.
+    #[test]
+    fn a_high_plus_input_is_not_held() {
+        assert_eq!(AsymCElement::held_input(H, &[X], &[H]), None);
+        assert_eq!(AsymCElement::next_state(H, &[L], &[H]), L);
+        assert_eq!(AsymCElement::held_input(L, &[X], &[L]), Some(1));
     }
 
     #[test]

@@ -139,6 +139,28 @@ impl GateFunc {
     }
 }
 
+/// Reads the levels of `nets` and hands them to `f` with the context.
+/// Gate evaluation is the hottest code in the simulator, so the levels go
+/// into a stack buffer, not a fresh `Vec` per evaluation; the builder's
+/// primitive cells have at most eight inputs, and wider ones spill to the
+/// heap.
+pub(crate) fn with_levels<R>(
+    ctx: &mut Ctx<'_>,
+    nets: &[NetId],
+    f: impl FnOnce(&mut Ctx<'_>, &[Logic]) -> R,
+) -> R {
+    let mut buf = [Logic::Z; 8];
+    if nets.len() <= buf.len() {
+        for (v, &n) in buf.iter_mut().zip(nets) {
+            *v = ctx.get(n);
+        }
+        f(ctx, &buf[..nets.len()])
+    } else {
+        let wide: Vec<Logic> = nets.iter().map(|&n| ctx.get(n)).collect();
+        f(ctx, &wide)
+    }
+}
+
 /// A combinational gate: recomputes its function whenever an input net
 /// changes and schedules the result on its output driver after the
 /// instance's current [`DelayTable`] entry.
@@ -198,28 +220,30 @@ impl Component for CombGate {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        // Gate evaluation is the hottest code in the simulator; read the
-        // inputs into a stack buffer so no allocation happens per eval.
-        // (The builder's widest primitive cells stay well under the cap.)
-        let mut buf = [Logic::Z; 8];
-        let wide: Vec<Logic>;
-        let vals: &[Logic] = if self.inputs.len() <= 8 {
-            for (v, &n) in buf.iter_mut().zip(&self.inputs) {
-                *v = ctx.get(n);
-            }
-            &buf[..self.inputs.len()]
-        } else {
-            wide = self.inputs.iter().map(|&n| ctx.get(n)).collect();
-            &wide
-        };
-        let v = self.func.apply(vals);
+        let (func, inputs, out) = (self.func, &self.inputs, self.out);
         let d = self.delays.borrow()[self.inst];
-        if ctx.drive(self.out, v, d) {
-            if let Some(i) = self.func.controlling(vals) {
-                ctx.sleep_until_change(self.inputs[i]);
+        with_levels(ctx, inputs, |ctx, vals| {
+            if ctx.drive(out, func.apply(vals), d) {
+                if let Some(i) = func.controlling(vals) {
+                    ctx.sleep_until_change(inputs[i]);
+                }
             }
-        }
+        });
     }
+}
+
+/// Every level vector of `n` inputs over `L`, `H`, `X` and `Z`: the
+/// domain of the exhaustive hold checks.
+#[cfg(test)]
+pub(crate) fn level_vectors(n: usize) -> Vec<Vec<Logic>> {
+    const LEVELS: [Logic; 4] = [Logic::L, Logic::H, Logic::X, Logic::Z];
+    (0..4usize.pow(n as u32))
+        .map(|k| {
+            (0..n)
+                .map(|i| LEVELS[k / 4usize.pow(i as u32) % 4])
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -283,16 +307,6 @@ mod tests {
     /// at that input gives the same result.
     #[test]
     fn a_controlling_input_fixes_the_output() {
-        const LEVELS: [Logic; 4] = [L, H, X, Z];
-        let vectors = |n: usize| -> Vec<Vec<Logic>> {
-            (0..4usize.pow(n as u32))
-                .map(|k| {
-                    (0..n)
-                        .map(|i| LEVELS[k / 4usize.pow(i as u32) % 4])
-                        .collect()
-                })
-                .collect()
-        };
         let funcs = [
             (GateFunc::Buf, 1..=1),
             (GateFunc::Inv, 1..=1),
@@ -308,7 +322,7 @@ mod tests {
         let mut held = 0;
         for (f, arities) in funcs {
             for n in arities {
-                let all = vectors(n);
+                let all = level_vectors(n);
                 for v in &all {
                     let Some(i) = f.controlling(v) else {
                         continue;

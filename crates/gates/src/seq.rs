@@ -187,10 +187,10 @@ impl BitFlopCore {
         }
     }
 
-    /// [`quiet_from`] for this cell after an edge at `now`: the margin
-    /// covers the setup window (when checked) and half the metastability
-    /// window plus 1 ps (when `meta` has one).
-    pub(crate) fn quiet_from(&self, ctx: &Ctx<'_>, meta: &MetaModel, now: Time, cq: Time) -> Time {
+    /// How long before an edge an input change can still matter to it:
+    /// the setup window (when checked) and half the metastability window
+    /// plus 1 ps (when `meta` has one).
+    fn margin(&self, meta: &MetaModel) -> Time {
         let setup = if self.timing.check_timing {
             self.timing.setup
         } else {
@@ -201,8 +201,32 @@ impl BitFlopCore {
         } else {
             Time::ZERO
         };
+        setup.max(window)
+    }
+
+    /// [`quiet_from`] for this cell after an edge at `now`, with
+    /// [`BitFlopCore::margin`] as the input margin.
+    pub(crate) fn quiet_from(&self, ctx: &Ctx<'_>, meta: &MetaModel, now: Time, cq: Time) -> Time {
         let inputs = [Some(self.d), self.en].into_iter().flatten();
-        quiet_from(ctx, inputs, setup.max(window), now, cq)
+        quiet_from(ctx, inputs, self.margin(meta), now, cq)
+    }
+
+    /// The cell's [`Ctx::listen_for`] rule when no settle is pending. Only
+    /// the hold check reads a pin between edges, so the window is the
+    /// hold span, and only while timing is checked and the last edge
+    /// captured. When the enable was low at the last edge, later edges
+    /// with the enable unchanged capture nothing, so a data change
+    /// matters only to the edges within the input margin after it.
+    pub(crate) fn listen(&self, meta: &MetaModel) -> (Time, Option<Time>) {
+        let span = if self.timing.check_timing && self.last_captured {
+            self.timing.hold
+        } else {
+            Time::ZERO
+        };
+        // A rule the kernel applies only during a sleep, which starts at
+        // an edge: `last_captured` is then that edge's.
+        let disabled = self.en.is_some() && !self.last_captured;
+        (span, disabled.then(|| self.margin(meta)))
     }
 }
 
@@ -284,6 +308,17 @@ impl Dff {
             inst: cfg.inst,
         }
     }
+
+    /// Sets the listen window: every change while a settle is pending,
+    /// else the core's rule.
+    fn listen(&self, ctx: &mut Ctx<'_>) {
+        let (span, data_margin) = if self.pending.is_some() {
+            (Time::MAX, None)
+        } else {
+            self.core.listen(&self.meta)
+        };
+        ctx.listen_for(span, data_margin);
+    }
 }
 
 impl Component for Dff {
@@ -318,6 +353,7 @@ impl Component for Dff {
             .step(ctx, rising, self.seen, &self.meta, read, read);
         if drive == Some(Drive::Init) {
             ctx.drive(self.q, self.core.state, Time::ZERO);
+            self.listen(ctx);
             return;
         }
         let cq = self.delays.borrow()[self.inst];
@@ -352,6 +388,7 @@ impl Component for Dff {
             let from = self.core.quiet_from(ctx, &self.meta, now, cq);
             ctx.sleep_from(from);
         }
+        self.listen(ctx);
     }
 }
 

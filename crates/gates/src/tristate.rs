@@ -12,6 +12,10 @@ use crate::netlist::DelayTable;
 /// The FIFO cells of the paper use these to broadcast dequeued data on the
 /// shared `get_data` bus: exactly one cell (the get-token holder) enables
 /// its drivers in any cycle.
+///
+/// After an elided drive with the enable not `H`, the output no longer
+/// depends on `d`, so the driver waits for the enable alone
+/// ([`Ctx::sleep_until_change`]).
 pub struct TriBuf {
     name: String,
     en: NetId,
@@ -59,6 +63,12 @@ impl TriBuf {
             Logic::X => Logic::X,
         }
     }
+
+    /// Whether an enable at `en` fixes the output whatever the data do:
+    /// at any level but `H`.
+    pub(crate) fn enable_holds(en: Logic) -> bool {
+        en != Logic::H
+    }
 }
 
 impl Component for TriBuf {
@@ -71,9 +81,12 @@ impl Component for TriBuf {
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        let v = Self::output_value(ctx.get(self.en), ctx.get(self.d));
+        let en = ctx.get(self.en);
+        let v = Self::output_value(en, ctx.get(self.d));
         let delay = self.delays.borrow()[self.inst];
-        ctx.drive(self.out, v, delay);
+        if ctx.drive(self.out, v, delay) && Self::enable_holds(en) {
+            ctx.sleep_until_change(self.en);
+        }
     }
 }
 
@@ -92,5 +105,23 @@ mod tests {
         assert_eq!(TriBuf::output_value(L, X), Z);
         assert_eq!(TriBuf::output_value(X, H), X);
         assert_eq!(TriBuf::output_value(Z, L), Z);
+    }
+
+    /// Every `(en, d)` pair: where the enable holds, every `d` gives the
+    /// same output; at `H` the output follows `d`.
+    #[test]
+    fn a_holding_enable_fixes_the_output() {
+        let all = crate::comb::level_vectors(2);
+        for v in &all {
+            let (en, d) = (v[0], v[1]);
+            let out = TriBuf::output_value(en, d);
+            if TriBuf::enable_holds(en) {
+                for w in all.iter().filter(|w| w[0] == en) {
+                    assert_eq!(TriBuf::output_value(en, w[1]), out, "{v:?} vs {w:?}");
+                }
+            } else {
+                assert_eq!(out, d);
+            }
+        }
     }
 }

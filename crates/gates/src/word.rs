@@ -21,7 +21,8 @@ use crate::tristate::TriBuf;
 /// enable match, `Z`→`X` capture and the setup check on the data pins —
 /// shared by [`RegisterWord`] and the compiled engine. The caller detects
 /// the clock edge, reads the pins and drives Q. There is no hold check
-/// and no check on the enable; the setup check is always on.
+/// and no check on the enable; the setup check is always on, and an edge
+/// with the enable low checks nothing on the data pins.
 pub(crate) struct WordFlopCore {
     name: String,
     en: Option<NetId>,
@@ -29,6 +30,8 @@ pub(crate) struct WordFlopCore {
     setup: Time,
     pub(crate) state: LogicVec,
     started: bool,
+    /// Whether the enable was `L` at the last edge.
+    disabled: bool,
 }
 
 impl WordFlopCore {
@@ -40,6 +43,7 @@ impl WordFlopCore {
             d,
             setup,
             started: false,
+            disabled: false,
         }
     }
 
@@ -64,7 +68,9 @@ impl WordFlopCore {
         if !rising {
             return false;
         }
-        match self.en.map_or(Logic::H, |n| en(ctx, n)) {
+        let enabled = self.en.map_or(Logic::H, |n| en(ctx, n));
+        self.disabled = enabled == Logic::L;
+        match enabled {
             Logic::L => false,
             Logic::H => {
                 // Only the first offending bit is reported.
@@ -90,16 +96,31 @@ impl WordFlopCore {
     }
 
     /// [`quiet_from`] for this register after an edge at `now`: the
-    /// margin is the setup window.
+    /// margin is the setup window. The data pins count only if the
+    /// enable was not low: with it low, no later edge reads them.
     pub(crate) fn quiet_from(&self, ctx: &Ctx<'_>, now: Time, cq: Time) -> Time {
-        let inputs = self.en.iter().chain(&self.d).copied();
+        let d: &[NetId] = if self.disabled { &[] } else { &self.d };
+        let inputs = self.en.iter().chain(d).copied();
         quiet_from(ctx, inputs, self.setup, now, cq)
+    }
+
+    /// The register's data rule for [`Ctx::listen_for`]: after an edge
+    /// with the enable low, a data change leaves a sleep as it is (no
+    /// later edge with the enable unchanged reads the data); otherwise it
+    /// ends it.
+    pub(crate) fn data_margin(&self) -> Option<Time> {
+        self.disabled.then_some(Time::ZERO)
     }
 }
 
 /// A W-bit positive-edge register with a shared synchronous enable — the
 /// `REG` block of the paper's FIFO cell (Fig. 5), which latches
 /// `data_put` plus the validity bit when the cell holds the put token.
+///
+/// Its enable and data pins are sampled
+/// ([`Simulator::add_sampling_component`](mtf_sim::Simulator::add_sampling_component))
+/// with an empty listen window: with no hold check, an evaluation between
+/// edges does nothing.
 pub struct RegisterWord {
     core: WordFlopCore,
     clk: NetId,
@@ -173,6 +194,7 @@ impl Component for RegisterWord {
             let from = self.core.quiet_from(ctx, ctx.now(), cq);
             ctx.sleep_from(from);
         }
+        ctx.listen_for(Time::ZERO, self.core.data_margin());
     }
 }
 
@@ -180,6 +202,9 @@ impl Component for RegisterWord {
 /// async-sync cell's register, which latches while the `we` pulse is high
 /// (the bundled-data convention guarantees the data bus is stable for the
 /// whole pulse).
+///
+/// While the enable is `L` an evaluation drives nothing, so the latch
+/// waits for the enable alone ([`Ctx::sleep_until_change`]).
 pub struct LatchWord {
     name: String,
     en: NetId,
@@ -221,6 +246,20 @@ impl LatchWord {
             inst,
         }
     }
+
+    /// What one bit drives, if anything, with the enable at `en`, the
+    /// data bit at `d` and the bit's state at `state` (which becomes the
+    /// driven value). Transparent at `H`, following the data, still
+    /// pending `Z` included; opaque at `L`; with an `X` or `Z` enable, `X`
+    /// unless the data equal a definite state.
+    pub(crate) fn next_bit(en: Logic, d: Logic, state: Logic) -> Option<Logic> {
+        match en {
+            Logic::H => Some(d),
+            Logic::L => None,
+            _ if d != state || !d.is_definite() => Some(Logic::X),
+            _ => None,
+        }
+    }
 }
 
 impl Component for LatchWord {
@@ -234,25 +273,16 @@ impl Component for LatchWord {
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let en = ctx.get(self.en);
+        if en == Logic::L {
+            // Opaque: nothing to drive whatever the data do.
+            ctx.sleep_until_change(self.en);
+            return;
+        }
         let delay = self.delays.borrow()[self.inst];
-        match en {
-            Logic::H => {
-                // Transparent: follow the data, including still-pending Z.
-                for (i, &dn) in self.d.iter().enumerate() {
-                    let v = ctx.get(dn);
-                    self.state.set_bit(i, v);
-                    ctx.drive(self.q[i], v, delay);
-                }
-            }
-            Logic::L => {} // opaque: outputs hold
-            _ => {
-                for (i, &dn) in self.d.iter().enumerate() {
-                    let v = ctx.get(dn);
-                    if v != self.state.bit(i) || !v.is_definite() {
-                        self.state.set_bit(i, Logic::X);
-                        ctx.drive(self.q[i], Logic::X, delay);
-                    }
-                }
+        for (i, &dn) in self.d.iter().enumerate() {
+            if let Some(v) = Self::next_bit(en, ctx.get(dn), self.state.bit(i)) {
+                self.state.set_bit(i, v);
+                ctx.drive(self.q[i], v, delay);
             }
         }
     }
@@ -260,6 +290,10 @@ impl Component for LatchWord {
 
 /// A W-bit tri-state driver bank with a shared enable — the read port a
 /// FIFO cell uses to broadcast its word on the common `get_data` bus.
+///
+/// Once every bit's drive was elided with the enable not `H`, its output
+/// no longer depends on the data, so the bank waits for the enable alone
+/// ([`Ctx::sleep_until_change`]).
 pub struct TriWord {
     name: String,
     en: NetId,
@@ -312,9 +346,49 @@ impl Component for TriWord {
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         let en = ctx.get(self.en);
         let delay = self.delays.borrow()[self.inst];
+        let mut elided = true;
         for (i, &dn) in self.d.iter().enumerate() {
             let v = TriBuf::output_value(en, ctx.get(dn));
-            ctx.drive(self.out[i], v, delay);
+            elided &= ctx.drive(self.out[i], v, delay);
+        }
+        if elided && TriBuf::enable_holds(en) {
+            ctx.sleep_until_change(self.en);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comb::level_vectors;
+
+    /// Every data level and state of a bit: an enable at `L`, the
+    /// latch's held input, leaves the bit as it is and drives nothing,
+    /// whatever the data. (Bits are independent, so one covers a word.)
+    #[test]
+    fn a_low_enable_holds_the_latch() {
+        for v in level_vectors(2) {
+            assert_eq!(LatchWord::next_bit(Logic::L, v[0], v[1]), None, "{v:?}");
+        }
+    }
+
+    /// Every enable and data word of one or two bits: where the enable
+    /// holds, every data word gives the same output.
+    #[test]
+    fn a_holding_enable_fixes_the_tri_word() {
+        for n in 1..=2 {
+            let all = level_vectors(n + 1);
+            let out = |v: &[Logic]| -> Vec<Logic> {
+                v[1..]
+                    .iter()
+                    .map(|&d| TriBuf::output_value(v[0], d))
+                    .collect()
+            };
+            for v in all.iter().filter(|v| TriBuf::enable_holds(v[0])) {
+                for w in all.iter().filter(|w| w[0] == v[0]) {
+                    assert_eq!(out(v), out(w), "{v:?} vs {w:?}");
+                }
+            }
         }
     }
 }

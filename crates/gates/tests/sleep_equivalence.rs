@@ -10,12 +10,21 @@
 //! metastability window) makes the sleep rule's input margins, not its
 //! wait for Q, decide when the cell may sleep.
 //!
-//! There are two twins. One keeps the clock as a rising-only watch; the
+//! There are three twins. One keeps the clock as a rising-only watch; the
 //! other watches it on every change, so it also evaluates at every clock
 //! fall and at `X`/`Z` levels. A fall wake at an earlier instant must not
 //! hide the wake of a queued metastable settle: a data change at the
 //! settle instant is then absorbed into that wake, and the cell reports
 //! a hold violation once.
+//!
+//! The third twin sleeps like the built cell, but watches its data and
+//! enable pins on every change instead of sampling them
+//! (`Simulator::add_sampling_component`): it checks that a sampled pin
+//! wakes the cell exactly when an evaluation can matter (inside the hold
+//! window, or while a settle is pending) and otherwise acts on the sleep
+//! as the woken cell would. The stimulus puts a share of the input
+//! changes inside the hold window after a rise, or in the rise's own
+//! instant, queued ahead of it.
 
 use mtf_gates::{Builder, CellDelays, Dff, DffConfig, InstanceId, RegisterWord};
 use mtf_sim::{Component, Ctx, Logic, MetaModel, NetId, Simulator, Time};
@@ -66,8 +75,9 @@ fn level(code: u8) -> Logic {
 }
 
 /// Everything a run observes: per Q bit the waveform, the rendered
-/// violation log, the next RNG draw after the run, and the slept wakes.
-type Observed = (Vec<Vec<(Time, Logic)>>, Vec<String>, u64, u64);
+/// violation log, the next RNG draw after the run, the slept wakes and
+/// the skipped sampled-pin wakes.
+type Observed = (Vec<Vec<(Time, Logic)>>, Vec<String>, u64, u64, u64);
 
 /// A cell that cancels its own sleep after every evaluation, so the
 /// kernel delivers it every rise.
@@ -102,6 +112,9 @@ enum Variant {
     Twin,
     /// A [`NeverSleeps`] copy that watches the clock on every change.
     ClockWatchTwin,
+    /// A copy that sleeps, with every-change watches on its data and
+    /// enable pins.
+    WatchedPinsTwin,
 }
 
 /// Builds `flop` in a fresh simulator (with a 20 ps clock-to-Q if
@@ -177,13 +190,18 @@ fn run(
             )),
         };
         let mut watch: Vec<NetId> = en.iter().chain(&d).copied().collect();
-        let rising = if variant == Variant::Twin {
-            vec![clk]
-        } else {
-            watch.push(clk);
-            vec![]
-        };
-        sim.add_clocked_component(Box::new(NeverSleeps(twin)), &rising, &watch);
+        match variant {
+            Variant::WatchedPinsTwin => {
+                sim.add_clocked_component(twin, &[clk], &watch);
+            }
+            Variant::Twin => {
+                sim.add_clocked_component(Box::new(NeverSleeps(twin)), &[clk], &watch);
+            }
+            _ => {
+                watch.push(clk);
+                sim.add_clocked_component(Box::new(NeverSleeps(twin)), &[], &watch);
+            }
+        }
     }
     for &n in &q {
         sim.trace(n);
@@ -209,8 +227,19 @@ fn run(
         .map(|&n| sim.waveform(n).expect("traced").points().to_vec())
         .collect();
     let log = sim.violations().iter().map(ToString::to_string).collect();
-    (waves, log, draw.get(), sim.stats().slept_wakes)
+    let stats = sim.stats();
+    (
+        waves,
+        log,
+        draw.get(),
+        stats.slept_wakes,
+        stats.sampled_wakes,
+    )
 }
+
+/// The `hp06` hold time, in ps: offsets `0..HOLD_PS` after a rise land in
+/// its instant or its hold window.
+const HOLD_PS: i64 = 100;
 
 /// The clock: a change every `gap` ps, alternating `L`/`H` except where
 /// the code picks `X` or `Z`; and the rise instants, the anchors of the
@@ -249,7 +278,10 @@ proptest! {
         fast in any::<bool>(),
         init in any::<bool>(),
         gaps in prop::collection::vec((prop_oneof![20u64..200, 200u64..1_500], 0u8..16), 8..40),
-        raw in prop::collection::vec((0usize..4, 0usize..40, -400i64..400, any::<u8>()), 0..16),
+        raw in prop::collection::vec(
+            (0usize..4, 0usize..40, prop_oneof![-400i64..400, 0i64..HOLD_PS], any::<u8>()),
+            0..16,
+        ),
     ) {
         let (clock, rises) = clock_of(&gaps);
         let anchor = |i: usize| rises.get(i % rises.len().max(1)).copied();
@@ -262,9 +294,12 @@ proptest! {
             .collect();
         let init = Logic::from_bool(init);
         let sleeper = run(flop, fast, init, &clock, &changes, Variant::Sleeper);
-        for variant in [Variant::Twin, Variant::ClockWatchTwin] {
+        for variant in [Variant::Twin, Variant::ClockWatchTwin, Variant::WatchedPinsTwin] {
             let twin = run(flop, fast, init, &clock, &changes, variant);
-            prop_assert_eq!(twin.3, 0, "the twin never sleeps");
+            prop_assert_eq!(twin.4, 0, "the twin samples no pin");
+            if variant != Variant::WatchedPinsTwin {
+                prop_assert_eq!(twin.3, 0, "the twin never sleeps");
+            }
             prop_assert_eq!(&sleeper.0, &twin.0, "Q waveforms of {:?}, fast {}, {:?}", flop, fast, variant);
             prop_assert_eq!(&sleeper.1, &twin.1, "violations of {:?}, fast {}, {:?}", flop, fast, variant);
             prop_assert_eq!(sleeper.2, twin.2, "RNG draws of {:?}, fast {}, {:?}", flop, fast, variant);
@@ -300,5 +335,47 @@ fn quiet_inputs_let_every_cell_sleep() {
             sleeper.3
         );
         assert_eq!(sleeper.0, twin.0, "{flop:?}");
+    }
+}
+
+/// The stimulus reaches the cases that matter: a data change in a rise's
+/// instant, queued ahead of it, is captured by that edge, and one inside
+/// the hold window wakes the cell and is reported, as in every twin.
+#[test]
+fn same_instant_and_hold_window_changes_match_every_twin() {
+    let gaps = vec![(500, 2); 12];
+    let (clock, rises) = clock_of(&gaps);
+    let at = |rise: usize, offset: u64| rises[rise] + Time::from_ps(offset);
+    let changes = [
+        (0, Time::ZERO, Logic::H),
+        (1, Time::ZERO, Logic::L),
+        (1, at(1, 0), Logic::H),
+        (1, at(3, 40), Logic::L),
+    ];
+    let flop = Flop::Bit {
+        en: true,
+        hp06: false,
+        check_timing: true,
+    };
+    let sleeper = run(flop, false, Logic::L, &clock, &changes, Variant::Sleeper);
+    let q = &sleeper.0[0];
+    assert!(
+        q.contains(&(at(1, 0) + CellDelays::hp06().etdff_cq, Logic::H)),
+        "{q:?}"
+    );
+    assert!(
+        sleeper.1.iter().any(|v| v.starts_with("[hold]")),
+        "{:?}",
+        sleeper.1
+    );
+    assert!(sleeper.4 > 0, "no sampled-pin wake was skipped");
+    for variant in [
+        Variant::Twin,
+        Variant::ClockWatchTwin,
+        Variant::WatchedPinsTwin,
+    ] {
+        let twin = run(flop, false, Logic::L, &clock, &changes, variant);
+        assert_eq!(sleeper.0, twin.0, "{variant:?}");
+        assert_eq!(sleeper.1, twin.1, "{variant:?}");
     }
 }

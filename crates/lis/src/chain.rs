@@ -317,6 +317,10 @@ impl Component for BoundaryProbe {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "boundary_probe"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         // The two edge nets can rise in different deltas of one instant;
         // each rise is consumed once.

@@ -111,6 +111,10 @@ impl Component for WireSegment {
         &self.name
     }
 
+    fn kind(&self) -> &'static str {
+        "wire_segment"
+    }
+
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
         for (i, &n) in self.inputs.iter().enumerate() {
             let v = ctx.get(n);

@@ -21,10 +21,12 @@ pub struct ComponentId(pub(crate) u32);
 /// A component is evaluated (its [`eval`](Component::eval) method called)
 /// whenever one of the nets it was registered as watching changes resolved
 /// value (or, for a rising-only watch, rises from `L` to `H`; see
-/// [`Simulator::add_clocked_component`]), and whenever a self-scheduled
-/// wake-up ([`Ctx::wake_in`]) fires. A component that sleeps
-/// ([`Ctx::sleep_from`], [`Ctx::sleep_until_change`]) skips the wakes
-/// that provably would do nothing.
+/// [`Simulator::add_clocked_component`]; or, for a sampled pin, changes
+/// inside the listen window; see [`Simulator::add_sampling_component`]),
+/// and whenever a self-scheduled wake-up ([`Ctx::wake_in`]) fires. A
+/// component that sleeps ([`Ctx::sleep_from`],
+/// [`Ctx::sleep_until_change`]) skips the wakes that provably would do
+/// nothing.
 /// Evaluation happens at a single instant: the component reads its input
 /// nets through the [`Ctx`] and schedules *future* output changes; it never
 /// sees time advance inside `eval`.
@@ -134,20 +136,45 @@ impl<'a> Ctx<'a> {
 
     /// Puts this component to sleep: the kernel skips its rising-only
     /// wakes at or after `at` (which must lie after now; `Time::MAX`
-    /// keeps it awake) until an ordinary watch fires or a timed wake
-    /// ([`Ctx::wake_in`]) is requested. Skipped wakes are counted in
+    /// keeps it awake) until an ordinary watch fires, a sampled pin
+    /// changes (see [`Ctx::listen_for`] for what that does) or a timed
+    /// wake ([`Ctx::wake_in`]) is requested. Skipped wakes are counted in
     /// [`SimStats::slept_wakes`](crate::SimStats::slept_wakes), and
     /// [`Ctx::rose`] reports the latest skipped rise as consumed.
     ///
     /// Only for a component with one rising-only net whose evaluation of
-    /// every rise from `at` on, with its ordinary inputs unchanged, would
+    /// every rise from `at` on, with its other inputs unchanged, would
     /// do nothing: no drive but one the kernel elides, no report and no
     /// RNG draw. Debug builds panic in the two orders this cannot
-    /// reproduce: an ordinary input changed by an event queued ahead of a
+    /// reproduce: another input changed by an event queued ahead of a
     /// skipped rise's wake, and a clock that falls in the instant it rose
     /// past a sleeper.
     pub fn sleep_from(&mut self, at: Time) {
         self.sim.sleep_from(self.me, at);
+    }
+
+    /// Sets which changes of this component's sampled pins
+    /// ([`Simulator::add_sampling_component`](crate::Simulator::add_sampling_component))
+    /// wake it, and what the others do to its sleep; the setting lasts
+    /// until the next call.
+    ///
+    /// A change within `span` of the clock's latest rise (delivered or
+    /// slept through, its instant included) wakes the component as an
+    /// every-change watch would; `Time::MAX`, the default, makes every
+    /// change wake it and `Time::ZERO` none. Any other change queues no
+    /// wake and only acts on a sleep ([`Ctx::sleep_from`]): a control
+    /// pin's change ends it, and so does a data pin's when `data_margin`
+    /// is `None`; with `Some(m)`, a data pin's change at `t` moves the
+    /// sleep start to at least `t + m`.
+    ///
+    /// Only for a component whose evaluation at a change outside the
+    /// window would do nothing: no drive, no report and no RNG draw. A
+    /// data margin also needs every rise at or after `t + m`, with the
+    /// control pins unchanged, to do nothing, whatever the data pins did
+    /// at `t`. The skip is exact: its wake's sequence number is reserved,
+    /// as for [`Ctx::sleep_until_change`].
+    pub fn listen_for(&mut self, span: Time, data_margin: Option<Time>) {
+        self.sim.listen_for(self.me, span, data_margin);
     }
 
     /// Holds this component until `net`, which it watches on every

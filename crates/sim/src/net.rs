@@ -44,27 +44,49 @@ pub(crate) enum NetLabel {
     Bit { base: Rc<str>, bit: u32 },
 }
 
-/// One entry of a net's watcher list: a component id, with
-/// [`Watcher::RISING`] set when the component wakes only on the net's
-/// `L`→`H` transitions. One list per net keeps every wake in registration
-/// order, whatever its mode.
+/// How a component watches a net (see
+/// [`Simulator::add_clocked_component`](crate::Simulator::add_clocked_component)
+/// and
+/// [`Simulator::add_sampling_component`](crate::Simulator::add_sampling_component)).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Watch {
+    /// Every resolved change wakes the component.
+    Change = 0,
+    /// Only `L`→`H` transitions wake it.
+    Rising = 1,
+    /// A change wakes it only inside its listen window; outside, it ends
+    /// the component's sleep.
+    Control = 2,
+    /// A change wakes it only inside its listen window; outside, it
+    /// updates the sleep by the component's data rule.
+    Data = 3,
+}
+
+/// One entry of a net's watcher list: a component id in the low bits and
+/// its [`Watch`] mode in the top two. One list per net keeps every wake in
+/// registration order, whatever its mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Watcher(u32);
 
 impl Watcher {
-    /// The rising-only bit; component ids stay below it.
-    pub(crate) const RISING: u32 = 1 << 31;
+    /// The first bit of the mode; component ids stay below it.
+    pub(crate) const MODE_SHIFT: u32 = 30;
 
-    pub(crate) fn new(comp: ComponentId, rising_only: bool) -> Self {
-        Watcher(comp.0 | if rising_only { Self::RISING } else { 0 })
+    pub(crate) fn new(comp: ComponentId, mode: Watch) -> Self {
+        Watcher(comp.0 | (mode as u32) << Self::MODE_SHIFT)
     }
 
     pub(crate) fn comp(self) -> ComponentId {
-        ComponentId(self.0 & !Self::RISING)
+        ComponentId(self.0 & ((1 << Self::MODE_SHIFT) - 1))
     }
 
-    pub(crate) fn rising_only(self) -> bool {
-        self.0 & Self::RISING != 0
+    pub(crate) fn mode(self) -> Watch {
+        match self.0 >> Self::MODE_SHIFT {
+            0 => Watch::Change,
+            1 => Watch::Rising,
+            2 => Watch::Control,
+            _ => Watch::Data,
+        }
     }
 }
 

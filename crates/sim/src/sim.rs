@@ -10,7 +10,7 @@ use crate::component::{Component, ComponentId, Ctx};
 use crate::error::SimError;
 use crate::event::{EventKind, EventQueue};
 use crate::logic::{Logic, LogicVec};
-use crate::net::{Driver, DriverId, Net, NetId, NetLabel, Watcher};
+use crate::net::{Driver, DriverId, Net, NetId, NetLabel, Watch, Watcher};
 use crate::probe::Waveform;
 use crate::race::{RaceHazard, RaceHazardKind, RaceState};
 use crate::time::Time;
@@ -140,6 +140,11 @@ pub struct SimStats {
     /// that would have coalesced into an earlier skipped one is counted
     /// here too, not in `coalesced_wakes`.
     pub held_wakes: u64,
+    /// Changes of sampled pins outside their component's listen window
+    /// (see [`Simulator::add_sampling_component`]): each one is a wake
+    /// that an every-change watch would have queued, of an evaluation
+    /// that provably would have done nothing. Counted like `held_wakes`.
+    pub sampled_wakes: u64,
 }
 
 /// Evaluations of one component kind ([`Component::kind`]), counted once
@@ -278,10 +283,10 @@ impl DriveMode {
 #[derive(Clone, Copy, Debug)]
 struct WakeState {
     /// The sequence number of the latest wake requested at its own
-    /// instant: queued, or skipped while held (its number reserved); 0,
-    /// a number the queue never takes, before the first. While it is
-    /// still ahead ([`WakeState::ahead`]), a wake request is dropped —
-    /// that wake already covers it.
+    /// instant: queued, or skipped (its number reserved); 0, a number
+    /// the queue never takes, before the first. While it is still ahead
+    /// ([`WakeState::ahead`]), a wake request is dropped — that wake
+    /// already covers it.
     wake_seq: u64,
     /// The instant of the latest queued, not-yet-delivered wake requested
     /// for a later instant ([`Simulator::schedule_wake`]; `Time::MAX` when
@@ -294,6 +299,10 @@ struct WakeState {
     /// [`Simulator::schedule_wake`] and by
     /// [`Simulator::detach_component`].
     awaited: u32,
+    /// Whether the wake at `wake_seq` was skipped rather than queued. A
+    /// request that would coalesce into it while it is still ahead
+    /// queues it at its reserved number ([`WakeState::claim`]).
+    reserved: bool,
     /// Rising-only wakes at or after this instant are skipped
     /// (`Time::MAX`: awake). Set by [`Ctx::sleep_from`]; cleared by every
     /// ordinary wake and by [`Simulator::schedule_wake`].
@@ -314,6 +323,7 @@ impl WakeState {
         wake_seq: 0,
         timed: Time::MAX,
         awaited: Self::NOT_HELD,
+        reserved: false,
         sleep_from: Time::MAX,
         slept_rise: Time::MAX,
         #[cfg(debug_assertions)]
@@ -331,14 +341,77 @@ impl WakeState {
         self.ahead(due) || self.timed == now
     }
 
-    /// Ends the hold. A held component has no queued wake ahead, so a
-    /// wake still ahead is one it skipped: it is queued now at its
-    /// reserved seq, where the never-held component has it.
-    fn release(&mut self, due: u64, queue: &mut EventQueue, comp: ComponentId) {
-        if self.ahead(due) {
+    /// Skips a wake at `now`, taking the number it would have had unless
+    /// it would have coalesced into a wake still ahead.
+    fn skip(&mut self, due: u64, now: Time, queue: &mut EventQueue) {
+        if !self.covers(due, now) {
+            self.wake_seq = queue.reserve_seq();
+            self.reserved = true;
+        }
+    }
+
+    /// Queues a skipped wake that is still ahead at its reserved number,
+    /// where the component that took every wake has it.
+    fn claim(&mut self, due: u64, queue: &mut EventQueue, comp: ComponentId) {
+        if self.reserved && self.ahead(due) {
             queue.insert_reserved(self.wake_seq, EventKind::Wake { comp });
         }
+        self.reserved = false;
+    }
+
+    /// Ends the hold, queueing the wake it skipped last if still ahead.
+    fn release(&mut self, due: u64, queue: &mut EventQueue, comp: ComponentId) {
+        self.claim(due, queue, comp);
         self.awaited = Self::NOT_HELD;
+    }
+}
+
+/// A component's listen rule for its sampled pins
+/// ([`Simulator::add_sampling_component`]). Kept apart from
+/// [`WakeState`]: only a sampled pin's change reads it. Spans are in ps;
+/// one of 2³² − 1 ps (4.3 ms) or more counts as unbounded, which only
+/// wakes the component more often or ends its sleep sooner.
+#[derive(Clone, Copy, Debug)]
+struct Listen {
+    /// The clock whose latest rise, delivered or slept through, starts
+    /// the window.
+    clk: NetId,
+    /// How long after that rise a change wakes the component
+    /// ([`Listen::UNBOUNDED`]: always); set by [`Ctx::listen_for`].
+    span: u32,
+    /// How far past its instant a data pin's change outside the window
+    /// moves the sleep start ([`Listen::UNBOUNDED`]: it ends the sleep);
+    /// set by [`Ctx::listen_for`].
+    data_margin: u32,
+}
+
+impl Listen {
+    const UNBOUNDED: u32 = u32::MAX;
+
+    const ALWAYS: Listen = Listen {
+        clk: NetId(0),
+        span: Self::UNBOUNDED,
+        data_margin: Self::UNBOUNDED,
+    };
+
+    /// `t` in ps, saturated at [`Listen::UNBOUNDED`].
+    fn ps(t: Time) -> u32 {
+        u32::try_from(t.as_ps()).unwrap_or(Self::UNBOUNDED)
+    }
+
+    /// Whether a change at `now` falls in the window: within `span` of
+    /// the clock's latest rise, its instant included (no rise yet, no
+    /// window). The clock is read only for a span that is neither empty
+    /// nor unbounded.
+    fn hears(&self, now: Time, nets: &[Net]) -> bool {
+        match self.span {
+            0 => false,
+            Self::UNBOUNDED => true,
+            span => {
+                let rise = nets[self.clk.0 as usize].last_rise;
+                rise <= now && (now - rise).as_ps() < u64::from(span)
+            }
+        }
     }
 }
 
@@ -360,6 +433,8 @@ pub struct Simulator {
     events_processed: u64,
     /// Wake coalescing and sleep state, indexed by component.
     wakes: Vec<WakeState>,
+    /// Listen rules, indexed by component.
+    listens: Vec<Listen>,
     coalesced_wakes: u64,
     compiled_edge_evals: u64,
     compiled_gate_evals: u64,
@@ -367,6 +442,7 @@ pub struct Simulator {
     filtered_wakes: u64,
     slept_wakes: u64,
     held_wakes: u64,
+    sampled_wakes: u64,
     /// Sequence numbers at or below this one are no longer ahead: taken
     /// before the current instant began, or by an event already
     /// dispatched in it (one instant's events are dispatched in sequence
@@ -418,6 +494,7 @@ impl Simulator {
             max_events_per_instant: 2_000_000,
             events_processed: 0,
             wakes: Vec::new(),
+            listens: Vec::new(),
             coalesced_wakes: 0,
             compiled_edge_evals: 0,
             compiled_gate_evals: 0,
@@ -425,6 +502,7 @@ impl Simulator {
             filtered_wakes: 0,
             slept_wakes: 0,
             held_wakes: 0,
+            sampled_wakes: 0,
             due: 0,
             #[cfg(debug_assertions)]
             drive_modes: Vec::new(),
@@ -502,34 +580,76 @@ impl Simulator {
         rising: &[NetId],
         watch: &[NetId],
     ) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
-        assert!(id.0 < Watcher::RISING, "too many components");
-        self.components.push(Some(component));
-        self.wakes.push(WakeState::IDLE);
+        let id = self.register(component);
         for &n in rising {
-            self.subscribe(id, n, true);
+            self.subscribe(id, n, Watch::Rising);
         }
         for &n in watch {
-            self.subscribe(id, n, false);
+            self.subscribe(id, n, Watch::Change);
         }
         self.schedule_wake(id, self.time);
+        id
+    }
+
+    /// Registers a flop-like component: it wakes on `clk`'s rises, as a
+    /// rising-only watch of [`Simulator::add_clocked_component`], and its
+    /// `control` and `data` pins are *sampled*: a change wakes it only
+    /// inside its listen window, a span after `clk`'s latest rise
+    /// (delivered or slept through) that the component sets with
+    /// [`Ctx::listen_for`]. Until it does, every change wakes it.
+    ///
+    /// A change outside the window queues no wake (counted in
+    /// [`SimStats::sampled_wakes`]) but takes the sequence number the wake
+    /// would have had; a same-instant wake request that would have
+    /// coalesced into it, a rise included, is queued at that number. The
+    /// change still acts on the component's sleep ([`Ctx::sleep_from`]):
+    /// a `control` pin's change ends it, and a `data` pin's change does
+    /// what the component's data rule says. A net given twice is watched
+    /// on every change. The race sanitizer treats sampled pins as watched.
+    pub fn add_sampling_component(
+        &mut self,
+        component: Box<dyn Component>,
+        clk: NetId,
+        control: &[NetId],
+        data: &[NetId],
+    ) -> ComponentId {
+        let id = self.register(component);
+        self.listens[id.0 as usize].clk = clk;
+        self.subscribe(id, clk, Watch::Rising);
+        for &n in control {
+            self.subscribe(id, n, Watch::Control);
+        }
+        for &n in data {
+            self.subscribe(id, n, Watch::Data);
+        }
+        self.schedule_wake(id, self.time);
+        id
+    }
+
+    /// Adds a component with no watches yet.
+    fn register(&mut self, component: Box<dyn Component>) -> ComponentId {
+        let id = ComponentId(self.components.len() as u32);
+        assert!(id.0 < 1 << Watcher::MODE_SHIFT, "too many components");
+        self.components.push(Some(component));
+        self.wakes.push(WakeState::IDLE);
+        self.listens.push(Listen::ALWAYS);
         id
     }
 
     /// Additionally subscribes an existing component to every change of
     /// `net`.
     pub fn watch(&mut self, comp: ComponentId, net: NetId) {
-        self.subscribe(comp, net, false);
+        self.subscribe(comp, net, Watch::Change);
     }
 
-    /// Adds `comp` to `net`'s watcher list once; an ordinary watch
-    /// overrides a rising-only one.
-    fn subscribe(&mut self, comp: ComponentId, net: NetId, rising_only: bool) {
+    /// Adds `comp` to `net`'s watcher list once; a net subscribed in two
+    /// modes is watched on every change.
+    fn subscribe(&mut self, comp: ComponentId, net: NetId, mode: Watch) {
         let w = &mut self.nets[net.0 as usize].watchers;
         match w.iter_mut().find(|w| w.comp() == comp) {
-            Some(entry) if !rising_only => *entry = Watcher::new(comp, false),
+            Some(entry) if entry.mode() != mode => *entry = Watcher::new(comp, Watch::Change),
             Some(_) => {}
-            None => w.push(Watcher::new(comp, rising_only)),
+            None => w.push(Watcher::new(comp, mode)),
         }
     }
 
@@ -538,14 +658,17 @@ impl Simulator {
     /// every net, so future net changes stop generating wake events for
     /// it. Used by the compiled backend to supersede per-gate components
     /// with a region engine after elaboration; its drivers keep their
-    /// last contribution, and its sleep state and hold are dropped.
+    /// last contribution, and its sleep state, hold and listen window are
+    /// dropped.
     pub fn detach_component(&mut self, comp: ComponentId) {
         let idx = comp.0 as usize;
         self.components[idx] = None;
-        let w = &mut self.wakes[idx];
-        w.sleep_from = Time::MAX;
-        w.slept_rise = Time::MAX;
-        w.awaited = WakeState::NOT_HELD;
+        self.wakes[idx] = WakeState {
+            wake_seq: self.wakes[idx].wake_seq,
+            timed: self.wakes[idx].timed,
+            ..WakeState::IDLE
+        };
+        self.listens[idx] = Listen::ALWAYS;
         for net in &mut self.nets {
             net.watchers.retain(|w| w.comp() != comp);
         }
@@ -667,6 +790,7 @@ impl Simulator {
             filtered_wakes: self.filtered_wakes,
             slept_wakes: self.slept_wakes,
             held_wakes: self.held_wakes,
+            sampled_wakes: self.sampled_wakes,
         }
     }
 
@@ -889,15 +1013,14 @@ impl Simulator {
 
     /// Queues a wake for `comp` at `at` (clamped to now), unless one is
     /// already queued for that instant. A timed wake also ends the
-    /// component's sleep and its hold.
+    /// component's sleep and its hold, and queues a skipped wake still
+    /// ahead at its reserved number.
     pub(crate) fn schedule_wake(&mut self, comp: ComponentId, at: Time) {
         let now = self.time;
         let at = at.max(now);
         let w = &mut self.wakes[comp.0 as usize];
         w.sleep_from = Time::MAX;
-        if w.awaited != WakeState::NOT_HELD {
-            w.release(self.due, &mut self.queue, comp);
-        }
+        w.release(self.due, &mut self.queue, comp);
         if (at == now && w.ahead(self.due)) || w.timed == at {
             // A wake for this component at this instant is already queued
             // and will run after every net update of the instant — this
@@ -922,12 +1045,19 @@ impl Simulator {
         self.wakes[comp.0 as usize].sleep_from = at;
     }
 
+    /// See [`Ctx::listen_for`].
+    pub(crate) fn listen_for(&mut self, comp: ComponentId, span: Time, data_margin: Option<Time>) {
+        let l = &mut self.listens[comp.0 as usize];
+        l.span = Listen::ps(span);
+        l.data_margin = data_margin.map_or(Listen::UNBOUNDED, Listen::ps);
+    }
+
     /// See [`Ctx::sleep_until_change`].
     pub(crate) fn sleep_until_change(&mut self, comp: ComponentId, net: NetId) {
         debug_assert!(
             self.nets[net.0 as usize]
                 .watchers
-                .contains(&Watcher::new(comp, false)),
+                .contains(&Watcher::new(comp, Watch::Change)),
             "a held component must watch the net it waits for on every change"
         );
         let w = &mut self.wakes[comp.0 as usize];
@@ -1117,17 +1247,19 @@ impl Simulator {
         }
         // Notify watchers via wake events at the current instant; a
         // rising-only watcher only if the net rose and the watcher is
-        // awake, an ordinary one only if it is not held for another net.
-        // An ordinary watch ends a sleep. Borrowing the watcher list, the
-        // queue and the wake states as disjoint fields lets this iterate
-        // in place — no clone of the watcher Vec per net change.
+        // awake, a sampled one only in its listen window, an ordinary one
+        // only if it is not held for another net. Every other watch ends
+        // a sleep, or moves it by the data rule. Borrowing the watcher
+        // list, the queue and the wake states as disjoint fields lets this
+        // iterate in place — no clone of the watcher Vec per net change.
         let now = self.time;
         let due = self.due;
         let (nets, queue, wakes) = (&self.nets, &mut self.queue, &mut self.wakes);
         for &w in &nets[idx].watchers {
             let comp = w.comp();
             let st = &mut wakes[comp.0 as usize];
-            if w.rising_only() {
+            let mode = w.mode();
+            if mode == Watch::Rising {
                 if !rose {
                     self.filtered_wakes += 1;
                     continue;
@@ -1142,30 +1274,47 @@ impl Simulator {
                     continue;
                 }
             } else {
+                #[cfg(debug_assertions)]
+                if st.slept_rise == now && st.slept_seq > due {
+                    Self::refuse_late_input(&nets[idx], &self.components, comp, now);
+                }
+                if mode != Watch::Change {
+                    let l = &self.listens[comp.0 as usize];
+                    if !l.hears(now, nets) {
+                        // A sampled pin outside the listen window: skip
+                        // the wake, and apply the change to the sleep
+                        // alone.
+                        if mode == Watch::Data && l.data_margin != Listen::UNBOUNDED {
+                            if st.sleep_from != Time::MAX {
+                                let margin = Time::from_ps(u64::from(l.data_margin));
+                                st.sleep_from = st.sleep_from.max(now + margin);
+                            }
+                        } else {
+                            st.sleep_from = Time::MAX;
+                        }
+                        self.sampled_wakes += 1;
+                        st.skip(due, now, queue);
+                        continue;
+                    }
+                }
                 if st.awaited != WakeState::NOT_HELD {
                     if st.awaited != net.0 {
-                        // Held: skip the wake, but take the seq it would
-                        // have had, unless it would have coalesced into a
-                        // wake still ahead in this instant.
+                        // Held: skip the wake.
                         self.held_wakes += 1;
-                        if !st.covers(due, now) {
-                            st.wake_seq = queue.reserve_seq();
-                        }
+                        st.skip(due, now, queue);
                         continue;
                     }
                     st.release(due, queue, comp);
                 }
                 st.sleep_from = Time::MAX;
-                #[cfg(debug_assertions)]
-                if st.slept_rise == now && st.slept_seq > due {
-                    Self::refuse_late_input(&nets[idx], &self.components, comp, now);
-                }
             }
             if st.covers(due, now) {
+                st.claim(due, queue, comp);
                 self.coalesced_wakes += 1;
                 continue;
             }
             st.wake_seq = queue.push(now, EventKind::Wake { comp });
+            st.reserved = false;
         }
     }
 
@@ -1195,8 +1344,8 @@ impl Simulator {
         }
     }
 
-    /// Debug builds: panics because `net`, an ordinary input of `comp`,
-    /// changed through an event queued before the wake of the rise `comp`
+    /// Debug builds: panics because `net`, a non-clock input of `comp`
+    /// (watched on every change or sampled), changed through an event queued before the wake of the rise `comp`
     /// slept through at `now`. Awake, `comp` would have evaluated that
     /// rise after this change; asleep, it consumed the rise with the old
     /// value, so the sleep rule cannot reproduce the order.
@@ -1227,11 +1376,9 @@ impl Simulator {
     #[cfg(debug_assertions)]
     fn check_no_slept_fall(&self, idx: usize) {
         let n = &self.nets[idx];
-        if let Some(w) = n
-            .watchers
-            .iter()
-            .find(|w| w.rising_only() && self.wakes[w.comp().0 as usize].slept_rise == self.time)
-        {
+        if let Some(w) = n.watchers.iter().find(|w| {
+            w.mode() == Watch::Rising && self.wakes[w.comp().0 as usize].slept_rise == self.time
+        }) {
             let who = self.components[w.comp().0 as usize]
                 .as_ref()
                 .map_or("component", |c| c.name());
@@ -1253,7 +1400,7 @@ impl Simulator {
     #[cfg(debug_assertions)]
     fn check_single_rise(&self, idx: usize) {
         let n = &self.nets[idx];
-        if let Some(w) = n.watchers.iter().find(|w| w.rising_only()) {
+        if let Some(w) = n.watchers.iter().find(|w| w.mode() == Watch::Rising) {
             let who = self.components[w.comp().0 as usize]
                 .as_ref()
                 .map_or("component", |c| c.name());
@@ -1877,6 +2024,188 @@ mod tests {
         assert_eq!(sim.wakes[id.0 as usize].awaited, WakeState::NOT_HELD);
         sim.run_until(Time::from_ns(5)).unwrap();
         assert_eq!(sim.stats().held_wakes, 1);
+    }
+
+    /// Each evaluation after the first: its instant in ps, the name and
+    /// the [`Ctx::rose`] answer.
+    type SampleLog = Rc<RefCell<Vec<(u64, &'static str, bool)>>>;
+
+    /// A flop-like probe: logs each evaluation, sets its listen rule on
+    /// every one, and sleeps from 1 ps after each rising evaluation.
+    struct Sampler {
+        name: &'static str,
+        clk: NetId,
+        seen: Time,
+        span: Time,
+        data_margin: Option<Time>,
+        started: bool,
+        log: SampleLog,
+    }
+
+    impl Component for Sampler {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            let rose = ctx.rose(self.clk, &mut self.seen);
+            if self.started {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_ps(), self.name, rose));
+                if rose {
+                    ctx.sleep_from(ctx.now() + Time::from_ps(1));
+                }
+            }
+            self.started = true;
+            ctx.listen_for(self.span, self.data_margin);
+        }
+    }
+
+    /// Registers a [`Sampler`] on `clk` with sampled `control` and `data`
+    /// pins, or, unless `sampled`, the same probe watching them on every
+    /// change.
+    #[allow(clippy::too_many_arguments)]
+    fn sampler(
+        sim: &mut Simulator,
+        sampled: bool,
+        clk: NetId,
+        control: &[NetId],
+        data: &[NetId],
+        span: Time,
+        data_margin: Option<Time>,
+        log: &SampleLog,
+    ) -> ComponentId {
+        let probe = Sampler {
+            name: "flop",
+            clk,
+            seen: Time::MAX,
+            span,
+            data_margin,
+            started: false,
+            log: log.clone(),
+        };
+        if sampled {
+            sim.add_sampling_component(Box::new(probe), clk, control, data)
+        } else {
+            let watch: Vec<NetId> = control.iter().chain(data).copied().collect();
+            sim.add_clocked_component(Box::new(probe), &[clk], &watch)
+        }
+    }
+
+    /// Logs each evaluation after the first under its name.
+    struct Tail {
+        name: &'static str,
+        started: bool,
+        log: SampleLog,
+    }
+
+    impl Component for Tail {
+        fn eval(&mut self, ctx: &mut Ctx<'_>) {
+            if self.started {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_ps(), self.name, false));
+            }
+            self.started = true;
+        }
+    }
+
+    #[test]
+    fn a_rise_after_a_skipped_sampled_change_runs_at_the_reserved_number() {
+        use Logic::*;
+        let run = |sampled: bool| {
+            let mut sim = Simulator::new(0);
+            // Queued first, so at 4 ns `d` moves before the clock rises.
+            let d = stimulus(&mut sim, "d", &[(1, L), (4, H)]);
+            let clk = clock(&mut sim, &[2, 4]);
+            let log = SampleLog::default();
+            sampler(&mut sim, sampled, clk, &[], &[d], Time::ZERO, None, &log);
+            // Woken by `d` right after the sampler's would-be wake.
+            let tail = Tail {
+                name: "tail",
+                started: false,
+                log: log.clone(),
+            };
+            sim.add_component(Box::new(tail), &[d]);
+            sim.run_until(Time::from_ns(6)).unwrap();
+            let log = log.borrow().clone();
+            (log, sim.stats())
+        };
+        let (sampled, stats) = run(true);
+        let (mut watched, watched_stats) = run(false);
+        // The data change at 4 ns is skipped and its number reserved; the
+        // rise that would have coalesced into it runs there, ahead of
+        // `tail`, as with an every-change watch.
+        assert_eq!(
+            sampled,
+            [
+                (1_000, "tail", false),
+                (2_000, "flop", true),
+                (4_000, "flop", true),
+                (4_000, "tail", false)
+            ]
+        );
+        // Watched on every change, the flop also evaluates `d` at 1 ns,
+        // for nothing.
+        assert_eq!(watched.remove(0), (1_000, "flop", false));
+        assert_eq!(sampled, watched);
+        assert_eq!(stats.sampled_wakes, 2);
+        assert_eq!(stats.events_processed + 1, watched_stats.events_processed);
+        assert_eq!(stats.coalesced_wakes, watched_stats.coalesced_wakes);
+    }
+
+    #[test]
+    fn a_change_in_the_hold_window_of_a_slept_rise_wakes_the_sampler() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4, 6, 8]);
+        let d = stimulus(&mut sim, "d", &[(1, Logic::L)]);
+        let dd = sim.driver(d);
+        // 200 ps after the slept rise at 4 ns, then 800 ps after the
+        // delivered one at 6 ns.
+        sim.drive_at(dd, d, Logic::H, Time::from_ps(4_200));
+        sim.drive_at(dd, d, Logic::L, Time::from_ps(6_800));
+        let log = SampleLog::default();
+        let span = Time::from_ps(500);
+        sampler(&mut sim, true, clk, &[], &[d], span, None, &log);
+        sim.run_until(Time::from_ns(10)).unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [
+                (2_000, "flop", true),
+                (4_200, "flop", false),
+                (6_000, "flop", true),
+                (8_000, "flop", true)
+            ]
+        );
+        let stats = sim.stats();
+        // Slept: the rise at 4 ns. Skipped: `d` at 1 ns and 6.8 ns; that
+        // one ends the sleep, so the rise at 8 ns is delivered.
+        assert_eq!((stats.slept_wakes, stats.sampled_wakes), (1, 2));
+    }
+
+    #[test]
+    fn a_data_margin_moves_the_sleep_and_a_control_change_ends_it() {
+        let mut sim = Simulator::new(0);
+        let clk = clock(&mut sim, &[2, 4, 6, 8, 10]);
+        let d = stimulus(&mut sim, "d", &[(1, Logic::L)]);
+        let en = stimulus(&mut sim, "en", &[(1, Logic::L)]);
+        let (dd, de) = (sim.driver(d), sim.driver(en));
+        sim.drive_at(dd, d, Logic::H, Time::from_ps(4_500));
+        sim.drive_at(de, en, Logic::H, Time::from_ps(8_500));
+        let log = SampleLog::default();
+        let margin = Some(Time::from_ps(2_000));
+        sampler(&mut sim, true, clk, &[en], &[d], Time::ZERO, margin, &log);
+        sim.run_until(Time::from_ns(12)).unwrap();
+        // Asleep from 2 ns: `d` at 4.5 ns moves the sleep start to 6.5 ns,
+        // so the rise at 6 ns is delivered; `en` at 8.5 ns ends the sleep
+        // that rise began, so the one at 10 ns is too.
+        assert_eq!(
+            *log.borrow(),
+            [
+                (2_000, "flop", true),
+                (6_000, "flop", true),
+                (10_000, "flop", true)
+            ]
+        );
+        let stats = sim.stats();
+        assert_eq!((stats.slept_wakes, stats.sampled_wakes), (2, 4));
     }
 
     #[cfg(debug_assertions)]

@@ -156,9 +156,9 @@ fn chain_observables_are_pinned() {
     assert_eq!(
         sharded,
         [
-            (0x30ae58a4eb4c75c2, 138_724),
-            (0xdf005cdb4046be87, 169_949),
-            (0xcaf666ef5f944c12, 1_308_638),
+            (0x30ae58a4eb4c75c2, 128_427),
+            (0xdf005cdb4046be87, 157_344),
+            (0xcaf666ef5f944c12, 1_201_929),
         ],
         "sharded observables moved"
     );
