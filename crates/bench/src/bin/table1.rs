@@ -334,8 +334,8 @@ fn print_kernel_stats(s: SimStats, by_kind: &[KindCount]) {
     println!("  coalesced wakes       {}", s.coalesced_wakes);
     println!("  delta-ring pushes     {}", s.delta_pushes);
     println!("  peak delta occupancy  {}", s.peak_delta_depth);
-    println!("  wheel cascades        {}", s.wheel_cascades);
-    println!("  overflow events       {}", s.overflow_events);
+    println!("  near-wheel refills    {}", s.wheel_cascades);
+    println!("  later-heap pushes     {}", s.overflow_events);
     println!("  elided drives         {}", s.elided_drives);
     println!("  filtered wakes        {}", s.filtered_wakes);
     println!("  slept wakes           {}", s.slept_wakes);

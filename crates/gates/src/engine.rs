@@ -241,6 +241,11 @@ pub struct CompiledEngine {
     delays: DelayTable,
     /// Pending output landings.
     agenda: Agenda,
+    /// Future instants a wake has been requested for, each still queued.
+    /// The kernel drops a repeat of only its latest timed request, so an
+    /// agenda head that moves earlier and back would otherwise queue a
+    /// second wake at an instant already covered.
+    requested: Vec<Time>,
     established: bool,
 }
 
@@ -284,6 +289,7 @@ impl CompiledEngine {
             dirty,
             delays,
             agenda: Agenda::default(),
+            requested: Vec::new(),
             established: false,
         }
     }
@@ -468,7 +474,11 @@ impl Component for CompiledEngine {
 
         ctx.note_compiled_pass(gate_evals);
         if let Some(t) = self.agenda.next_time() {
-            ctx.wake_in(t - now);
+            self.requested.retain(|&r| r > now);
+            if !self.requested.contains(&t) {
+                self.requested.push(t);
+                ctx.wake_in(t - now);
+            }
         }
     }
 }

@@ -3,9 +3,9 @@
 //! scheduling hazard of region compilation — reconvergent fanout, regions
 //! spanning several clock domains, the pin ordering of event-resident
 //! boundary cells, same-instant boundary glitches, self-timed wakes,
-//! agenda re-scheduling and the flop capture corners — and holds the
-//! compiled run to net-for-net identical values, toggle counts, waveforms
-//! and violations against an event-driven twin.
+//! agenda re-scheduling, one wake per agenda instant and the flop capture
+//! corners — and holds the compiled run to net-for-net identical values,
+//! toggle counts, waveforms and violations against an event-driven twin.
 
 use mtf_gates::{install_compiled, Builder, CompileReport};
 use mtf_sim::{Logic, NetId, Simulator, Time};
@@ -352,6 +352,43 @@ fn reevaluation_to_same_or_moved_landing_time_agrees() {
         "the last drive landed"
     );
     assert!(co.stats().compiled_gate_evals > 0);
+}
+
+#[test]
+fn each_agenda_instant_wakes_the_engine_once() {
+    // `a = NOT x` lands 400 ps after x rises at 1,000 ps; meanwhile three
+    // y edges each put a 50 ps landing of `b = NOT y` ahead of it. The
+    // agenda's head moves from 1,400 ps to each earlier landing and back,
+    // and the engine must not ask for 1,400 ps again each time: the
+    // kernel only recognises a repeat of its latest timed request, so
+    // every repeat would be one more queued wake and one more pass.
+    let run = |y_edges: &[(Logic, u64)]| {
+        let mut drives = vec![(0, Logic::L, 0), (1, Logic::L, 0), (0, Logic::H, 1_000)];
+        drives.extend(y_edges.iter().map(|&(v, at)| (1, v, at)));
+        let (report, co) = differential(
+            |b| {
+                let x = b.input("x");
+                let y = b.input("y");
+                let na = b.inv(x);
+                let nb = b.inv(y);
+                vec![x, y, na, nb]
+            },
+            &drives,
+            &[(2, 0, 400), (3, 0, 50)],
+            5_000,
+        );
+        assert_eq!(report.compiled_gates, 2);
+        co.stats().compiled_edge_evals
+    };
+    let quiet = run(&[]);
+    let busy = run(&[(Logic::H, 1_050), (Logic::L, 1_150), (Logic::H, 1_250)]);
+    // Each y edge adds two passes, its own instant and b's landing 50 ps
+    // later, and nothing at 1,400 ps.
+    assert_eq!(
+        busy - quiet,
+        6,
+        "{quiet} passes without the y edges, {busy} with"
+    );
 }
 
 #[test]

@@ -247,7 +247,12 @@ impl<'a> Ctx<'a> {
         self.sim.note_compiled_pass(gate_evals);
     }
 
-    /// Requests a re-evaluation of this component after `delay`.
+    /// Requests a re-evaluation of this component after `delay`. The
+    /// request is dropped only if it repeats the instant of the
+    /// component's latest timed request (or, at zero delay, a wake still
+    /// ahead in this instant); a component that may ask for one instant
+    /// again after asking for an earlier one must remember what it
+    /// requested, or it is woken twice there.
     pub fn wake_in(&mut self, delay: Time) {
         let t = self.sim.now() + delay;
         self.sim.schedule_wake(self.me, t);

@@ -1,24 +1,24 @@
-//! The event queue: a hierarchical timing wheel fronted by a same-instant
-//! delta ring.
+//! The event queue: a 4096-slot timing wheel fronted by a same-instant
+//! delta ring, backed by one binary heap.
 //!
 //! The kernel's hot path is the zero-delay cascade: a net toggles, its
 //! watchers are woken *at the same instant*, their drives resolve more nets
 //! at the same instant, and so on. A binary heap pays `O(log n)` per push
 //! and pop for every one of those events; the structure below makes them
 //! `O(1)` by keeping all events at the current instant in a FIFO ring
-//! (`ready`), while future events go into a timing wheel:
+//! (`ready`), while future events go into:
 //!
 //! * a **near wheel** of 4096 slots at exact 1 ps resolution (one slot =
-//!   one timestamp), with a two-level occupancy bitmap so the next
-//!   occupied slot is found in two `trailing_zeros` instructions — gate
-//!   delays (a few hundred ps) land here directly. A slot is a singly
-//!   linked list (`head`/`tail` indices) through one pooled node arena
-//!   with a free list, so the wheel's memory follows the number of queued
-//!   events rather than the number of slots ever used;
-//! * two coarser levels of 64 slots each (4096 ps and 2¹⁸ ps granules)
-//!   covering 2²⁴ ps ≈ 16.7 µs ahead of the cursor — clock periods land
-//!   here and are re-placed into the near wheel once per occupied granule;
-//! * a sorted **overflow** map for anything beyond the wheel span.
+//!   one timestamp), covering the cursor's aligned 4096 ps block, with a
+//!   two-level occupancy bitmap so the next occupied slot is found in two
+//!   `trailing_zeros` instructions — gate delays (a few hundred ps) land
+//!   here directly. A slot is a singly linked list (`head`/`tail` indices)
+//!   through one pooled node arena with a free list, so the wheel's memory
+//!   follows the number of queued events rather than the number of slots
+//!   ever used;
+//! * the **later heap**, a `BinaryHeap` of every event in a later block —
+//!   clock periods and long delays. When the ring and the wheel run dry,
+//!   the heap's earliest block is moved into the wheel whole.
 //!
 //! ## Ordering invariant
 //!
@@ -28,25 +28,19 @@
 //!
 //! * `seq` is a global monotonic counter, so FIFO insertion order within
 //!   any one container *is* seq order.
-//! * A near-wheel slot holds one exact timestamp, so a slot drains in seq
-//!   order.
-//! * Coarse slots hold a whole granule of timestamps in push order; on
-//!   refill they are re-placed one by one, which preserves relative order
-//!   per destination slot — and any *later* push into those slots carries
-//!   a larger seq, so appending keeps every slot sorted by seq.
-//! * The wheel cursor (`cur`) only advances inside [`EventQueue::pop`], and
-//!   the simulator never schedules into the past (`t ≥ now ≥ cur`), so an
-//!   event pushed at the current instant lands in `ready` *behind* every
-//!   event already staged there — again seq order.
-//! * Every level's slots partition an *aligned block* of the level above
-//!   (no wrap-around modulo arithmetic), and classification uses
-//!   `t XOR cur`: a level holds exactly the events that share the cursor's
-//!   enclosing block at the next-coarser granularity. Hence the lowest
-//!   occupied slot of the lowest occupied level is the global minimum.
-//! * Overflow keys always lie in a later 2²⁴ ps block than `cur` (pushes
-//!   within the cursor's block go to the wheel), and a whole block is
-//!   migrated into the wheel the moment the cursor enters it, before any
-//!   newer push could land next to the migrated events.
+//! * The wheel cursor (`cur`) only advances inside
+//!   [`EventQueue::pop_not_after`], and the simulator never schedules into
+//!   the past (`t ≥ now ≥ cur`), so an event pushed at the current instant
+//!   lands in `ready` *behind* every event already staged there — again
+//!   seq order.
+//! * A near-wheel slot holds one exact timestamp of the cursor's block,
+//!   and every later-heap event lies in a later block, so the ring, then
+//!   the lowest occupied slot, then the heap's top is the global minimum.
+//! * A refill moves the heap's earliest block into the wheel in pop
+//!   (`(time, seq)`) order, so each slot it fills is in seq order. It
+//!   moves the *whole* block: afterwards a push into that block goes
+//!   straight to its slot, behind events with smaller seqs — which would
+//!   break the order if any of them were still in the heap.
 //!
 //! Events are 24 bytes (pinned below): time, seq and an 8-byte kind. A
 //! component drive needs no cancellation stamp of its own, because its
@@ -55,11 +49,11 @@
 //!
 //! These properties are exercised against a reference binary-heap model by
 //! the tests at the bottom of this file (a seeded interleaving test that
-//! runs everywhere, plus the shrinking-capable `proptest` version in
-//! `src/queue_props.rs`).
+//! runs everywhere, boundary cases at the block edge, plus the
+//! shrinking-capable `proptest` version in `src/queue_props.rs`).
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::BinaryHeap;
 
 use crate::component::ComponentId;
 use crate::logic::Logic;
@@ -112,7 +106,6 @@ impl PartialOrd for Event {
 
 impl Ord for Event {
     /// Reversed so that a max-heap pops the *earliest* (time, seq) first.
-    /// Kept for the reference-model equivalence tests.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
@@ -121,18 +114,10 @@ impl Ord for Event {
     }
 }
 
-/// Near wheel: 2¹² exact-picosecond slots.
+/// Near wheel: 2¹² exact-picosecond slots, one aligned 4096 ps block.
 const NEAR_BITS: u32 = 12;
 const NEAR_SLOTS: usize = 1 << NEAR_BITS;
 const NEAR_MASK: u64 = NEAR_SLOTS as u64 - 1;
-/// Coarse levels: 64 slots each.
-const COARSE_BITS: u32 = 6;
-const COARSE_SLOTS: usize = 1 << COARSE_BITS;
-const COARSE_MASK: u64 = COARSE_SLOTS as u64 - 1;
-const MID_SHIFT: u32 = NEAR_BITS; // granule 4096 ps
-const FAR_SHIFT: u32 = NEAR_BITS + COARSE_BITS; // granule 2¹⁸ ps
-/// Total wheel span: 2²⁴ ps ≈ 16.7 µs.
-const SPAN_BITS: u32 = NEAR_BITS + 2 * COARSE_BITS;
 /// The end of a near-wheel slot's list and of the free list.
 const NIL: u32 = u32::MAX;
 
@@ -159,8 +144,10 @@ pub(crate) struct QueueStats {
     pub peak_depth: usize,
     pub delta_pushes: u64,
     pub peak_delta_depth: usize,
-    pub cascades: u64,
-    pub overflow_pushes: u64,
+    /// Blocks moved from the later heap into the near wheel.
+    pub refills: u64,
+    /// Events pushed into the later heap.
+    pub later_pushes: u64,
 }
 
 pub(crate) struct EventQueue {
@@ -184,16 +171,8 @@ pub(crate) struct EventQueue {
     /// says word `near_words[w]` is non-zero.
     near_words: [u64; NEAR_SLOTS / 64],
     near_summary: u64,
-    mid: [Vec<Event>; COARSE_SLOTS],
-    mid_occ: u64,
-    far: [Vec<Event>; COARSE_SLOTS],
-    far_occ: u64,
-    /// Events beyond the wheel span, keyed by exact timestamp (ps). Each
-    /// bucket is in push (= seq) order.
-    overflow: BTreeMap<u64, Vec<Event>>,
-    /// Recycled buffer for coarse-slot refills (avoids an alloc/free pair
-    /// per cascade).
-    scratch: Vec<Event>,
+    /// Every event in a block after the cursor's.
+    later: BinaryHeap<Event>,
     /// The wheel cursor in ps: the timestamp of the events in `ready`, and
     /// a lower bound on every queued event. Advances only in `pop`.
     cur: u64,
@@ -213,7 +192,7 @@ impl std::fmt::Debug for EventQueue {
             .field("len", &self.len)
             .field("cur_ps", &self.cur)
             .field("ready", &(self.ready.len() - self.ready_head))
-            .field("overflow_keys", &self.overflow.len())
+            .field("later", &self.later.len())
             .finish()
     }
 }
@@ -233,12 +212,7 @@ impl Default for EventQueue {
             free: NIL,
             near_words: [0; NEAR_SLOTS / 64],
             near_summary: 0,
-            mid: std::array::from_fn(|_| Vec::new()),
-            mid_occ: 0,
-            far: std::array::from_fn(|_| Vec::new()),
-            far_occ: 0,
-            overflow: BTreeMap::new(),
-            scratch: Vec::new(),
+            later: BinaryHeap::new(),
             cur: 0,
             len: 0,
             next_seq: 1,
@@ -300,10 +274,10 @@ impl EventQueue {
         }
     }
 
-    /// Routes an event into the delta ring, a wheel slot, or overflow,
-    /// relative to the current cursor. The delta ring and the near wheel,
-    /// where almost every event goes, are handled here; the rest in
-    /// [`EventQueue::place_far`].
+    /// Routes an event into the delta ring, a near-wheel slot, or the
+    /// later heap, relative to the current cursor. The delta ring and the
+    /// near wheel, where almost every event goes, are handled here; the
+    /// heap in [`EventQueue::push_later`].
     #[inline]
     fn place(&mut self, ev: Event) {
         let t = ev.time.as_ps();
@@ -320,7 +294,7 @@ impl EventQueue {
             return;
         }
         if (t ^ self.cur) >= 1 << NEAR_BITS {
-            return self.place_far(ev);
+            return self.push_later(ev);
         }
         let s = (t & NEAR_MASK) as usize;
         let i = self.alloc(ev);
@@ -336,25 +310,12 @@ impl EventQueue {
         }
     }
 
-    /// [`EventQueue::place`] for events beyond the near wheel: a coarse
-    /// level or the overflow map.
+    /// [`EventQueue::place`] for an event in a block after the cursor's.
     #[cold]
     #[inline(never)]
-    fn place_far(&mut self, ev: Event) {
-        let t = ev.time.as_ps();
-        let diff = t ^ self.cur;
-        if diff < 1 << FAR_SHIFT {
-            let s = ((t >> MID_SHIFT) & COARSE_MASK) as usize;
-            self.mid[s].push(ev);
-            self.mid_occ |= 1u64 << s;
-        } else if diff < 1 << SPAN_BITS {
-            let s = ((t >> FAR_SHIFT) & COARSE_MASK) as usize;
-            self.far[s].push(ev);
-            self.far_occ |= 1u64 << s;
-        } else {
-            self.stats.overflow_pushes += 1;
-            self.overflow.entry(t).or_default().push(ev);
-        }
+    fn push_later(&mut self, ev: Event) {
+        self.stats.later_pushes += 1;
+        self.later.push(ev);
     }
 
     /// Stores `ev` in a free arena node (a new one only if none is free)
@@ -399,17 +360,7 @@ impl EventQueue {
             let slot = ((w << 6) | b) as u64;
             return Some(Time::from_ps((self.cur & !NEAR_MASK) + slot));
         }
-        // Within a coarse slot, events are in seq (not time) order; scan
-        // for the minimum. Amortized: runs at most once per refill.
-        if self.mid_occ != 0 {
-            let s = self.mid_occ.trailing_zeros() as usize;
-            return self.mid[s].iter().map(|e| e.time).min();
-        }
-        if self.far_occ != 0 {
-            let s = self.far_occ.trailing_zeros() as usize;
-            return self.far[s].iter().map(|e| e.time).min();
-        }
-        self.overflow.keys().next().map(|&ps| Time::from_ps(ps))
+        self.later.peek().map(|e| e.time)
     }
 
     /// Unconditional pop; equivalent to `pop_not_after(Time::MAX)`.
@@ -489,81 +440,27 @@ impl EventQueue {
                 }
                 continue;
             }
-            // Coarse levels: check the slot's earliest event against the
-            // horizon *before* moving the cursor into the granule, so an
-            // out-of-horizon refill never strands the cursor ahead of a
-            // later legal push.
-            if self.mid_occ != 0 {
-                let s = self.mid_occ.trailing_zeros() as usize;
-                let min = self.mid[s].iter().map(|e| e.time).min().expect("occupied");
-                if min > horizon {
-                    return None;
-                }
-                self.mid_occ &= !(1u64 << s);
-                let granule_mask = (1u64 << FAR_SHIFT) - 1;
-                self.cur = (self.cur & !granule_mask) + ((s as u64) << MID_SHIFT);
-                self.refill(s, true);
-                continue;
-            }
-            if self.far_occ != 0 {
-                let s = self.far_occ.trailing_zeros() as usize;
-                let min = self.far[s].iter().map(|e| e.time).min().expect("occupied");
-                if min > horizon {
-                    return None;
-                }
-                self.far_occ &= !(1u64 << s);
-                let granule_mask = (1u64 << SPAN_BITS) - 1;
-                self.cur = (self.cur & !granule_mask) + ((s as u64) << FAR_SHIFT);
-                self.refill(s, false);
-                continue;
-            }
-            // Wheel empty: enter the overflow's first block and migrate
-            // every key of that block into the wheel at once, so later
-            // same-block pushes (which now resolve against the new cursor)
-            // append *behind* these older events.
-            let first = *self
-                .overflow
-                .keys()
-                .next()
-                .expect("len > 0 but no event found");
-            if Time::from_ps(first) > horizon {
+            // Near wheel empty: refill it with the heap's earliest block.
+            // Check that block's first event against the horizon *before*
+            // moving the cursor, so an out-of-horizon refill never strands
+            // the cursor ahead of a later legal push.
+            let first = self.later.peek().expect("len > 0 but no event found").time;
+            if first > horizon {
                 return None;
             }
-            debug_assert!(first >> SPAN_BITS > self.cur >> SPAN_BITS);
-            self.cur = first;
-            let block = first >> SPAN_BITS;
-            while let Some((&k, _)) = self.overflow.iter().next() {
-                if k >> SPAN_BITS != block {
-                    break;
-                }
-                let bucket = self.overflow.remove(&k).expect("key just observed");
-                for ev in bucket {
-                    self.place(ev);
-                }
+            let block = first.as_ps() >> NEAR_BITS;
+            debug_assert!(block > self.cur >> NEAR_BITS);
+            self.stats.refills += 1;
+            self.cur = block << NEAR_BITS;
+            while self
+                .later
+                .peek()
+                .is_some_and(|e| e.time.as_ps() >> NEAR_BITS == block)
+            {
+                let ev = self.later.pop().expect("just peeked");
+                self.place(ev);
             }
-            // `ready` now holds the events at `first`.
-            debug_assert!(self.ready.len() > self.ready_head);
         }
-    }
-
-    /// Re-places one coarse slot's events after the cursor moved to the
-    /// granule start, recycling `scratch` so no allocation happens per
-    /// cascade (the drained slot inherits the previous scratch buffer's
-    /// capacity and vice versa).
-    fn refill(&mut self, slot: usize, from_mid: bool) {
-        self.stats.cascades += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let src = if from_mid {
-            &mut self.mid[slot]
-        } else {
-            &mut self.far[slot]
-        };
-        std::mem::swap(&mut scratch, src);
-        for ev in scratch.drain(..) {
-            debug_assert!(ev.time.as_ps() >= self.cur);
-            self.place(ev);
-        }
-        self.scratch = scratch;
     }
 
     pub fn len(&self) -> usize {
@@ -587,58 +484,41 @@ mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
+    fn wake(i: u32) -> EventKind {
+        EventKind::Wake {
+            comp: ComponentId(i),
+        }
+    }
+
+    /// The component a test's wake event is for.
+    fn comp_of(e: Event) -> u32 {
+        match e.kind {
+            EventKind::Wake { comp } => comp.0,
+            _ => unreachable!(),
+        }
+    }
+
+    /// Pops everything left: each event's time in ps and component.
+    fn drain(q: &mut EventQueue) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_ps(), comp_of(e)))
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = EventQueue::default();
-        q.push(
-            Time::from_ns(5),
-            EventKind::Wake {
-                comp: ComponentId(0),
-            },
-        );
-        q.push(
-            Time::from_ns(1),
-            EventKind::Wake {
-                comp: ComponentId(1),
-            },
-        );
-        q.push(
-            Time::from_ns(1),
-            EventKind::Wake {
-                comp: ComponentId(2),
-            },
-        );
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
-        let c = q.pop().unwrap();
-        assert_eq!(a.time, Time::from_ns(1));
-        assert!(matches!(
-            a.kind,
-            EventKind::Wake {
-                comp: ComponentId(1)
-            }
-        ));
-        assert_eq!(b.time, Time::from_ns(1));
-        assert!(matches!(
-            b.kind,
-            EventKind::Wake {
-                comp: ComponentId(2)
-            }
-        ));
-        assert_eq!(c.time, Time::from_ns(5));
-        assert!(q.pop().is_none());
+        q.push(Time::from_ns(5), wake(0));
+        q.push(Time::from_ns(1), wake(1));
+        q.push(Time::from_ns(1), wake(2));
+        assert_eq!(drain(&mut q), [(1_000, 1), (1_000, 2), (5_000, 0)]);
     }
 
     #[test]
     fn len_tracks_contents() {
         let mut q = EventQueue::default();
         assert_eq!(q.len(), 0);
-        q.push(
-            Time::ZERO,
-            EventKind::Wake {
-                comp: ComponentId(0),
-            },
-        );
+        q.push(Time::ZERO, wake(0));
         assert_eq!(q.len(), 1);
         q.pop();
         assert_eq!(q.len(), 0);
@@ -651,82 +531,23 @@ mod tests {
         // push at t=100 (zero-delay) must come out *after* the second
         // pre-scheduled one (it has a larger seq).
         let mut q = EventQueue::default();
-        q.push(
-            Time::from_ps(100),
-            EventKind::Wake {
-                comp: ComponentId(0),
-            },
-        );
-        q.push(
-            Time::from_ps(100),
-            EventKind::Wake {
-                comp: ComponentId(1),
-            },
-        );
-        let first = q.pop().unwrap();
-        assert!(matches!(
-            first.kind,
-            EventKind::Wake {
-                comp: ComponentId(0)
-            }
-        ));
-        q.push(
-            Time::from_ps(100),
-            EventKind::Wake {
-                comp: ComponentId(2),
-            },
-        );
-        let second = q.pop().unwrap();
-        assert!(matches!(
-            second.kind,
-            EventKind::Wake {
-                comp: ComponentId(1)
-            }
-        ));
-        let third = q.pop().unwrap();
-        assert!(matches!(
-            third.kind,
-            EventKind::Wake {
-                comp: ComponentId(2)
-            }
-        ));
+        q.push(Time::from_ps(100), wake(0));
+        q.push(Time::from_ps(100), wake(1));
+        assert_eq!(comp_of(q.pop().unwrap()), 0);
+        q.push(Time::from_ps(100), wake(2));
+        assert_eq!(drain(&mut q), [(100, 1), (100, 2)]);
     }
 
     #[test]
     fn far_future_overflow_orders_with_wheel() {
         let mut q = EventQueue::default();
-        // Far beyond the 16.7 µs wheel span.
-        q.push(
-            Time::from_us(100),
-            EventKind::Wake {
-                comp: ComponentId(0),
-            },
-        );
-        q.push(
-            Time::from_ns(1),
-            EventKind::Wake {
-                comp: ComponentId(1),
-            },
-        );
-        q.push(
-            Time::from_us(100),
-            EventKind::Wake {
-                comp: ComponentId(2),
-            },
-        );
-        q.push(
-            Time::from_us(99),
-            EventKind::Wake {
-                comp: ComponentId(3),
-            },
-        );
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Wake { comp } => comp.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![1, 3, 0, 2]);
+        // Far beyond the near wheel's 4096 ps block: later-heap residents.
+        q.push(Time::from_us(100), wake(0));
+        q.push(Time::from_ns(1), wake(1));
+        q.push(Time::from_us(100), wake(2));
+        q.push(Time::from_us(99), wake(3));
+        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, c)| c).collect();
+        assert_eq!(order, [1, 3, 0, 2]);
     }
 
     /// Drives the wheel and a reference `BinaryHeap` through the same
@@ -750,19 +571,18 @@ mod tests {
             let r = rand();
             if r % 4 != 3 {
                 // Push at `now + delta`, with deltas exercising every tier:
-                // same-instant, near wheel, both coarse levels, overflow.
+                // same-instant, near wheel, either side of the 4096 ps
+                // block edge, a few blocks ahead, far ahead.
                 let delta = match r % 7 {
                     0 => 0,
                     1 => rand() % 64,
                     2 => rand() % 4_096,
-                    3 => rand() % 262_144,
-                    4 => rand() % (1 << 24),
+                    3 => 4_090 + rand() % 13,
+                    4 => rand() % (1 << 16),
                     _ => rand() % (1 << 30),
                 };
                 let t = Time::from_ps(now + delta);
-                let kind = EventKind::Wake {
-                    comp: ComponentId(next_id),
-                };
+                let kind = wake(next_id);
                 next_id += 1;
                 let seq = q.push(t, kind);
                 reference.push(Event { time: t, seq, kind });
@@ -797,10 +617,62 @@ mod tests {
     }
 
     #[test]
+    fn block_edge_refills_and_horizons() {
+        // 4095 ps ahead of an aligned cursor is the block's last slot;
+        // 4096 and 4097 lie in the next block, on the heap.
+        let mut q = EventQueue::default();
+        q.push(Time::from_ps(4_097), wake(0));
+        q.push(Time::from_ps(4_096), wake(1));
+        q.push(Time::from_ps(4_095), wake(2));
+        assert_eq!(q.stats().later_pushes, 2);
+        assert_eq!(drain(&mut q), [(4_095, 2), (4_096, 1), (4_097, 0)]);
+        assert_eq!(q.stats().refills, 1);
+
+        // The same offsets from an unaligned cursor: the block edge, not
+        // the distance, decides where an event goes.
+        let mut q = EventQueue::default();
+        q.push(Time::from_ps(100), wake(0));
+        assert_eq!(q.pop().unwrap().time, Time::from_ps(100));
+        for (i, d) in [4_097, 4_096, 4_095, 3_995].into_iter().enumerate() {
+            q.push(Time::from_ps(100 + d), wake(i as u32));
+        }
+        assert_eq!(q.stats().later_pushes, 3);
+        assert_eq!(
+            drain(&mut q),
+            [(4_095, 3), (4_195, 2), (4_196, 1), (4_197, 0)]
+        );
+
+        // A push into a block just refilled lands behind the refilled
+        // events of its instant, even when they were queued far earlier.
+        let mut q = EventQueue::default();
+        q.push(Time::from_ps(6_000), wake(0));
+        q.push(Time::from_ps(4_500), wake(1));
+        q.push(Time::from_ps(6_000), wake(2));
+        q.push(Time::from_ps(8_191), wake(3));
+        assert_eq!(q.pop().unwrap().time, Time::from_ps(4_500));
+        assert_eq!(q.stats().refills, 1);
+        q.push(Time::from_ps(6_000), wake(4));
+        q.push(Time::from_ps(8_191), wake(5));
+        assert_eq!(
+            drain(&mut q),
+            [(6_000, 0), (6_000, 2), (6_000, 4), (8_191, 3), (8_191, 5)]
+        );
+        assert_eq!(q.stats().refills, 1);
+
+        // A horizon between a block's start and its first event leaves
+        // the cursor alone, so a push at the horizon is still legal and
+        // pops first.
+        let mut q = EventQueue::default();
+        q.push(Time::from_ps(8_300), wake(0));
+        assert!(q.pop_not_after(Time::from_ps(8_200)).is_none());
+        assert_eq!(q.stats().refills, 0);
+        q.push(Time::from_ps(8_200), wake(1));
+        q.push(Time::from_ps(8_192), wake(2));
+        assert_eq!(drain(&mut q), [(8_192, 2), (8_200, 1), (8_300, 0)]);
+    }
+
+    #[test]
     fn a_reserved_seq_is_inserted_at_its_delta_ring_place() {
-        let wake = |i| EventKind::Wake {
-            comp: ComponentId(i),
-        };
         let mut q = EventQueue::default();
         let first = q.push(Time::from_ps(100), wake(0));
         q.push(Time::from_ps(100), wake(1));
@@ -808,33 +680,17 @@ mod tests {
         let seq = q.reserve_seq();
         q.push(Time::from_ps(100), wake(3));
         q.insert_reserved(seq, wake(2));
-        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Wake { comp } => (e.time.as_ps(), comp.0 as u64),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(rest, [(100, 1), (100, 2), (100, 3)]);
+        assert_eq!(drain(&mut q), [(100, 1), (100, 2), (100, 3)]);
         assert_eq!(q.stats().delta_pushes, 4);
     }
 
     #[test]
     fn same_instant_burst_pops_fifo() {
         let mut q = EventQueue::default();
-        for i in 0..100u32 {
-            q.push(
-                Time::from_ns(7),
-                EventKind::Wake {
-                    comp: ComponentId(i),
-                },
-            );
+        for i in 0..100 {
+            q.push(Time::from_ns(7), wake(i));
         }
-        for i in 0..100u32 {
-            let e = q.pop().unwrap();
-            match e.kind {
-                EventKind::Wake { comp } => assert_eq!(comp.0, i),
-                _ => unreachable!(),
-            }
-        }
+        let want: Vec<(u64, u32)> = (0..100).map(|i| (7_000, i)).collect();
+        assert_eq!(drain(&mut q), want);
     }
 }

@@ -1,11 +1,14 @@
 //! Property tests pitting [`EventQueue`] against a reference `BinaryHeap`.
 //!
-//! The timing wheel must be *observationally identical* to the binary
-//! heap it replaced: any interleaving of pushes and pops yields the same
-//! `(time, seq)` pop sequence. The seeded LCG test in `event.rs` checks
-//! fixed interleavings everywhere (no external crates); this module is
-//! the shrinking-capable `proptest` version, so a violation minimises to
-//! the smallest offending op sequence.
+//! The delta ring, near wheel and later heap must be *observationally
+//! identical* to the single binary heap they replaced: any interleaving of
+//! pushes and pops yields the same `(time, seq)` pop sequence. The pushes
+//! aim at the 4096 ps block edge, where an event moves from the near
+//! wheel to the later heap and a refill moves a block back. The seeded
+//! LCG test in `event.rs` checks fixed interleavings everywhere (no
+//! external crates); this module is the shrinking-capable `proptest`
+//! version, so a violation minimises to the smallest offending op
+//! sequence.
 
 use proptest::prelude::*;
 use std::collections::BinaryHeap;
@@ -21,9 +24,9 @@ use crate::time::Time;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Push at `now + delta` (the simulator never schedules into the
+    /// Push, never before `now` (the simulator never schedules into the
     /// past).
-    Push { delta: u64 },
+    Push(At),
     /// The unbounded pop.
     Pop,
     /// [`EventQueue::pop_not_after`], the event loop's pop, at a horizon
@@ -35,6 +38,17 @@ enum Op {
     /// [`EventQueue::insert_reserved`] of the reservation, if its wake is
     /// not yet due: a held wake's release.
     InsertReserved,
+}
+
+/// Where a push lands.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    /// `now + delta`.
+    Delta(u64),
+    /// The start of the block after `now`'s, moved by the offset (but not
+    /// before `now`): the last slots of the cursor's block and the first
+    /// of the next.
+    Edge(i64),
 }
 
 /// Where a bounded pop's horizon falls, relative to the earliest queued
@@ -50,23 +64,27 @@ enum Horizon {
     After(u64),
 }
 
+/// The near wheel's aligned block, in ps.
+const BLOCK: u64 = 4_096;
+
 /// Deltas biased across every tier of the queue: the same-instant delta
-/// ring, the exact-ps near wheel, both coarse levels, and the overflow
-/// map beyond the 2²⁴ ps wheel span.
+/// ring, the exact-ps near wheel, either side of one block's span, the
+/// later heap a few blocks ahead, and far ahead of it.
 fn delta() -> impl Strategy<Value = u64> {
     prop_oneof![
         3 => Just(0u64),
         3 => 1u64..64,
-        3 => 1u64..4_096,
-        2 => 1u64..262_144,
-        2 => 1u64..(1u64 << 24),
+        3 => 1u64..BLOCK,
+        2 => BLOCK - 6..BLOCK + 7,
+        2 => 1u64..(BLOCK << 4),
         1 => 1u64..(1u64 << 30),
     ]
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => delta().prop_map(|delta| Op::Push { delta }),
+        4 => delta().prop_map(|d| Op::Push(At::Delta(d))),
+        2 => (-3i64..4).prop_map(|o| Op::Push(At::Edge(o))),
         1 => Just(Op::Pop),
         1 => Just(Op::PopNotAfter(Horizon::Before)),
         1 => Just(Op::PopNotAfter(Horizon::At)),
@@ -78,10 +96,10 @@ fn op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Random interleavings of pushes, both pops and held-wake
-    /// reservations (including same-instant bursts and far-future
-    /// overflow residents) pop in exactly the reference heap's
-    /// `(time, seq)` order, and the near wheel's node arena never grows
-    /// past the most near-wheel residents there have been at once.
+    /// reservations (including same-instant bursts, pushes at the block
+    /// edge and far-future heap residents) pop in exactly the reference
+    /// heap's `(time, seq)` order, and the near wheel's node arena never
+    /// grows past the most near-wheel residents there have been at once.
     ///
     /// Like the simulator, the model keeps `now`, the instant events are
     /// queued from: the last popped event's time, or a bounded pop's
@@ -103,8 +121,14 @@ proptest! {
         };
         for op in ops {
             let popped = match op {
-                Op::Push { delta } => {
-                    let t = Time::from_ps(now + delta);
+                Op::Push(at) => {
+                    let t = Time::from_ps(match at {
+                        At::Delta(d) => now + d,
+                        At::Edge(o) => {
+                            let next_block = (now / BLOCK + 1) * BLOCK;
+                            next_block.saturating_add_signed(o).max(now)
+                        }
+                    });
                     let kind = wake();
                     let seq = q.push(t, kind);
                     reference.push(Event { time: t, seq, kind });

@@ -92,9 +92,9 @@ pub struct SimStats {
     /// Events popped and dispatched by [`Simulator::run_until`] — both
     /// net-drive events and component wakes, across all calls.
     pub events_processed: u64,
-    /// Highest number of events pending in the timing wheel (including
-    /// its sorted overflow map) at once. The same-instant delta ring is
-    /// *not* included — its high-water mark is `peak_delta_depth`.
+    /// Highest number of events pending in the event queue at once: the
+    /// same-instant delta ring, the near wheel and the later heap
+    /// together. The ring's own high-water mark is `peak_delta_depth`.
     pub peak_queue_depth: usize,
     /// Wake requests absorbed into an already-queued, not-yet-delivered
     /// wake for the same component at the same instant (each one is a
@@ -106,11 +106,12 @@ pub struct SimStats {
     /// Highest delta-ring occupancy observed — the widest zero-delay
     /// cascade of the run.
     pub peak_delta_depth: usize,
-    /// Coarse-level timing-wheel slot refills (each re-places one slot's
-    /// events into finer levels).
+    /// Near-wheel refills: each moves the later heap's earliest 4096 ps
+    /// block into the near wheel once the wheel and the delta ring are
+    /// empty.
     pub wheel_cascades: u64,
-    /// Events that landed beyond the wheel span and were parked in the
-    /// sorted overflow map until the wheel rotated far enough.
+    /// Events pushed into the later heap: those due after the end of
+    /// the near wheel's current 4096 ps block.
     pub overflow_events: u64,
     /// Evaluation passes executed by compiled-region engines (one per
     /// instant at which a compiled region had work). Zero under the pure
@@ -782,8 +783,8 @@ impl Simulator {
             coalesced_wakes: self.coalesced_wakes,
             delta_pushes: q.delta_pushes,
             peak_delta_depth: q.peak_delta_depth,
-            wheel_cascades: q.cascades,
-            overflow_events: q.overflow_pushes,
+            wheel_cascades: q.refills,
+            overflow_events: q.later_pushes,
             compiled_edge_evals: self.compiled_edge_evals,
             compiled_gate_evals: self.compiled_gate_evals,
             elided_drives: self.elided_drives,
@@ -1011,10 +1012,14 @@ impl Simulator {
         let _ = (driver, mode);
     }
 
-    /// Queues a wake for `comp` at `at` (clamped to now), unless one is
-    /// already queued for that instant. A timed wake also ends the
-    /// component's sleep and its hold, and queues a skipped wake still
-    /// ahead at its reserved number.
+    /// Queues a wake for `comp` at `at` (clamped to now), unless a queued
+    /// wake is known to cover it: at the current instant, a same-instant
+    /// wake still ahead; at a later instant, the latest timed request, if
+    /// it is for `at` and not yet delivered. Only that latest timed
+    /// request is tracked: after a request for an earlier instant, asking
+    /// again for an instant already queued queues a second wake. A timed
+    /// wake also ends the component's sleep and its hold, and queues a
+    /// skipped wake still ahead at its reserved number.
     pub(crate) fn schedule_wake(&mut self, comp: ComponentId, at: Time) {
         let now = self.time;
         let at = at.max(now);
