@@ -63,6 +63,10 @@ impl Logic {
     ///
     /// The operation is commutative and associative with identity `Z`, so a
     /// net with any number of drivers has a well-defined resolved value.
+    /// The fold depends only on which levels are present, so the
+    /// simulator resolves a net from counts of its drivers' `L`, `H` and
+    /// `X` contributions instead of folding them: any `X`, or both `L`
+    /// and `H`, gives `X`; otherwise the level present; otherwise `Z`.
     #[inline]
     pub fn resolve(self, other: Logic) -> Logic {
         use Logic::*;

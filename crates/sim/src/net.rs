@@ -95,8 +95,11 @@ pub(crate) struct Net {
     label: NetLabel,
     /// Rendered form of a `Bit` label, materialised on first request.
     name_cache: OnceCell<String>,
-    pub drivers: Vec<DriverId>,
     pub watchers: Vec<Watcher>,
+    /// How many drivers contribute each level, indexed by the `Logic`
+    /// (the `Z` entry counts the high-impedance ones), so the sum is the
+    /// number of drivers. Kept by [`Net::contribute`].
+    levels: [u32; 4],
     pub resolved: Logic,
     pub last_change: Time,
     /// The instant of the latest `L`→`H` transition (`Time::MAX` before
@@ -108,19 +111,55 @@ pub(crate) struct Net {
     pub toggles: u64,
 }
 
+// The event loop reads a net per landed drive and per wake it fans out,
+// so the net table is hot: growing `Net` by a field costs every drive of
+// every run, and a new field must be added on purpose, with this pin (the
+// size of `Event` is pinned the same way).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Net>() == 128);
+
 impl Net {
     pub(crate) fn new(label: NetLabel) -> Self {
         Net {
             label,
             name_cache: OnceCell::new(),
-            drivers: Vec::new(),
             watchers: Vec::new(),
+            levels: [0; 4],
             resolved: Logic::Z,
             last_change: Time::ZERO,
             last_rise: Time::MAX,
             traced: false,
             toggles: 0,
         }
+    }
+
+    /// Attaches one more driver, contributing `Z`.
+    pub(crate) fn add_driver(&mut self) {
+        self.levels[Logic::Z as usize] += 1;
+    }
+
+    /// The number of drivers attached.
+    pub(crate) fn driver_count(&self) -> usize {
+        self.levels.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Moves one driver's contribution from `old` to `new` in the level
+    /// counts. Every change of a driver's value goes through here.
+    #[inline]
+    pub(crate) fn contribute(&mut self, old: Logic, new: Logic) {
+        self.levels[old as usize] -= 1;
+        self.levels[new as usize] += 1;
+    }
+
+    /// The [`Logic::resolve`] fold of every driver's contribution, read
+    /// off the level counts: any `X`, or both `L` and `H`, is `X`;
+    /// otherwise the one level present; otherwise `Z`.
+    #[inline]
+    pub(crate) fn resolution(&self) -> Logic {
+        use Logic::*;
+        const BY_PRESENT: [Logic; 8] = [Z, L, H, X, X, X, X, X];
+        let [l, h, x, _] = self.levels.map(|n| usize::from(n > 0));
+        BY_PRESENT[l | h << 1 | x << 2]
     }
 
     pub(crate) fn name(&self) -> &str {

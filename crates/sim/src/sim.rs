@@ -554,7 +554,7 @@ impl Simulator {
         });
         #[cfg(debug_assertions)]
         self.drive_modes.push(None);
-        self.nets[net.0 as usize].drivers.push(id);
+        self.nets[net.0 as usize].add_driver();
         id
     }
 
@@ -800,7 +800,7 @@ impl Simulator {
     /// floating input apart from a port driven by a behavioural component
     /// the netlist cannot see.
     pub fn driver_count(&self, net: NetId) -> usize {
-        self.nets[net.0 as usize].drivers.len()
+        self.nets[net.0 as usize].driver_count()
     }
 
     /// Number of components watching `net`, on every change or on rising
@@ -982,10 +982,7 @@ impl Simulator {
         if d.value == value {
             return;
         }
-        d.value = value;
-        let net = d.net;
-        self.note_race_write(net, driver);
-        self.recompute_net(net);
+        self.change_contribution(driver, value);
     }
 
     /// Records (debug builds) which scheduling call owns `driver` and
@@ -1168,8 +1165,19 @@ impl Simulator {
         if d.value == value {
             return;
         }
-        d.value = value;
+        self.change_contribution(driver, value);
+    }
+
+    /// Lands a new contribution `value` of `driver`, which differs from
+    /// its current one: the driver's value, its net's level counts, the
+    /// sanitizer note and the net's resolution. The one state transition
+    /// behind [`Simulator::apply_drive`] and [`Simulator::commit_drive`].
+    #[inline]
+    fn change_contribution(&mut self, driver: DriverId, value: Logic) {
+        let d = &mut self.drivers[driver.0 as usize];
+        let old = std::mem::replace(&mut d.value, value);
         let net = d.net;
+        self.nets[net.0 as usize].contribute(old, value);
         self.note_race_write(net, driver);
         self.recompute_net(net);
     }
@@ -1207,17 +1215,9 @@ impl Simulator {
 
     fn recompute_net(&mut self, net: NetId) {
         let idx = net.0 as usize;
-        // Single-driver fast path: most nets have exactly one driver, and
-        // `resolve(Z, v) == v`, so the fold collapses to a load.
-        let resolved = match self.nets[idx].drivers.as_slice() {
-            [d] => self.drivers[d.0 as usize].value,
-            ds => ds
-                .iter()
-                .map(|&d| self.drivers[d.0 as usize].value)
-                .fold(Logic::Z, Logic::resolve),
-        };
         let now = self.time;
         let n = &mut self.nets[idx];
+        let resolved = n.resolution();
         if resolved == n.resolved {
             return;
         }
