@@ -20,9 +20,9 @@
 //! model is the executed one: [`StgSpec::is_marked`],
 //! [`StgSpec::is_enabled`] and [`StgSpec::fire`] step a packed
 //! [`StgState`], and [`BmSpec::completed`] picks the burst that fires.
-//! * [`micropipeline`] — a gate-level Sutherland micropipeline built from
-//!   C-elements and word latches; the paper uses it as the asynchronous
-//!   relay station (ARS) chain.
+//! * [`micropipeline`](fn@micropipeline) — a gate-level Sutherland
+//!   micropipeline built from C-elements and word latches; the paper uses
+//!   it as the asynchronous relay station (ARS) chain.
 //! * [`FourPhaseProducer`]/[`FourPhaseConsumer`] — 4-phase single-rail
 //!   bundled-data environments for driving and draining asynchronous
 //!   interfaces, with op-completion journals for throughput/latency

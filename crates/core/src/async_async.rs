@@ -5,13 +5,11 @@
 
 use mtf_async::{dv_as_spec, ogt_spec, opt_spec, BmMachine, StgMachine};
 use mtf_gates::Builder;
-use mtf_sim::{Logic, NetId, Time};
+use mtf_sim::{Logic, NetId};
 
+use crate::async_sync::{BM_DELAY, DV_DELAY};
 use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::params::FifoParams;
-
-const OPT_DELAY: Time = Time::from_ps(450);
-const DV_DELAY: Time = Time::from_ps(250);
 
 /// Builds the fully asynchronous FIFO into `b`: 4-phase bundled-data on
 /// both interfaces, no clocks, no detectors — back-pressure and emptiness
@@ -50,16 +48,16 @@ pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, _: ClockInputs) -> 
         b.record_macro("DVas", &[we[i], re[i]], &[e_i, f_i], DV_DELAY);
 
         // Put part (identical to the async-sync design).
-        let opt = BmMachine::spawn(b.sim(), opt_spec(i, i == 0), &[we[prev], we[i]], OPT_DELAY);
-        b.record_macro("OPT", &[we[prev], we[i]], &[opt[0]], OPT_DELAY);
+        let opt = BmMachine::spawn(b.sim(), opt_spec(i, i == 0), &[we[prev], we[i]], BM_DELAY);
+        b.record_macro("OPT", &[we[prev], we[i]], &[opt[0]], BM_DELAY);
         b.acelement_onto(&[put_req], &[opt[0], e_i], Logic::L, we[i]);
         let reg_q = b.latch_word(we[i], &put_data);
 
         // Get part: the mirror image — OGT passes the get token on the
         // local `re` pulse; the read pulse fires only when the cell
         // holds data (`f_i`).
-        let ogt = BmMachine::spawn(b.sim(), ogt_spec(i, i == 0), &[re[prev], re[i]], OPT_DELAY);
-        b.record_macro("OGT", &[re[prev], re[i]], &[ogt[0]], OPT_DELAY);
+        let ogt = BmMachine::spawn(b.sim(), ogt_spec(i, i == 0), &[re[prev], re[i]], BM_DELAY);
+        b.record_macro("OGT", &[re[prev], re[i]], &[ogt[0]], BM_DELAY);
         b.acelement_onto(&[get_req], &[ogt[0], f_i], Logic::L, re[i]);
         b.tri_word_onto(re[i], &reg_q, &get_data);
 
@@ -88,7 +86,7 @@ pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, _: ClockInputs) -> 
 mod tests {
     use super::*;
     use crate::env::on_ports::{async_get, async_put};
-    use mtf_sim::{Simulator, ViolationKind};
+    use mtf_sim::{Simulator, Time, ViolationKind};
 
     fn build(sim: &mut Simulator, params: FifoParams) -> DesignPorts {
         let mut b = Builder::new(sim);

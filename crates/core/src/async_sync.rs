@@ -5,14 +5,18 @@ use mtf_gates::Builder;
 use mtf_sim::{Logic, MetaModel, NetId, Time};
 
 use crate::design::{ClockInputs, DesignKind, DesignPorts};
-use crate::detectors::{build_bimodal_empty, build_ne_detector, build_oe_detector};
+use crate::detectors::{
+    anticipation_window, build_bimodal_empty, build_ne_detector, build_oe_detector,
+};
 use crate::params::FifoParams;
 
-/// Reaction delay assigned to the burst-mode `OPT` controllers — stands in
-/// for the logic depth Minimalist synthesis would produce.
-const OPT_DELAY: Time = Time::from_ps(450);
-/// Reaction delay of the Petri-net `DV_as` controllers (Petrify substitute).
-const DV_DELAY: Time = Time::from_ps(250);
+/// Reaction delay assigned to the burst-mode `OPT`/`OGT` token
+/// controllers ([`BmMachine`]) — stands in for the logic depth Minimalist
+/// synthesis would produce.
+pub(crate) const BM_DELAY: Time = Time::from_ps(450);
+/// Reaction delay of the Petri-net `DV_as`/`DV_sa` data-validity
+/// controllers (Petrify substitute).
+pub(crate) const DV_DELAY: Time = Time::from_ps(250);
 
 /// The nets of a built asynchronous-put cell array (shared between the
 /// async-sync FIFO and the async-sync relay station, which differ only in
@@ -70,9 +74,9 @@ pub(crate) fn build_async_cell_array(
         cell_full.push(f_i);
 
         // OPT: obtains the token from the right neighbour's pulse.
-        let opt_out = BmMachine::spawn(b.sim(), opt_spec(i, i == 0), &[we[prev], we[i]], OPT_DELAY);
+        let opt_out = BmMachine::spawn(b.sim(), opt_spec(i, i == 0), &[we[prev], we[i]], BM_DELAY);
         let ptok_i = opt_out[0];
-        b.record_macro("OPT", &[we[prev], we[i]], &[ptok_i], OPT_DELAY);
+        b.record_macro("OPT", &[we[prev], we[i]], &[ptok_i], BM_DELAY);
 
         // The write-enable pulse generator (asymmetric C-element).
         b.acelement_onto(&[put_req], &[ptok_i, e_i], Logic::L, we[i]);
@@ -172,7 +176,7 @@ pub(crate) fn build_with_cells(
 
     // Empty detection + get controller: reused from the mixed-clock
     // design, operating on the DV-produced f_i lines.
-    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let ne_raw = build_ne_detector(b, &cell_full, anticipation_window(params.sync_stages));
     let oe_raw = build_oe_detector(b, &cell_full);
     let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
     let en_get_val = b.and_not(req_get, empty);

@@ -18,6 +18,14 @@
 use mtf_gates::Builder;
 use mtf_sim::{Logic, NetId};
 
+/// The anticipation window of the occupancy detectors for synchronizers
+/// of `sync_stages` flops: the synchronizer lag, and at least the
+/// paper's 2. The netlists, the formal models and the derived contracts
+/// all read it from here.
+pub fn anticipation_window(sync_stages: usize) -> usize {
+    sync_stages.max(2)
+}
+
 /// Builds the anticipating **full** detector (paper Fig. 6a):
 /// `full = NOR over i of AND(e_i, …, e_{i+window−1})` — full unless
 /// `window` consecutive cells are empty.
@@ -26,7 +34,7 @@ use mtf_sim::{Logic, NetId};
 /// synchronizers; in general the anticipation margin must equal the
 /// synchronizer lag, because up to `window − 1` extra puts slip through
 /// while the raw signal crosses into the put domain. Callers pass
-/// `window = sync_stages`.
+/// [`anticipation_window`]`(sync_stages)`.
 ///
 /// `empties[i]` is cell *i*'s `e_i` line (high = empty). Returns the raw
 /// (unsynchronized) `full` net.

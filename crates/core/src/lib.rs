@@ -95,7 +95,8 @@ pub use design::{
     MixedTimingDesign,
 };
 pub use detectors::{
-    build_bimodal_empty, build_full_detector, build_ne_detector, build_oe_detector,
+    anticipation_window, build_bimodal_empty, build_full_detector, build_ne_detector,
+    build_oe_detector,
 };
 pub use params::{FifoParams, ParamError};
 pub use sync_relay::{RelayPort, SyncRelayStation, RS_CQ};

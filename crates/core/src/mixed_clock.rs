@@ -5,7 +5,8 @@ use mtf_sim::{Logic, MetaModel, NetId};
 
 use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::detectors::{
-    build_bimodal_empty, build_full_detector, build_ne_detector, build_oe_detector,
+    anticipation_window, build_bimodal_empty, build_full_detector, build_ne_detector,
+    build_oe_detector,
 };
 use crate::params::FifoParams;
 
@@ -277,10 +278,10 @@ pub(crate) fn build_with_cells(
     );
 
     // ---- detectors and synchronizers ------------------------------------
-    let full_raw = build_full_detector(b, &cell_empty, params.sync_stages.max(2));
+    let full_raw = build_full_detector(b, &cell_empty, anticipation_window(params.sync_stages));
     let full = b.sync_chain(clk_put, full_raw, params.sync_stages, Logic::L);
 
-    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let ne_raw = build_ne_detector(b, &cell_full, anticipation_window(params.sync_stages));
     let oe_raw = build_oe_detector(b, &cell_full);
     let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
 

@@ -8,7 +8,8 @@ use mtf_gates::Builder;
 use crate::async_sync::{build_async_cell_array, AsyncCellArray};
 use crate::design::{ClockInputs, DesignKind, DesignPorts};
 use crate::detectors::{
-    build_bimodal_empty, build_full_detector, build_ne_detector, build_oe_detector,
+    anticipation_window, build_bimodal_empty, build_full_detector, build_ne_detector,
+    build_oe_detector,
 };
 use crate::mixed_clock::{build_sync_cell_array, SyncCellArray};
 use crate::params::FifoParams;
@@ -55,10 +56,10 @@ pub(crate) fn build_mixed_clock(
         b, params, clk_put, clk_get, en_put, en_get, valid_in, &data_put, &data_get, valid_bus,
     );
 
-    let full_raw = build_full_detector(b, &cell_empty, params.sync_stages.max(2));
+    let full_raw = build_full_detector(b, &cell_empty, anticipation_window(params.sync_stages));
     let stop_out = b.sync_chain(clk_put, full_raw, params.sync_stages, mtf_sim::Logic::L);
 
-    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let ne_raw = build_ne_detector(b, &cell_full, anticipation_window(params.sync_stages));
     let oe_raw = build_oe_detector(b, &cell_full);
     let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
 
@@ -119,7 +120,7 @@ pub(crate) fn build_async_sync(
         cell_full,
     } = build_async_cell_array(b, params, clk_get, en_get, put_req, &put_data, &data_get);
 
-    let ne_raw = build_ne_detector(b, &cell_full, params.sync_stages.max(2));
+    let ne_raw = build_ne_detector(b, &cell_full, anticipation_window(params.sync_stages));
     let oe_raw = build_oe_detector(b, &cell_full);
     let empty = build_bimodal_empty(b, clk_get, ne_raw, oe_raw, en_get, params.sync_stages);
 

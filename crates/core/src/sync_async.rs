@@ -7,27 +7,24 @@
 
 use mtf_async::{dv_sa_spec, ogt_spec, BmMachine, StgMachine};
 use mtf_gates::Builder;
-use mtf_sim::{Logic, MetaModel, NetId, Time};
+use mtf_sim::{Logic, MetaModel, NetId};
 
+use crate::async_sync::{BM_DELAY, DV_DELAY};
 use crate::design::{ClockInputs, DesignKind, DesignPorts};
-use crate::detectors::build_full_detector;
+use crate::detectors::{anticipation_window, build_full_detector};
 use crate::params::FifoParams;
-
-const OGT_DELAY: Time = Time::from_ps(450);
-const DV_DELAY: Time = Time::from_ps(250);
 
 /// Builds the sync–async FIFO into `b`: a synchronous put interface
 /// (put-slot clock, `req_put`, `full`) feeding a 4-phase bundled-data get
 /// interface.
 ///
-/// The interesting asymmetry lives in `DV_sa`
-/// ([`dv_sa_spec`](mtf_async::dv_sa_spec)): the cell leaves the *empty*
-/// pool as soon as the put is enabled (`e_i−` mid-cycle — the anticipating
-/// full detector needs the early warning, exactly as in the mixed-clock
-/// design), but it joins the *full* pool only when the put completes on
-/// the clock edge (`f_i+` on `pe−`) — because the asynchronous get side
-/// reacts within gate delays and must never see a cell whose data is still
-/// in flight.
+/// The interesting asymmetry lives in `DV_sa` ([`dv_sa_spec`]): the cell
+/// leaves the *empty* pool as soon as the put is enabled (`e_i−`
+/// mid-cycle — the anticipating full detector needs the early warning,
+/// exactly as in the mixed-clock design), but it joins the *full* pool
+/// only when the put completes on the clock edge (`f_i+` on `pe−`) —
+/// because the asynchronous get side reacts within gate delays and must
+/// never see a cell whose data is still in flight.
 pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs) -> DesignPorts {
     let clk_put = clocks.put_net();
     let n = params.capacity;
@@ -69,8 +66,8 @@ pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs
         cell_empty.push(e_i);
 
         // Asynchronous get part (as in the async-async cell).
-        let ogt = BmMachine::spawn(b.sim(), ogt_spec(i, i == 0), &[re[prev], re[i]], OGT_DELAY);
-        b.record_macro("OGT", &[re[prev], re[i]], &[ogt[0]], OGT_DELAY);
+        let ogt = BmMachine::spawn(b.sim(), ogt_spec(i, i == 0), &[re[prev], re[i]], BM_DELAY);
+        b.record_macro("OGT", &[re[prev], re[i]], &[ogt[0]], BM_DELAY);
         b.acelement_onto(&[get_req], &[ogt[0], f_i], Logic::L, re[i]);
         b.tri_word_onto(re[i], &reg_q, &get_data);
 
@@ -79,7 +76,7 @@ pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs
 
     // Put side: anticipating full detector + synchronizer + controller,
     // exactly as in the mixed-clock design.
-    let full_raw = build_full_detector(b, &cell_empty, params.sync_stages.max(2));
+    let full_raw = build_full_detector(b, &cell_empty, anticipation_window(params.sync_stages));
     let full = b.sync_chain(clk_put, full_raw, params.sync_stages, Logic::L);
     let en_put_val = b.and_not(req_put, full);
     b.buf_onto(en_put_val, en_put);
@@ -105,7 +102,7 @@ pub(crate) fn build(b: &mut Builder<'_>, params: FifoParams, clocks: ClockInputs
 mod tests {
     use super::*;
     use crate::env::on_ports::{async_get, sync_put};
-    use mtf_sim::{ClockGen, Simulator, ViolationKind};
+    use mtf_sim::{ClockGen, Simulator, Time, ViolationKind};
 
     fn build(sim: &mut Simulator, params: FifoParams, tput: Time) -> DesignPorts {
         let clk_put = sim.net("clk_put");

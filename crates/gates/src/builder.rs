@@ -3,12 +3,11 @@
 
 use mtf_sim::{Logic, MetaModel, NetId, Simulator, Time};
 
-use crate::celement::{AsymCElement, CElement};
+use crate::celement::CElement;
 use crate::comb::{CombGate, GateFunc};
 use crate::kind::CellKind;
 use crate::netlist::{CellDelays, ElabInfo, FlopElab, FlopTiming, Instance, Netlist};
-use crate::seq::{DLatch, Dff, DffConfig, SrLatch};
-use crate::tristate::TriBuf;
+use crate::seq::{Dff, DffConfig, SrLatch};
 use crate::word::{LatchWord, RegisterWord, TriWord};
 
 /// Builds a circuit into a [`Simulator`], recording a [`Netlist`] as it
@@ -274,32 +273,24 @@ impl<'a> Builder<'a> {
 
     /// Single-bit tri-state driver onto an existing (shared) bus net.
     pub fn tribuf_onto(&mut self, en: NetId, d: NetId, bus: NetId) {
-        let name = self.fresh_name("TRIBUF");
-        let drv = self.sim.driver(bus);
-        let id = self.netlist.push(Instance {
-            name: name.clone(),
-            kind: CellKind::TriBuf,
-            data_in: vec![en, d],
-            outputs: vec![bus],
-            clock: None,
-            asym_common: 0,
-            init: None,
-        });
-        let cell = TriBuf::new(name, en, d, drv, self.netlist.delay_table(), id.index());
-        self.sim.add_component(Box::new(cell), &[en, d]);
+        self.tri_state(CellKind::TriBuf, en, &[d], &[bus]);
     }
 
     /// Word tri-state driver bank onto an existing shared bus.
     pub fn tri_word_onto(&mut self, en: NetId, d: &[NetId], bus: &[NetId]) {
         assert_eq!(d.len(), bus.len(), "width mismatch");
-        let name = self.fresh_name("TRIWORD");
+        self.tri_state(CellKind::TriWord, en, d, bus);
+    }
+
+    fn tri_state(&mut self, kind: CellKind, en: NetId, d: &[NetId], bus: &[NetId]) {
+        let name = self.fresh_name(kind.name());
         let drvs: Vec<_> = bus.iter().map(|&b| self.sim.driver(b)).collect();
         let mut data_in = vec![en];
         data_in.extend_from_slice(d);
         let id = self.netlist.push(Instance {
             name: name.clone(),
-            kind: CellKind::TriWord,
-            data_in,
+            kind,
+            data_in: data_in.clone(),
             outputs: bus.to_vec(),
             clock: None,
             asym_common: 0,
@@ -307,15 +298,14 @@ impl<'a> Builder<'a> {
         });
         let cell = TriWord::new(
             name,
+            kind,
             en,
             d.to_vec(),
             drvs,
             self.netlist.delay_table(),
             id.index(),
         );
-        let mut watch = vec![en];
-        watch.extend_from_slice(d);
-        self.sim.add_component(Box::new(cell), &watch);
+        self.sim.add_component(Box::new(cell), &data_in);
     }
 
     // ---- flip-flops -----------------------------------------------------------
@@ -433,33 +423,6 @@ impl<'a> Builder<'a> {
 
     // ---- latches ---------------------------------------------------------------
 
-    /// Level-sensitive D latch (transparent while `en` high).
-    pub fn dlatch(&mut self, en: NetId, d: NetId, init: Logic) -> NetId {
-        let name = self.fresh_name("DLATCH");
-        let q = self.out_net(&format!("{name}.q"));
-        let drv = self.sim.driver(q);
-        let id = self.netlist.push(Instance {
-            name: name.clone(),
-            kind: CellKind::DLatch,
-            data_in: vec![en, d],
-            outputs: vec![q],
-            clock: None,
-            asym_common: 0,
-            init: Some(init),
-        });
-        let cell = DLatch::new(
-            name,
-            en,
-            d,
-            drv,
-            init,
-            self.netlist.delay_table(),
-            id.index(),
-        );
-        self.sim.add_component(Box::new(cell), &[en, d]);
-        q
-    }
-
     /// SR latch; returns `q`.
     pub fn sr_latch(&mut self, s: NetId, r: NetId, init: Logic) -> NetId {
         self.sr_latch_qn(s, r, init).0
@@ -517,85 +480,65 @@ impl<'a> Builder<'a> {
 
     /// Symmetric Muller C-element over `inputs`.
     pub fn celement(&mut self, inputs: &[NetId], init: Logic) -> NetId {
-        let name = self.fresh_name("CELEM");
-        let out = self.out_net(&format!("{name}.y"));
-        self.celement_named(name, inputs, init, out);
-        out
+        self.c_element(CellKind::CElement, inputs, &[], init, None)
     }
 
     /// C-element driving an existing net (for ring/chain topologies whose
     /// nets are created before the cells).
     pub fn celement_onto(&mut self, inputs: &[NetId], init: Logic, out: NetId) {
-        let name = self.fresh_name("CELEM");
-        self.celement_named(name, inputs, init, out);
-    }
-
-    fn celement_named(&mut self, name: String, inputs: &[NetId], init: Logic, out: NetId) {
-        assert!(inputs.len() >= 2, "C-element needs at least two inputs");
-        let drv = self.sim.driver(out);
-        let id = self.netlist.push(Instance {
-            name: name.clone(),
-            kind: CellKind::CElement,
-            data_in: inputs.to_vec(),
-            outputs: vec![out],
-            clock: None,
-            asym_common: 0,
-            init: Some(init),
-        });
-        let cell = CElement::new(
-            name,
-            inputs.to_vec(),
-            drv,
-            init,
-            self.netlist.delay_table(),
-            id.index(),
-        );
-        self.sim.add_component(Box::new(cell), inputs);
+        self.c_element(CellKind::CElement, inputs, &[], init, Some(out));
     }
 
     /// Asymmetric C-element: rises when all `common` and all `plus` inputs
     /// are high; falls when all `common` inputs are low.
     pub fn acelement(&mut self, common: &[NetId], plus: &[NetId], init: Logic) -> NetId {
-        let name = self.fresh_name("ACELEM");
-        let out = self.out_net(&format!("{name}.y"));
-        self.acelement_named(name, common, plus, init, out);
-        out
+        self.c_element(CellKind::AsymCElement, common, plus, init, None)
     }
 
     /// Asymmetric C-element driving an existing net (for cells whose
     /// control nets must exist before their drivers, e.g. the `we` pulse
     /// wires of the async-sync FIFO cells).
     pub fn acelement_onto(&mut self, common: &[NetId], plus: &[NetId], init: Logic, out: NetId) {
-        let name = self.fresh_name("ACELEM");
-        self.acelement_named(name, common, plus, init, out);
+        self.c_element(CellKind::AsymCElement, common, plus, init, Some(out));
     }
 
-    fn acelement_named(
+    /// Places a C-element of `kind` driving `onto`, or a fresh `<name>.y`
+    /// net; returns the output net. Only the asymmetric kind records its
+    /// `common`/`plus` split in the instance.
+    fn c_element(
         &mut self,
-        name: String,
+        kind: CellKind,
         common: &[NetId],
         plus: &[NetId],
         init: Logic,
-        out: NetId,
-    ) {
-        assert!(
-            !common.is_empty(),
-            "asymmetric C-element needs common inputs"
-        );
+        onto: Option<NetId>,
+    ) -> NetId {
+        let name = self.fresh_name(kind.name());
+        let out = onto.unwrap_or_else(|| self.out_net(&format!("{name}.y")));
+        let asym_common = if kind == CellKind::AsymCElement {
+            assert!(
+                !common.is_empty(),
+                "asymmetric C-element needs common inputs"
+            );
+            common.len()
+        } else {
+            assert!(common.len() >= 2, "C-element needs at least two inputs");
+            0
+        };
         let drv = self.sim.driver(out);
-        let mut data_in = common.to_vec();
-        data_in.extend_from_slice(plus);
+        let data_in = [common, plus].concat();
         let id = self.netlist.push(Instance {
             name: name.clone(),
-            kind: CellKind::AsymCElement,
+            kind,
             data_in: data_in.clone(),
             outputs: vec![out],
             clock: None,
-            asym_common: common.len(),
+            asym_common,
             init: Some(init),
         });
-        let cell = AsymCElement::new(
+        let cell = CElement::new(
             name,
+            kind,
             common.to_vec(),
             plus.to_vec(),
             drv,
@@ -604,6 +547,7 @@ impl<'a> Builder<'a> {
             id.index(),
         );
         self.sim.add_component(Box::new(cell), &data_in);
+        out
     }
 
     // ---- word cells ------------------------------------------------------------------

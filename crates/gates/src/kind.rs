@@ -34,9 +34,6 @@ pub enum CellKind {
     /// Positive-edge D flip-flop with synchronous enable (the paper's
     /// "ETDFF"); data inputs are `[en, d]`.
     Etdff,
-    /// Level-sensitive D latch, transparent while `en` is high; data
-    /// inputs are `[en, d]`.
-    DLatch,
     /// Set/reset latch; data inputs are `[s, r]`.
     SrLatch,
     /// Muller C-element: output goes high when all inputs are high, low
@@ -71,11 +68,7 @@ impl CellKind {
     pub fn is_state_holding(self) -> bool {
         matches!(
             self,
-            CellKind::DLatch
-                | CellKind::SrLatch
-                | CellKind::CElement
-                | CellKind::AsymCElement
-                | CellKind::LatchWord
+            CellKind::SrLatch | CellKind::CElement | CellKind::AsymCElement | CellKind::LatchWord
         ) || self.is_edge_triggered()
     }
 
@@ -123,7 +116,6 @@ impl CellKind {
             CellKind::TriBuf => "TRIBUF",
             CellKind::Dff => "DFF",
             CellKind::Etdff => "ETDFF",
-            CellKind::DLatch => "DLATCH",
             CellKind::SrLatch => "SRLATCH",
             CellKind::CElement => "CELEM",
             CellKind::AsymCElement => "ACELEM",
@@ -159,7 +151,7 @@ mod tests {
         assert!(CellKind::Nand.is_combinational());
         assert!(CellKind::TriWord.is_combinational());
         assert!(!CellKind::Macro.is_combinational());
-        assert!(!CellKind::DLatch.is_combinational());
+        assert!(!CellKind::LatchWord.is_combinational());
     }
 
     #[test]

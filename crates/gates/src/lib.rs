@@ -19,13 +19,13 @@
 //!
 //! * combinational gates (INV/BUF/AND/OR/NAND/NOR/XOR/MUX2) with arbitrary
 //!   fan-in,
-//! * tri-state drivers and word-wide tri-state buses (the FIFO cells
+//! * tri-state drivers, single-bit and word-wide (the FIFO cells
 //!   broadcast dequeued data on a shared `get_data` bus),
 //! * edge-triggered D flip-flops and enable flip-flops (ETDFF) with
 //!   setup/hold checking and the [`MetaModel`](mtf_sim::MetaModel)
 //!   metastability model,
-//! * level-sensitive D latches and SR latches — the mixed-clock cell's
-//!   data-validity controller is an SR latch,
+//! * SR latches — the mixed-clock cell's data-validity controller is an
+//!   SR latch,
 //! * Muller C-elements, including the *asymmetric* variant that sequences
 //!   the asynchronous put operation in the async-sync cell (paper Fig. 9),
 //! * word-wide registers and latches for the data path,
@@ -73,7 +73,7 @@ pub mod verilog;
 mod word;
 
 pub use builder::Builder;
-pub use celement::{AsymCElement, CElement};
+pub use celement::CElement;
 pub use comb::{CombGate, GateFunc};
 pub use compile::{install_compiled, CompileReport};
 pub use engine::CompiledEngine;
@@ -81,7 +81,6 @@ pub use kind::CellKind;
 pub use netlist::{
     CellDelays, DelayTable, ElabInfo, FlopElab, FlopTiming, Instance, InstanceId, Netlist,
 };
-pub use seq::{DLatch, Dff, DffConfig, SrLatch};
-pub use tristate::TriBuf;
+pub use seq::{Dff, DffConfig, SrLatch};
 pub use verilog::{to_verilog, Port, PortDir};
 pub use word::{LatchWord, RegisterWord, TriWord};

@@ -133,8 +133,6 @@ pub struct CellDelays {
     pub dff_cq: Time,
     /// Enable flip-flop clock-to-Q delay.
     pub etdff_cq: Time,
-    /// D-latch delay (enable or data to output while transparent).
-    pub dlatch: Time,
     /// SR-latch set/reset-to-output delay.
     pub srlatch: Time,
     /// C-element delay.
@@ -169,7 +167,6 @@ impl CellDelays {
             tribuf: ps(300),
             dff_cq: ps(400),
             etdff_cq: ps(450),
-            dlatch: ps(300),
             srlatch: ps(350),
             celement: ps(400),
             acelement: ps(450),
@@ -181,36 +178,43 @@ impl CellDelays {
         }
     }
 
-    /// Delays for the paper's *custom* transistor-level circuits: the
+    /// How much faster the paper's custom transistor-level circuits are
+    /// than the generic [`CellDelays::hp06`] standard-cell mapping: the
     /// published 0.6 µm throughputs (≈565 MHz mixed-clock put) imply
     /// critical paths of only a handful of FO4 delays, i.e. aggressive
-    /// transistor sizing roughly 2.4× faster than a generic standard-cell
-    /// mapping. This calibration scales [`CellDelays::hp06`] by that
-    /// factor; the Table 1 harness uses it so absolute numbers land near
-    /// the paper's, while `hp06` stays the honest library-cell model.
+    /// transistor sizing roughly 2.4× faster. [`CellDelays::hp06_custom`]
+    /// scales every delay by it, and `mtf-timing`'s `Tech::hp06_custom`
+    /// every drive resistance.
+    pub const CUSTOM_SIZING: f64 = 0.42;
+
+    /// Delays for the paper's *custom* transistor-level circuits:
+    /// [`CellDelays::hp06`] scaled by [`CellDelays::CUSTOM_SIZING`]
+    /// (rounded to the picosecond). The Table 1 harness uses it so
+    /// absolute numbers land near the paper's, while `hp06` stays the
+    /// honest library-cell model.
     pub fn hp06_custom() -> Self {
-        let ps = |v: u64| Time::from_ps((v as f64 * 0.42).round() as u64);
+        let s = |t: Time| Time::from_ps((t.as_ps() as f64 * Self::CUSTOM_SIZING).round() as u64);
+        let h = Self::hp06();
         CellDelays {
-            buf: ps(200),
-            inv: ps(150),
-            nand2: ps(200),
-            nor2: ps(250),
-            and2: ps(320),
-            or2: ps(360),
-            xor2: ps(450),
-            mux2: ps(400),
-            tribuf: ps(300),
-            dff_cq: ps(400),
-            etdff_cq: ps(450),
-            dlatch: ps(300),
-            srlatch: ps(350),
-            celement: ps(400),
-            acelement: ps(450),
-            register_cq: ps(500),
-            latchword: ps(350),
-            triword: ps(350),
-            setup: ps(250),
-            hold: ps(100),
+            buf: s(h.buf),
+            inv: s(h.inv),
+            nand2: s(h.nand2),
+            nor2: s(h.nor2),
+            and2: s(h.and2),
+            or2: s(h.or2),
+            xor2: s(h.xor2),
+            mux2: s(h.mux2),
+            tribuf: s(h.tribuf),
+            dff_cq: s(h.dff_cq),
+            etdff_cq: s(h.etdff_cq),
+            srlatch: s(h.srlatch),
+            celement: s(h.celement),
+            acelement: s(h.acelement),
+            register_cq: s(h.register_cq),
+            latchword: s(h.latchword),
+            triword: s(h.triword),
+            setup: s(h.setup),
+            hold: s(h.hold),
         }
     }
 
@@ -230,7 +234,6 @@ impl CellDelays {
             tribuf: d,
             dff_cq: d,
             etdff_cq: d,
-            dlatch: d,
             srlatch: d,
             celement: d,
             acelement: d,
@@ -259,7 +262,6 @@ impl CellDelays {
             CellKind::TriBuf => self.tribuf,
             CellKind::Dff => self.dff_cq,
             CellKind::Etdff => self.etdff_cq,
-            CellKind::DLatch => self.dlatch,
             CellKind::SrLatch => self.srlatch,
             CellKind::CElement => self.celement,
             CellKind::AsymCElement => self.acelement,

@@ -1,5 +1,5 @@
-//! Sequential single-bit cells: D flip-flop (with optional enable),
-//! D latch, SR latch.
+//! Sequential single-bit cells: D flip-flop (with optional enable) and
+//! SR latch.
 
 use mtf_sim::{Component, Ctx, DriverId, Logic, MetaModel, NetId, Time, Violation, ViolationKind};
 
@@ -389,87 +389,6 @@ impl Component for Dff {
             ctx.sleep_from(from);
         }
         self.listen(ctx);
-    }
-}
-
-/// A level-sensitive D latch: transparent while `en` is high, opaque while
-/// low.
-pub struct DLatch {
-    name: String,
-    en: NetId,
-    d: NetId,
-    q: DriverId,
-    state: Logic,
-    started: bool,
-    delays: DelayTable,
-    inst: usize,
-}
-
-impl std::fmt::Debug for DLatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DLatch").field("name", &self.name).finish()
-    }
-}
-
-impl DLatch {
-    /// Creates the behavioural half of a D-latch instance.
-    pub fn new(
-        name: impl Into<String>,
-        en: NetId,
-        d: NetId,
-        q: DriverId,
-        init: Logic,
-        delays: DelayTable,
-        inst: usize,
-    ) -> Self {
-        DLatch {
-            name: name.into(),
-            en,
-            d,
-            q,
-            state: init,
-            started: false,
-            delays,
-            inst,
-        }
-    }
-}
-
-impl Component for DLatch {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> &'static str {
-        CellKind::DLatch.name()
-    }
-
-    fn eval(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.started {
-            self.started = true;
-            ctx.drive(self.q, self.state, Time::ZERO);
-            return; // see CElement::eval — do not supersede the init drive
-        }
-        let en = ctx.get(self.en);
-        let d = ctx.get(self.d);
-        let next = match en {
-            // Transparent: follow the data, including a still-pending Z.
-            Logic::H => d,
-            // Z enable = not driven yet = opaque (see SrLatch::next_state
-            // for the power-up rationale).
-            Logic::L | Logic::Z => self.state,
-            // Unknown enable: only safe if the data equals the held state.
-            _ => {
-                if d == self.state && d.is_definite() {
-                    self.state
-                } else {
-                    Logic::X
-                }
-            }
-        };
-        self.state = next;
-        let delay = self.delays.borrow()[self.inst];
-        ctx.drive(self.q, next, delay);
     }
 }
 

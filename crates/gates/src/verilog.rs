@@ -188,14 +188,7 @@ pub fn to_verilog(module_name: &str, netlist: &Netlist, sim: &Simulator, ports: 
                     outs[0], ins[0], ins[2], ins[1]
                 );
             }
-            CellKind::TriBuf => {
-                let _ = writeln!(
-                    body,
-                    "  assign {} = {} ? {} : 1'bz;",
-                    outs[0], ins[0], ins[1]
-                );
-            }
-            CellKind::TriWord => {
+            CellKind::TriBuf | CellKind::TriWord => {
                 for (bit, o) in outs.iter().enumerate() {
                     let _ = writeln!(
                         body,
@@ -239,14 +232,6 @@ pub fn to_verilog(module_name: &str, netlist: &Netlist, sim: &Simulator, ports: 
                         clk.as_deref().unwrap_or("1'b0"),
                     );
                 }
-            }
-            CellKind::DLatch => {
-                lib_needed.insert("MTF_DLATCH");
-                let _ = writeln!(
-                    body,
-                    "  MTF_DLATCH {iname} (.q({}), .en({}), .d({}));",
-                    outs[0], ins[0], ins[1]
-                );
             }
             CellKind::LatchWord => {
                 lib_needed.insert("MTF_DLATCH");

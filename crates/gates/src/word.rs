@@ -15,7 +15,7 @@ use mtf_sim::{Component, Ctx, DriverId, Logic, LogicVec, NetId, Time, Violation,
 use crate::kind::CellKind;
 use crate::netlist::DelayTable;
 use crate::seq::{captured, quiet_from, setup_violation};
-use crate::tristate::TriBuf;
+use crate::tristate::{enable_holds, output_value};
 
 /// The clocking rules of a word register — the power-on drive, the
 /// enable match, `Z`→`X` capture and the setup check on the data pins —
@@ -290,12 +290,17 @@ impl Component for LatchWord {
 
 /// A W-bit tri-state driver bank with a shared enable — the read port a
 /// FIFO cell uses to broadcast its word on the common `get_data` bus.
+/// Each bit drives its data onto its bus net while the enable is high and
+/// contributes `Z` while low; exactly one cell (the get-token holder)
+/// enables its drivers in any cycle. A single-bit driver (kind `TRIBUF`)
+/// is a one-bit bank.
 ///
 /// Once every bit's drive was elided with the enable not `H`, its output
 /// no longer depends on the data, so the bank waits for the enable alone
 /// ([`Ctx::sleep_until_change`]).
 pub struct TriWord {
     name: String,
+    kind: CellKind,
     en: NetId,
     d: Vec<NetId>,
     out: Vec<DriverId>,
@@ -307,15 +312,18 @@ impl std::fmt::Debug for TriWord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TriWord")
             .field("name", &self.name)
+            .field("kind", &self.kind)
             .field("width", &self.d.len())
             .finish()
     }
 }
 
 impl TriWord {
-    /// Creates the behavioural half of a word tri-state instance.
+    /// Creates the behavioural half of a tri-state instance of `kind`
+    /// ([`CellKind::TriWord`], or [`CellKind::TriBuf`] for one bit).
     pub fn new(
         name: impl Into<String>,
+        kind: CellKind,
         en: NetId,
         d: Vec<NetId>,
         out: Vec<DriverId>,
@@ -325,6 +333,7 @@ impl TriWord {
         assert_eq!(d.len(), out.len(), "d/out width mismatch");
         TriWord {
             name: name.into(),
+            kind,
             en,
             d,
             out,
@@ -340,7 +349,7 @@ impl Component for TriWord {
     }
 
     fn kind(&self) -> &'static str {
-        CellKind::TriWord.name()
+        self.kind.name()
     }
 
     fn eval(&mut self, ctx: &mut Ctx<'_>) {
@@ -348,10 +357,10 @@ impl Component for TriWord {
         let delay = self.delays.borrow()[self.inst];
         let mut elided = true;
         for (i, &dn) in self.d.iter().enumerate() {
-            let v = TriBuf::output_value(en, ctx.get(dn));
+            let v = output_value(en, ctx.get(dn));
             elided &= ctx.drive(self.out[i], v, delay);
         }
-        if elided && TriBuf::enable_holds(en) {
+        if elided && enable_holds(en) {
             ctx.sleep_until_change(self.en);
         }
     }
@@ -379,12 +388,9 @@ mod tests {
         for n in 1..=2 {
             let all = level_vectors(n + 1);
             let out = |v: &[Logic]| -> Vec<Logic> {
-                v[1..]
-                    .iter()
-                    .map(|&d| TriBuf::output_value(v[0], d))
-                    .collect()
+                v[1..].iter().map(|&d| output_value(v[0], d)).collect()
             };
-            for v in all.iter().filter(|v| TriBuf::enable_holds(v[0])) {
+            for v in all.iter().filter(|v| enable_holds(v[0])) {
                 for w in all.iter().filter(|w| w[0] == v[0]) {
                     assert_eq!(out(v), out(w), "{v:?} vs {w:?}");
                 }

@@ -5,6 +5,11 @@
 //! value, so its rising evaluations queue a drive; its data inputs then
 //! change between rises, outside the flops' hold windows, and wake
 //! nothing (the pins are sampled, see `Simulator::add_sampling_component`).
+//!
+//! A second design pins the tri-state drivers and C-elements, whose kind
+//! names the cell stores rather than its type: a single-bit (`TRIBUF`)
+//! and a word (`TRIWORD`) driver, a symmetric (`CELEM`) and an asymmetric
+//! (`ACELEM`) C-element.
 
 use mtf_gates::Builder;
 use mtf_sim::{ClockGen, KindCount, Logic, Simulator, Time};
@@ -50,6 +55,48 @@ fn kind_counts_are_pinned() {
             count("ETDFF", [11, 0, 10, 0]),
             count("INV", [22, 2, 0, 0]),
             count("REG", [11, 0, 10, 0]),
+            count("clock", [20, 0, 0, 0]),
+        ]
+    );
+}
+
+/// The toggle DFF's `q` and the clock feed a symmetric and an asymmetric
+/// C-element; one single-bit driver per clock phase puts one of them on a
+/// shared bit, and a word driver puts both on a 2-bit bus while `q` is
+/// high.
+fn cell_counts() -> Vec<KindCount> {
+    let mut sim = Simulator::new(1);
+    sim.enable_kind_counts();
+    let clk = sim.net("clk");
+    ClockGen::spawn_simple(&mut sim, clk, Time::from_ns(2));
+    let mut b = Builder::new(&mut sim);
+    let d = b.input("d");
+    let q = b.dff(clk, d, Logic::L);
+    b.inv_onto(q, d);
+    let c = b.celement(&[clk, q], Logic::L);
+    let a = b.acelement(&[clk], &[q], Logic::L);
+    let bit = b.input("bit");
+    b.tribuf_onto(clk, c, bit);
+    let nclk = b.inv(clk);
+    b.tribuf_onto(nclk, a, bit);
+    let word = b.input_bus("word", 2);
+    b.tri_word_onto(q, &[c, a], &word);
+    b.finish();
+    sim.run_until(Time::from_ns(20)).expect("cells run");
+    sim.kind_counts()
+}
+
+#[test]
+fn tri_state_and_c_element_counts_are_pinned() {
+    assert_eq!(
+        cell_counts(),
+        [
+            count("ACELEM", [30, 6, 0, 0]),
+            count("CELEM", [25, 15, 0, 0]),
+            count("DFF", [11, 0, 10, 0]),
+            count("INV", [32, 2, 0, 0]),
+            count("TRIBUF", [68, 16, 0, 0]),
+            count("TRIWORD", [30, 6, 0, 0]),
             count("clock", [20, 0, 0, 0]),
         ]
     );

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use mtf_core::design::FlagDiscipline;
-use mtf_core::{DesignKind, FifoParams};
+use mtf_core::{anticipation_window, DesignKind, FifoParams};
 
 /// A flag discipline as recovered from netlist structure, with the
 /// structural evidence (depths, windows, group counts) attached.
@@ -220,8 +220,8 @@ impl InterfaceContract {
 
     /// Diffs this derived contract against the declared `DesignKind`
     /// mapping, expecting synchronizer chains of `expected_stages` and the
-    /// matching anticipation window `expected_stages.max(2)`. Empty means
-    /// the declaration is structurally justified.
+    /// matching [`anticipation_window`]. Empty means the declaration is
+    /// structurally justified.
     pub fn diff(&self, expected_stages: usize) -> Vec<ContractMismatch> {
         let mut out = Vec::new();
         let sides = [
@@ -252,7 +252,7 @@ impl InterfaceContract {
                 }
             }
             if let Some(w) = pc.discipline.window() {
-                let want = expected_stages.max(2);
+                let want = anticipation_window(expected_stages);
                 if w != want {
                     out.push(ContractMismatch {
                         kind: self.kind,

@@ -35,7 +35,7 @@ fn sensitive_pins(model: &LintModel<'_>, id: InstanceId) -> Vec<(&'static str, u
     let inst = model.inst(id);
     let pin = |i: usize| inst.data_in[i].index();
     match inst.kind {
-        CellKind::DLatch | CellKind::LatchWord => vec![("en", pin(0))],
+        CellKind::LatchWord => vec![("en", pin(0))],
         CellKind::SrLatch => vec![("s", pin(0)), ("r", pin(1))],
         CellKind::CElement | CellKind::AsymCElement | CellKind::Macro => {
             inst.data_in.iter().map(|n| ("in", n.index())).collect()

@@ -22,8 +22,8 @@ pub struct StateElements {
     pub datapath_bits: usize,
     /// Single-bit edge-triggered cells (`Dff`, `Etdff`).
     pub flop_bits: usize,
-    /// Single-bit level-sensitive / asynchronous cells (`DLatch`,
-    /// `SrLatch`, `CElement`, `AsymCElement`).
+    /// Single-bit level-sensitive / asynchronous cells (`SrLatch`,
+    /// `CElement`, `AsymCElement`).
     pub latch_bits: usize,
     /// Behavioural macro engines (state invisible to the netlist).
     pub macros: usize,

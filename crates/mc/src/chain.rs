@@ -25,7 +25,7 @@
 //! one source choice, one boundary edge, one requesting sink edge per
 //! round.
 
-use crate::fifo::{check_bounds, token_budget, Fault, FlagPipe, TokenQueue};
+use crate::fifo::{check_bounds, full_raw, ne_raw, token_budget, Fault, FlagPipe, TokenQueue};
 use crate::space::{
     join_halves, Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict,
 };
@@ -58,18 +58,6 @@ impl ChainModel {
             sync_stages,
             max_tokens: token_budget(cap1.saturating_add(cap2)).unwrap_or(u8::MAX),
         }
-    }
-
-    fn window(&self) -> usize {
-        self.sync_stages.max(2)
-    }
-
-    fn full2_raw(&self, len: usize) -> bool {
-        len + self.window() > self.cap2
-    }
-
-    fn ne_raw(&self, len: usize) -> bool {
-        len < self.window()
     }
 }
 
@@ -164,12 +152,13 @@ impl ChainModel {
         }
         // Stage 1 empty chains: pre-edge samples (dequeues commit
         // mid-cycle); the oe re-arm ORs this edge's enable.
-        n.ne1.shift(self.ne_raw(len1), k);
+        n.ne1.shift(ne_raw(len1, self.sync_stages), k);
         n.oe1.shift(len1 == 0, k);
         n.oe1.rearm(en, k);
         // Stage 2 full chain: post-edge sample (the claim precedes the
         // latching edge, so this edge's transfer is already counted).
-        n.full2.shift(self.full2_raw(n.q2.len()), k);
+        n.full2
+            .shift(full_raw(n.q2.len(), self.cap2, self.sync_stages), k);
         (code, n)
     }
 
@@ -191,7 +180,7 @@ impl ChainModel {
                 n.fault = Some(Fault::Loss);
             }
         }
-        n.ne2.shift(self.ne_raw(len2), k);
+        n.ne2.shift(ne_raw(len2, self.sync_stages), k);
         n.oe2.shift(len2 == 0, k);
         n.oe2.rearm(en, k);
         let code = if attempt { SINK | REQ } else { SINK };

@@ -7,8 +7,9 @@
 //! (a ring with in-order puts and gets), so each design's gate-level
 //! full/empty detectors are functions of the occupancy *count* alone:
 //!
-//! * anticipating full (paper Fig. 6, window `w = sync_stages.max(2)`)
-//!   raises while `w − 1` or fewer cells are free: `len ≥ C − w + 1`;
+//! * anticipating full (paper Fig. 6, window `w =`
+//!   [`anticipation_window`]`(sync_stages)`) raises while `w − 1` or
+//!   fewer cells are free: `len ≥ C − w + 1`;
 //! * anticipating new-empty raises while `w − 1` or fewer items remain:
 //!   `len ≤ w − 1`;
 //! * once-empty raises only at `len = 0`.
@@ -88,7 +89,7 @@
 //! [`CountPipe`] of as many stages. [`check_fifo`] refuses a model that
 //! does not fit instead of panicking mid-exploration.
 
-use mtf_core::FlagDiscipline;
+use mtf_core::{anticipation_window, FlagDiscipline};
 
 use crate::space::{
     join_halves, Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict,
@@ -285,20 +286,18 @@ impl FifoModel {
         self.ne_only = true;
         self
     }
+}
 
-    /// Anticipation window of the occupancy detectors (mirrors the
-    /// netlists' `sync_stages.max(2)`).
-    fn window(&self) -> usize {
-        self.sync_stages.max(2)
-    }
+/// The raw anticipating full flag at occupancy `len` of a `capacity`-place
+/// FIFO: fewer free places than the netlists' [`anticipation_window`].
+pub(crate) fn full_raw(len: usize, capacity: usize, sync_stages: usize) -> bool {
+    len + anticipation_window(sync_stages) > capacity
+}
 
-    fn full_raw(&self, len: usize) -> bool {
-        len + self.window() > self.capacity
-    }
-
-    fn ne_raw(&self, len: usize) -> bool {
-        len < self.window()
-    }
+/// The raw anticipating new-empty flag at occupancy `len`: fewer items
+/// than the [`anticipation_window`].
+pub(crate) fn ne_raw(len: usize, sync_stages: usize) -> bool {
+    len < anticipation_window(sync_stages)
 }
 
 /// A protocol violation — absorbing once reached.
@@ -457,7 +456,9 @@ impl FifoModel {
     /// crossing the synchronizer right now)?
     fn put_flag_in_flight(&self, s: &FifoState) -> bool {
         match self.put {
-            FlagDiscipline::Anticipating => self.full_raw(s.q.len()) != s.full_pipe.newest(),
+            FlagDiscipline::Anticipating => {
+                full_raw(s.q.len(), self.capacity, self.sync_stages) != s.full_pipe.newest()
+            }
             FlagDiscipline::Exact => s.delivered != s.rd_pipe.newest(),
             _ => false,
         }
@@ -516,7 +517,9 @@ impl FifoModel {
         // warning the anticipation margin needs — see module docs).
         let k = self.sync_stages;
         match self.put {
-            FlagDiscipline::Anticipating => n.full_pipe.shift(self.full_raw(n.q.len()), k),
+            FlagDiscipline::Anticipating => n
+                .full_pipe
+                .shift(full_raw(n.q.len(), self.capacity, self.sync_stages), k),
             FlagDiscipline::Exact => n.rd_pipe.shift(s.delivered, k),
             _ => {}
         }
@@ -554,7 +557,7 @@ impl FifoModel {
         // Shift the get-side pipes.
         match self.get {
             FlagDiscipline::Bimodal => {
-                n.ne_pipe.shift(self.ne_raw(len), k);
+                n.ne_pipe.shift(ne_raw(len, self.sync_stages), k);
                 // oe: stage 0 samples raw; later stages OR in this
                 // cycle's en_get (the re-arm of build_bimodal_empty).
                 n.oe_pipe.shift(len == 0, k);

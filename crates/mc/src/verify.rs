@@ -1,7 +1,8 @@
-//! Verification of controller nets through [`check_stg`]: the shipped
-//! DV controllers are clean for every cell index, and each fault planted
-//! in a small hand-made or mutated net is refuted by the matching verdict
-//! or refused by validation.
+//! Verification of controller nets through
+//! [`check_stg`](crate::check_stg): the shipped DV controllers are clean
+//! for every cell index, and each fault planted in a small hand-made or
+//! mutated net is refuted by the matching verdict or refused by
+//! validation.
 
 #[cfg(test)]
 mod tests {

@@ -279,9 +279,4 @@ impl<'a> Ctx<'a> {
     pub fn request_stop(&mut self) {
         self.sim.request_stop();
     }
-
-    /// This component's own id (useful for logging).
-    pub fn id(&self) -> ComponentId {
-        self.me
-    }
 }

@@ -637,12 +637,6 @@ impl Simulator {
         id
     }
 
-    /// Additionally subscribes an existing component to every change of
-    /// `net`.
-    pub fn watch(&mut self, comp: ComponentId, net: NetId) {
-        self.subscribe(comp, net, Watch::Change);
-    }
-
     /// Adds `comp` to `net`'s watcher list once; a net subscribed in two
     /// modes is watched on every change.
     fn subscribe(&mut self, comp: ComponentId, net: NetId, mode: Watch) {
@@ -760,11 +754,6 @@ impl Simulator {
     /// Violations of one kind.
     pub fn violations_of(&self, kind: ViolationKind) -> impl Iterator<Item = &Violation> {
         self.violations.iter().filter(move |v| v.kind == kind)
-    }
-
-    /// True once a component has called [`Ctx::request_stop`].
-    pub fn stopped(&self) -> bool {
-        self.stop_requested
     }
 
     /// Total number of events processed since construction.

@@ -26,16 +26,14 @@ pub fn cell_transistors(kind: CellKind, fan_in: usize, outputs: usize) -> u64 {
         CellKind::And | CellKind::Or => 6 + 2 * extra_in,
         CellKind::Xor => 8,
         CellKind::Mux2 => 10,
-        CellKind::TriBuf => 6,
         CellKind::Dff => 20,
         CellKind::Etdff => 24,
-        CellKind::DLatch => 12,
         CellKind::SrLatch => 8,
         CellKind::CElement => 8 + 2 * extra_in,
         CellKind::AsymCElement => 10 + 2 * extra_in,
         CellKind::Register => 24 * w,
         CellKind::LatchWord => 12 * w,
-        CellKind::TriWord => 6 * w,
+        CellKind::TriBuf | CellKind::TriWord => 6 * w,
         // A synthesized burst-mode / Petri-net controller: rough figure
         // consistent with Minimalist/Petrify outputs for 2-input specs.
         CellKind::Macro => 60,

@@ -1,6 +1,6 @@
 //! The lumped-RC technology model and the delay annotator.
 
-use mtf_gates::{CellKind, Instance, Netlist};
+use mtf_gates::{CellDelays, CellKind, Instance, Netlist};
 use mtf_sim::Time;
 
 /// Technology parameters for the delay model:
@@ -48,14 +48,16 @@ impl Tech {
     }
 
     /// The custom-circuit calibration matching
-    /// [`CellDelays::hp06_custom`](mtf_gates::CellDelays::hp06_custom):
-    /// drive resistances scaled by the same 2.4× sizing factor.
+    /// [`CellDelays::hp06_custom`]: drive resistances scaled by the same
+    /// [`CellDelays::CUSTOM_SIZING`].
     pub fn hp06_custom() -> Self {
+        let hp06 = Tech::hp06();
+        let s = CellDelays::CUSTOM_SIZING;
         Tech {
-            r_gate: 2.6 * 0.42,
-            r_ff: 2.2 * 0.42,
-            r_tri: 2.0 * 0.42,
-            ..Tech::hp06()
+            r_gate: hp06.r_gate * s,
+            r_ff: hp06.r_ff * s,
+            r_tri: hp06.r_tri * s,
+            ..hp06
         }
     }
 

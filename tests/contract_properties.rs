@@ -13,7 +13,7 @@
 //! persisted seeds with `PROPTEST_CASES=1`.
 
 use mtf_core::design::DesignRegistry;
-use mtf_core::{FifoParams, MixedTimingDesign};
+use mtf_core::{anticipation_window, FifoParams, MixedTimingDesign};
 use mtf_lint::infer_contract;
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ proptest! {
         // The detector generators require capacity > window (the cyclic
         // AND groups must outnumber the occupancy window, or full/empty
         // could never deassert); stay on the supported side.
-        if capacity <= sync_stages.max(2) {
+        if capacity <= anticipation_window(sync_stages) {
             return Ok(());
         }
         let params = FifoParams::with_sync_stages(capacity, width, sync_stages);
