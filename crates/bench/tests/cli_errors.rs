@@ -97,6 +97,32 @@ fn lint_and_timing_reject_unbuildable_points() {
 }
 
 #[test]
+fn capacities_past_the_bound_are_rejected() {
+    // Unbounded, each of these elaborated for longer than 30 s.
+    for (bin, args, got) in [
+        (
+            env!("CARGO_BIN_EXE_timing"),
+            &["--capacity", "1000000"][..],
+            1_000_000,
+        ),
+        (
+            env!("CARGO_BIN_EXE_lint"),
+            &["--capacity", "100000"][..],
+            100_000,
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--json", "--cell", "mixed_clock:100000x8"][..],
+            100_000,
+        ),
+    ] {
+        let e = usage_error(bin, args);
+        let expect = format!("capacity must be at most 256 (got {got})");
+        assert!(e.contains(&expect), "{args:?}: {e}");
+    }
+}
+
+#[test]
 fn export_verilog_rejects_bad_positionals_without_writing() {
     for (args, expect) in [
         (["2", "8"], "capacity must be at least 3 (got 2)"),

@@ -98,6 +98,6 @@ pub use detectors::{
     anticipation_window, build_bimodal_empty, build_full_detector, build_ne_detector,
     build_oe_detector,
 };
-pub use params::{FifoParams, ParamError};
+pub use params::{FifoParams, ParamError, MAX_CAPACITY};
 pub use sync_relay::{RelayPort, SyncRelayStation, RS_CQ};
 pub use waivers::{waivers_for, LintWaiver};

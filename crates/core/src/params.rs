@@ -2,6 +2,14 @@
 
 use std::fmt;
 
+/// The largest buildable capacity. Every design, test and experiment in
+/// the workspace uses at most 16 cells; the bound keeps a point that
+/// comes from outside the program (`--capacity`, `--cell`) from
+/// elaborating a netlist whose analyses run for minutes: the netlist lint
+/// grows faster than quadratically in the cell count (about 3 s at 256
+/// cells, over 2 min at 1,024, release build on a 2-vCPU Xeon).
+pub const MAX_CAPACITY: usize = 256;
+
 /// Parameters of a FIFO or relay-station instance.
 ///
 /// The paper's Table 1 sweeps `capacity` over {4, 8, 16} and `width` over
@@ -12,7 +20,8 @@ use std::fmt;
 pub struct FifoParams {
     /// Number of cells in the circular array. Must be at least 3: the
     /// anticipating detectors declare an `n`-place FIFO full/empty with one
-    /// place in reserve, so 2 places would leave no usable capacity.
+    /// place in reserve, so 2 places would leave no usable capacity. At
+    /// most [`MAX_CAPACITY`].
     pub capacity: usize,
     /// Data width in bits (excluding the validity bit the cell stores
     /// alongside).
@@ -26,8 +35,9 @@ impl FifoParams {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity < 3`, `width == 0` or `width > 63` (one extra
-    /// bit is reserved for validity and journals carry `u64` values).
+    /// Panics if `capacity < 3` or `capacity > MAX_CAPACITY` (256), or
+    /// if `width == 0` or `width > 63` (one extra bit is reserved for
+    /// validity and journals carry `u64` values).
     pub fn new(capacity: usize, width: usize) -> Self {
         Self::with_sync_stages(capacity, width, 2)
     }
@@ -36,7 +46,8 @@ impl FifoParams {
     ///
     /// # Panics
     ///
-    /// As [`FifoParams::new`], plus `sync_stages == 0`.
+    /// As [`FifoParams::new`] (a capacity outside `3..=MAX_CAPACITY`, a
+    /// width outside `1..=63`), plus `sync_stages == 0`.
     pub fn with_sync_stages(capacity: usize, width: usize, sync_stages: usize) -> Self {
         Self::try_with_sync_stages(capacity, width, sync_stages).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -55,7 +66,7 @@ impl FifoParams {
         width: usize,
         sync_stages: usize,
     ) -> Result<Self, ParamError> {
-        if capacity < 3 {
+        if !(3..=MAX_CAPACITY).contains(&capacity) {
             return Err(ParamError::Capacity(capacity));
         }
         if width == 0 || width > 63 {
@@ -75,7 +86,7 @@ impl FifoParams {
 /// Why a parameter point cannot be built ([`FifoParams::try_new`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ParamError {
-    /// Fewer than 3 cells.
+    /// Fewer than 3 cells, or more than [`MAX_CAPACITY`].
     Capacity(usize),
     /// A data width outside `1..=63`.
     Width(usize),
@@ -86,7 +97,12 @@ pub enum ParamError {
 impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParamError::Capacity(c) => write!(f, "capacity must be at least 3 (got {c})"),
+            ParamError::Capacity(c) if *c < 3 => {
+                write!(f, "capacity must be at least 3 (got {c})")
+            }
+            ParamError::Capacity(c) => {
+                write!(f, "capacity must be at most {MAX_CAPACITY} (got {c})")
+            }
             ParamError::Width(w) => write!(f, "width must be in 1..=63 (got {w})"),
             ParamError::SyncStages => f.write_str("at least one synchronizer stage required"),
         }
@@ -122,6 +138,19 @@ mod tests {
     fn checked_constructor_names_the_broken_rule() {
         assert_eq!(FifoParams::try_new(4, 8), Ok(FifoParams::new(4, 8)));
         assert_eq!(FifoParams::try_new(0, 8), Err(ParamError::Capacity(0)));
+        assert!(FifoParams::try_new(MAX_CAPACITY, 8).is_ok());
+        assert_eq!(
+            FifoParams::try_new(MAX_CAPACITY + 1, 8),
+            Err(ParamError::Capacity(MAX_CAPACITY + 1))
+        );
+        assert_eq!(
+            ParamError::Capacity(2).to_string(),
+            "capacity must be at least 3 (got 2)"
+        );
+        assert_eq!(
+            ParamError::Capacity(100_000).to_string(),
+            "capacity must be at most 256 (got 100000)"
+        );
         assert_eq!(FifoParams::try_new(4, 64), Err(ParamError::Width(64)));
         assert_eq!(
             FifoParams::try_with_sync_stages(4, 8, 0),

@@ -25,6 +25,8 @@
 //! one source choice, one boundary edge, one requesting sink edge per
 //! round.
 
+use std::hash::{Hash, Hasher};
+
 use crate::fifo::{check_bounds, full_raw, ne_raw, token_budget, Fault, FlagPipe, TokenQueue};
 use crate::space::{
     join_halves, Counterexample, Move, Property, StateSpace, TransitionSystem, Verdict,
@@ -63,7 +65,7 @@ impl ChainModel {
 
 /// One abstract chain state. Tokens are numbered globally in issue
 /// order; they move `q1` → `q2` → delivered.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ChainState {
     /// Stage 1 content, oldest first.
     pub q1: TokenQueue,
@@ -85,6 +87,39 @@ pub struct ChainState {
     pub oe2: FlagPipe,
     /// Absorbing protocol violation.
     pub fault: Option<Fault>,
+}
+
+impl ChainState {
+    /// The state packed into four words, one-to-one: each stage's slots,
+    /// then the byte-sized fields.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        // A queue holds at most `MAX_CAP` (8) tokens, so its length is a byte.
+        let len = |q: TokenQueue| q.len() as u8;
+        [
+            self.q1.slots(),
+            self.q2.slots(),
+            u64::from_le_bytes([
+                len(self.q1),
+                len(self.q2),
+                self.issued,
+                self.delivered,
+                self.ne1.bits(),
+                self.oe1.bits(),
+                self.full2.bits(),
+                self.ne2.bits(),
+            ]),
+            u64::from(self.oe2.bits()) | u64::from(Fault::code(self.fault)) << 8,
+        ]
+    }
+}
+
+/// Hashes `ChainState::words`: equal states have equal words.
+impl Hash for ChainState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for w in self.words() {
+            h.write_u64(w);
+        }
+    }
 }
 
 // Move codes: bits 0–1 pick the source's label, bits 2–3 the boundary
@@ -372,6 +407,7 @@ pub fn check_chain(model: &ChainModel, budget: usize) -> Result<ChainCheck, Stri
 mod tests {
     use super::*;
     use crate::fifo::MAX_CAP;
+    use crate::space::assert_words_exact;
 
     #[test]
     fn small_chains_are_clean() {
@@ -414,6 +450,15 @@ mod tests {
         assert!(refusal(wide).contains("token budget"));
         let err = check_chain(&ChainModel::new(3, 4, 2), 10).expect_err("10 states");
         assert!(err.contains("state budget 10 exhausted"), "{err}");
+    }
+
+    #[test]
+    fn packed_words_are_exact_on_the_chain_spaces() {
+        let m = ChainModel::new(3, 4, 2);
+        let c = check_chain(&m, 1 << 22).expect("in budget");
+        assert_words_exact(&c.space, ChainState::words);
+        let r = StateSpace::explore(&ChainRounds { model: &m }, 1 << 22);
+        assert_words_exact(&r, ChainState::words);
     }
 
     /// The liveness pass's round space at 3+4: its size and the shortest

@@ -88,6 +88,12 @@
 //! [`MAX_STAGES`] stages, an exact-discipline counter pipeline a
 //! [`CountPipe`] of as many stages. [`check_fifo`] refuses a model that
 //! does not fit instead of panicking mid-exploration.
+//!
+//! Each state also packs into a few `u64` words (`FifoState::words`),
+//! and its `Hash` writes only those: a derived `Hash` feeds the
+//! explorer's word hasher one field, array length or byte at a time.
+
+use std::hash::{Hash, Hasher};
 
 use mtf_core::{anticipation_window, FlagDiscipline};
 
@@ -109,8 +115,8 @@ pub(crate) fn token_budget(cells: usize) -> Option<u8> {
 }
 
 /// Up to [`MAX_CAP`] issue-order token numbers, oldest first. Slots past
-/// the length stay zero, so equal queues compare and hash equal.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+/// the length stay zero, so equal queues compare equal and pack alike.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TokenQueue {
     buf: [u8; MAX_CAP],
     len: u8,
@@ -125,6 +131,12 @@ impl TokenQueue {
     /// True if no token is held.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The slots as one word, oldest token in the low byte. With
+    /// [`TokenQueue::len`] it determines the queue.
+    pub(crate) fn slots(self) -> u64 {
+        u64::from_le_bytes(self.buf)
     }
 
     pub(crate) fn push(&mut self, token: u8) {
@@ -144,7 +156,7 @@ impl TokenQueue {
 
 /// A `k`-stage synchronizer of one flag: bit 0 is the newest sample, bit
 /// `k − 1` the one the interface observes; higher bits stay zero.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FlagPipe(u8);
 
 impl FlagPipe {
@@ -159,6 +171,11 @@ impl FlagPipe {
 
     fn newest(self) -> bool {
         self.0 & 1 != 0
+    }
+
+    /// Every stage, one bit each: the pipe's part of a packed state.
+    pub(crate) fn bits(self) -> u8 {
+        self.0
     }
 
     /// The last stage's value — what the interface sees.
@@ -183,7 +200,7 @@ impl FlagPipe {
 
 /// A `k`-stage pipeline of stale counter copies (the exact pointer
 /// discipline): stage 0 newest, stage `k − 1` observed, the rest zero.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CountPipe([u8; MAX_STAGES]);
 
 impl CountPipe {
@@ -198,6 +215,11 @@ impl CountPipe {
     fn shift(&mut self, x: u8, k: usize) {
         self.0.copy_within(..k - 1, 1);
         self.0[0] = x;
+    }
+
+    /// Every stage as one word, stage 0 in the low byte.
+    fn word(self) -> u64 {
+        u64::from_le_bytes(self.0)
     }
 }
 
@@ -311,10 +333,22 @@ pub enum Fault {
     Loss,
 }
 
+impl Fault {
+    /// A state's fault field as one byte: 0 for none.
+    pub(crate) fn code(fault: Option<Fault>) -> u8 {
+        match fault {
+            None => 0,
+            Some(Fault::Overflow) => 1,
+            Some(Fault::Underflow) => 2,
+            Some(Fault::Loss) => 3,
+        }
+    }
+}
+
 /// One abstract FIFO state. Tokens are numbered in issue order; `q` is
 /// the queue content, oldest first. Pipes a discipline does not use stay
 /// zero.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FifoState {
     /// Queue content, oldest first.
     pub q: TokenQueue,
@@ -338,6 +372,26 @@ pub struct FifoState {
 }
 
 impl FifoState {
+    /// The state packed into four words, one-to-one: the queue's slots,
+    /// the two count pipes, then the byte-sized fields.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        [
+            self.q.slots(),
+            self.rd_pipe.word(),
+            self.wr_pipe.word(),
+            u64::from_le_bytes([
+                self.q.len,
+                self.issued,
+                self.delivered,
+                self.full_pipe.bits(),
+                self.ne_pipe.bits(),
+                self.oe_pipe.bits(),
+                Fault::code(self.fault),
+                0,
+            ]),
+        ]
+    }
+
     fn enqueued(&self) -> u8 {
         self.delivered + self.q.len() as u8
     }
@@ -351,6 +405,15 @@ impl FifoState {
         } else {
             self.fault = Some(Fault::Loss);
             false
+        }
+    }
+}
+
+/// Hashes `FifoState::words`: equal states have equal words.
+impl Hash for FifoState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for w in self.words() {
+            h.write_u64(w);
         }
     }
 }
@@ -801,6 +864,10 @@ impl TransitionSystem for RoundSystem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainState;
+    use crate::space::assert_words_exact;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn mixed_clock(cap: usize, stages: usize) -> FifoModel {
         FifoModel::new(
@@ -937,5 +1004,130 @@ mod tests {
     fn tiny_state_budget_is_refused() {
         let err = check_fifo(&mixed_clock(3, 2), 10).expect_err("10 states cannot cover c3");
         assert!(err.contains("state budget 10 exhausted"), "{err}");
+    }
+
+    #[test]
+    fn packed_words_are_exact_on_the_registry_spaces() {
+        for dc in crate::designs::check_all().expect("in budget") {
+            assert_words_exact(&dc.check.space, FifoState::words);
+            let model = crate::designs::fifo_model(dc.kind, dc.capacity);
+            let rounds = StateSpace::explore(&RoundSystem { model: &model }, 1 << 21);
+            assert_words_exact(&rounds, FifoState::words);
+        }
+    }
+
+    fn queue(len: u8, tokens: &[u8]) -> TokenQueue {
+        let mut q = TokenQueue::default();
+        for &t in &tokens[..usize::from(len) % (MAX_CAP + 1)] {
+            q.push(t);
+        }
+        q
+    }
+
+    fn fault(b: u8) -> Option<Fault> {
+        [
+            None,
+            Some(Fault::Overflow),
+            Some(Fault::Underflow),
+            Some(Fault::Loss),
+        ][usize::from(b % 4)]
+    }
+
+    /// A FIFO state with every field drawn from `b` (31 bytes).
+    fn fifo_state(b: &[u8]) -> FifoState {
+        let pipe = |b: &[u8]| CountPipe(b.try_into().expect("8 bytes"));
+        FifoState {
+            q: queue(b[0], &b[1..9]),
+            issued: b[9],
+            delivered: b[10],
+            full_pipe: FlagPipe(b[11]),
+            ne_pipe: FlagPipe(b[12]),
+            oe_pipe: FlagPipe(b[13]),
+            rd_pipe: pipe(&b[14..22]),
+            wr_pipe: pipe(&b[22..30]),
+            fault: fault(b[30]),
+        }
+    }
+
+    /// A chain state with every field drawn from `b` (26 bytes).
+    fn chain_state(b: &[u8]) -> ChainState {
+        ChainState {
+            q1: queue(b[0], &b[1..9]),
+            q2: queue(b[9], &b[10..18]),
+            issued: b[18],
+            delivered: b[19],
+            ne1: FlagPipe(b[20]),
+            oe1: FlagPipe(b[21]),
+            full2: FlagPipe(b[22]),
+            ne2: FlagPipe(b[23]),
+            oe2: FlagPipe(b[24]),
+            fault: fault(b[25]),
+        }
+    }
+
+    /// Copies one field from the second state into the first.
+    type Graft<S> = fn(&mut S, &S);
+
+    const FIFO_FIELDS: [Graft<FifoState>; 9] = [
+        |a, b| a.q = b.q,
+        |a, b| a.issued = b.issued,
+        |a, b| a.delivered = b.delivered,
+        |a, b| a.full_pipe = b.full_pipe,
+        |a, b| a.ne_pipe = b.ne_pipe,
+        |a, b| a.oe_pipe = b.oe_pipe,
+        |a, b| a.rd_pipe = b.rd_pipe,
+        |a, b| a.wr_pipe = b.wr_pipe,
+        |a, b| a.fault = b.fault,
+    ];
+
+    const CHAIN_FIELDS: [Graft<ChainState>; 10] = [
+        |a, b| a.q1 = b.q1,
+        |a, b| a.q2 = b.q2,
+        |a, b| a.issued = b.issued,
+        |a, b| a.delivered = b.delivered,
+        |a, b| a.ne1 = b.ne1,
+        |a, b| a.oe1 = b.oe1,
+        |a, b| a.full2 = b.full2,
+        |a, b| a.ne2 = b.ne2,
+        |a, b| a.oe2 = b.oe2,
+        |a, b| a.fault = b.fault,
+    ];
+
+    /// Every state that differs from `a` in exactly one field (the one
+    /// `b` holds there) has other words than `a`.
+    fn each_field_moves_the_words<S: Copy + Eq + std::fmt::Debug, W: Eq>(
+        a: S,
+        b: S,
+        fields: &[Graft<S>],
+        words: fn(&S) -> W,
+    ) -> Result<(), TestCaseError> {
+        for (f, graft) in fields.iter().enumerate() {
+            let mut c = a;
+            graft(&mut c, &b);
+            prop_assert!(c == a || words(&c) != words(&a), "field {} of {:?}", f, c);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// Packing drops nothing: changing any one field of a FIFO or
+        /// chain state changes its words.
+        #[test]
+        fn packed_words_change_with_every_field(
+            a in prop::collection::vec(any::<u8>(), 31),
+            b in prop::collection::vec(any::<u8>(), 31),
+            slot in 0usize..MAX_CAP,
+        ) {
+            each_field_moves_the_words(fifo_state(&a), fifo_state(&b), &FIFO_FIELDS, FifoState::words)?;
+            each_field_moves_the_words(chain_state(&a), chain_state(&b), &CHAIN_FIELDS, ChainState::words)?;
+            // One bit of one token of a full queue.
+            let mut x = fifo_state(&a);
+            x.q = queue(8, &a[1..9]);
+            let mut y = x;
+            y.q.buf[slot] ^= 1 << (b[0] % 8);
+            prop_assert_ne!(x.words(), y.words());
+        }
     }
 }
