@@ -701,7 +701,11 @@ pub struct ChainDrive {
 impl ChainDrive {
     /// `n` deterministic payload values masked to `width` bits, no stalls.
     pub fn clean(seed: u64, n: usize, width: usize) -> Self {
-        let mask = (1u64 << width) - 1;
+        let mask = if width >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
         ChainDrive {
             seed,
             items: (0..n as u64)
@@ -936,9 +940,9 @@ pub fn predict_latency(spec: &ChainSpec) -> LatencyEnvelope {
         min_ps += seg.stations as u64 * t;
         max_ps += seg.stations as u64 * t;
     }
-    for (i, name) in spec.boundaries.iter().enumerate() {
-        let t_put = spec.segments[i].domain.period.as_ps();
-        let t_get = spec.segments[i + 1].domain.period.as_ps();
+    for (pair, name) in spec.segments.windows(2).zip(&spec.boundaries) {
+        let t_put = pair[0].domain.period.as_ps();
+        let t_get = pair[1].domain.period.as_ps();
         if name == "sync_rs" {
             min_ps += t_get;
             max_ps += 2 * t_get;
@@ -948,7 +952,10 @@ pub fn predict_latency(spec: &ChainSpec) -> LatencyEnvelope {
         }
     }
     if let Some(stages) = spec.async_head {
-        let t0 = spec.segments[0].domain.period.as_ps();
+        let t0 = spec
+            .segments
+            .first()
+            .map_or(0, |seg| seg.domain.period.as_ps());
         // Min: the pipeline can flush in pure gate delays; claim nothing.
         // Max: a generous 5 ns per micropipeline stage, plus one
         // synchronizer crossing with worst-case alignment into the first
@@ -1027,6 +1034,16 @@ pub fn verification_stalls() -> Vec<(u64, u64)> {
 ///    boundary (including the bi-modal empty detector in the MCRS/ASRS
 ///    get parts) wedged under back-pressure, items would be missing.
 ///
+/// The spec is validated first; a spec that [`ChainSpec::validate`]
+/// rejects returns its message and runs nothing. The two drives share no
+/// state, so they run concurrently: the stalled one on a scoped thread,
+/// the clean one on the calling thread, each in its own [`Simulator`] —
+/// two simulators are live at once. Failures are still reported in the
+/// serial order (the clean run's error, then its checks, then the stalled
+/// run's error, then its checks), so every `Ok` and `Err` is the same as
+/// running the drives one after the other. A panic in either drive
+/// reaches the caller once both have finished.
+///
 /// Returns the collected evidence, or the first failed check as `Err`.
 pub fn verify_chain(spec: &ChainSpec, n_items: usize) -> Result<ChainVerification, String> {
     verify_chain_with_backend(spec, n_items, Backend::Event)
@@ -1042,11 +1059,16 @@ pub fn verify_chain_with_backend(
     n_items: usize,
     backend: Backend,
 ) -> Result<ChainVerification, String> {
+    spec.validate()?;
     let envelope = predict_latency(spec);
     let throughput = predict_throughput(spec);
 
     let clean_drive = ChainDrive::clean(11, n_items, spec.width);
-    let (clean, _) = run_chain_impl(spec, &clean_drive, false, backend)?;
+    let stalled_drive = ChainDrive::with_stalls(13, n_items, spec.width, verification_stalls());
+    let run = |drive: &ChainDrive| run_chain_impl(spec, drive, false, backend).map(|(run, _)| run);
+    let (clean, stalled) = join2(|| run(&clean_drive), || run(&stalled_drive));
+
+    let clean = clean?;
     if clean.sent.len() != n_items {
         return Err(format!(
             "clean run: source only handed over {}/{n_items} items",
@@ -1082,8 +1104,7 @@ pub fn verify_chain_with_backend(
         }
     }
 
-    let stalled_drive = ChainDrive::with_stalls(13, n_items, spec.width, verification_stalls());
-    let (stalled, _) = run_chain_impl(spec, &stalled_drive, false, backend)?;
+    let stalled = stalled?;
     if stalled.sent.len() != n_items || stalled.delivered != stalled.sent {
         return Err(format!(
             "stalled run: lost or reordered items under stopIn back-pressure \
@@ -1098,6 +1119,26 @@ pub fn verify_chain_with_backend(
         throughput,
         clean,
         stalled,
+    })
+}
+
+/// Runs `spawned` on a scoped thread and `local` on the calling thread,
+/// and returns both results once both have finished. A panic on either
+/// side reaches the caller after the other side has finished; the
+/// spawned side's payload is resumed unchanged, so its message survives.
+fn join2<L, S, A, B>(local: L, spawned: S) -> (A, B)
+where
+    L: FnOnce() -> A,
+    S: FnOnce() -> B + Send,
+    B: Send,
+{
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(spawned);
+        let a = local();
+        let b = handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (a, b)
     })
 }
 
@@ -1208,5 +1249,98 @@ mod tests {
     #[test]
     fn verify_two_domain_chain() {
         verify_chain(&two_domain_spec(), 60).expect("envelope and losslessness hold");
+    }
+
+    #[test]
+    fn verify_refuses_an_invalid_spec_with_the_validate_message() {
+        // One segment but one boundary: the predictor used to index the
+        // missing second segment. Width 64: the payload mask used to shift
+        // out of range.
+        let specs = [
+            (
+                ChainSpec::new(8, 4)
+                    .segment(10_000, 0, 1)
+                    .boundary("mixed_clock_rs"),
+                "1 segments need exactly 0 boundaries (got 1)",
+            ),
+            (
+                ChainSpec::new(64, 4).segment(10_000, 0, 1),
+                "width must be in 1..=63 (got 64)",
+            ),
+        ];
+        for (spec, want) in specs {
+            assert_eq!(spec.validate().unwrap_err(), want);
+            assert_eq!(verify_chain(&spec, 40).unwrap_err(), want);
+            predict_latency(&spec);
+        }
+        assert_eq!(ChainDrive::clean(0, 3, 64).items, [1, 132, 263]);
+        assert_eq!(ChainDrive::clean(0, 3, 2).items, [1, 0, 3]);
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>")
+    }
+
+    #[test]
+    fn join2_returns_both_results() {
+        assert_eq!(join2(|| 1, || "two"), (1, "two"));
+    }
+
+    /// Long enough never to fire on a working `join2`; it turns a join
+    /// that does not run the two sides at once into a failure, not a hang.
+    const HANDOFF: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn join2_resumes_a_spawned_panic_after_the_local_side() {
+        // The local side waits for the spawned one's hand-off, so it
+        // finishes only after the spawned side has started to panic.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let local_done = std::cell::Cell::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join2(
+                || {
+                    rx.recv_timeout(HANDOFF).expect("both sides run at once");
+                    local_done.set(true);
+                },
+                move || -> () {
+                    tx.send(()).expect("the local side is waiting");
+                    panic!("spawned side failed: {}", 7)
+                },
+            )
+        }));
+        let payload = caught.expect_err("the spawned panic reaches the caller");
+        assert_eq!(panic_message(&*payload), "spawned side failed: 7");
+        assert!(local_done.get(), "the local side ran to completion first");
+    }
+
+    #[test]
+    fn join2_joins_the_spawned_side_when_the_local_side_panics() {
+        // The spawned side finishes only after the local side's hand-off,
+        // that is, while the local side is already panicking.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let spawned_done = std::sync::atomic::AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join2(
+                move || -> () {
+                    tx.send(()).expect("the spawned side is waiting");
+                    panic!("local side failed")
+                },
+                || {
+                    let rx = rx;
+                    rx.recv_timeout(HANDOFF).expect("both sides run at once");
+                    spawned_done.store(true, std::sync::atomic::Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = caught.expect_err("the local panic reaches the caller");
+        assert_eq!(panic_message(&*payload), "local side failed");
+        assert!(
+            spawned_done.load(std::sync::atomic::Ordering::SeqCst),
+            "the spawned side was joined before the panic went on"
+        );
     }
 }
